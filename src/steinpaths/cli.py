@@ -83,15 +83,13 @@ def _emit(report: RunReport, args) -> int:
 
 
 def _gap_sampler(kind, model, g):
-    """Chunk samplers for g(Y_n) and g(D_n) grid evaluations."""
+    """Chunk samplers for g(Y_n) and g(D_n), drawing only the grid rows g
+    reads."""
     cuts = [int(model.n * t) for t in g.times]
 
     def values(sampler):
         def fn(rng, size):
-            grid = sampler(model, rng, size)
-            if grid.ndim == 2:
-                grid = grid[:, :, None]
-            return g.value_stacked(grid[:, cuts, :].reshape(size, -1))
+            return g.value_stacked(sampler(model, rng, size, cuts).reshape(size, -1))
 
         return fn
 
@@ -252,12 +250,15 @@ def _verify_covariance_array(model, args, report):
             "5 stderr",
             "max |z| %.2f over %d samples" % (worst_z, args.samples),
         )
-        dn = comb.sample_dn_values(model, SeedSpec(args.seed, (2,)).rng(), args.samples)
         times = [F(k, args.grid) for k in range(1, args.grid + 1)] if args.grid else []
+        dn = comb.sample_dn_values(
+            model, SeedSpec(args.seed, (2,)).rng(), args.samples,
+            [int(n * t) for t in times],
+        )
         worst_z = 0.0
-        for s in times:
-            for t in times:
-                est = from_values(dn[:, int(n * s)] * dn[:, int(n * t)])
+        for a, s in enumerate(times):
+            for b, t in enumerate(times):
+                est = from_values(dn[:, a] * dn[:, b])
                 if est.stderr > 0:
                     worst_z = max(
                         worst_z, abs(est.mean - comb.cov_d(model, s, t)) / est.stderr

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import CylinderFunctional
-from .paths import PiecewiseConstantPath, as_time, grid_path
+from .paths import PiecewiseConstantPath, as_time, grid_path, grid_rows
 
 __all__ = [
     "ModelError",
@@ -64,11 +64,18 @@ __all__ = [
     "bound_prelimit_distance_report",
     "bound_beta3",
     "assumption_diagnostic",
+    "MEMORY_BUDGET",
 ]
 
 _FAM_CONSTANT, _FAM_GAUSSIAN, _FAM_RADEMACHER, _FAM_TWO_POINT = range(4)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+# Working memory of one sampler call, beyond the array it returns: calls
+# fill their samples in sub-blocks, and each (block, m, n) float64 plane
+# takes at most an eighth of the budget (a block holds at most four).
+MEMORY_BUDGET = 32 << 20
+_PLANE_BYTES = MEMORY_BUDGET // 8
 
 
 class ModelError(ValueError):
@@ -180,13 +187,30 @@ class ArrayModel:
         self.p0 = get(flat, "p0")
         self.p1 = get(flat, "p1")
         self.p2 = get(flat, "p2")
+        # The samplers split each entry law in two parts, each zero on the
+        # other's entries: a Gaussian part (constant and Gaussian entries,
+        # mean _gc, variance _gvar, sd _gsd) and a two-point part
+        # (Rademacher and two-point entries: _lo if a uniform is below _q,
+        # else _hi).
+        rad = self.family == _FAM_RADEMACHER
+        discrete = rad | (self.family == _FAM_TWO_POINT)
+        self._gc = np.where(discrete, 0.0, self.c)
+        self._gvar = np.where(discrete, 0.0, self.sigma2)
+        self._gsd = np.where(self.family == _FAM_GAUSSIAN, self.p1, 0.0)
+        self._q = np.where(rad, 0.5, np.where(discrete, self.p1, 0.0))
+        self._lo = np.where(rad, self.p0 - self.p1, np.where(discrete, self.p0, 0.0))
+        self._hi = np.where(rad, self.p0 + self.p1, np.where(discrete, self.p2, 0.0))
+        self._has_gauss = bool((self.family == _FAM_GAUSSIAN).any())
+        self._has_discrete = bool(discrete.any())
         self._validate()
 
     def _validate(self) -> None:
-        n = self.n
         row = np.abs(self.c.mean(axis=1))
         col = np.abs(self.c.mean(axis=0))
-        if row.max() > 1e-12 or col.max() > 1e-12:
+        # relative to the entry scale, so double_center output passes at
+        # any magnitude
+        tol = 1e-12 * max(1.0, float(np.abs(self.c).max()))
+        if row.max() > tol or col.max() > tol:
             raise ModelError(
                 "row/column means of the entry means must vanish "
                 "(max |rowmean|=%.2e, |colmean|=%.2e); see double_center"
@@ -260,44 +284,47 @@ def s_n_squared(model: ArrayModel) -> float:
     return s2
 
 
+def _blocks(size: int, m: int, n: int) -> list[tuple[int, int]]:
+    """Sample ranges [lo, hi) of the sub-blocks that fill one call, sized so
+    that one (block, m, n) float64 plane takes at most _PLANE_BYTES."""
+    step = max(1, _PLANE_BYTES // (8 * max(m, 1) * n))
+    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+
+def _two_point(model: ArrayModel, rng: np.random.Generator, shape, idx) -> np.ndarray:
+    """Draws of the two-point part of the entries model[idx] (zero on the
+    other entries), broadcast to shape; one uniform per value."""
+    u = rng.random(shape)
+    return np.where(u < model._q[idx], model._lo[idx], model._hi[idx])
+
+
+def _draw(model: ArrayModel, rng: np.random.Generator, shape, idx) -> np.ndarray:
+    """Independent draws of the entries model[idx], broadcast to shape.
+
+    Normals are drawn only if the model has a Gaussian entry and uniforms
+    only if it has a Rademacher or two-point entry, in that order.
+    """
+    x = np.zeros(shape)
+    x += model._gc[idx]
+    if model._has_gauss:
+        x += model._gsd[idx] * rng.standard_normal(shape)
+    if model._has_discrete:
+        x += _two_point(model, rng, shape, idx)
+    return x
+
+
 def _sample_full(model: ArrayModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n, n) array draws; two variate planes per entry, fixed order."""
+    """(size, n, n) array draws."""
     n = model.n
-    normals = rng.standard_normal((size, n, n))
-    uniforms = rng.random((size, n, n))
-    fam = model.family
-    x = np.broadcast_to(model.p0, (size, n, n)).copy()
-    g = fam == _FAM_GAUSSIAN
-    if g.any():
-        x[:, g] = model.p0[g] + model.p1[g] * normals[:, g]
-    r = fam == _FAM_RADEMACHER
-    if r.any():
-        signs = np.where(uniforms[:, r] < 0.5, -1.0, 1.0)
-        x[:, r] = model.p0[r] + model.p1[r] * signs
-    t = fam == _FAM_TWO_POINT
-    if t.any():
-        x[:, t] = np.where(uniforms[:, t] < model.p1[t], model.p0[t], model.p2[t])
-    return x
+    return _draw(model, rng, (size, n, n), np.s_[:, :])
 
 
-def _sample_at(model, rng, rows, cols) -> np.ndarray:
-    """Independent draws from the entry laws at index arrays (rows, cols)."""
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    normals = rng.standard_normal(rows.shape)
-    uniforms = rng.random(rows.shape)
-    fam = model.family[rows, cols]
-    p0 = model.p0[rows, cols]
-    p1 = model.p1[rows, cols]
-    p2 = model.p2[rows, cols]
-    x = p0.copy()
-    g = fam == _FAM_GAUSSIAN
-    x[g] = p0[g] + p1[g] * normals[g]
-    r = fam == _FAM_RADEMACHER
-    x[r] = p0[r] + p1[r] * np.where(uniforms[r] < 0.5, -1.0, 1.0)
-    t = fam == _FAM_TWO_POINT
-    x[t] = np.where(uniforms[t] < p1[t], p0[t], p2[t])
-    return x
+def _at_rows(steps: np.ndarray, rows: np.ndarray, scale: float) -> np.ndarray:
+    """Values at grid rows `rows` of the step path with these (size, m)
+    increments, divided by scale."""
+    grid = np.zeros((steps.shape[0], steps.shape[1] + 1))
+    grid[:, 1:] = np.cumsum(steps, axis=1) / scale
+    return grid[:, rows]
 
 
 def _path_from_diag(model: ArrayModel, x: np.ndarray, pi: np.ndarray) -> PiecewiseConstantPath:
@@ -399,20 +426,51 @@ def cov_d(model: ArrayModel, s, t) -> float:
     return float(zc[:ks, :kt].sum()) / s_n_squared(model)
 
 
+def _zhat_block(model: ArrayModel, rng: np.random.Generator, size: int, m: int) -> np.ndarray:
+    """(size, m) draws of (Zhat_1, ..., Zhat_m).
+
+    Only rows <= m of Z are drawn: the other n - m rows enter only through
+    the column sums in Zbar_l, which take one N(0, n - m) normal per
+    column.  Given W = Z - Zbar, the Gaussian part of row i of X'' adds
+    N(sum_l c_il W_il, sum_l sigma_il^2 W_il^2) to Zhat_i sqrt(n-1), so it
+    costs one normal per row; the two-point part is drawn entry by entry.
+    Per-row variates are laid out rows outer, samples inner, as in the Y
+    and eps3 samplers.
+    """
+    n = model.n
+    w = rng.standard_normal((m, size, n))
+    zsum = w.sum(axis=0)
+    if m < n:
+        zsum += math.sqrt(n - m) * rng.standard_normal((size, n))
+    w -= zsum / n
+    gc = model._gc[:m]
+    acc = np.einsum("isl,il->si", w, gc) if gc.any() else np.zeros((size, m))
+    if model._has_gauss:
+        var = np.einsum("isl,isl,il->si", w, w, model._gvar[:m])
+        acc += np.sqrt(var) * rng.standard_normal((m, size)).T
+    if model._has_discrete:
+        acc += np.einsum("isl,isl->si", _two_point(model, rng, w.shape, np.s_[:m, None]), w)
+    return acc / math.sqrt(n - 1)
+
+
 def sample_zhat_values(model: ArrayModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, n) draws of (Zhat_1, ..., Zhat_n)."""
     n = model.n
-    x2 = _sample_full(model, rng, size)
-    z = rng.standard_normal((size, n, n))
-    z_centered = z - z.mean(axis=1, keepdims=True)  # subtract column means
-    return np.einsum("sil,sil->si", x2, z_centered) / math.sqrt(n - 1)
+    out = np.empty((size, n))
+    for lo, hi in _blocks(size, n, n):
+        out[lo:hi] = _zhat_block(model, rng, hi - lo, n)
+    return out
 
 
-def sample_dn_values(model: ArrayModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n+1) grid values of D_n at t = k/n."""
-    zhat = sample_zhat_values(model, rng, size)
-    out = np.zeros((size, model.n + 1))
-    out[:, 1:] = np.cumsum(zhat, axis=1) / model.s_n
+def sample_dn_values(
+    model: ArrayModel, rng: np.random.Generator, size: int, cuts=None
+) -> np.ndarray:
+    """(size, len(cuts)) values of D_n at t = k/n for k in cuts (default:
+    every k = 0..n); only rows up to max(cuts) are drawn."""
+    rows, m = grid_rows(model.n, cuts)
+    out = np.empty((size, rows.size))
+    for lo, hi in _blocks(size, m, model.n):
+        out[lo:hi] = _at_rows(_zhat_block(model, rng, hi - lo, m), rows, model.s_n)
     return out
 
 
@@ -420,15 +478,21 @@ def sample_dn(model: ArrayModel, rng: np.random.Generator) -> PiecewiseConstantP
     return grid_path(sample_dn_values(model, rng, 1)[0], model.n)
 
 
-def sample_y_values(model: ArrayModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n+1) grid values of Y_n at t = k/n."""
+def sample_y_values(
+    model: ArrayModel, rng: np.random.Generator, size: int, cuts=None
+) -> np.ndarray:
+    """(size, len(cuts)) values of Y_n at t = k/n for k in cuts (default:
+    every k = 0..n); picks are drawn only for rows up to max(cuts).
+
+    The picks are drawn row-major over (row, sample), so at the same seed
+    the rows a cut-aware call returns repeat the full call's values for a
+    model with a single family of random entries.
+    """
     n = model.n
-    pi = np.argsort(rng.random((size, n)), axis=1)
-    rows = np.broadcast_to(np.arange(n), (size, n))
-    picks = _sample_at(model, rng, rows, pi)
-    out = np.zeros((size, n + 1))
-    out[:, 1:] = np.cumsum(picks, axis=1) / model.s_n
-    return out
+    rows, m = grid_rows(n, cuts)
+    pi = np.argsort(rng.random((size, n)), axis=1)[:, :m]
+    picks = _draw(model, rng, (m, size), (np.arange(m)[:, None], pi.T))
+    return _at_rows(picks.T, rows, model.s_n)
 
 
 def pair_norm_stats(model: ArrayModel, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -444,10 +508,10 @@ def pair_norm_stats(model: ArrayModel, rng: np.random.Generator, size: int) -> n
     kl = np.argsort(rng.random((size, n)), axis=1)[:, :2]
     i_, j_ = ij[:, 0], ij[:, 1]
     k_, l_ = kl[:, 0], kl[:, 1]
-    x_ik = _sample_at(model, rng, i_, k_)
-    x_jl = _sample_at(model, rng, j_, l_)
-    x_il = _sample_at(model, rng, i_, l_)
-    x_jk = _sample_at(model, rng, j_, k_)
+    x_ik = _draw(model, rng, size, (i_, k_))
+    x_jl = _draw(model, rng, size, (j_, l_))
+    x_il = _draw(model, rng, size, (i_, l_))
+    x_jk = _draw(model, rng, size, (j_, k_))
     u = x_ik - x_il
     v = x_jl - x_jk
     first = np.where(i_ < j_, u, v)
@@ -459,20 +523,38 @@ def eps3_values(
     model: ArrayModel, f: CylinderFunctional, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Draws of the regression remainder R_f via the tower property:
-    (1/(n s_n)) sum_{i,j} Df(Y)[X_{i,pi(j)} 1_[i/n,1]]."""
+    (1/(n s_n)) sum_{i,j} Df(Y)[X_{i,pi(j)} 1_[i/n,1]].
+
+    Only rows up to the functional's last cut m are drawn.  Their Gaussian
+    part needs two normals per row: one for the pick X_{i,pi(i)} and one
+    for the rest of the row sum, N(rowsum(c)_i - c_{i,pi(i)},
+    rowsum(sigma^2)_i - sigma^2_{i,pi(i)}).  The two-point part is drawn
+    entry by entry.
+    """
     n, s = model.n, model.s_n
-    x = _sample_full(model, rng, size)
-    pi = np.argsort(rng.random((size, n)), axis=1)
-    picks = x[np.arange(size)[:, None], np.arange(n)[None, :], pi]
-    y_grid = np.zeros((size, n + 1))
-    y_grid[:, 1:] = np.cumsum(picks, axis=1) / s
-    cuts = np.array([int(n * t) for t in f.times])
-    stacked = y_grid[:, cuts]  # (size, k); dim 1
-    grads = f.grad_stacked(stacked)  # (size, k)
-    row_prefix = np.concatenate(
-        [np.zeros((size, 1)), np.cumsum(x.sum(axis=2), axis=1)], axis=1
-    )
-    return np.einsum("sk,sk->s", grads, row_prefix[:, cuts]) / (n * s)
+    rows, m = grid_rows(n, [int(n * t) for t in f.times])
+    row_c = model._gc[:m].sum(axis=1)[:, None]
+    row_var = model._gvar[:m].sum(axis=1)[:, None]
+    out = np.empty(size)
+    for lo, hi in _blocks(size, m, n):
+        b = hi - lo
+        pi = np.argsort(rng.random((b, n)), axis=1)[:, :m].T
+        idx = (np.arange(m)[:, None], pi)
+        picks = model._gc[idx]
+        row_sums = np.repeat(row_c, b, axis=1)
+        if model._has_gauss:
+            pick_gauss = model._gsd[idx] * rng.standard_normal((m, b))
+            rest_sd = np.sqrt(np.maximum(row_var - model._gvar[idx], 0.0))
+            picks += pick_gauss
+            row_sums += pick_gauss + rest_sd * rng.standard_normal((m, b))
+        if model._has_discrete:
+            x = _two_point(model, rng, (m, b, n), np.s_[:m, None])
+            picks += np.take_along_axis(x, pi[:, :, None], axis=2)[:, :, 0]
+            row_sums += x.sum(axis=2)
+        grads = f.grad_stacked(_at_rows(picks.T, rows, s))  # (b, k); dim 1
+        prefix = _at_rows(row_sums.T, rows, 1.0)
+        out[lo:hi] = np.einsum("sk,sk->s", grads, prefix) / (n * s)
+    return out
 
 
 # ---------------------------------------------------------------------------

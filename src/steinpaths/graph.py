@@ -41,7 +41,7 @@ import numpy as np
 
 from .functionals import CylinderFunctional
 from .mc import SeedSpec, from_values, merge
-from .paths import PiecewiseConstantPath, as_time, grid_path
+from .paths import PiecewiseConstantPath, as_time, grid_path, grid_rows
 
 __all__ = [
     "GraphModelError",
@@ -419,18 +419,24 @@ def prelimit_cov(model: GraphModel) -> PrelimitCovariance:
 # samplers
 
 
-def sample_y_values(model: GraphModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n+1, 2) centered grid values of Y_n; O(n^2) per sample.
+def sample_y_values(
+    model: GraphModel, rng: np.random.Generator, size: int, cuts=None
+) -> np.ndarray:
+    """(size, len(cuts), 2) centered values of Y_n at t = k/n for k in cuts
+    (default: every k = 0..n); O(m^2) per sample for m = max(cuts).
 
     Vertex k joins with a block of k-1 indicator draws; the two-star count
-    grows by C(e_k, 2) plus the degrees of k's new neighbours.
+    grows by C(e_k, 2) plus the degrees of k's new neighbours.  The loop
+    stops at vertex m, so the rows returned equal the full call's rows at
+    the same seed.
     """
     n, p = model.n, model.p
-    out = np.zeros((size, n + 1, 2))
+    rows, m = grid_rows(n, cuts)
+    out = np.zeros((size, m + 1, 2))
     s = np.zeros(size)
     w = np.zeros(size)
-    deg = np.zeros((size, n))
-    for k in range(1, n):
+    deg = np.zeros((size, m))
+    for k in range(1, m):
         block = (rng.random((size, k)) < p).astype(float)
         e_k = block.sum(axis=1)
         w += e_k * (e_k - 1) / 2.0 + np.einsum("sk,sk->s", block, deg[:, :k])
@@ -440,15 +446,19 @@ def sample_y_values(model: GraphModel, rng: np.random.Generator, size: int) -> n
         out[:, k + 1, 0] = (k - 1) * s / n**2
         out[:, k + 1, 1] = w / n**2
     et, ev = _expected_cuts(model)
-    out[:, :, 0] -= et
-    out[:, :, 1] -= ev
-    return out
+    out[:, :, 0] -= et[: m + 1]
+    out[:, :, 1] -= ev[: m + 1]
+    return out if cuts is None else out[:, rows]
 
 
-def sample_dn_values(model: GraphModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n+1, 2) grid values of the pre-limit D_n via five
-    independent Brownian motions on the clocks k(k-1) and k^2(k-1)."""
+def sample_dn_values(
+    model: GraphModel, rng: np.random.Generator, size: int, cuts=None
+) -> np.ndarray:
+    """(size, len(cuts), 2) values of the pre-limit D_n at t = k/n for k
+    in cuts (default: every k = 0..n), via five independent Brownian
+    motions on the clocks k(k-1) and k^2(k-1)."""
     n, p = model.n, model.p
+    rows, _ = grid_rows(n, cuts)
     a1, a2, b1, b2 = z_coefficients(p)
     ks = np.arange(1, n + 1)
     d_tau = 2.0 * (ks - 1)  # increments of k(k-1)
@@ -469,7 +479,7 @@ def sample_dn_values(model: GraphModel, rng: np.random.Generator, size: int) -> 
         + p * (1 - p) / (math.sqrt(2.0) * n**2) * w4
         + math.sqrt(2 * p**3 * (1 - p)) / n**2 * w5
     )
-    return out
+    return out if cuts is None else out[:, rows]
 
 
 def sample_dn(model: GraphModel, rng: np.random.Generator) -> PiecewiseConstantPath:

@@ -55,12 +55,14 @@ __all__ = [
 
 @dataclass
 class TargetLaw:
-    """A pre-limit target: grid sampler plus closed-form grid covariance."""
+    """A pre-limit target: sampler at grid rows plus closed-form grid
+    covariance.  ``sample_rows(rng, size, cuts)`` returns the values at
+    grid rows ``cuts``, shaped (size, len(cuts)) or (size, len(cuts), dim)."""
 
     dim: int
     n: int
     label: str
-    sample_grid: Callable[[np.random.Generator, int], np.ndarray]
+    sample_rows: Callable[[np.random.Generator, int, Sequence[int]], np.ndarray]
     cov: Callable[[Fraction, Fraction], np.ndarray]
     _mean_cache: dict = field(default_factory=dict, repr=False)
 
@@ -71,10 +73,8 @@ class TargetLaw:
         self, rng: np.random.Generator, size: int, times: Sequence[Fraction]
     ) -> np.ndarray:
         """(size, k, dim) draws of D at the given times."""
-        grid = self.sample_grid(rng, size)
-        if grid.ndim == 2:
-            grid = grid[:, :, None]
-        return grid[:, self.cuts(times), :]
+        vals = self.sample_rows(rng, size, self.cuts(times))
+        return vals if vals.ndim == 3 else vals[:, :, None]
 
     def cov_matrix(self, times: Sequence[Fraction]) -> np.ndarray:
         """(k*dim, k*dim) covariance of the stacked evaluations."""
@@ -118,7 +118,9 @@ def combinatorial_law(model: comb.ArrayModel) -> TargetLaw:
         dim=1,
         n=n,
         label="combinatorial(n=%d)" % n,
-        sample_grid=lambda rng, size: comb.sample_dn_values(model, rng, size),
+        sample_rows=lambda rng, size, cuts: comb.sample_dn_values(
+            model, rng, size, cuts
+        ),
         cov=cov,
     )
 
@@ -129,7 +131,9 @@ def graph_law(model: gr.GraphModel) -> TargetLaw:
         dim=2,
         n=model.n,
         label="graph(n=%d,p=%g)" % (model.n, model.p),
-        sample_grid=lambda rng, size: gr.sample_dn_values(model, rng, size),
+        sample_rows=lambda rng, size, cuts: gr.sample_dn_values(
+            model, rng, size, cuts
+        ),
         cov=pc.block,
     )
 

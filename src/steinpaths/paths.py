@@ -31,6 +31,7 @@ __all__ = [
     "step_indicator",
     "zero_path",
     "grid_path",
+    "grid_rows",
     "paths_equal",
 ]
 
@@ -192,6 +193,22 @@ def grid_path(values, n: int) -> PiecewiseConstantPath:
         raise PathError("grid_path needs n+1 values, got %d" % vals.shape[0])
     bps = [Fraction(k, n) for k in range(n + 1)]
     return PiecewiseConstantPath(vals.shape[1], bps, vals)
+
+
+def grid_rows(n: int, cuts=None) -> tuple[np.ndarray, int]:
+    """Grid rows k (for t = k/n) a sampler returns, and the largest of them.
+
+    ``cuts=None`` means every row 0..n.  Samplers draw only what rows up to
+    the largest one need, so callers pass the rows their functional reads.
+    """
+    if cuts is None:
+        return np.arange(n + 1), n
+    rows = np.asarray(cuts, dtype=np.intp).reshape(-1)
+    if rows.size == 0:
+        return rows, 0
+    if rows.min() < 0 or rows.max() > n:
+        raise PathError("grid rows must lie in 0..%d" % n)
+    return rows, int(rows.max())
 
 
 def paths_equal(

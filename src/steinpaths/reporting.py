@@ -7,6 +7,8 @@ round-trip exactly through text.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -120,23 +122,27 @@ class RunReport:
         return canonical_json(self.to_dict()) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["name,kind,value,stderr,ci_lo,ci_hi,count,pass"]
+        """Flat table; labels holding commas or quotes are quoted."""
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(["name", "kind", "value", "stderr", "ci_lo", "ci_hi", "count", "pass"])
         for e in self.estimates:
-            lines.append(
-                "%s,estimate,%s,%s,%s,%s,%d,"
-                % (
+            out.writerow(
+                [
                     e["name"],
+                    "estimate",
                     fmt_float(e["value"]),
                     fmt_float(e["stderr"]),
                     fmt_float(e["ci95"][0]),
                     fmt_float(e["ci95"][1]),
                     e["count"],
-                )
+                    "",
+                ]
             )
         for b in self.bounds:
-            lines.append("%s,bound,%s,,,,," % (b["name"], fmt_float(b["value"])))
+            out.writerow([b["name"], "bound", fmt_float(b["value"]), "", "", "", "", ""])
         for c in self.checks:
-            lines.append(
-                "%s,check,,,,,,%s" % (c["name"], "true" if c["pass"] else "false")
+            out.writerow(
+                [c["name"], "check", "", "", "", "", "", "true" if c["pass"] else "false"]
             )
-        return "\n".join(lines) + "\n"
+        return buf.getvalue()

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 
 import pytest
 
 from steinpaths.cli import main
-from steinpaths.reporting import canonical_json
+from steinpaths.mc import from_values
+from steinpaths.reporting import RunReport, canonical_json
 
 
 def write_model(tmp_path, name, payload):
@@ -204,15 +207,44 @@ def test_simulate_command_and_csv(tmp_path, capsys):
 
 def test_reports_byte_identical_across_workers(tmp_path, capsys):
     model = iid_model(tmp_path, 6)
-    outputs = []
-    for workers in ("1", "3"):
-        _, out = run(
-            capsys,
-            ["distance", "--model", model, "--samples", "8192", "--seed", "7",
-             "--workers", workers, "--functional", "cos:coord=1,t=1/2"],
-        )
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+    commands = [
+        ["distance", "--model", model, "--samples", "8192",
+         "--functional", "cos:coord=1,t=1/2"],
+        ["simulate", "--model", model, "--samples", "8192",
+         "--functional", "sin:coord=1,t=1/4"],
+        ["stein-identity", "--model", model, "--samples", "8192",
+         "--functional", "sin:coord=1,t=1/2"],
+        ["verify-covariance", "--model", model, "--samples", "8192", "--grid", "3"],
+    ]
+    for argv in commands:
+        outputs = []
+        for workers in ("1", "3"):
+            _, out = run(capsys, argv + ["--seed", "7", "--workers", workers])
+            outputs.append(out)
+        assert outputs[0] == outputs[1], argv[0]
+
+
+def test_csv_labels_with_commas_round_trip(tmp_path, capsys):
+    report = RunReport("simulate", {}, 0, "test")
+    names = ['E[g(Y)] lin:coords=1,1,t=1/2,1,w=1,-1', 'say "hi", twice']
+    for name in names:
+        report.add_estimate(name, from_values([1.0, 2.0]))
+        report.add_bound(name, 3.0)
+        report.add_check(name, True, 0.1)
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert rows[0] == ["name", "kind", "value", "stderr", "ci_lo", "ci_hi", "count", "pass"]
+    assert all(len(row) == 8 for row in rows)
+    assert [row[0] for row in rows[1:]] == names * 3  # estimates, bounds, checks
+    code, out = run(
+        capsys,
+        ["simulate", "--model", det_model(tmp_path), "--samples", "100",
+         "--functional", "tanhprod:coords=1,1,t=1/3,1", "--format", "csv"],
+    )
+    assert code == 0
+    assert out.startswith("name,kind,value,stderr,ci_lo,ci_hi,count,pass\n")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 8 for row in rows)
+    assert rows[1][0] == "E[g(Y)] tanhprod:coords=1,1,t=1/3,1"
 
 
 def test_report_rerun_reproduces_estimates(tmp_path, capsys):

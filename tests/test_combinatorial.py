@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from steinpaths.combinatorial import (
+    MEMORY_BUDGET,
     ArrayModel,
     DegenerateModelError,
     ModelError,
@@ -14,6 +16,7 @@ from steinpaths.combinatorial import (
     bound_beta3,
     bound_prelimit_distance,
     bound_prelimit_distance_report,
+    constant_entry,
     cov_d,
     double_center,
     eps3_values,
@@ -119,6 +122,22 @@ def test_degenerate_model_rejected():
 def test_uncentered_means_rejected():
     with pytest.raises(ModelError):
         ArrayModel.deterministic([[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_validate_accepts_double_center_at_large_scale():
+    # the row/column-mean check is relative to max |c|, so the package's own
+    # centering helper passes at any magnitude
+    for n in (16, 64, 128):
+        c = double_center(1e6 * rng_for(40 + n).standard_normal((n, n)))
+        assert ArrayModel.deterministic(c).n == n
+
+
+def test_validate_rejects_small_offset_at_large_scale():
+    for n in (16, 64, 128):
+        c = double_center(1e6 * rng_for(40 + n).standard_normal((n, n)))
+        c[0] += 1e-6 * np.abs(c).max()  # row 0 mean off by 1e-6 max|c|
+        with pytest.raises(ModelError):
+            ArrayModel.deterministic(c)
 
 
 def test_double_center_fixes_means():
@@ -496,3 +515,117 @@ def test_eps3_linear_endpoint_statistic():
     est = from_values(vals**2)
     expected = float(model.sigma2.sum()) / (model.n * model.s_n) ** 2
     assert abs(est.mean - expected) < 4 * est.stderr
+
+
+# -- cut-aware, family-aware, memory-bounded samplers -------------------------
+
+
+def _mixed_2x2():
+    return ArrayModel.from_json_dict(
+        {
+            "n": 2,
+            "entries": [
+                {"i": 1, "j": 1, "dist": "gaussian", "mean": 0.5, "var": 2.0},
+                {"i": 1, "j": 2, "dist": "constant", "value": -0.5},
+                {"i": 2, "j": 1, "dist": "rademacher-shifted", "mean": -0.5,
+                 "scale": 1.5},
+                {"i": 2, "j": 2, "dist": "two-point", "x1": 2.0, "p1": 0.25,
+                 "x2": 0.0},
+            ],
+        }
+    )
+
+
+def _mixed_5x5():
+    # all four families, cycling over the entries, around double-centred means
+    n = 5
+    c = double_center(SeedSpec(93).rng().standard_normal((n, n)))
+    makers = (
+        lambda m: gaussian_entry(m, 0.7),
+        lambda m: rademacher_entry(m, 1.2),
+        lambda m: two_point_entry(m + 1.5, 0.25, m - 0.5),
+        constant_entry,
+    )
+    return ArrayModel(
+        [[makers[(i + 2 * j) % 4](c[i, j]) for j in range(n)] for i in range(n)]
+    )
+
+
+def _assert_cov_at_cuts(model, vals, cuts, label):
+    n = model.n
+    for a, ka in enumerate(cuts):
+        for b, kb in enumerate(cuts):
+            est = from_values(vals[:, a] * vals[:, b])
+            closed = cov_d(model, F(ka, n), F(kb, n))
+            assert abs(est.mean - closed) < 4 * est.stderr + 1e-12, (label, ka, kb)
+
+
+def test_cut_aware_dn_covariance_matches_closed_form():
+    cases = [
+        ("det3", det3(), [1, 2]),
+        ("iid-gaussian", ArrayModel.iid_gaussian(8), [0, 2, 5]),
+        ("iid-rademacher", ArrayModel.iid_rademacher(8), [3, 6]),
+        ("mixed-2x2", _mixed_2x2(), [1]),
+        ("mixed-5x5", _mixed_5x5(), [1, 3, 4]),
+    ]
+    for idx, (label, model, cuts) in enumerate(cases):
+        assert max(cuts) < model.n
+        vals = sample_dn_values(model, rng_for(50 + idx), 10**5, cuts)
+        assert vals.shape == (10**5, len(cuts))
+        _assert_cov_at_cuts(model, vals, cuts, label)
+
+
+def test_cut_aware_y_repeats_full_rows():
+    # single-family models: the picks are drawn row-major, so the rows a
+    # cut-aware call returns are the full call's values at the same seed
+    for idx, model in enumerate(
+        [det3(), ArrayModel.iid_gaussian(8), ArrayModel.iid_rademacher(8)]
+    ):
+        cuts = [2, 1] if model.n == 3 else [5, 0, 2]
+        full = sample_y_values(model, rng_for(60 + idx), 2000)
+        cut = sample_y_values(model, rng_for(60 + idx), 2000, cuts)
+        assert np.array_equal(cut, full[:, cuts])
+
+
+def test_cut_aware_y_mixed_families_covariance():
+    # Cov(Y(s), Y(t)) equals the pre-limit covariance in this family
+    for idx, (model, cuts) in enumerate([(_mixed_2x2(), [1]), (_mixed_5x5(), [2, 4])]):
+        vals = sample_y_values(model, rng_for(65 + idx), 10**5, cuts)
+        _assert_cov_at_cuts(model, vals, cuts, model.n)
+
+
+def test_dn_and_y_reject_rows_outside_grid():
+    model = ArrayModel.iid_gaussian(4)
+    for sampler in (sample_dn_values, sample_y_values):
+        with pytest.raises(ValueError):
+            sampler(model, rng_for(70), 10, [5])
+        with pytest.raises(ValueError):
+            sampler(model, rng_for(70), 10, [-1])
+
+
+def test_eps3_cut_aware_linear_second_moment():
+    # at t = 1/2 only rows i <= n/2 enter: R = sum_{i <= n/2, j} X_ij/(n s_n),
+    # whose mean vanishes with the row means, so
+    # E R^2 = sum_{i <= n/2, j} sigma_ij^2 / (n s_n)^2
+    f = linear_cylinder([1], [F(1, 2)], None, dim=1)
+    models = [ArrayModel.iid_gaussian(6), ArrayModel.iid_rademacher(6), _mixed_5x5()]
+    for idx, model in enumerate(models):
+        n = model.n
+        vals = eps3_values(model, f, rng_for(75 + idx), 10**5)
+        est = from_values(vals**2)
+        expected = float(model.sigma2[: n // 2].sum()) / (n * model.s_n) ** 2
+        assert abs(est.mean - expected) < 4 * est.stderr, n
+
+
+def test_dn_sampler_peak_memory_within_budget():
+    # one CHUNK of full-grid D_n draws at n = 128; drawn all at once, the
+    # (4096, n, n) planes would take several hundred MB each
+    model = ArrayModel.iid_gaussian(128)
+    tracemalloc.start()
+    try:
+        vals = sample_dn_values(model, rng_for(80), 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (4096, 129)
+    assert peak <= MEMORY_BUDGET, peak

@@ -495,3 +495,15 @@ def test_bound_continuous_values():
 def test_z_exactly_zero_at_time_zero():
     vals = sample_z_values(0.4, [F(0), F(1, 2), F(1)], rng_for(20), 100)
     assert np.all(vals[:, 0, :] == 0.0)
+
+
+def test_cut_aware_samplers_repeat_full_rows():
+    # Y's vertex loop stops at the last cut and D_n draws every motion in
+    # full, so at the same seed both return the full call's values there
+    model = GraphModel(8, 0.3)
+    cuts = [5, 0, 3]
+    for idx, sampler in enumerate((sample_y_values, sample_dn_values)):
+        full = sampler(model, rng_for(90 + idx), 500)
+        cut = sampler(model, rng_for(90 + idx), 500, cuts)
+        assert cut.shape == (500, 3, 2)
+        assert np.array_equal(cut, full[:, cuts])
