@@ -205,22 +205,24 @@ def _verify_covariance_graph(model, args, report):
     report.add_check("prelimit_grid_psd", eig_min >= -1e-9, -1e-9, "min eig %.3e" % eig_min)
 
     if args.samples > 0 and not vacuous:
+        cuts = [int(n * t) for t in times]
         vals_parts = []
         done, idx = 0, 0
         while done < args.samples:
             size = min(8192, args.samples - done)
             vals_parts.append(
-                gr.sample_dn_values(model, SeedSpec(args.seed, (1, idx)).rng(), size)
+                gr.sample_dn_values(
+                    model, SeedSpec(args.seed, (1, idx)).rng(), size, cuts
+                )
             )
             done += size
             idx += 1
         vals = np.concatenate(vals_parts, axis=0)
         worst_z = 0.0
-        for t in times:
-            k = int(n * t)
+        for a, t in enumerate(times):
             block = pc.block(t, t)
             for (i, j), lab in labels.items():
-                est = from_values(vals[:, k, i] * vals[:, k, j])
+                est = from_values(vals[:, a, i] * vals[:, a, j])
                 if est.stderr > 0:
                     worst_z = max(worst_z, abs(est.mean - block[i, j]) / est.stderr)
         report.add_check(
@@ -329,7 +331,9 @@ def cmd_coupling(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     model = gr.GraphModel(args.n, args.p)
-    rep = gr.coupling_distance(model, args.samples, SeedSpec(args.seed))
+    rep = gr.coupling_distance(
+        model, args.samples, SeedSpec(args.seed), workers=args.workers
+    )
     report = _report(
         args,
         "coupling",

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import CylinderFunctional
-from .mc import SeedSpec, from_values, merge
+from .mc import SeedSpec, mc_run_vector
 from .paths import PiecewiseConstantPath, as_time, grid_path, grid_rows
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
     "d2_block_discrepancy",
     "PrelimitCovariance",
     "prelimit_cov",
+    "bernoulli",
     "sample_y_values",
     "sample_dn_values",
     "sample_dn",
@@ -419,30 +420,53 @@ def prelimit_cov(model: GraphModel) -> PrelimitCovariance:
 # samplers
 
 
+def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
+    """Boolean array of iid Bernoulli(p) draws, one byte per indicator.
+
+    With q = 256p and j = floor(q), a byte u gives 1 if u < j and 0 if
+    u > j; only the 1/256 ties u == j draw a uniform, which gives 1 with
+    probability q - j.  The law is Bernoulli(p) to the 2^-53 resolution of
+    that uniform, as for ``rng.random() < p``.  The bytes are drawn first
+    and the tie uniforms after them, in index order.
+    """
+    count = math.prod(shape)
+    u = np.frombuffer(rng.bytes(count), dtype=np.uint8).reshape(shape)
+    q = 256.0 * p
+    j = math.floor(q)
+    out = u < j
+    if q > j:
+        ties = np.flatnonzero(u == j)
+        out.reshape(-1)[ties] = rng.random(ties.size) < q - j
+    return out
+
+
 def sample_y_values(
     model: GraphModel, rng: np.random.Generator, size: int, cuts=None
 ) -> np.ndarray:
     """(size, len(cuts), 2) centered values of Y_n at t = k/n for k in cuts
     (default: every k = 0..n); O(m^2) per sample for m = max(cuts).
 
-    Vertex k joins with a block of k-1 indicator draws; the two-star count
-    grows by C(e_k, 2) plus the degrees of k's new neighbours.  The loop
+    Vertex k joins with a (k, size) block of indicators from ``bernoulli``;
+    the two-star count grows by C(e_k, 2) plus the degrees of k's new
+    neighbours.  Degrees are held vertex-major, (vertex, sample).  The loop
     stops at vertex m, so the rows returned equal the full call's rows at
     the same seed.
     """
     n, p = model.n, model.p
     rows, m = grid_rows(n, cuts)
+    # every degree, e_k^2 and neighbour-degree sum is at most n(n-1)
+    small = np.int16 if n * n < 2**15 else np.int64
     out = np.zeros((size, m + 1, 2))
-    s = np.zeros(size)
-    w = np.zeros(size)
-    deg = np.zeros((size, m))
+    s = np.zeros(size, dtype=np.int64)
+    w = np.zeros(size, dtype=np.int64)
+    deg = np.zeros((m, size), dtype=small)
     for k in range(1, m):
-        block = (rng.random((size, k)) < p).astype(float)
-        e_k = block.sum(axis=1)
-        w += e_k * (e_k - 1) / 2.0 + np.einsum("sk,sk->s", block, deg[:, :k])
+        block = bernoulli(rng, p, (k, size)).view(np.uint8)
+        e_k = block.sum(axis=0, dtype=small)
+        w += e_k * (e_k - 1) // 2 + np.einsum("ks,ks->s", block, deg[:k])
         s += e_k
-        deg[:, :k] += block
-        deg[:, k] = e_k
+        deg[:k] += block
+        deg[k] = e_k
         out[:, k + 1, 0] = (k - 1) * s / n**2
         out[:, k + 1, 1] = w / n**2
     et, ev = _expected_cuts(model)
@@ -456,22 +480,36 @@ def sample_dn_values(
 ) -> np.ndarray:
     """(size, len(cuts), 2) values of the pre-limit D_n at t = k/n for k
     in cuts (default: every k = 0..n), via five independent Brownian
-    motions on the clocks k(k-1) and k^2(k-1)."""
+    motions on the clocks k(k-1) and k^2(k-1).
+
+    Each motion is drawn only at the clocks of the sorted, distinct rows
+    k >= 1 in cuts, from independent increments between consecutive
+    clocks (row 0 sits at clock 0 and takes no draw), so a call costs 5
+    normals per sample per distinct row.  The law at the rows is exact,
+    but a cut call's values are not the full call's rows at the same seed.
+    With every row 1..n present (``cuts=None`` or ``range(n+1)``) the
+    increments are the unit steps of the clocks and the values are those
+    of the full-grid draw.
+    """
     n, p = model.n, model.p
     rows, _ = grid_rows(n, cuts)
+    ks, pos = np.unique(rows, return_inverse=True)
+    drawn = ks[ks > 0]
     a1, a2, b1, b2 = z_coefficients(p)
-    ks = np.arange(1, n + 1)
-    d_tau = 2.0 * (ks - 1)  # increments of k(k-1)
-    d_nu = (ks - 1) * (3.0 * ks - 2.0)  # increments of k^2(k-1)
+    tau = drawn * (drawn - 1)
+    nu = drawn * tau
 
-    def bm(dclock):
-        steps = rng.standard_normal((size, n)) * np.sqrt(dclock)
-        return np.concatenate([np.zeros((size, 1)), np.cumsum(steps, axis=1)], axis=1)
+    def bm(clock):
+        steps = rng.standard_normal((size, clock.size))
+        steps *= np.sqrt(np.diff(clock, prepend=0).astype(float))
+        w = np.zeros((size, ks.size))
+        np.cumsum(steps, axis=1, out=w[:, ks.size - clock.size :])
+        return w
 
-    w1, w2, w3 = bm(d_tau), bm(d_tau), bm(d_tau)
-    w4, w5 = bm(d_nu), bm(d_tau)
-    shift = (np.arange(n + 1) - 2.0) / n**2
-    out = np.empty((size, n + 1, 2))
+    w1, w2, w3 = bm(tau), bm(tau), bm(tau)
+    w4, w5 = bm(nu), bm(tau)
+    shift = (ks - 2.0) / n**2
+    out = np.empty((size, ks.size, 2))
     out[:, :, 0] = shift * (a1 * w1 + a2 * w2)
     out[:, :, 1] = (
         shift * (b1 * w1 + b2 * w2)
@@ -479,7 +517,7 @@ def sample_dn_values(
         + p * (1 - p) / (math.sqrt(2.0) * n**2) * w4
         + math.sqrt(2 * p**3 * (1 - p)) / n**2 * w5
     )
-    return out if cuts is None else out[:, rows]
+    return out if cuts is None else out[:, pos]
 
 
 def sample_dn(model: GraphModel, rng: np.random.Generator) -> PiecewiseConstantPath:
@@ -594,9 +632,55 @@ def sample_z_values(p: float, grid: Sequence, rng: np.random.Generator, size: in
     return out
 
 
-def _merged_clock(values: list[Fraction]) -> tuple[np.ndarray, dict]:
-    uniq = sorted(set(values))
-    return np.array([float(v) for v in uniq]), {v: i for i, v in enumerate(uniq)}
+def _bm(rng: np.random.Generator, size: int, times: np.ndarray) -> np.ndarray:
+    """(size, len(times)) Brownian motion at the increasing times."""
+    d = np.diff(np.concatenate([[0.0], times]))
+    steps = rng.standard_normal((size, times.size))
+    steps *= np.sqrt(d)
+    return np.cumsum(steps, axis=1, out=steps)
+
+
+def _coupled_motions(model: GraphModel, rng: np.random.Generator, size: int, refine: int):
+    """Draw the five motions of `size` coupled samples; returns
+    (block, grid), where block(lo, hi) assembles (zn, z) for samples
+    lo..hi-1 from them."""
+    n, p = model.n, model.p
+    a1, a2, b1, b2 = z_coefficients(p)
+    ks = np.arange(n + 1)
+    js = np.arange(1, refine * n + 1)
+    tau = ks * (ks - 1)
+    # the shared times k(k-1)/n^2 and (j/(refine n))^2 are integers over
+    # (refine n)^2, and each integer quotient is the correctly rounded time
+    merged, idx = np.unique(np.concatenate([tau * refine**2, js * js]), return_inverse=True)
+    tau_idx, sq_idx = idx[: n + 1], idx[n + 1 :]
+    grid = js / float(refine * n)
+    shared = merged / float((refine * n) ** 2)
+    w1 = _bm(rng, size, shared)
+    w2 = _bm(rng, size, shared)
+    tau_t, nu_t = tau[1:] / float(n * n), (ks * tau)[1:] / float(n**3)
+    pad = np.zeros((size, 1))
+    w3, w4, w5 = (
+        np.concatenate([pad, _bm(rng, size, times)], axis=1) for times in (tau_t, nu_t, tau_t)
+    )
+    shift = (np.arange(n + 1) - 2.0) / n
+
+    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        t1, t2 = w1[lo:hi, tau_idx], w2[lo:hi, tau_idx]
+        zn = np.empty((hi - lo, n + 1, 2))
+        zn[:, :, 0] = shift * (a1 * t1 + a2 * t2)
+        zn[:, :, 1] = (
+            shift * (b1 * t1 + b2 * t2)
+            + shift / math.sqrt(n) * w3[lo:hi]
+            + p * (1 - p) / math.sqrt(2.0 * n) * w4[lo:hi]
+            + math.sqrt(2 * p**3 * (1 - p)) / n * w5[lo:hi]
+        )
+        s1, s2 = w1[lo:hi, sq_idx], w2[lo:hi, sq_idx]
+        z = np.empty((hi - lo, grid.size, 2))
+        z[:, :, 0] = grid * (a1 * s1 + a2 * s2)
+        z[:, :, 1] = grid * (b1 * s1 + b2 * s2)
+        return zn, z
+
+    return block, grid
 
 
 def sample_coupled_values(
@@ -610,46 +694,9 @@ def sample_coupled_values(
     motions B(k(k-1)) = n Btilde(k(k-1)/n^2) so that both processes read
     the same Btilde1, Btilde2.
     """
-    n, p = model.n, model.p
-    a1, a2, b1, b2 = z_coefficients(p)
-    ks = np.arange(n + 1)
-    tau_frac = [Fraction(int(k * (k - 1)), n * n) for k in ks]
-    grid_frac = [Fraction(j, refine * n) for j in range(1, refine * n + 1)]
-    sq_frac = [g * g for g in grid_frac]
-    shared_times, shared_pos = _merged_clock(tau_frac + sq_frac)
-
-    def bm(times: np.ndarray) -> np.ndarray:
-        d = np.diff(np.concatenate([[0.0], times]))
-        steps = rng.standard_normal((size, times.size)) * np.sqrt(d)
-        return np.cumsum(steps, axis=1)
-
-    w1 = bm(shared_times)
-    w2 = bm(shared_times)
-    tau_idx = np.array([shared_pos[v] for v in tau_frac])
-    sq_idx = np.array([shared_pos[v] for v in sq_frac])
-
-    nu_times = np.array([float(Fraction(int(k * k * (k - 1)), n**3)) for k in ks])
-    w3 = bm(np.array([float(v) for v in tau_frac[1:]]))
-    w4 = bm(nu_times[1:])
-    w5 = bm(np.array([float(v) for v in tau_frac[1:]]))
-    pad = np.zeros((size, 1))
-    w3, w4, w5 = (np.concatenate([pad, w], axis=1) for w in (w3, w4, w5))
-
-    shift = (ks - 2.0) / n
-    zn = np.empty((size, n + 1, 2))
-    zn[:, :, 0] = shift * (a1 * w1[:, tau_idx] + a2 * w2[:, tau_idx])
-    zn[:, :, 1] = (
-        shift * (b1 * w1[:, tau_idx] + b2 * w2[:, tau_idx])
-        + shift / math.sqrt(n) * w3
-        + p * (1 - p) / math.sqrt(2.0 * n) * w4
-        + math.sqrt(2 * p**3 * (1 - p)) / n * w5
-    )
-
-    gs = np.array([float(g) for g in grid_frac])
-    z = np.empty((size, gs.size, 2))
-    z[:, :, 0] = gs * (a1 * w1[:, sq_idx] + a2 * w2[:, sq_idx])
-    z[:, :, 1] = gs * (b1 * w1[:, sq_idx] + b2 * w2[:, sq_idx])
-    return zn, z, gs
+    block, grid = _coupled_motions(model, rng, size, refine)
+    zn, z = block(0, size)
+    return zn, z, grid
 
 
 def _discretization_bias_bound(model: GraphModel, refine: int) -> float:
@@ -675,43 +722,52 @@ def coupling_bounds(n: int) -> dict:
     }
 
 
+COUPLING_BLOCK = 128  # samples per sub-block of the coupling statistics
+
+
 def coupling_distance(
     model: GraphModel,
     samples: int,
     seed: SeedSpec,
     refine: int = 8,
     chunk: int = 2000,
+    workers: int = 1,
 ) -> dict:
     """Monte Carlo moments of the coupled (Z_n, Z) pair with pass flags
-    against the closed-form bounds."""
+    against the closed-form bounds.
+
+    Each chunk draws its motions as ``sample_coupled_values`` does and
+    turns them into per-sample statistics COUPLING_BLOCK samples at a
+    time, so beyond the two merged-clock motions (2 * chunk * ~(refine+1)n
+    floats) its memory does not grow with the chunk.
+    """
     n = model.n
-    sizes = [chunk] * (samples // chunk)
-    if samples % chunk:
-        sizes.append(samples % chunk)
     cut = np.arange(1, refine * n + 1) // refine  # floor(n * j/(refine n))
 
-    def task(i: int):
-        rng = seed.child(i).rng()
-        zn, z, gs = sample_coupled_values(model, rng, sizes[i], refine=refine)
-        zn_on_grid = zn[:, cut, :]
-        gap = np.linalg.norm(zn_on_grid - z, axis=2).max(axis=1)
-        sup_z = (np.linalg.norm(z, axis=2) ** 2).max(axis=1)
-        # correlation ingredients at t = 1
-        prod = zn[:, -1, 0] * z[:, -1, 0]
-        return (
-            from_values(gap),
-            from_values(gap**2),
-            from_values(sup_z),
-            from_values(prod),
-            from_values(zn[:, -1, 0] ** 2),
-            from_values(z[:, -1, 0] ** 2),
-        )
+    def stats(rng, size):
+        block, _ = _coupled_motions(model, rng, size, refine)
+        out = np.empty((6, size))
+        for lo in range(0, size, COUPLING_BLOCK):
+            hi = min(lo + COUPLING_BLOCK, size)
+            zn, z = block(lo, hi)
+            d = zn[:, cut, :] - z
+            # x0^2 + x1^2 is the sum np.linalg.norm takes, and a correctly
+            # rounded sqrt is monotone, so sqrt(max) is the max of the norms
+            gap = np.sqrt((d[:, :, 0] ** 2 + d[:, :, 1] ** 2).max(axis=1))
+            out[0, lo:hi] = gap
+            out[1, lo:hi] = gap**2
+            out[2, lo:hi] = np.sqrt((z[:, :, 0] ** 2 + z[:, :, 1] ** 2).max(axis=1)) ** 2
+            # correlation ingredients at t = 1
+            out[3, lo:hi] = zn[:, -1, 0] * z[:, -1, 0]
+            out[4, lo:hi] = zn[:, -1, 0] ** 2
+            out[5, lo:hi] = z[:, -1, 0] ** 2
+        # column-major: each statistic is then summed pairwise as one
+        # contiguous run, exactly as from_values sums a 1-D array
+        return out.T
 
-    parts = [task(i) for i in range(len(sizes))]
-    acc = list(parts[0])
-    for part in parts[1:]:
-        acc = [merge(a, b) for a, b in zip(acc, part)]
-    gap, gap2, supz2, prod, zn2, z2 = acc
+    gap, gap2, supz2, prod, zn2, z2 = mc_run_vector(
+        stats, samples, seed, workers=workers, chunk=chunk
+    )
     bounds = coupling_bounds(n)
     corr = prod.mean / math.sqrt(max(zn2.mean * z2.mean, 1e-300))
     report = {
@@ -750,17 +806,17 @@ def pair_norm_stats(model: GraphModel, rng: np.random.Generator, size: int) -> n
     """
     n, p = model.n, model.p
     lam = lambda_matrix(model)
-    pair_pick = np.argsort(rng.random((size, n)), axis=1)[:, :2]
-    hi = pair_pick.max(axis=1) + 1  # max(I, J), 1-based
-    old = (rng.random(size) < p).astype(float)
-    new = (rng.random(size) < p).astype(float)
-    delta = old - new
-    nbr = (rng.random((size, n)) < p).astype(float) + (
-        rng.random((size, n)) < p
-    ).astype(float)
+    i = rng.integers(0, n, size)
+    j = rng.integers(0, n - 1, size)
+    j += j >= i  # (i, j) uniform over ordered pairs of distinct vertices
+    hi = np.maximum(i, j) + 1  # max(I, J), 1-based
+    old, new = bernoulli(rng, p, (2, size))
+    delta = old.astype(float) - new
+    edges = bernoulli(rng, p, (2, size, n))
+    nbr = np.add(edges[0], edges[1], dtype=float)
     rows = np.arange(size)
-    nbr[rows, pair_pick[:, 0]] = 0.0
-    nbr[rows, pair_pick[:, 1]] = 0.0
+    nbr[rows, i] = 0.0
+    nbr[rows, j] = 0.0
     prefix = np.concatenate([np.zeros((size, 1)), np.cumsum(nbr, axis=1)], axis=1)
 
     ks = np.arange(n + 1)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from steinpaths import mc
 from steinpaths.cli import main
 from steinpaths.mc import from_values
 from steinpaths.reporting import RunReport, canonical_json
@@ -207,6 +208,7 @@ def test_simulate_command_and_csv(tmp_path, capsys):
 
 def test_reports_byte_identical_across_workers(tmp_path, capsys):
     model = iid_model(tmp_path, 6)
+    graph = graph_model(tmp_path, 10, 0.3)
     commands = [
         ["distance", "--model", model, "--samples", "8192",
          "--functional", "cos:coord=1,t=1/2"],
@@ -215,13 +217,34 @@ def test_reports_byte_identical_across_workers(tmp_path, capsys):
         ["stein-identity", "--model", model, "--samples", "8192",
          "--functional", "sin:coord=1,t=1/2"],
         ["verify-covariance", "--model", model, "--samples", "8192", "--grid", "3"],
+        ["simulate", "--model", graph, "--samples", "8192",
+         "--functional", "cos:coord=2,t=1/2"],
+        ["stein-identity", "--model", graph, "--samples", "8192",
+         "--functional", "tanhprod:coords=1,2,t=1/2,1"],
+        # 4500 samples span three coupling chunks
+        ["coupling", "--n", "12", "--p", "0.3", "--samples", "4500"],
     ]
     for argv in commands:
         outputs = []
-        for workers in ("1", "3"):
+        for workers in ("1", "2", "3"):
             _, out = run(capsys, argv + ["--seed", "7", "--workers", workers])
             outputs.append(out)
-        assert outputs[0] == outputs[1], argv[0]
+        assert outputs[0] == outputs[1] == outputs[2], argv[:3]
+
+
+def test_coupling_honours_workers(capsys, monkeypatch):
+    seen = []
+    run_tasks = mc._run_tasks
+
+    def spy(task, n_tasks, workers):
+        seen.append(workers)
+        return run_tasks(task, n_tasks, workers)
+
+    monkeypatch.setattr(mc, "_run_tasks", spy)
+    code, _ = run(capsys, ["coupling", "--n", "8", "--p", "0.3", "--samples", "4500",
+                           "--workers", "2"])
+    assert code == 0
+    assert seen == [2]
 
 
 def test_csv_labels_with_commas_round_trip(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from steinpaths.graph import (
     DirectGaussianOracle,
     GraphModel,
     GraphModelError,
+    bernoulli,
     bound_continuous,
     bound_prelimit,
     brownian_side_cov,
@@ -43,7 +46,7 @@ from steinpaths.graph import (
     sample_z_values,
     var_v_exact,
 )
-from steinpaths.mc import SeedSpec, from_values
+from steinpaths.mc import SeedSpec, from_values, merge
 
 F = Fraction
 
@@ -72,6 +75,28 @@ def enumerate_tv_moments(n, p):
         evv += w * v_stat**2
         etv += w * t_stat * v_stat
     return et, ev, ett - et**2, evv - ev**2, etv - et * ev
+
+
+def enumerate_y_rows(n, p, rows):
+    """Brute force over all graphs on n vertices, vertex k revealed k-th:
+    exact mean vector and covariance matrix of the raw
+    (T(k1), V(k1), T(k2), V(k2), ...) for k in rows."""
+    pairs = list(itertools.combinations(range(n), 2))
+    vecs, weights = [], []
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        edges = np.zeros((n, n), dtype=int)
+        for b, (i, j) in zip(bits, pairs):
+            edges[i, j] = edges[j, i] = b
+        weights.append(p ** sum(bits) * (1.0 - p) ** (len(pairs) - sum(bits)))
+        vec = []
+        for k in rows:
+            sub = edges[:k, :k]
+            deg = sub.sum(axis=1)
+            vec += [(k - 2) / n**2 * sub.sum() / 2, sum(d * (d - 1) // 2 for d in deg) / n**2]
+        vecs.append(vec)
+    x, w = np.array(vecs), np.array(weights)
+    mean = w @ x
+    return mean, (x - mean).T @ (w[:, None] * (x - mean))
 
 
 # -- model and first moments --------------------------------------------------
@@ -178,6 +203,52 @@ def test_var_v_exact_matches_mc():
     vals = sample_y_values(model, rng_for(3), 2 * 10**5)
     est = from_values(vals[:, -1, 1] ** 2)
     assert abs(est.mean - float(var_v_exact(model, F(1)))) < 5 * est.stderr
+
+
+def test_y_law_matches_enumeration_at_every_cut():
+    # exact joint law over all 2^10 graphs at n = 5: means and cross-time
+    # covariances of (T, V) at rows 3, 4 and 5
+    n, p, rows, size = 5, 0.3, [3, 4, 5], 10**5
+    model = GraphModel(n, p)
+    mean, cov = enumerate_y_rows(n, p, rows)
+    centre = mean - np.ravel([moments_tv(model, F(k, n)) for k in rows])  # E Y
+    vals = sample_y_values(model, rng_for(93), size, rows).reshape(size, -1)
+    for a in range(2 * len(rows)):
+        est = from_values(vals[:, a])
+        assert abs(est.mean - centre[a]) <= 5 * est.stderr
+        for b in range(a, 2 * len(rows)):
+            est = from_values((vals[:, a] - centre[a]) * (vals[:, b] - centre[b]))
+            assert abs(est.mean - cov[a, b]) <= 5 * est.stderr
+
+
+def test_y_two_star_counts_do_not_wrap_at_large_n():
+    # n^2 > 2^15 here, so degree sums must not be kept in 16 bits
+    model = GraphModel(200, 0.9)
+    vals = sample_y_values(model, rng_for(95), 200, [200])
+    sd = math.sqrt(float(var_v_exact(model, F(1))))
+    assert np.all(np.abs(vals[:, 0, 1]) < 6 * sd)
+
+
+@pytest.mark.parametrize("p", [0.002, 0.25, 0.3, 0.5, 0.999])
+def test_bernoulli_law_and_draw_order(p):
+    shape, size = (1000, 1000), 10**6
+    rng = rng_for(94)
+    draws = bernoulli(rng, p, shape)
+    assert draws.dtype == bool and draws.shape == shape
+    assert abs(draws.mean() - p) <= 5 * math.sqrt(p * (1 - p) / size)
+    # replay: one byte per indicator, then one uniform per tie u == floor(256p)
+    replay = rng_for(94)
+    u = np.frombuffer(replay.bytes(size), dtype=np.uint8).reshape(shape)
+    j = math.floor(256 * p)
+    tie = u == j
+    assert np.array_equal(draws[~tie], u[~tie] < j)
+    if 256 * p == j:  # p = 0.25, 0.5: the tie part is zero, no uniform drawn
+        assert not draws[tie].any()
+    else:
+        assert np.array_equal(draws[tie], replay.random(int(tie.sum())) < 256 * p - j)
+    assert rng.random() == replay.random()
+    if j == 0:  # p = 0.002: every 1 comes from a tie
+        assert draws.sum() == draws[tie].sum() > 0
 
 
 def test_sampler_prefix_counts_match_brute_force():
@@ -436,6 +507,45 @@ def test_coupling_correlation_grows_with_n():
     assert corrs[1] > 0.9
 
 
+def test_coupling_distance_matches_public_sampler_bitwise():
+    # the sub-blocked statistics equal those of whole sample_coupled_values
+    # chunks; 2500 samples in chunks of 1000 end on a partial sub-block
+    model = GraphModel(12, 0.3)
+    seed = SeedSpec(75)
+    cut = np.arange(1, 8 * 12 + 1) // 8
+    parts = []
+    for i, size in enumerate((1000, 1000, 500)):
+        zn, z, _ = sample_coupled_values(model, seed.child(i).rng(), size)
+        gap = np.linalg.norm(zn[:, cut, :] - z, axis=2).max(axis=1)
+        sup_z = (np.linalg.norm(z, axis=2) ** 2).max(axis=1)
+        stats = (gap, gap**2, sup_z, zn[:, -1, 0] * z[:, -1, 0],
+                 zn[:, -1, 0] ** 2, z[:, -1, 0] ** 2)
+        parts.append([from_values(x) for x in stats])
+    ref = functools.reduce(lambda a, b: [merge(x, y) for x, y in zip(a, b)], parts)
+    keys = ("sup_distance", "sup_distance_sq", "sup_z_sq")
+    for workers in (1, 2):
+        report = coupling_distance(model, 2500, seed, chunk=1000, workers=workers)
+        for key, est in zip(keys, ref):
+            got = report["estimates"][key]
+            assert (got.count, got.mean, got.m2) == (est.count, est.mean, est.m2)
+        prod, zn2, z2 = ref[3:]
+        assert report["corr_at_one"] == prod.mean / math.sqrt(zn2.mean * z2.mean)
+
+
+def test_coupling_distance_peak_memory_bounded():
+    # at n = 100 a 2000-sample chunk holds two merged-clock motions of
+    # 2000 x ~900 floats (~29 MB); the statistics, computed over the whole
+    # chunk at once, used to take the traced peak to 131 MB
+    model = GraphModel(100, 0.3)
+    tracemalloc.start()
+    try:
+        coupling_distance(model, 2000, SeedSpec(76))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
 def test_coupling_frozen_bound_value():
     b = coupling_bounds(100)
     assert b["sup_distance"] == pytest.approx(
@@ -498,12 +608,34 @@ def test_z_exactly_zero_at_time_zero():
 
 
 def test_cut_aware_samplers_repeat_full_rows():
-    # Y's vertex loop stops at the last cut and D_n draws every motion in
-    # full, so at the same seed both return the full call's values there
+    # Y's vertex loop stops at the last cut, so at the same seed it returns
+    # the full call's values there
     model = GraphModel(8, 0.3)
     cuts = [5, 0, 3]
-    for idx, sampler in enumerate((sample_y_values, sample_dn_values)):
-        full = sampler(model, rng_for(90 + idx), 500)
-        cut = sampler(model, rng_for(90 + idx), 500, cuts)
-        assert cut.shape == (500, 3, 2)
-        assert np.array_equal(cut, full[:, cuts])
+    full = sample_y_values(model, rng_for(90), 500)
+    cut = sample_y_values(model, rng_for(90), 500, cuts)
+    assert cut.shape == (500, 3, 2)
+    assert np.array_equal(cut, full[:, cuts])
+
+
+def test_cut_dn_matches_closed_form_and_full_grid():
+    # D_n draws only at the clocks of the requested rows, so its cut values
+    # are not the full call's rows; their law is the closed form, at
+    # unsorted and repeated cuts, and asking for every row is the full draw
+    model = GraphModel(8, 0.3)
+    pc = prelimit_cov(model)
+    cuts = [5, 0, 3, 5, 1]
+    vals = sample_dn_values(model, rng_for(91), 10**5, cuts)
+    assert vals.shape == (10**5, 5, 2)
+    assert np.array_equal(vals[:, 0], vals[:, 3])
+    for a, k1 in enumerate(cuts):
+        for b, k2 in enumerate(cuts):
+            block = pc.block(F(k1, 8), F(k2, 8))
+            for i, j in itertools.product(range(2), repeat=2):
+                est = from_values(vals[:, a, i] * vals[:, b, j])
+                assert abs(est.mean - block[i, j]) <= 5 * est.stderr + 1e-15
+    full = sample_dn_values(model, rng_for(92), 500)
+    assert np.array_equal(sample_dn_values(model, rng_for(92), 500, list(range(9))), full)
+    # the full-grid draw is one normal per motion and row 1..n, as it always was
+    assert full[0, 8].tolist() == [-0.2373795595572749, -0.1671371390251281]
+    assert full[-1, 5].tolist() == [-0.060923484698612335, -0.0018936551573136098]
