@@ -420,6 +420,14 @@ def prelimit_cov(model: GraphModel) -> PrelimitCovariance:
 # samplers
 
 
+def _bm(rng: np.random.Generator, size: int, times: np.ndarray) -> np.ndarray:
+    """(size, len(times)) Brownian motion at the increasing times."""
+    d = np.diff(np.concatenate([[0.0], times]))
+    steps = rng.standard_normal((size, times.size))
+    steps *= np.sqrt(d)
+    return np.cumsum(steps, axis=1, out=steps)
+
+
 def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     """Boolean array of iid Bernoulli(p) draws, one byte per indicator.
 
@@ -448,22 +456,26 @@ def sample_y_values(
 
     Vertex k joins with a (k, size) block of indicators from ``bernoulli``;
     the two-star count grows by C(e_k, 2) plus the degrees of k's new
-    neighbours.  Degrees are held vertex-major, (vertex, sample).  The loop
-    stops at vertex m, so the rows returned equal the full call's rows at
-    the same seed.
+    neighbours.  Degrees are held vertex-major, (vertex, sample), in int32;
+    the counts are exact at every n.  The loop stops at vertex m, so the
+    rows returned equal the full call's rows at the same seed.
     """
     n, p = model.n, model.p
     rows, m = grid_rows(n, cuts)
-    # every degree, e_k^2 and neighbour-degree sum is at most n(n-1)
-    small = np.int16 if n * n < 2**15 else np.int64
     out = np.zeros((size, m + 1, 2))
     s = np.zeros(size, dtype=np.int64)
     w = np.zeros(size, dtype=np.int64)
-    deg = np.zeros((m, size), dtype=small)
+    # degrees are at most n - 1, so int32 holds them and any neighbour-degree
+    # sum over `span` rows; each partial sum goes into w (int64) on its own
+    deg = np.zeros((m, size), dtype=np.int32)
+    span = (2**31 - 1) // (n - 1)
     for k in range(1, m):
         block = bernoulli(rng, p, (k, size)).view(np.uint8)
-        e_k = block.sum(axis=0, dtype=small)
-        w += e_k * (e_k - 1) // 2 + np.einsum("ks,ks->s", block, deg[:k])
+        e_k = block.sum(axis=0, dtype=np.int64)
+        w += e_k * (e_k - 1) // 2
+        held = deg[:k]
+        for lo in range(0, k, span):
+            w += np.einsum("ks,ks->s", block[lo : lo + span], held[lo : lo + span])
         s += e_k
         deg[:k] += block
         deg[k] = e_k
@@ -496,18 +508,13 @@ def sample_dn_values(
     ks, pos = np.unique(rows, return_inverse=True)
     drawn = ks[ks > 0]
     a1, a2, b1, b2 = z_coefficients(p)
-    tau = drawn * (drawn - 1)
+    tau = (drawn * (drawn - 1)).astype(float)
     nu = drawn * tau
-
-    def bm(clock):
-        steps = rng.standard_normal((size, clock.size))
-        steps *= np.sqrt(np.diff(clock, prepend=0).astype(float))
-        w = np.zeros((size, ks.size))
-        np.cumsum(steps, axis=1, out=w[:, ks.size - clock.size :])
-        return w
-
-    w1, w2, w3 = bm(tau), bm(tau), bm(tau)
-    w4, w5 = bm(nu), bm(tau)
+    pad = np.zeros((size, ks.size - drawn.size))
+    w1, w2, w3, w4, w5 = (
+        np.concatenate([pad, _bm(rng, size, clock)], axis=1)
+        for clock in (tau, tau, tau, nu, tau)
+    )
     shift = (ks - 2.0) / n**2
     out = np.empty((size, ks.size, 2))
     out[:, :, 0] = shift * (a1 * w1 + a2 * w2)
@@ -630,14 +637,6 @@ def sample_z_values(p: float, grid: Sequence, rng: np.random.Generator, size: in
     out[:, :, 0] = ts * (a1 * w1 + a2 * w2)
     out[:, :, 1] = ts * (b1 * w1 + b2 * w2)
     return out
-
-
-def _bm(rng: np.random.Generator, size: int, times: np.ndarray) -> np.ndarray:
-    """(size, len(times)) Brownian motion at the increasing times."""
-    d = np.diff(np.concatenate([[0.0], times]))
-    steps = rng.standard_normal((size, times.size))
-    steps *= np.sqrt(d)
-    return np.cumsum(steps, axis=1, out=steps)
 
 
 def _coupled_motions(model: GraphModel, rng: np.random.Generator, size: int, refine: int):

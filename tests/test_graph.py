@@ -222,11 +222,22 @@ def test_y_law_matches_enumeration_at_every_cut():
 
 
 def test_y_two_star_counts_do_not_wrap_at_large_n():
-    # n^2 > 2^15 here, so degree sums must not be kept in 16 bits
-    model = GraphModel(200, 0.9)
-    vals = sample_y_values(model, rng_for(95), 200, [200])
-    sd = math.sqrt(float(var_v_exact(model, F(1))))
-    assert np.all(np.abs(vals[:, 0, 1]) < 6 * sd)
+    # dense graphs near and past n^2 = 2^15: replay the vertex-by-vertex
+    # edge blocks and count edges and two-stars exactly
+    for n, p in [(181, 0.95), (200, 0.9)]:
+        model, size = GraphModel(n, p), 4
+        vals = sample_y_values(model, rng_for(95), size, [n])
+        replay = rng_for(95)
+        edges = np.zeros((size, n, n), dtype=np.int64)
+        for k in range(1, n):
+            block = bernoulli(replay, p, (k, size)).T
+            edges[:, k, :k] = edges[:, :k, k] = block
+        deg = edges.sum(axis=2)
+        t_raw = (n - 2) * deg.sum(axis=1) // 2 / n**2
+        v_raw = (deg * (deg - 1) // 2).sum(axis=1) / n**2
+        et, ev = moments_tv(model, F(1))
+        assert np.allclose(vals[:, 0, 0] + et, t_raw, rtol=1e-12, atol=0)
+        assert np.allclose(vals[:, 0, 1] + ev, v_raw, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("p", [0.002, 0.25, 0.3, 0.5, 0.999])
