@@ -28,12 +28,13 @@ from .functionals import (
     norm_upper_bound,
     parse_functional,
 )
-from .mc import SeedSpec, from_values, mc_run
+from .mc import CHUNK, SeedSpec, mc_run, mc_run_vector
 from .reporting import RunReport
 
 F = Fraction
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
+PRODUCT_BYTES = 1 << 20  # bytes of product columns per Monte Carlo chunk, at most
 
 
 class UsageError(ValueError):
@@ -152,11 +153,34 @@ def cmd_verify_regression(args) -> int:
         )
         for g in funcs:
             worst = max(worst, residual(real, g))
-    report.add_estimate("max_residual", from_values([worst, worst]))
+    report.add_value("max_residual", worst)
     report.add_check(
         "regression_identity", worst < args.tol, args.tol, "max residual %.3e" % worst
     )
     return _emit(report, args)
+
+
+def _product_z(sample, pairs, targets, args, seed):
+    """Largest |z| of the Monte Carlo means of x_i x_j against targets, over
+    (i, j) in pairs, where x are the flattened rows sample(rng, size) draws.
+
+    One mc_run_vector call covers every product column; its chunk is chosen
+    from the column count, so a chunk's products stay within PRODUCT_BYTES.
+    """
+    if not pairs:
+        return 0.0
+    left, right = np.array(pairs).T
+    chunk = max(1, min(CHUNK, PRODUCT_BYTES // (8 * len(pairs))))
+
+    def products(rng, size):
+        x = np.ascontiguousarray(sample(rng, size).reshape(size, -1).T)
+        return (x[left] * x[right]).T  # column-major: no copy in the engine
+
+    ests = mc_run_vector(products, args.samples, seed, args.workers, chunk)
+    return max(
+        (abs(e.mean - t) / e.stderr for e, t in zip(ests, targets) if e.stderr > 0),
+        default=0.0,
+    )
 
 
 def _verify_covariance_graph(model, args, report):
@@ -206,25 +230,13 @@ def _verify_covariance_graph(model, args, report):
 
     if args.samples > 0 and not vacuous:
         cuts = [int(n * t) for t in times]
-        vals_parts = []
-        done, idx = 0, 0
-        while done < args.samples:
-            size = min(8192, args.samples - done)
-            vals_parts.append(
-                gr.sample_dn_values(
-                    model, SeedSpec(args.seed, (1, idx)).rng(), size, cuts
-                )
-            )
-            done += size
-            idx += 1
-        vals = np.concatenate(vals_parts, axis=0)
-        worst_z = 0.0
-        for a, t in enumerate(times):
-            block = pc.block(t, t)
-            for (i, j), lab in labels.items():
-                est = from_values(vals[:, a, i] * vals[:, a, j])
-                if est.stderr > 0:
-                    worst_z = max(worst_z, abs(est.mean - block[i, j]) / est.stderr)
+        # values at row a, coordinate i sit in flattened column 2a + i
+        pairs = [(2 * a + i, 2 * a + j) for a in range(len(times)) for i, j in labels]
+        targets = [pc.block(t, t)[i, j] for t in times for i, j in labels]
+        worst_z = _product_z(
+            lambda rng, size: gr.sample_dn_values(model, rng, size, cuts),
+            pairs, targets, args, SeedSpec(args.seed, (1,)),
+        )
         report.add_check(
             "sampler_vs_closed_form_mc",
             worst_z <= 5.0,
@@ -237,15 +249,12 @@ def _verify_covariance_array(model, args, report):
     n = model.n
     zc = comb.zhat_cov_matrix(model)
     if args.samples > 0:
-        zhat = comb.sample_zhat_values(
-            model, SeedSpec(args.seed, (1,)).rng(), args.samples
+        # the products are symmetric, so i <= j covers every entry
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        worst_z = _product_z(
+            lambda rng, size: comb.sample_zhat_values(model, rng, size),
+            pairs, [zc[i, j] for i, j in pairs], args, SeedSpec(args.seed, (1,)),
         )
-        worst_z = 0.0
-        for i in range(n):
-            for j in range(n):
-                est = from_values(zhat[:, i] * zhat[:, j])
-                if est.stderr > 0:
-                    worst_z = max(worst_z, abs(est.mean - zc[i, j]) / est.stderr)
         report.add_check(
             "zhat_cov_mc",
             worst_z <= 5.0,
@@ -253,18 +262,13 @@ def _verify_covariance_array(model, args, report):
             "max |z| %.2f over %d samples" % (worst_z, args.samples),
         )
         times = [F(k, args.grid) for k in range(1, args.grid + 1)] if args.grid else []
-        dn = comb.sample_dn_values(
-            model, SeedSpec(args.seed, (2,)).rng(), args.samples,
-            [int(n * t) for t in times],
+        cuts = [int(n * t) for t in times]
+        pairs = [(a, b) for a in range(len(times)) for b in range(a, len(times))]
+        worst_z = _product_z(
+            lambda rng, size: comb.sample_dn_values(model, rng, size, cuts),
+            pairs, [comb.cov_d(model, times[a], times[b]) for a, b in pairs],
+            args, SeedSpec(args.seed, (2,)),
         )
-        worst_z = 0.0
-        for a, s in enumerate(times):
-            for b, t in enumerate(times):
-                est = from_values(dn[:, a] * dn[:, b])
-                if est.stderr > 0:
-                    worst_z = max(
-                        worst_z, abs(est.mean - comb.cov_d(model, s, t)) / est.stderr
-                    )
         report.add_check(
             "dn_grid_cov_mc", worst_z <= 5.0, "5 stderr", "max |z| %.2f" % worst_z
         )
@@ -316,7 +320,7 @@ def cmd_distance(args) -> int:
         )
         report.add_estimate("E[g(Y)] %s" % g.label, est_y)
         report.add_estimate("E[g(D)] %s" % g.label, est_d)
-        report.add_estimate("gap %s" % g.label, from_values([gap, gap]))
+        report.add_value("gap %s" % g.label, gap)
         report.add_bound("bound %s" % g.label, bound)
         report.add_check(
             "distance_within_bound %s" % g.label,
@@ -434,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=None)
         if samples is not None:
             p.add_argument("--samples", type=int, default=samples)
 
@@ -447,12 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--functional", action="append", default=[])
     p.add_argument("--trials", type=int, default=5)
-    p.set_defaults(fn=cmd_verify_regression, default_tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.set_defaults(fn=cmd_verify_regression)
 
     p = sub.add_parser("verify-covariance", help="covariance identities and MC")
     common(p, samples=20000)
     p.add_argument("--grid", type=int, default=8)
-    p.set_defaults(fn=cmd_verify_covariance, default_tol=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.set_defaults(fn=cmd_verify_covariance)
 
     p = sub.add_parser("distance", help="Monte Carlo distance vs closed-form bound")
     common(p, samples=100000)
@@ -484,8 +489,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.tol is None:
-        args.tol = getattr(args, "default_tol", 1e-9)
     try:
         return args.fn(args)
     except (UsageError, FileNotFoundError) as exc:

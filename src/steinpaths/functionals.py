@@ -32,7 +32,6 @@ __all__ = [
     "NormCertificate",
     "NormBound",
     "CylinderFunctional",
-    "eval_functional",
     "dderiv",
     "dderiv2",
     "norm_upper_bound",
@@ -140,10 +139,6 @@ class CylinderFunctional:
 
     def __repr__(self) -> str:
         return "CylinderFunctional(%s, dim=%d, k=%d)" % (self.label, self.dim, self.k)
-
-
-def eval_functional(g: CylinderFunctional, w: PiecewiseConstantPath) -> float:
-    return g(w)
 
 
 def dderiv(g: CylinderFunctional, w: PiecewiseConstantPath, h: PiecewiseConstantPath) -> float:

@@ -799,34 +799,29 @@ def coupling_distance(
 def pair_norm_stats(model: GraphModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draws of ||(Y-Y') Lambda_n|| ||Y-Y'||^2.
 
-    Y-Y' is supported on the two coordinates touched by the resampled
-    edge: dT(k) = ((k-2)/n^2) delta [k >= max(I,J)] and dV(k) built from
-    the prefix count of common neighbours; only those draws are needed.
+    Y-Y' is supported on the two coordinates touched by the resampled edge
+    {I, J}: dT(k) = delta (k-2)/n^2 and dV(k) = delta (prefix count of the
+    neighbours of I and J)/n^2 for k >= max(I, J) >= 2, and 0 before.  Both
+    are delta times nonnegative sequences nondecreasing in k, and so are
+    their images under the nonnegative upper-triangular Lambda_n, so both
+    sups sit at k = n, where (dT, dV) = delta (a, b) with a = (n-2)/n^2 and
+    b = (neighbour total)/n^2.
     """
     n, p = model.n, model.p
     lam = lambda_matrix(model)
     i = rng.integers(0, n, size)
     j = rng.integers(0, n - 1, size)
     j += j >= i  # (i, j) uniform over ordered pairs of distinct vertices
-    hi = np.maximum(i, j) + 1  # max(I, J), 1-based
     old, new = bernoulli(rng, p, (2, size))
-    delta = old.astype(float) - new
+    flip = old != new  # |delta|, which is 0 or 1
     edges = bernoulli(rng, p, (2, size, n))
-    nbr = np.add(edges[0], edges[1], dtype=float)
     rows = np.arange(size)
-    nbr[rows, i] = 0.0
-    nbr[rows, j] = 0.0
-    prefix = np.concatenate([np.zeros((size, 1)), np.cumsum(nbr, axis=1)], axis=1)
-
-    ks = np.arange(n + 1)
-    active = ks[None, :] >= hi[:, None]
-    dT = (ks - 2.0) / n**2 * delta[:, None] * active
-    dV = delta[:, None] * prefix / n**2 * active
-    diff = np.stack([dT, dV], axis=2)
-    diff_lam = diff @ lam
-    sup = np.linalg.norm(diff, axis=2).max(axis=1)
-    sup_lam = np.linalg.norm(diff_lam, axis=2).max(axis=1)
-    return sup_lam * sup**2
+    total = edges.sum(axis=(0, 2), dtype=np.int64)
+    for e in edges:  # the pair's own slots are not neighbours
+        total -= e[rows, i]
+        total -= e[rows, j]
+    ab = np.stack([np.full(size, (n - 2) / n**2), total / n**2], axis=1)
+    return flip * np.linalg.norm(ab @ lam, axis=1) * np.linalg.norm(ab, axis=1) ** 2
 
 
 def bound_prelimit(n: int, gnorm_m2: float) -> float:

@@ -1,25 +1,25 @@
 """Deterministic parallel Monte Carlo engine.
 
-Streaming mean/variance accumulation (Welford), mergeable across chunks,
-with a splittable counter-based RNG: numpy's Philox keyed by
-(root seed, stream path) via SeedSequence spawn keys.  Work is split into
-fixed-size chunks whose substreams depend only on the chunk index, and
-chunk results are merged in index order, so the final numbers are
-bit-identical for any worker count.
+Mean/variance accumulation, mergeable across chunks (Chan's update), with
+a splittable counter-based RNG: numpy's Philox keyed by
+(root seed, stream path) via SeedSequence spawn keys.  ``mc_run_vector``
+is the one chunk loop: work is split into fixed-size chunks whose
+substreams depend only on the chunk index, and chunk results are merged
+in index order, so the final numbers are bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "McError",
     "McEstimate",
-    "accumulate",
     "merge",
     "ci95",
     "from_values",
@@ -39,7 +39,7 @@ class McError(ValueError):
 
 @dataclass
 class McEstimate:
-    """Streaming first/second moment accumulator.
+    """First/second moment accumulator.
 
     count -- number of samples
     mean  -- running mean
@@ -62,15 +62,6 @@ class McEstimate:
         if self.count < 2:
             return 0.0
         return float(np.sqrt(self.variance / self.count))
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        if not np.isfinite(x):
-            raise McError("non-finite sample %r" % x)
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
 
     def add_batch(self, xs: np.ndarray) -> None:
         xs = np.asarray(xs, dtype=float).ravel()
@@ -98,13 +89,6 @@ class McEstimate:
             "stderr": self.stderr,
             "ci95": [lo, hi],
         }
-
-
-def accumulate(est: McEstimate, x: float) -> McEstimate:
-    """Welford update; returns a new estimate (the input is not mutated)."""
-    out = McEstimate(est.count, est.mean, est.m2, est.name)
-    out.add(x)
-    return out
 
 
 def merge(a: McEstimate, b: McEstimate) -> McEstimate:
@@ -167,6 +151,46 @@ def _chunk_sizes(n_samples: int, chunk: int) -> list[int]:
     return sizes
 
 
+def mc_run_vector(
+    sample_fn: Callable[[np.random.Generator, int], np.ndarray],
+    n_samples: int,
+    seed: SeedSpec,
+    workers: int = 1,
+    chunk: int = CHUNK,
+) -> list[McEstimate]:
+    """Per-column estimates of E[X] where sample_fn(rng, size) draws size
+    iid rows, shaped (size,) or (size, d); a scalar is the case d = 1.
+
+    Chunk i draws from seed.child(i).  Each column of a chunk is reduced as
+    one contiguous run, so its moments carry the bits from_values gives
+    that column (a row-major (size, d > 1) array reduced along axis 0 does
+    not), and chunks merge in index order by Chan's update, vectorized over
+    the columns with the arithmetic of ``merge``; the result is therefore
+    independent of the worker count.
+    """
+    if n_samples < 1:
+        raise McError("n_samples must be positive")
+    sizes = _chunk_sizes(n_samples, chunk)
+
+    def task(i: int):
+        xs = np.asarray(sample_fn(seed.child(i).rng(), sizes[i]), dtype=float)
+        # a view, not a copy, for (size,) and column-major (size, d) draws
+        cols = np.ascontiguousarray(xs.reshape(sizes[i], -1).T)
+        if not np.all(np.isfinite(cols)):
+            raise McError("non-finite sample in chunk %d" % i)
+        means = cols.mean(axis=1)
+        return means, ((cols - means[:, None]) ** 2).sum(axis=1)
+
+    count, mean, m2 = 0, 0.0, 0.0
+    for size, (means, m2s) in zip(sizes, _run_tasks(task, len(sizes), workers)):
+        total = count + size
+        delta = means - mean
+        mean = mean + delta * (size / total)
+        m2 = m2 + m2s + delta * delta * (count * size / total)
+        count = total
+    return [McEstimate(count, float(a), float(b)) for a, b in zip(mean, m2)]
+
+
 def mc_run(
     sample_fn: Callable[[np.random.Generator, int], np.ndarray],
     n_samples: int,
@@ -175,54 +199,8 @@ def mc_run(
     chunk: int = CHUNK,
     name: str = "",
 ) -> McEstimate:
-    """Estimate E[X] where sample_fn(rng, size) draws size iid samples.
-
-    Chunk i uses substream seed.child(i); chunk moments are merged in
-    index order, so the result is independent of the worker count.
-    """
-    if n_samples < 1:
-        raise McError("n_samples must be positive")
-    sizes = _chunk_sizes(n_samples, chunk)
-
-    def task(i: int):
-        xs = np.asarray(sample_fn(seed.child(i).rng(), sizes[i]), dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise McError("non-finite sample in chunk %d" % i)
-        mean = float(np.mean(xs))
-        return McEstimate(int(xs.size), mean, float(np.sum((xs - mean) ** 2)))
-
-    out = McEstimate(name=name)
-    for part in _run_tasks(task, len(sizes), workers):
-        out = merge(out, part)
-    out.name = name
-    return out
-
-
-def mc_run_vector(
-    sample_fn: Callable[[np.random.Generator, int], np.ndarray],
-    n_samples: int,
-    seed: SeedSpec,
-    workers: int = 1,
-    chunk: int = CHUNK,
-) -> list[McEstimate]:
-    """Componentwise estimates for sample_fn returning (size, d) arrays."""
-    if n_samples < 1:
-        raise McError("n_samples must be positive")
-    sizes = _chunk_sizes(n_samples, chunk)
-
-    def task(i: int):
-        xs = np.asarray(sample_fn(seed.child(i).rng(), sizes[i]), dtype=float)
-        xs = xs.reshape(xs.shape[0], -1)
-        if not np.all(np.isfinite(xs)):
-            raise McError("non-finite sample in chunk %d" % i)
-        means = np.mean(xs, axis=0)
-        m2s = np.sum((xs - means) ** 2, axis=0)
-        return xs.shape[0], means, m2s
-
-    parts = _run_tasks(task, len(sizes), workers)
-    d = parts[0][1].size
-    outs = [McEstimate() for _ in range(d)]
-    for cnt, means, m2s in parts:
-        for j in range(d):
-            outs[j] = merge(outs[j], McEstimate(cnt, float(means[j]), float(m2s[j])))
-    return outs
+    """Estimate E[X] where sample_fn(rng, size) draws size iid samples:
+    the one-column case of mc_run_vector."""
+    (est,) = mc_run_vector(sample_fn, n_samples, seed, workers, chunk)
+    est.name = name
+    return est

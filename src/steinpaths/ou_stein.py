@@ -32,8 +32,8 @@ import numpy as np
 from . import combinatorial as comb
 from . import graph as gr
 from .functionals import CylinderFunctional, numeric_cylinder
-from .mc import CHUNK, McEstimate, SeedSpec, from_values, mc_run, merge
-from .paths import PiecewiseConstantPath, lin_comb, sup_norm
+from .mc import McEstimate, SeedSpec, from_values, mc_run, mc_run_vector
+from .paths import PiecewiseConstantPath, lin_comb
 
 __all__ = [
     "TargetLaw",
@@ -289,20 +289,14 @@ def solve_phi(
     half_nodes, half_weights = _gauss_legendre_01(max(8, quad_points // 2))
     x = g.stack(w)
 
-    est = McEstimate(name="phi")
-    est_half = McEstimate()
-    done = 0
-    chunk_idx = 1
-    while done < inner_samples:
-        size = min(CHUNK, inner_samples - done)
-        rng = seed.child(chunk_idx).rng()
+    def sampler(rng, size):
         d_flat = law.sample_at(rng, size, g.times).reshape(size, -1)
-        vals = _phi_sample_values(g, x, d_flat, nodes, weights)
-        vals_half = _phi_sample_values(g, x, d_flat, half_nodes, half_weights)
-        est = merge(est, from_values(vals))
-        est_half = merge(est_half, from_values(vals_half))
-        done += size
-        chunk_idx += 1
+        return np.stack([
+            _phi_sample_values(g, x, d_flat, nodes, weights),
+            _phi_sample_values(g, x, d_flat, half_nodes, half_weights),
+        ]).T  # column-major: one contiguous run per column
+
+    est, est_half = mc_run_vector(sampler, inner_samples, seed)
     est.name = "phi"
     return est, abs(est.mean - est_half.mean)
 
@@ -404,39 +398,30 @@ def epsilon1_estimate(
     for s in range(samples):
         y, y_prime = pair_sampler(rng)
         diff = lin_comb(1.0, y, -1.0, y_prime)
-        vals[s] = sup_norm(lambda_action(diff)) * sup_norm(diff) ** 2
+        vals[s] = lambda_action(diff).sup_norm() * diff.sup_norm() ** 2
     est = from_values(gnorm / 6.0 * vals, name="epsilon1")
     return est
-
-
-def _scaled_mc(stat_fn, samples, seed, scale, name):
-    def sampler(rng, size):
-        return scale * stat_fn(rng, size)
-
-    return mc_run(sampler, samples, seed, name=name)
 
 
 def epsilon1_combinatorial(
     model: comb.ArrayModel, gnorm: float, samples: int, seed: SeedSpec
 ) -> McEstimate:
-    return _scaled_mc(
-        lambda rng, size: comb.pair_norm_stats(model, rng, size),
+    return mc_run(
+        lambda rng, size: gnorm / 6.0 * comb.pair_norm_stats(model, rng, size),
         samples,
         seed,
-        gnorm / 6.0,
-        "epsilon1",
+        name="epsilon1",
     )
 
 
 def epsilon1_graph(
     model: gr.GraphModel, gnorm: float, samples: int, seed: SeedSpec
 ) -> McEstimate:
-    return _scaled_mc(
-        lambda rng, size: gr.pair_norm_stats(model, rng, size),
+    return mc_run(
+        lambda rng, size: gnorm / 6.0 * gr.pair_norm_stats(model, rng, size),
         samples,
         seed,
-        gnorm / 6.0,
-        "epsilon1",
+        name="epsilon1",
     )
 
 

@@ -25,8 +25,6 @@ __all__ = [
     "PathError",
     "as_time",
     "PiecewiseConstantPath",
-    "evaluate",
-    "sup_norm",
     "lin_comb",
     "step_indicator",
     "zero_path",
@@ -112,10 +110,12 @@ class PiecewiseConstantPath:
         return bisect_right(self.breakpoints, t) - 1
 
     def __call__(self, t) -> np.ndarray:
+        """Value at time ``t`` (the new value at a jump)."""
         return self.values[self.segment_index(as_time(t))]
 
     def sup_norm(self) -> float:
-        # exact: the sup over [0,1] is attained on some interval of constancy
+        """sup over t in [0,1] of the Euclidean norm of path(t); exact,
+        since the sup is attained on some interval of constancy."""
         return float(np.max(np.linalg.norm(self.values, axis=1)))
 
     def to_json_dict(self) -> dict:
@@ -135,16 +135,6 @@ class PiecewiseConstantPath:
             self.dim,
             len(self.breakpoints) - 1,
         )
-
-
-def evaluate(path: PiecewiseConstantPath, t) -> np.ndarray:
-    """Value of ``path`` at time ``t`` (new value at a jump)."""
-    return path(t)
-
-
-def sup_norm(path: PiecewiseConstantPath) -> float:
-    """sup over t in [0,1] of the Euclidean norm of path(t); exact."""
-    return path.sup_norm()
 
 
 def lin_comb(

@@ -73,8 +73,10 @@ def canonical_json(obj, indent: int = 0) -> str:
 class RunReport:
     """Self-contained record of one CLI run.
 
-    estimates carry {name, value, stderr, ci95, count}; bounds carry
-    {name, value}; checks carry {name, pass, tolerance, detail}.
+    estimates carry {name, value, stderr, ci95, count}; values (exact
+    point values, such as a worst residual or a gap of two estimates) and
+    bounds carry {name, value}; checks carry {name, pass, tolerance,
+    detail}.  The JSON has a "values" list only when a value was added.
     """
 
     command: str
@@ -82,6 +84,7 @@ class RunReport:
     seed: int
     version: str
     estimates: list = field(default_factory=list)
+    values: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
     checks: list = field(default_factory=list)
 
@@ -89,6 +92,9 @@ class RunReport:
         d = est.to_dict()
         d["name"] = name
         self.estimates.append(d)
+
+    def add_value(self, name: str, value: float) -> None:
+        self.values.append({"name": name, "value": float(value)})
 
     def add_bound(self, name: str, value: float) -> None:
         self.bounds.append({"name": name, "value": float(value)})
@@ -108,7 +114,7 @@ class RunReport:
         return all(c["pass"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "command": self.command,
             "parameters": self.parameters,
             "seed": self.seed,
@@ -117,6 +123,9 @@ class RunReport:
             "bounds": self.bounds,
             "checks": self.checks,
         }
+        if self.values:
+            out["values"] = self.values
+        return out
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict()) + "\n"
@@ -139,8 +148,9 @@ class RunReport:
                     "",
                 ]
             )
-        for b in self.bounds:
-            out.writerow([b["name"], "bound", fmt_float(b["value"]), "", "", "", "", ""])
+        for kind, rows in (("value", self.values), ("bound", self.bounds)):
+            for r in rows:
+                out.writerow([r["name"], kind, fmt_float(r["value"]), "", "", "", "", ""])
         for c in self.checks:
             out.writerow(
                 [c["name"], "check", "", "", "", "", "", "true" if c["pass"] else "false"]

@@ -44,7 +44,10 @@ def test_verify_regression_deterministic(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["checks"][0]["pass"]
-    assert report["estimates"][0]["value"] < 1e-12
+    assert report["estimates"] == []
+    assert report["values"][0]["name"] == "max_residual"
+    assert report["values"][0]["value"] < 1e-12
+    assert report["parameters"]["tol"] == 1e-9
 
 
 def test_verify_regression_graph(tmp_path, capsys):
@@ -217,6 +220,7 @@ def test_reports_byte_identical_across_workers(tmp_path, capsys):
         ["stein-identity", "--model", model, "--samples", "8192",
          "--functional", "sin:coord=1,t=1/2"],
         ["verify-covariance", "--model", model, "--samples", "8192", "--grid", "3"],
+        ["verify-covariance", "--model", graph, "--samples", "8192", "--grid", "3"],
         ["simulate", "--model", graph, "--samples", "8192",
          "--functional", "cos:coord=2,t=1/2"],
         ["stein-identity", "--model", graph, "--samples", "8192",
@@ -245,6 +249,71 @@ def test_coupling_honours_workers(capsys, monkeypatch):
                            "--workers", "2"])
     assert code == 0
     assert seen == [2]
+
+
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_verify_covariance_honours_workers(tmp_path, capsys, monkeypatch, kind):
+    seen = []
+    run_tasks = mc._run_tasks
+
+    def spy(task, n_tasks, workers):
+        seen.append(workers)
+        return run_tasks(task, n_tasks, workers)
+
+    monkeypatch.setattr(mc, "_run_tasks", spy)
+    model = graph_model(tmp_path, 10, 0.3) if kind == "graph" else iid_model(tmp_path, 6)
+    code, out = run(capsys, ["verify-covariance", "--model", model, "--samples", "5000",
+                             "--grid", "3", "--workers", "2"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    if kind == "graph":  # one sampler check; VV fails by design
+        assert code == 1 and checks["sampler_vs_closed_form_mc"]["pass"]
+        assert seen == [2]
+    else:  # the Zhat and the D_n grid checks
+        assert code == 0
+        assert seen == [2, 2]
+
+
+def test_tol_only_on_verify_commands(tmp_path, capsys):
+    model = det_model(tmp_path)
+    assert main(["simulate", "--model", model, "--samples", "10", "--tol", "1"]) == 2
+    assert main(["bound", "--model", model, "--tol", "1"]) == 2
+    code, out = run(capsys, ["verify-covariance", "--model", model, "--samples", "0"])
+    assert json.loads(out)["parameters"]["tol"] == 1e-10
+    code, out = run(capsys, ["verify-regression", "--model", model, "--trials", "1",
+                             "--tol", "1e-3"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["tol"] == 1e-3
+
+
+def test_report_values_round_trip(tmp_path, capsys):
+    report = RunReport("distance", {}, 0, "test")
+    report.add_estimate("E[g(Y)]", from_values([1.0, 2.0]))
+    report.add_value("gap lin:coords=1,1,t=1/2,1,w=1,-1", 0.1 + 0.2)
+    report.add_bound("bound", 3.0)
+    data = json.loads(report.to_json())
+    assert data["values"] == [{"name": "gap lin:coords=1,1,t=1/2,1,w=1,-1",
+                               "value": 0.1 + 0.2}]
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert [row[1] for row in rows[1:]] == ["estimate", "value", "bound"]
+    assert rows[2] == ["gap lin:coords=1,1,t=1/2,1,w=1,-1", "value",
+                       "0.30000000000000004", "", "", "", "", ""]
+    assert float(rows[2][2]) == 0.1 + 0.2
+    assert "values" not in json.loads(RunReport("simulate", {}, 0, "test").to_json())
+    # distance reports its gap as a value, not as a two-sample estimate
+    argv = ["distance", "--model", iid_model(tmp_path, 6), "--samples", "500",
+            "--functional", "sin:coord=1,t=1"]
+    code, out = run(capsys, argv)
+    data = json.loads(out)
+    est = {e["name"]: e["value"] for e in data["estimates"]}
+    assert list(est) == ["E[g(Y)] sin:coord=1,t=1", "E[g(D)] sin:coord=1,t=1"]
+    assert data["values"] == [{"name": "gap sin:coord=1,t=1",
+                               "value": abs(est["E[g(Y)] sin:coord=1,t=1"]
+                                            - est["E[g(D)] sin:coord=1,t=1"])}]
+    code, out = run(capsys, argv + ["--format", "csv"])
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 8 for row in rows)
+    assert rows[3][:2] == ["gap sin:coord=1,t=1", "value"]
+    assert float(rows[3][2]) == data["values"][0]["value"]
 
 
 def test_csv_labels_with_commas_round_trip(tmp_path, capsys):

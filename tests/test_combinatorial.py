@@ -37,7 +37,6 @@ from steinpaths.combinatorial import (
 )
 from steinpaths.functionals import linear_cylinder, sin_cylinder
 from steinpaths.mc import SeedSpec, from_values
-from steinpaths.paths import sup_norm
 
 F = Fraction
 

@@ -9,7 +9,6 @@ from steinpaths.functionals import (
     certified_library,
     dderiv,
     dderiv2,
-    eval_functional,
     linear_cylinder,
     norm_upper_bound,
     numeric_cylinder,
@@ -18,7 +17,7 @@ from steinpaths.functionals import (
     tanh_product,
     validate_derivatives,
 )
-from steinpaths.paths import PiecewiseConstantPath, lin_comb, sup_norm, zero_path
+from steinpaths.paths import PiecewiseConstantPath, lin_comb, zero_path
 
 F = Fraction
 
@@ -37,7 +36,7 @@ def constant_path(value):
 
 def test_eval_sin_zero_path():
     g = sin_cylinder(1, 1, dim=1)
-    assert eval_functional(g, zero_path(1)) == 0.0
+    assert g(zero_path(1)) == 0.0
 
 
 def test_eval_product_of_coordinates():
@@ -169,7 +168,7 @@ def _norm_summand_quotients(g, w, h1, h2):
     value_q = abs(float(g.base.value(x)))
     grad_blocks = g.base.grad(x).reshape(g.k, g.dim)
     grad_q = float(np.sum(np.linalg.norm(grad_blocks, axis=1)))  # exact ||Dg(w)||
-    n1, n2 = sup_norm(h1), sup_norm(h2)
+    n1, n2 = h1.sup_norm(), h2.sup_norm()
     hess_q = 0.0
     if n1 > 0 and n2 > 0:
         hess_q = abs(dderiv2(g, w, h1, h2)) / (n1 * n2)
@@ -191,19 +190,19 @@ def test_norm_bound_randomized_soundness(dim):
         for _ in range(n_trials):
             w, h1, h2 = (random_path(rng, dim) for _ in range(3))
             value_q, grad_q, hess_q = _norm_summand_quotients(g, w, h1, h2)
-            cubic_q = value_q / (1.0 + sup_norm(w) ** 3)
+            cubic_q = value_q / (1.0 + w.sup_norm() ** 3)
             assert cubic_q <= cert.sup_abs_over_cubic + 1e-12
             assert grad_q <= grad_bound + 1e-12
             assert hess_q <= hess_bound + 1e-9
             # Lipschitz quotient of the second derivative
-            nh, nu = sup_norm(h1), sup_norm(h2)
+            nh, nu = h1.sup_norm(), h2.sup_norm()
             if nh > 0 and nu > 0:
                 lip_q = abs(
                     dderiv2(g, lin_comb(1, w, 1, h1), h2, h2)
                     - dderiv2(g, w, h2, h2)
                 ) / (nh * nu**2)
                 assert lip_q <= lip_bound + 1e-9
-            assert value_q <= bound_m1 * (1.0 + sup_norm(w) ** 3) + 1e-9
+            assert value_q <= bound_m1 * (1.0 + w.sup_norm() ** 3) + 1e-9
 
 
 def test_hessian_lipschitz_k_squared_bound():
@@ -213,13 +212,13 @@ def test_hessian_lipschitz_k_squared_bound():
     L = g.certificate().hess_lipschitz
     for _ in range(200):
         w, h, u = (random_path(rng, 1) for _ in range(3))
-        nu = sup_norm(u)
-        if nu == 0 or sup_norm(h) == 0:
+        nu = u.sup_norm()
+        if nu == 0 or h.sup_norm() == 0:
             continue
         gap = abs(
             dderiv2(g, lin_comb(1, w, 1, h), u, u) - dderiv2(g, w, u, u)
         ) / nu**2
-        assert gap <= L * g.k**2 * sup_norm(h) + 1e-9
+        assert gap <= L * g.k**2 * h.sup_norm() + 1e-9
 
 
 def test_parse_functional_round_trip():

@@ -585,6 +585,41 @@ def test_pair_norm_stats_match_object_layer():
     assert abs(fast.mean - slow.mean) < tol
 
 
+def _pair_norm_stats_full_path(model, rng, size):
+    """Reference: pair_norm_stats's draws, with both sups taken over the
+    whole (size, n+1, 2) difference path and its Lambda image."""
+    n, p = model.n, model.p
+    i = rng.integers(0, n, size)
+    j = rng.integers(0, n - 1, size)
+    j += j >= i
+    hi = np.maximum(i, j) + 1
+    old, new = bernoulli(rng, p, (2, size))
+    delta = old.astype(float) - new
+    edges = bernoulli(rng, p, (2, size, n))
+    nbr = np.add(edges[0], edges[1], dtype=float)
+    rows = np.arange(size)
+    nbr[rows, i] = 0.0
+    nbr[rows, j] = 0.0
+    prefix = np.concatenate([np.zeros((size, 1)), np.cumsum(nbr, axis=1)], axis=1)
+    ks = np.arange(n + 1)
+    active = ks[None, :] >= hi[:, None]
+    dT = (ks - 2.0) / n**2 * delta[:, None] * active
+    dV = delta[:, None] * prefix / n**2 * active
+    diff = np.stack([dT, dV], axis=2)
+    sup = np.linalg.norm(diff, axis=2).max(axis=1)
+    sup_lam = np.linalg.norm(diff @ lambda_matrix(model), axis=2).max(axis=1)
+    return sup_lam * sup**2
+
+
+@pytest.mark.parametrize("n, p", [(3, 0.5), (5, 0.4), (12, 0.3), (64, 0.8)])
+def test_pair_norm_stats_match_full_path(n, p):
+    model = GraphModel(n, p)
+    fast = pair_norm_stats(model, rng_for(20), 3000)
+    slow = _pair_norm_stats_full_path(model, rng_for(20), 3000)
+    assert np.mean(slow > 0) > 0.2
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+
+
 def test_pair_norm_stats_moment_bound():
     # raw expectation <= 5/n (pair-difference moment estimate)
     model = GraphModel(50, 0.5)

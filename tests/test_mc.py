@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
 from steinpaths.mc import (
+    CHUNK,
     McError,
     McEstimate,
     SeedSpec,
-    accumulate,
     ci95,
     from_values,
     mc_run,
@@ -15,9 +17,7 @@ from steinpaths.mc import (
 
 
 def test_accumulate_constant():
-    est = McEstimate()
-    for _ in range(3):
-        est = accumulate(est, 2.0)
+    est = from_values([2.0, 2.0, 2.0])
     assert est.mean == 2.0
     assert est.variance == 0.0
     assert est.count == 3
@@ -37,7 +37,7 @@ def test_accumulate_clt_scale():
 
 def test_accumulate_rejects_nonfinite():
     with pytest.raises(McError):
-        accumulate(McEstimate(), np.nan)
+        from_values([1.0, np.nan])
     with pytest.raises(McError):
         from_values([1.0, np.inf])
 
@@ -142,3 +142,32 @@ def test_mc_run_vector_deterministic():
     b = mc_run_vector(sampler, 8192 + 17, SeedSpec(12), workers=3)
     for ea, eb in zip(a, b):
         assert (ea.count, ea.mean, ea.m2) == (eb.count, eb.mean, eb.m2)
+
+
+def test_engine_columns_match_from_values_bitwise():
+    # a row-major (size, d) sampler: each column of a chunk carries the bits
+    # from_values gives it, chunks merge with the bits of the scalar merge,
+    # and mc_run is column 0 of the vector call
+    def sampler(rng, size):
+        z = rng.standard_normal((size, 3))
+        return np.stack([z[:, 0] ** 2, z[:, 0] * z[:, 1], z[:, 2] + 1.5], axis=1)
+
+    seed = SeedSpec(13)
+    sizes = (CHUNK, CHUNK, 17)
+    chunks = [sampler(seed.child(i).rng(), s) for i, s in enumerate(sizes)]
+    one = mc_run_vector(sampler, CHUNK, seed)
+    many = mc_run_vector(sampler, sum(sizes), seed, workers=2)
+    for j in range(3):
+        ref = from_values(chunks[0][:, j])
+        assert (one[j].count, one[j].mean, one[j].m2) == (ref.count, ref.mean, ref.m2)
+        ref = functools.reduce(merge, [from_values(x[:, j]) for x in chunks])
+        assert (many[j].count, many[j].mean, many[j].m2) == (ref.count, ref.mean, ref.m2)
+    col0 = mc_run(lambda rng, size: sampler(rng, size)[:, 0], sum(sizes), seed)
+    assert (col0.count, col0.mean, col0.m2) == (many[0].count, many[0].mean, many[0].m2)
+
+
+def test_engine_rejects_nonfinite_and_multi_column_mc_run():
+    with pytest.raises(McError):
+        mc_run(lambda rng, size: np.full(size, np.inf), 10, SeedSpec(14))
+    with pytest.raises(ValueError):
+        mc_run(lambda rng, size: np.zeros((size, 2)), 10, SeedSpec(14))

@@ -7,12 +7,10 @@ from steinpaths.paths import (
     PathError,
     PiecewiseConstantPath,
     as_time,
-    evaluate,
     grid_path,
     lin_comb,
     paths_equal,
     step_indicator,
-    sup_norm,
     zero_path,
 )
 
@@ -59,7 +57,7 @@ def test_evaluate_outside_domain_raises():
     with pytest.raises(PathError):
         p(F(3, 2))
     with pytest.raises(PathError):
-        evaluate(p, F(-1, 2))
+        p(F(-1, 2))
 
 
 def test_float_times_rejected():
@@ -68,23 +66,23 @@ def test_float_times_rejected():
 
 
 def test_sup_norm_single_jump():
-    assert sup_norm(jump_path(F(1, 2), [3.0, 4.0])) == 5.0
+    assert jump_path(F(1, 2), [3.0, 4.0]).sup_norm() == 5.0
 
 
 def test_sup_norm_zero_path():
-    assert sup_norm(zero_path(3)) == 0.0
+    assert zero_path(3).sup_norm() == 0.0
 
 
 def test_sup_norm_max_over_intervals():
     p = PiecewiseConstantPath(1, [F(0), F(1, 3), F(2, 3)], [[1.0], [-2.0], [1.5]])
-    assert sup_norm(p) == 2.0
+    assert p.sup_norm() == 2.0
 
 
 def test_lin_comb_cancellation():
     rng = np.random.default_rng(0)
     x = random_path(rng, 2)
     z = lin_comb(1.0, x, -1.0, x)
-    assert sup_norm(z) == 0.0
+    assert z.sup_norm() == 0.0
 
 
 def test_lin_comb_scaling():
@@ -110,7 +108,7 @@ def test_step_indicator_last_index_jumps_at_one():
     p = step_indicator(4, 4, 1, 1)
     assert p(F(1)) == 1.0
     assert p(F(99, 100)) == 0.0
-    assert sup_norm(p) == 1.0
+    assert p.sup_norm() == 1.0
 
 
 def test_step_indicator_half():
@@ -150,8 +148,8 @@ def test_triangle_inequality_property():
         x = random_path(rng, 3)
         y = random_path(rng, 3)
         a, b = rng.standard_normal(2)
-        lhs = sup_norm(lin_comb(a, x, b, y))
-        rhs = abs(a) * sup_norm(x) + abs(b) * sup_norm(y)
+        lhs = lin_comb(a, x, b, y).sup_norm()
+        rhs = abs(a) * x.sup_norm() + abs(b) * y.sup_norm()
         assert lhs <= rhs + 1e-12
 
 
@@ -174,7 +172,7 @@ def test_sup_norm_equals_dense_grid_max():
         grid_max = max(
             float(np.linalg.norm(x(F(j, 240)))) for j in range(241)
         )
-        assert grid_max == pytest.approx(sup_norm(x), rel=1e-15)
+        assert grid_max == pytest.approx(x.sup_norm(), rel=1e-15)
 
 
 def test_json_round_trip():
