@@ -35,6 +35,7 @@ F = Fraction
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
 PRODUCT_BYTES = 1 << 20  # bytes of product columns per Monte Carlo chunk, at most
+REGRESSION_TERMS = 1 << 20  # verify-regression's n^2 x (most times of a functional)
 
 
 class UsageError(ValueError):
@@ -127,13 +128,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_regression(args) -> int:
     kind, model = _load_model(args.model)
-    if model.n > 12:
-        raise UsageError(
-            "verify-regression enumerates all pairs; n = %d exceeds the "
-            "n <= 12 guard (use a smaller model)" % model.n
-        )
     dim = 2 if kind == "graph" else 1
     funcs = _functionals(args.functional, dim)
+    terms = model.n**2 * max(g.k for g in funcs)
+    if terms > REGRESSION_TERMS:
+        raise UsageError(
+            "verify-regression enumerates n^2 x (times) = %d pair x cut terms, "
+            "over the budget of %d (use a smaller model or fewer times)"
+            % (terms, REGRESSION_TERMS)
+        )
     report = _report(
         args,
         "verify-regression",

@@ -378,22 +378,17 @@ def regression_residual(real: CombinatorialRealization, f: CylinderFunctional) -
     finite sum and Df(Y)[.] is linear), so the residual is roundoff only.
     """
     model, n, s = real.model, real.n, real.model.s_n
-    grads = f.grad_stacked(f.stack(real.path)).reshape(f.k, f.dim)[:, 0]
+    x = f.stack(real.path)
+    grads = f.grad_stacked(x)
     cuts = np.array([int(n * t) for t in f.times])  # floor(n t_a), exact
 
+    c = (np.arange(1, n + 1)[:, None] <= cuts) @ grads  # Df(Y)[1_[(i+1)/n, 1]]
     picks = real.x[np.arange(n), real.pi]  # X_{i, pi(i)}
-    lhs = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            u = picks[i] - real.x[i, real.pi[j]]
-            v = picks[j] - real.x[j, real.pi[i]]
-            h_at = (u * (i + 1 <= cuts) + v * (j + 1 <= cuts)) / s
-            lhs += float(grads @ h_at)
-    lhs /= n * (n - 1)
+    # swapping rows i, j moves Y by u[i, j] from (i+1)/n on, u[j, i] from (j+1)/n on
+    u = picks[:, None] - real.x[:, real.pi]
+    lhs = float((c[:, None] * u + c * u.T).sum()) / (n * (n - 1) * s)
 
-    df_y = float(grads @ np.array([real.path(t)[0] for t in f.times]))
+    df_y = float(grads @ x)
     row_prefix = np.concatenate([[0.0], np.cumsum(real.x.sum(axis=1))])
     correction = float(grads @ row_prefix[cuts]) / (n * s)
     rhs = 2.0 / (n - 1) * (df_y - correction)
@@ -628,7 +623,7 @@ def _five_index_sum_naive(model: ArrayModel) -> float:
     return total
 
 
-def bound_prelimit_distance_report(model: ArrayModel, gnorm_m1: float, naive: bool = False) -> dict:
+def bound_prelimit_distance_report(model: ArrayModel, gnorm_m1: float) -> dict:
     """All terms of the pre-limit distance bound, scaled by gnorm_m1.
 
     ``total`` uses the variance form of the final term;
@@ -640,8 +635,7 @@ def bound_prelimit_distance_report(model: ArrayModel, gnorm_m1: float, naive: bo
     n = model.n
     s2 = s_n_squared(model)
     s3 = s2**1.5
-    big = _five_index_sum_naive(model) if naive else _five_index_sum_factorized(model)
-    sum_term = gnorm_m1 * big / (n**3 * (n - 1) * s3)
+    sum_term = gnorm_m1 * _five_index_sum_factorized(model) / (n**3 * (n - 1) * s3)
     sqrt_term = 2.0 * gnorm_m1 / math.sqrt(n)
     final_var = 4.0 * gnorm_m1 * float(model.sigma2.sum()) / (3.0 * n * s2)
     final_third = 4.0 * gnorm_m1 * float(model.abs3.sum()) / (3.0 * n * s3)
@@ -655,10 +649,10 @@ def bound_prelimit_distance_report(model: ArrayModel, gnorm_m1: float, naive: bo
     }
 
 
-def bound_prelimit_distance(model: ArrayModel, gnorm_m1: float, naive: bool = False) -> float:
+def bound_prelimit_distance(model: ArrayModel, gnorm_m1: float) -> float:
     """Pre-limit distance bound: five-index sum + 2|g|/sqrt(n) + final
     variance term."""
-    return bound_prelimit_distance_report(model, gnorm_m1, naive=naive)["total"]
+    return bound_prelimit_distance_report(model, gnorm_m1)["total"]
 
 
 def bound_beta3(

@@ -186,23 +186,23 @@ class GraphRealization:
         return self.model.n
 
 
-def _tv_cut_values(model: GraphModel, edges: np.ndarray) -> np.ndarray:
-    """(n+1, 2) raw (T, V) values at grid cuts from an adjacency matrix."""
-    n = model.n
-    out = np.zeros((n + 1, 2))
-    s = 0
-    w = 0
-    deg = np.zeros(n, dtype=int)
-    for k in range(1, n):  # adding vertex k (0-based) connects to 0..k-1
-        row = edges[:k, k]
-        e_k = int(row.sum())
-        w += e_k * (e_k - 1) // 2 + int(row @ deg[:k])
-        s += e_k
-        deg[:k] += row
-        deg[k] = e_k
-        out[k + 1, 0] = (k + 1 - 2) * s / model.n**2
-        out[k + 1, 1] = w / model.n**2
+def _prefix_degrees(edges: np.ndarray) -> np.ndarray:
+    """(n, n+1) table: entry [v, m] counts v's neighbours among vertices < m."""
+    n = edges.shape[0]
+    out = np.zeros((n, n + 1), dtype=np.int64)
+    np.cumsum(edges, axis=1, out=out[:, 1:])
     return out
+
+
+def _tv_cut_values(model: GraphModel, edges: np.ndarray) -> np.ndarray:
+    """(n+1, 2) raw (T, V) values at grid cuts from an adjacency matrix; at
+    cut m each vertex v < m centres C(deg[v, m], 2) two-stars."""
+    n = model.n
+    deg = _prefix_degrees(edges)
+    deg *= np.arange(n)[:, None] < np.arange(n + 1)  # keep vertices v < m
+    s = deg.sum(axis=0) // 2
+    w = (deg * (deg - 1) // 2).sum(axis=0)
+    return np.stack([(np.arange(n + 1) - 2) * s / n**2, w / n**2], axis=1)
 
 
 def _path_from_edges(model: GraphModel, edges: np.ndarray) -> PiecewiseConstantPath:
@@ -249,45 +249,24 @@ def apply_lambda_values(model: GraphModel, values: np.ndarray) -> np.ndarray:
 def regression_residual(real: GraphRealization, f: CylinderFunctional) -> float:
     """|Df(Y)[Y] - 2 E^Y Df(Y)[(Y-Y') Lambda_n]| with the conditional
     expectation enumerated exactly over the C(n,2) edges and the two
-    resample outcomes weighted (1-p, p); pathwise by linearity."""
+    resample outcomes weighted (1-p, p), which sum the jump I_ij - new to
+    I_ij - p; edge (i, j), i < j, moves (T, V)(t_a) by that jump times
+    (m_a - 2, D_i + D_j - 2 I_ij)/n^2 once j <= m_a (D: prefix degrees)."""
     model, n = real.model, real.n
-    p = model.p
-    grads = f.grad_stacked(f.stack(real.path))  # (k*2,) -> blocks of 2
-    grads = grads.reshape(f.k, 2)
+    x = f.stack(real.path)
+    grads = f.grad_stacked(x)
+    df_y = float(grads @ x)
+    # Df(Y)[v Lambda_n] = v . (Lambda_n g_a) at each cut a
+    g_lam = grads.reshape(f.k, 2) @ lambda_matrix(model).T
     cuts = np.array([int(n * t) for t in f.times])
 
-    df_y = float(
-        sum(grads[a] @ real.path(t) for a, t in enumerate(f.times))
-    )
-
-    # prefix degree sums D_i(m) = sum_{k<=m} I_ik
-    deg_prefix = np.concatenate(
-        [np.zeros((n, 1), dtype=int), np.cumsum(real.edges, axis=1)], axis=1
-    )
-    lam = lambda_matrix(model)
-    total = 0.0
-    weight = 1.0 / _binom2(n)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            iij = real.edges[i - 1, j - 1]
-            for new, w_new in ((0, 1.0 - p), (1, p)):
-                delta = iij - new
-                if delta == 0:
-                    continue
-                contrib = 0.0
-                for a, m_a in enumerate(cuts):
-                    if j > m_a:  # max(i,j) = j beyond the cut
-                        continue
-                    dT = (m_a - 2) / n**2 * delta
-                    nbr = (
-                        deg_prefix[i - 1, m_a]
-                        + deg_prefix[j - 1, m_a]
-                        - 2 * iij  # both i,j <= m_a here
-                    )
-                    dV = delta * nbr / n**2
-                    dvec = np.array([dT, dV]) @ lam
-                    contrib += float(grads[a] @ dvec)
-                total += weight * w_new * contrib
+    i, j = np.triu_indices(n, 1)
+    iij = real.edges[i, j]
+    deg = _prefix_degrees(real.edges)[:, cuts]  # (n, k)
+    nbr = deg[i] + deg[j] - 2 * iij[:, None]  # (pairs, k)
+    reached = j[:, None] + 1 <= cuts  # vertex j joins by cut a
+    moves = reached * ((cuts - 2) * g_lam[:, 0] + nbr * g_lam[:, 1])
+    total = float((iij - model.p) @ moves.sum(axis=1)) / (n**2 * _binom2(n))
     return abs(df_y - 2.0 * total)
 
 
@@ -389,9 +368,6 @@ class PrelimitCovariance:
 
     def d2d2(self, t, u) -> float:
         return cov_d2d2(self.model.n, self.model.p, t, u)
-
-    def d2d2_table(self, t, u) -> float:
-        return cov_d2d2_table(self.model.n, self.model.p, t, u)
 
     def block(self, t, u) -> np.ndarray:
         return np.array(
@@ -626,13 +602,7 @@ def sample_z_values(p: float, grid: Sequence, rng: np.random.Generator, size: in
     if np.any(np.diff(ts) <= 0):
         raise GraphModelError("grid must be strictly increasing")
     a1, a2, b1, b2 = z_coefficients(p)
-    d_sq = np.diff(np.concatenate([[0.0], ts**2]))
-
-    def bm():
-        steps = rng.standard_normal((size, ts.size)) * np.sqrt(d_sq)
-        return np.cumsum(steps, axis=1)
-
-    w1, w2 = bm(), bm()
+    w1, w2 = _bm(rng, size, ts**2), _bm(rng, size, ts**2)
     out = np.empty((size, ts.size, 2))
     out[:, :, 0] = ts * (a1 * w1 + a2 * w2)
     out[:, :, 1] = ts * (b1 * w1 + b2 * w2)

@@ -72,9 +72,9 @@ class TargetLaw:
     def sample_at(
         self, rng: np.random.Generator, size: int, times: Sequence[Fraction]
     ) -> np.ndarray:
-        """(size, k, dim) draws of D at the given times."""
-        vals = self.sample_rows(rng, size, self.cuts(times))
-        return vals if vals.ndim == 3 else vals[:, :, None]
+        """(size, k*dim) draws of D at the given times, stacked as a
+        cylinder functional reads them."""
+        return self.sample_rows(rng, size, self.cuts(times)).reshape(size, -1)
 
     def cov_matrix(self, times: Sequence[Fraction]) -> np.ndarray:
         """(k*dim, k*dim) covariance of the stacked evaluations."""
@@ -95,8 +95,7 @@ class TargetLaw:
         if key not in self._mean_cache:
 
             def sampler(rng, size):
-                d = self.sample_at(rng, size, g.times)
-                return g.value_stacked(d.reshape(size, -1))
+                return g.value_stacked(self.sample_at(rng, size, g.times))
 
             self._mean_cache[key] = mc_run(
                 sampler, samples, seed, workers=workers, name="mean_g"
@@ -166,8 +165,7 @@ def mehler_apply(
     beta = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * u)))
 
     def sampler(rng, size):
-        d = law.sample_at(rng, size, g.times).reshape(size, -1)
-        return g.value_stacked(decay * x + beta * d)
+        return g.value_stacked(decay * x + beta * law.sample_at(rng, size, g.times))
 
     return mc_run(sampler, inner_samples, seed, workers=workers, name="mehler")
 
@@ -189,8 +187,8 @@ def mehler_two_step(
     bv = math.sqrt(max(0.0, 1.0 - dv * dv))
 
     def sampler(rng, size):
-        d1 = law.sample_at(rng, size, g.times).reshape(size, -1)
-        d2 = law.sample_at(rng, size, g.times).reshape(size, -1)
+        d1 = law.sample_at(rng, size, g.times)
+        d2 = law.sample_at(rng, size, g.times)
         return g.value_stacked(du * dv * x + dv * bu * d1 + bv * d2)
 
     return mc_run(sampler, inner_samples, seed, name="mehler2")
@@ -224,7 +222,7 @@ def stein_identity_residual(
     cov = law.cov_matrix(f.times)
 
     def sampler(rng, size):
-        d = scale * law.sample_at(rng, size, f.times).reshape(size, -1)
+        d = scale * law.sample_at(rng, size, f.times)
         grads = f.grad_stacked(d)
         first = -np.einsum("si,si->s", grads, d)
         hess = f.hess_stacked(d)
@@ -290,7 +288,7 @@ def solve_phi(
     x = g.stack(w)
 
     def sampler(rng, size):
-        d_flat = law.sample_at(rng, size, g.times).reshape(size, -1)
+        d_flat = law.sample_at(rng, size, g.times)
         return np.stack([
             _phi_sample_values(g, x, d_flat, nodes, weights),
             _phi_sample_values(g, x, d_flat, half_nodes, half_weights),
@@ -319,9 +317,7 @@ def make_phi_cylinder(
     v -> 0 nodes noise-free).
     """
     nodes, weights = _gauss_legendre_01(quad_points)
-    d_flat = law.sample_at(seed.child(1).rng(), inner_samples, g.times).reshape(
-        inner_samples, -1
-    )
+    d_flat = law.sample_at(seed.child(1).rng(), inner_samples, g.times)
     g_at_d = np.asarray(g.value_stacked(d_flat))
     betas = np.sqrt(np.clip(1.0 - nodes**2, 0.0, None))
 

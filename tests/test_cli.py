@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from steinpaths import mc
+from steinpaths import cli, mc
+from steinpaths import graph as gr
 from steinpaths.cli import main
 from steinpaths.mc import from_values
 from steinpaths.reporting import RunReport, canonical_json
@@ -57,10 +58,41 @@ def test_verify_regression_graph(tmp_path, capsys):
     assert code == 0
 
 
-def test_verify_regression_oversize_guard(tmp_path, capsys):
-    model = graph_model(tmp_path, n=40, p=0.5)
-    code, _ = run(capsys, ["verify-regression", "--model", model])
-    assert code == 2
+def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
+    # the budget bounds n^2 x (most times of any functional), and is checked
+    # before anything is drawn
+    draws, sample_graph = [], gr.sample_graph
+
+    def spy(*args):
+        draws.append(args)
+        return sample_graph(*args)
+
+    monkeypatch.setattr(gr, "sample_graph", spy)
+    assert cli.REGRESSION_TERMS == 1024**2
+    sin = ["--functional", "sin:coord=1,t=1"]
+    for n, specs, expected in [
+        (1024, sin, 0),
+        (1025, sin, 2),
+        (724, [], 0),  # the default library reads at most two times
+        (725, [], 2),
+        (512, ["--functional", "tanhprod:coords=1,1,1,1,1,t=1/5,2/5,3/5,4/5,1"], 2),
+    ]:
+        model = graph_model(tmp_path, n=n, p=0.5)
+        code = main(["verify-regression", "--model", model, "--trials", "1"] + specs)
+        capsys.readouterr()
+        assert code == expected, n
+    assert [args[0].n for args in draws] == [1024, 724]
+
+
+@pytest.mark.parametrize("payload", [
+    {"type": "graph", "n": 64, "p": 0.3},
+    {"type": "array", "preset": "iid-gaussian", "n": 64},
+])
+def test_verify_regression_at_n64(tmp_path, capsys, payload):
+    model = write_model(tmp_path, "m64.json", payload)
+    code, out = run(capsys, ["verify-regression", "--model", model, "--trials", "2"])
+    assert code == 0
+    assert json.loads(out)["values"][0]["value"] < 1e-9
 
 
 def test_verify_covariance_graph_identities(tmp_path, capsys):

@@ -11,6 +11,8 @@ from steinpaths.combinatorial import (
     ArrayModel,
     DegenerateModelError,
     ModelError,
+    _five_index_sum_factorized,
+    _five_index_sum_naive,
     apply_swap,
     assumption_diagnostic,
     bound_beta3,
@@ -36,7 +38,7 @@ from steinpaths.combinatorial import (
     zhat_cov_matrix,
 )
 from steinpaths.functionals import linear_cylinder, sin_cylinder
-from steinpaths.mc import SeedSpec, from_values
+from steinpaths.mc import SeedSpec, from_values, mc_run_vector
 
 F = Fraction
 
@@ -325,8 +327,8 @@ def _random_moment_model(n, seed):
 def test_bound_factorized_equals_naive():
     for seed, n in [(0, 4), (1, 5)]:
         model = _random_moment_model(n, seed)
-        fast = bound_prelimit_distance(model, 1.0)
-        slow = bound_prelimit_distance(model, 1.0, naive=True)
+        fast = _five_index_sum_factorized(model)
+        slow = _five_index_sum_naive(model)
         assert fast == pytest.approx(slow, rel=1e-12)
 
 
@@ -346,8 +348,8 @@ def test_bound_iid_normal_matches_independent_formula():
         + 4.0 / 3.0
     )
     assert bound_prelimit_distance(model, 1.0) == pytest.approx(expected, rel=1e-12)
-    assert bound_prelimit_distance(model, 1.0, naive=True) == pytest.approx(
-        expected, rel=1e-9
+    assert _five_index_sum_naive(model) == pytest.approx(
+        _five_index_sum_factorized(model), rel=1e-9
     )
 
 
@@ -479,6 +481,32 @@ def test_y_and_prelimit_share_covariance():
         est = from_values(vals[:, ks] * vals[:, kt])
         closed = cov_d(model, F(ks, 3), F(kt, 3))
         assert abs(est.mean - closed) < 4 * est.stderr
+
+
+def test_deterministic_means_match_exact_enumeration():
+    # with X = c deterministic, Y is uniform over the n! permutations, so
+    # E g(Y) is a finite average; D_n is then exactly Gaussian, so
+    # E cos D(t) = exp(-Var D(t) / 2) and E sin D(t) = 0
+    n = 6
+    model = ArrayModel.deterministic(double_center(rng_for(40).standard_normal((n, n))))
+    cuts = [1, 3, 4, 6]
+    perms = np.array(list(itertools.permutations(range(n))))
+    y = np.cumsum(model.c[np.arange(n), perms], axis=1)[:, np.array(cuts) - 1] / model.s_n
+    exact_y = np.concatenate([np.cos(y).mean(axis=0), np.sin(y).mean(axis=0)])
+    var_d = np.array([cov_d(model, F(k, n), F(k, n)) for k in cuts])
+    assert np.allclose((y**2).mean(axis=0), var_d, rtol=1e-12, atol=0)
+    exact_d = np.concatenate([np.exp(-var_d / 2), np.zeros(len(cuts))])
+
+    for label, (sampler, exact) in enumerate(
+        [(sample_y_values, exact_y), (sample_dn_values, exact_d)]
+    ):
+        def cos_sin(rng, size):
+            v = sampler(model, rng, size, cuts)
+            return np.concatenate([np.cos(v), np.sin(v)], axis=1)
+
+        ests = mc_run_vector(cos_sin, 10**5, SeedSpec(41, (label,)))
+        for est, value in zip(ests, exact):
+            assert abs(est.mean - value) <= 5 * est.stderr
 
 
 def test_mixed_family_sampler_moments():

@@ -17,6 +17,7 @@ from steinpaths.graph import (
     DirectGaussianOracle,
     GraphModel,
     GraphModelError,
+    _tv_cut_values,
     bernoulli,
     bound_continuous,
     bound_prelimit,
@@ -263,19 +264,22 @@ def test_bernoulli_law_and_draw_order(p):
 
 
 def test_sampler_prefix_counts_match_brute_force():
-    model = GraphModel(7, 0.4)
-    real = sample_graph(model, rng_for(4))
-    n = model.n
-    et, ev = [], []
-    for m in range(n + 1):
-        sub = real.edges[:m, :m]
-        t_raw = (m - 2) * sub[np.triu_indices(m, 1)].sum() / n**2
-        deg = sub.sum(axis=1)
-        v_raw = sum(int(d) * (int(d) - 1) // 2 for d in deg) / n**2
-        et.append(t_raw - moments_tv(model, F(m, n))[0])
-        ev.append(v_raw - moments_tv(model, F(m, n))[1])
-    assert np.allclose(real.path.values[:, 0], et, atol=1e-12)
-    assert np.allclose(real.path.values[:, 1], ev, atol=1e-12)
+    for n, p in [(7, 0.4), (3, 0.5), (40, 0.9)]:
+        model = GraphModel(n, p)
+        real = sample_graph(model, rng_for(4))
+        raw, et, ev = [], [], []
+        for m in range(n + 1):
+            sub = real.edges[:m, :m]
+            t_raw = (m - 2) * sub[np.triu_indices(m, 1)].sum() / n**2
+            deg = sub.sum(axis=1)
+            v_raw = sum(int(d) * (int(d) - 1) // 2 for d in deg) / n**2
+            raw.append([t_raw, v_raw])
+            et.append(t_raw - moments_tv(model, F(m, n))[0])
+            ev.append(v_raw - moments_tv(model, F(m, n))[1])
+        # the same integer counts and one division each: equal bit for bit
+        assert np.array_equal(_tv_cut_values(model, real.edges), raw)
+        assert np.allclose(real.path.values[:, 0], et, atol=1e-12)
+        assert np.allclose(real.path.values[:, 1], ev, atol=1e-12)
 
 
 # -- exchangeable pair --------------------------------------------------------
