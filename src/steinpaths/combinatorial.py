@@ -200,6 +200,11 @@ class ArrayModel:
         self._q = np.where(rad, 0.5, np.where(discrete, self.p1, 0.0))
         self._lo = np.where(rad, self.p0 - self.p1, np.where(discrete, self.p0, 0.0))
         self._hi = np.where(rad, self.p0 + self.p1, np.where(discrete, self.p2, 0.0))
+        # Rows whose entry laws differ from the row above in some column
+        # (row 0 always): the D_n kernel draws per run of equal-law rows.
+        law = np.stack([self._gc, self._gvar, self._q, self._lo, self._hi])
+        self._run_start = np.ones(n, dtype=bool)
+        self._run_start[1:] = (law[:, 1:] != law[:, :-1]).any(axis=(0, 2))
         self._has_gauss = bool((self.family == _FAM_GAUSSIAN).any())
         self._has_discrete = bool(discrete.any())
         self._validate()
@@ -421,52 +426,103 @@ def cov_d(model: ArrayModel, s, t) -> float:
     return float(zc[:ks, :kt].sum()) / s_n_squared(model)
 
 
-def _zhat_block(model: ArrayModel, rng: np.random.Generator, size: int, m: int) -> np.ndarray:
-    """(size, m) draws of (Zhat_1, ..., Zhat_m).
+def _block_sums(
+    model: ArrayModel, rng: np.random.Generator, size: int, ends: np.ndarray
+) -> np.ndarray:
+    """(size, len(ends)) draws of the sums of Zhat_i over the row blocks
+    (e_{a-1}, e_a], for increasing ends 0 < e_1 < ... (e_0 = 0).
 
-    Only rows <= m of Z are drawn: the other n - m rows enter only through
-    the column sums in Zbar_l, which take one N(0, n - m) normal per
-    column.  Given W = Z - Zbar, the Gaussian part of row i of X'' adds
-    N(sum_l c_il W_il, sum_l sigma_il^2 W_il^2) to Zhat_i sqrt(n-1), so it
-    costs one normal per row; the two-point part is drawn entry by entry.
-    Per-row variates are laid out rows outer, samples inner, as in the Y
-    and eps3 samplers.
+    Given X'' and Z the block sums are Gaussian, so each block takes one
+    normal for its summed conditional variance.  The rest splits each block
+    into runs: maximal sets of consecutive rows whose entry laws agree
+    column by column (ArrayModel._run_start), and draws per run R of b rows
+    and column l only U_Rl = sum_{i in R} W_il (W = Z - Zbar):
+    sum_{i in R} X''_il W_il given U is
+      Gaussian part:  N(c U, sigma^2 (U^2/b + chi^2_{b-1}))
+                      (one chi^2 per distinct sigma^2 of the run);
+      two-point part: U (K lo + (b-K) hi)/b + N(0, K (b-K) (hi-lo)^2 / b)
+                      with K ~ Bin(b, q) the number of lo values.
+    Rows after the last end enter only through the column sums in Zbar,
+    which take one N(0, n - e_last) normal per column.  When every run is
+    one row (b = 1) this is the entrywise computation, with one uniform per
+    two-point entry.  Per-run variates are laid out runs outer, samples
+    inner, as in the Y and eps3 samplers.
     """
     n = model.n
-    w = rng.standard_normal((m, size, n))
-    zsum = w.sum(axis=0)
-    if m < n:
-        zsum += math.sqrt(n - m) * rng.standard_normal((size, n))
-    w -= zsum / n
-    gc = model._gc[:m]
-    acc = np.einsum("isl,il->si", w, gc) if gc.any() else np.zeros((size, m))
-    if model._has_gauss:
-        var = np.einsum("isl,isl,il->si", w, w, model._gvar[:m])
-        acc += np.sqrt(var) * rng.standard_normal((m, size)).T
-    if model._has_discrete:
-        acc += np.einsum("isl,isl->si", _two_point(model, rng, w.shape, np.s_[:m, None]), w)
-    return acc / math.sqrt(n - 1)
+    if not ends.size:
+        return np.zeros((size, 0))
+    m = int(ends[-1])
+    starts = model._run_start[:m].copy()
+    starts[ends[:-1]] = True
+    first = np.flatnonzero(starts)
+    r = first.size
+    b = np.diff(np.append(first, m))
+    multi = np.flatnonzero(b > 1)
+    b3 = b[:, None, None]
+    gc, gvar = model._gc[first], model._gvar[first]
+    q, low, high = model._q[first][:, None], model._lo[first], model._hi[first]
+    block_first = np.searchsorted(first, np.append(0, ends[:-1]))
+    noisy = model._has_gauss or (model._has_discrete and multi.size > 0)
+
+    def draw(s: int) -> np.ndarray:
+        u = rng.standard_normal((r, s, n))
+        if multi.size:
+            u *= np.sqrt(b3)
+        zbar = u.sum(axis=0)
+        if m < n:
+            zbar += math.sqrt(n - m) * rng.standard_normal((s, n))
+        zbar /= n
+        u -= b3 * zbar if multi.size else zbar
+        acc = np.einsum("rsl,rl->sr", u, gc) if gc.any() else np.zeros((s, r))
+        if model._has_gauss:
+            var = np.einsum("rsl,rsl,rl->sr", u, u, gvar / b[:, None])
+            for j in multi:
+                vals, counts = np.unique(gvar[j][gvar[j] > 0], return_counts=True)
+                if vals.size:
+                    var[:, j] += rng.chisquare(counts * (b[j] - 1), (s, vals.size)) @ vals
+        else:
+            var = np.zeros((s, r))
+        if model._has_discrete and not multi.size:
+            x = _two_point(model, rng, u.shape, (first[:, None, None], np.arange(n)))
+            acc += np.einsum("rsl,rsl->sr", x, u)
+        elif model._has_discrete:
+            k_lo = rng.binomial(b3, q, u.shape)
+            acc += np.einsum("rsl,rl->sr", u, high)
+            acc += np.einsum("rsl,rsl,rl->sr", k_lo, u, (low - high) / b[:, None])
+            k_lo *= b3 - k_lo
+            var += np.einsum("rsl,rl->sr", k_lo, (low - high) ** 2 / b[:, None])
+        if r > ends.size:
+            acc = np.add.reduceat(acc, block_first, axis=1)
+            var = np.add.reduceat(var, block_first, axis=1)
+        if noisy:
+            acc += np.sqrt(var) * rng.standard_normal((ends.size, s)).T
+        return acc
+
+    # one sub-block per call of draw, so each plane is freed before the
+    # next one is drawn
+    out = np.empty((size, ends.size))
+    for lo, hi in _blocks(size, r, n):
+        out[lo:hi] = draw(hi - lo)
+    out /= math.sqrt(n - 1)
+    return out
 
 
 def sample_zhat_values(model: ArrayModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, n) draws of (Zhat_1, ..., Zhat_n)."""
-    n = model.n
-    out = np.empty((size, n))
-    for lo, hi in _blocks(size, n, n):
-        out[lo:hi] = _zhat_block(model, rng, hi - lo, n)
-    return out
+    return _block_sums(model, rng, size, np.arange(1, model.n + 1))
 
 
 def sample_dn_values(
     model: ArrayModel, rng: np.random.Generator, size: int, cuts=None
 ) -> np.ndarray:
     """(size, len(cuts)) values of D_n at t = k/n for k in cuts (default:
-    every k = 0..n); only rows up to max(cuts) are drawn."""
-    rows, m = grid_rows(model.n, cuts)
-    out = np.empty((size, rows.size))
-    for lo, hi in _blocks(size, m, model.n):
-        out[lo:hi] = _at_rows(_zhat_block(model, rng, hi - lo, m), rows, model.s_n)
-    return out
+    every k = 0..n); only the sums of Zhat between consecutive cuts are
+    drawn."""
+    rows, _ = grid_rows(model.n, cuts)
+    ends = np.unique(rows[rows > 0])
+    grid = np.zeros((size, ends.size + 1))
+    grid[:, 1:] = np.cumsum(_block_sums(model, rng, size, ends), axis=1) / model.s_n
+    return grid[:, np.searchsorted(ends, rows, side="right")]
 
 
 def sample_dn(model: ArrayModel, rng: np.random.Generator) -> PiecewiseConstantPath:

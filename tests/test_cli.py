@@ -244,7 +244,23 @@ def test_simulate_command_and_csv(tmp_path, capsys):
 def test_reports_byte_identical_across_workers(tmp_path, capsys):
     model = iid_model(tmp_path, 6)
     graph = graph_model(tmp_path, 10, 0.3)
+    # rows of equal laws (multi-row runs of the D_n kernel) ...
+    rademacher = write_model(
+        tmp_path, "rad.json", {"type": "array", "preset": "iid-rademacher", "n": 6}
+    )
+    # ... and rows that all differ (one row per run)
+    heterogeneous = write_model(tmp_path, "het.json", {"type": "array", "n": 3, "entries": [
+        {"i": 1, "j": 1, "dist": "gaussian", "mean": 1.0, "var": 2.0},
+        {"i": 1, "j": 2, "dist": "rademacher-shifted", "mean": -1.0, "scale": 0.5},
+        {"i": 2, "j": 1, "dist": "two-point", "x1": 0.0, "p1": 0.5, "x2": -2.0},
+        {"i": 2, "j": 2, "dist": "constant", "value": 1.0},
+        {"i": 3, "j": 3, "dist": "gaussian", "var": 1.0},
+    ]})
     commands = [
+        ["distance", "--model", rademacher, "--samples", "8192",
+         "--functional", "cos:coord=1,t=1/2"],
+        ["simulate", "--model", heterogeneous, "--samples", "8192",
+         "--functional", "sin:coord=1,t=2/3"],
         ["distance", "--model", model, "--samples", "8192",
          "--functional", "cos:coord=1,t=1/2"],
         ["simulate", "--model", model, "--samples", "8192",

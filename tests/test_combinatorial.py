@@ -644,15 +644,127 @@ def test_eps3_cut_aware_linear_second_moment():
         assert abs(est.mean - expected) < 4 * est.stderr, n
 
 
+def _paired_rows():
+    # three row laws, each held by two consecutive rows: runs of b = 2 that
+    # mix all four families, with two Gaussian variances in one run
+    n = 6
+    c = np.repeat(double_center(SeedSpec(94).rng().standard_normal((3, n))), 2, axis=0)
+    makers = (
+        lambda m, j: gaussian_entry(m, 0.2 + 3 * (j // 4)),
+        lambda m, j: rademacher_entry(m, 1.2),
+        lambda m, j: two_point_entry(m + 1.5, 0.25, m - 0.5),
+        lambda m, j: constant_entry(m),
+    )
+    return ArrayModel(
+        [[makers[(i // 2 + j) % 4](c[i, j], j) for j in range(n)] for i in range(n)]
+    )
+
+
+def test_run_starts_mark_rows_whose_laws_change():
+    assert _paired_rows()._run_start.tolist() == [True, False] * 3
+    assert ArrayModel.iid_rademacher(4)._run_start.tolist() == [True] + [False] * 3
+    assert det3()._run_start.all() and _mixed_5x5()._run_start.all()
+
+
+def _gaussian_columns(n):
+    # equal rows of centred Gaussian entries whose variances alternate
+    # between two values along the row
+    return ArrayModel([[gaussian_entry(0.0, 0.2 + 2.8 * (j % 2)) for j in range(n)]] * n)
+
+
+def _cos_dn_exact(model, k, a):
+    """E cos(a D_n(k/n)) for models of equal rows of centred Gaussian entries
+    (column variances v_l) or of Rademacher entries.  Given the Gaussian Z
+    (and X'' for Rademacher entries), D_n(k/n) is centred Gaussian, so the
+    transform is E exp(-a^2 Var/2); with lam = a^2 / (2 s_n^2 (n-1)):
+    Gaussian: per column, v_l sum_{i <= k} W_il^2 is a quadratic form in Z
+    with eigenvalues v_l (k - 1 times) and v_l (1 - k/n);
+    Rademacher: per column the variance is k - T^2/n with
+    T = sum_{i <= k} X''_il = 2j - k, j ~ Bin(k, 1/2)."""
+    n = model.n
+    lam = a * a / (2 * s_n_squared(model) * (n - 1))
+    if model._has_gauss:
+        v = model.sigma2[0]
+        return float(
+            np.prod((1 + 2 * lam * v) ** (-(k - 1) / 2) * (1 + 2 * lam * v * (1 - k / n)) ** -0.5)
+        )
+    column = sum(
+        math.comb(k, j) * 2.0**-k * math.exp(-lam * (k - (2 * j - k) ** 2 / n))
+        for j in range(k + 1)
+    )
+    return column**n
+
+
+def test_dn_mixture_law_exact_cos_transform():
+    # pins the law of D_n, not only its covariance: a Gaussian with the
+    # cov_d variance, or a kernel without the chi^2 term, fails here
+    a = 2.5
+    label_idx = 100
+    for make in (ArrayModel.iid_gaussian, ArrayModel.iid_rademacher, _gaussian_columns):
+        for n, k in ((3, 3), (4, 2), (5, 5), (6, 4)):
+            model = make(n)
+            exact = _cos_dn_exact(model, k, a)
+            # one run of k rows, and the full grid (one row per run)
+            one_cut = sample_dn_values(model, rng_for(label_idx), 10**5, [k])[:, 0]
+            grid = sample_dn_values(model, rng_for(label_idx + 1), 10**5)[:, k]
+            label_idx += 2
+            for vals in (one_cut, grid):
+                est = from_values(np.cos(a * vals))
+                assert abs(est.mean - exact) < 5 * est.stderr, (make.__name__, n, k)
+
+
+def test_dn_runs_match_entrywise_zhat_sums():
+    # runs of two rows mixing all families: the run kernel at cuts that
+    # split runs matches the closed-form covariance and, in its cos
+    # transform, the sums of Zhat drawn one row at a time
+    model = _paired_rows()
+    n, cuts = model.n, [1, 4, 6]
+    runs = sample_dn_values(model, rng_for(120), 10**5, cuts)
+    _assert_cov_at_cuts(model, runs, cuts, "paired-rows")
+    zhat = sample_zhat_values(model, rng_for(121), 10**5)
+    rows = np.cumsum(zhat, axis=1)[:, np.array(cuts) - 1] / model.s_n
+    for col, k in enumerate(cuts):
+        for a in (1.0, 2.0):
+            x = from_values(np.cos(a * runs[:, col]))
+            y = from_values(np.cos(a * rows[:, col]))
+            assert abs(x.mean - y.mean) < 5 * math.hypot(x.stderr, y.stderr), (k, a)
+
+
+def _heterogeneous(n):
+    # every row its own run: the entry laws change along each column
+    c = double_center(SeedSpec(95).rng().standard_normal((n, n)))
+    return ArrayModel(
+        [
+            [
+                gaussian_entry(c[i, j], 1.0 + (i + j) % 3)
+                if (i + j) % 2
+                else two_point_entry(c[i, j] - 0.6, 0.4, c[i, j] + 0.4)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
 def test_dn_sampler_peak_memory_within_budget():
     # one CHUNK of full-grid D_n draws at n = 128; drawn all at once, the
-    # (4096, n, n) planes would take several hundred MB each
-    model = ArrayModel.iid_gaussian(128)
-    tracemalloc.start()
-    try:
-        vals = sample_dn_values(model, rng_for(80), 4096)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert vals.shape == (4096, 129)
-    assert peak <= MEMORY_BUDGET, peak
+    # (4096, n, n) planes would take several hundred MB each.  Also n = 256
+    # on the full grid, one cut of an iid model (one run, so one plane row
+    # per sample covers many samples) and an all-singleton-run model.
+    het = _heterogeneous(64)
+    assert het._run_start.all()
+    cases = [
+        (ArrayModel.iid_gaussian(128), 4096, None, (4096, 129)),
+        (ArrayModel.iid_gaussian(256), 512, None, (512, 257)),
+        (ArrayModel.iid_rademacher(128), 8192, [64], (8192, 1)),
+        (het, 4096, [0, 20, 64], (4096, 3)),
+    ]
+    for idx, (model, size, cuts, shape) in enumerate(cases):
+        tracemalloc.start()
+        try:
+            vals = sample_dn_values(model, rng_for(80 + 5 * idx), size, cuts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == shape
+        assert peak <= MEMORY_BUDGET, (idx, peak)
