@@ -520,9 +520,8 @@ def sample_dn_values(
     drawn."""
     rows, _ = grid_rows(model.n, cuts)
     ends = np.unique(rows[rows > 0])
-    grid = np.zeros((size, ends.size + 1))
-    grid[:, 1:] = np.cumsum(_block_sums(model, rng, size, ends), axis=1) / model.s_n
-    return grid[:, np.searchsorted(ends, rows, side="right")]
+    sums = _block_sums(model, rng, size, ends)
+    return _at_rows(sums, np.searchsorted(ends, rows, side="right"), model.s_n)
 
 
 def sample_dn(model: ArrayModel, rng: np.random.Generator) -> PiecewiseConstantPath:
