@@ -459,8 +459,18 @@ def _block_sums(
     b = np.diff(np.append(first, m))
     multi = np.flatnonzero(b > 1)
     b3 = b[:, None, None]
-    gc, gvar = model._gc[first], model._gvar[first]
-    q, low, high = model._q[first][:, None], model._lo[first], model._hi[first]
+    # per-run entry laws: views of the model's arrays when every run is one
+    # row, so the entrywise case copies no (m, n) array
+    take = slice(0, m) if r == m else first
+    gc = model._gc[take]
+    has_mean = bool(gc.any())
+    if model._has_gauss:
+        gvar = model._gvar[take]
+        gvar_b = gvar / b[:, None] if multi.size else gvar
+    if model._has_discrete and multi.size:
+        q, high = model._q[take][:, None], model._hi[take]
+        spread = model._lo[take] - high
+        spread_b, spread2_b = spread / b[:, None], spread**2 / b[:, None]
     block_first = np.searchsorted(first, np.append(0, ends[:-1]))
     noisy = model._has_gauss or (model._has_discrete and multi.size > 0)
 
@@ -473,9 +483,9 @@ def _block_sums(
             zbar += math.sqrt(n - m) * rng.standard_normal((s, n))
         zbar /= n
         u -= b3 * zbar if multi.size else zbar
-        acc = np.einsum("rsl,rl->sr", u, gc) if gc.any() else np.zeros((s, r))
+        acc = np.einsum("rsl,rl->sr", u, gc) if has_mean else np.zeros((s, r))
         if model._has_gauss:
-            var = np.einsum("rsl,rsl,rl->sr", u, u, gvar / b[:, None])
+            var = np.einsum("rsl,rsl,rl->sr", u, u, gvar_b)
             for j in multi:
                 vals, counts = np.unique(gvar[j][gvar[j] > 0], return_counts=True)
                 if vals.size:
@@ -483,14 +493,13 @@ def _block_sums(
         else:
             var = np.zeros((s, r))
         if model._has_discrete and not multi.size:
-            x = _two_point(model, rng, u.shape, (first[:, None, None], np.arange(n)))
-            acc += np.einsum("rsl,rsl->sr", x, u)
+            acc += np.einsum("rsl,rsl->sr", _two_point(model, rng, u.shape, (take, None)), u)
         elif model._has_discrete:
             k_lo = rng.binomial(b3, q, u.shape)
             acc += np.einsum("rsl,rl->sr", u, high)
-            acc += np.einsum("rsl,rsl,rl->sr", k_lo, u, (low - high) / b[:, None])
+            acc += np.einsum("rsl,rsl,rl->sr", k_lo, u, spread_b)
             k_lo *= b3 - k_lo
-            var += np.einsum("rsl,rl->sr", k_lo, (low - high) ** 2 / b[:, None])
+            var += np.einsum("rsl,rl->sr", k_lo, spread2_b)
         if r > ends.size:
             acc = np.add.reduceat(acc, block_first, axis=1)
             var = np.add.reduceat(var, block_first, axis=1)
