@@ -29,6 +29,7 @@ from .functionals import (
     parse_functional,
 )
 from .mc import CHUNK, SeedSpec, mc_run, mc_run_vector
+from .paths import time_rows
 from .reporting import RunReport
 
 F = Fraction
@@ -56,7 +57,8 @@ def _load_model(path: str):
     raise UsageError("unknown model type %r" % kind)
 
 
-def _functionals(specs, dim):
+def _functionals(specs, kind):
+    dim = 2 if kind == "graph" else 1
     if not specs:
         return certified_library(dim)
     try:
@@ -65,9 +67,9 @@ def _functionals(specs, dim):
         raise UsageError(str(exc)) from exc
 
 
-def _report(args, command: str, parameters: dict) -> RunReport:
+def _report(args, parameters: dict) -> RunReport:
     return RunReport(
-        command=command,
+        command=args.command,
         parameters=parameters,
         seed=args.seed,
         version="steinpaths-%s" % __version__,
@@ -87,7 +89,7 @@ def _emit(report: RunReport, args) -> int:
 def _gap_sampler(kind, model, g):
     """Chunk samplers for g(Y_n) and g(D_n), drawing only the grid rows g
     reads."""
-    cuts = [int(model.n * t) for t in g.times]
+    cuts = g.rows(model.n)
 
     def values(sampler):
         def fn(rng, size):
@@ -95,9 +97,8 @@ def _gap_sampler(kind, model, g):
 
         return fn
 
-    if kind == "graph":
-        return values(gr.sample_y_values), values(gr.sample_dn_values)
-    return values(comb.sample_y_values), values(comb.sample_dn_values)
+    mod = gr if kind == "graph" else comb
+    return values(mod.sample_y_values), values(mod.sample_dn_values)
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +107,9 @@ def _gap_sampler(kind, model, g):
 
 def cmd_simulate(args) -> int:
     kind, model = _load_model(args.model)
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
-    dim = 2 if kind == "graph" else 1
-    funcs = _functionals(args.functional, dim)
+    funcs = _functionals(args.functional, kind)
     report = _report(
         args,
-        "simulate",
         {"model": args.model, "kind": kind, "samples": args.samples,
          "functionals": [g.label for g in funcs]},
     )
@@ -128,8 +125,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_regression(args) -> int:
     kind, model = _load_model(args.model)
-    dim = 2 if kind == "graph" else 1
-    funcs = _functionals(args.functional, dim)
+    funcs = _functionals(args.functional, kind)
     terms = model.n**2 * max(g.k for g in funcs)
     if terms > REGRESSION_TERMS:
         raise UsageError(
@@ -139,23 +135,16 @@ def cmd_verify_regression(args) -> int:
         )
     report = _report(
         args,
-        "verify-regression",
         {"model": args.model, "kind": kind, "trials": args.trials,
          "tol": args.tol, "functionals": [g.label for g in funcs]},
     )
+    mod = gr if kind == "graph" else comb
+    sample = gr.sample_graph if kind == "graph" else comb.sample_y
     worst = 0.0
     for trial in range(args.trials):
-        rng = SeedSpec(args.seed, (trial,)).rng()
-        real = (
-            gr.sample_graph(model, rng)
-            if kind == "graph"
-            else comb.sample_y(model, rng)
-        )
-        residual = (
-            gr.regression_residual if kind == "graph" else comb.regression_residual
-        )
+        real = sample(model, SeedSpec(args.seed, (trial,)).rng())
         for g in funcs:
-            worst = max(worst, residual(real, g))
+            worst = max(worst, mod.regression_residual(real, g))
     report.add_value("max_residual", worst)
     report.add_check(
         "regression_identity", worst < args.tol, args.tol, "max residual %.3e" % worst
@@ -189,39 +178,29 @@ def _product_z(sample, pairs, targets, args, seed):
 def _verify_covariance_graph(model, args, report):
     n, p = model.n, model.p
     rng = SeedSpec(args.seed, (0,)).rng()
-    worst = {"edge_block_identity": 0.0, "cross_block_identity": 0.0,
-             "twostar_block_identity": 0.0}
+    # each closed-form block against the Brownian construction's entry
+    blocks = {"edge_block_identity": (gr.cov_d1d1, 0, 0),
+              "cross_block_identity": (gr.cov_d1d2, 0, 1),
+              "twostar_block_identity": (gr.cov_d2d2, 1, 1)}
+    worst = dict.fromkeys(blocks, 0.0)
     for _ in range(64):
         nn = int(rng.integers(3, 40))
         pp = float(rng.uniform(0.05, 0.95))
         t = F(int(rng.integers(0, 101)), 100)
         u = F(int(rng.integers(0, 101)), 100)
         b = gr.brownian_side_cov(nn, pp, t, u)
-
-        def rel(x, y):
-            return abs(x - y) / max(abs(x), abs(y), 1e-30)
-
-        worst["edge_block_identity"] = max(
-            worst["edge_block_identity"], rel(gr.cov_d1d1(nn, pp, t, u), b[0, 0])
-        )
-        worst["cross_block_identity"] = max(
-            worst["cross_block_identity"], rel(gr.cov_d1d2(nn, pp, t, u), b[0, 1])
-        )
-        worst["twostar_block_identity"] = max(
-            worst["twostar_block_identity"], rel(gr.cov_d2d2(nn, pp, t, u), b[1, 1])
-        )
+        for name, (closed, i, j) in blocks.items():
+            x, y = closed(nn, pp, t, u), b[i, j]
+            worst[name] = max(worst[name], abs(x - y) / max(abs(x), abs(y), 1e-30))
     for name, val in worst.items():
         report.add_check(name, val <= args.tol, args.tol, "max rel diff %.3e" % val)
 
     times = [F(k, args.grid) for k in range(1, args.grid + 1)] if args.grid else [F(0)]
     pc = gr.prelimit_cov(model)
-    vacuous = all(int(n * t) <= 1 for t in times)
+    vacuous = bool((time_rows(n, times) <= 1).all())
     labels = {(0, 0): "TT", (0, 1): "TV", (1, 1): "VV"}
     for (i, j), lab in labels.items():
-        gap = max(
-            abs(float(gr.cov_tv(model, t)[i, j]) - pc.block(t, t)[i, j])
-            for t in times
-        )
+        gap = max(abs(float(gr.cov_tv(model, t)[i, j]) - pc.block(t, t)[i, j]) for t in times)
         detail = "max abs diff %.3e" % gap
         if vacuous:
             detail += " (degenerate grid, vacuous)"
@@ -232,7 +211,7 @@ def _verify_covariance_graph(model, args, report):
     report.add_check("prelimit_grid_psd", eig_min >= -1e-9, -1e-9, "min eig %.3e" % eig_min)
 
     if args.samples > 0 and not vacuous:
-        cuts = [int(n * t) for t in times]
+        cuts = time_rows(n, times)
         # values at row a, coordinate i sit in flattened column 2a + i
         pairs = [(2 * a + i, 2 * a + j) for a in range(len(times)) for i, j in labels]
         targets = [pc.block(t, t)[i, j] for t in times for i, j in labels]
@@ -264,24 +243,24 @@ def _verify_covariance_array(model, args, report):
             "5 stderr",
             "max |z| %.2f over %d samples" % (worst_z, args.samples),
         )
-        times = [F(k, args.grid) for k in range(1, args.grid + 1)] if args.grid else []
-        cuts = [int(n * t) for t in times]
+        times = [F(k, args.grid) for k in range(1, args.grid + 1)]
+        cuts = time_rows(n, times)
         pairs = [(a, b) for a in range(len(times)) for b in range(a, len(times))]
         worst_z = _product_z(
             lambda rng, size: comb.sample_dn_values(model, rng, size, cuts),
             pairs, [comb.cov_d(model, times[a], times[b]) for a, b in pairs],
             args, SeedSpec(args.seed, (2,)),
         )
-        report.add_check(
-            "dn_grid_cov_mc", worst_z <= 5.0, "5 stderr", "max |z| %.2f" % worst_z
-        )
+        detail = "max |z| %.2f" % worst_z
+        if not pairs:
+            detail += " (degenerate grid, vacuous)"
+        report.add_check("dn_grid_cov_mc", worst_z <= 5.0, "5 stderr", detail)
 
 
 def cmd_verify_covariance(args) -> int:
     kind, model = _load_model(args.model)
     report = _report(
         args,
-        "verify-covariance",
         {"model": args.model, "kind": kind, "grid": args.grid,
          "tol": args.tol, "samples": args.samples},
     )
@@ -294,13 +273,9 @@ def cmd_verify_covariance(args) -> int:
 
 def cmd_distance(args) -> int:
     kind, model = _load_model(args.model)
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
-    dim = 2 if kind == "graph" else 1
-    funcs = _functionals(args.functional, dim)
+    funcs = _functionals(args.functional, kind)
     report = _report(
         args,
-        "distance",
         {"model": args.model, "kind": kind, "samples": args.samples,
          "functionals": [g.label for g in funcs]},
     )
@@ -316,11 +291,8 @@ def cmd_distance(args) -> int:
         est_d = mc_run(d_fn, args.samples, seed.child(2 * idx + 1), workers=args.workers)
         gap = abs(est_y.mean - est_d.mean)
         ci = 1.96 * math.hypot(est_y.stderr, est_d.stderr)
-        bound = (
-            gr.bound_prelimit(model.n, gnorm)
-            if kind == "graph"
-            else comb.bound_prelimit_distance(model, gnorm)
-        )
+        bound = (gr.bound_prelimit(model.n, gnorm) if kind == "graph"
+                 else comb.bound_prelimit_distance(model, gnorm))
         report.add_estimate("E[g(Y)] %s" % g.label, est_y)
         report.add_estimate("E[g(D)] %s" % g.label, est_d)
         report.add_value("gap %s" % g.label, gap)
@@ -335,15 +307,12 @@ def cmd_distance(args) -> int:
 
 
 def cmd_coupling(args) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
     model = gr.GraphModel(args.n, args.p)
     rep = gr.coupling_distance(
         model, args.samples, SeedSpec(args.seed), workers=args.workers
     )
     report = _report(
         args,
-        "coupling",
         {"n": args.n, "p": args.p, "samples": args.samples,
          "refine": rep["refine"],
          "discretization_bias_bound": rep["discretization_bias_bound"],
@@ -363,9 +332,7 @@ def cmd_coupling(args) -> int:
 
 def cmd_bound(args) -> int:
     kind, model = _load_model(args.model)
-    report = _report(
-        args, "bound", {"model": args.model, "kind": kind, "gnorm": args.gnorm}
-    )
+    report = _report(args, {"model": args.model, "kind": kind, "gnorm": args.gnorm})
     if kind == "graph":
         report.add_bound("prelimit_12g_over_n", gr.bound_prelimit(model.n, args.gnorm))
         report.add_bound(
@@ -377,31 +344,18 @@ def cmd_bound(args) -> int:
         rep = comb.bound_prelimit_distance_report(model, args.gnorm)
         for key, val in rep.items():
             report.add_bound(key, val)
-        beta3 = float(model.abs3.max())
-        report.add_bound(
-            "simplified_beta3",
-            comb.bound_beta3(
-                model.n,
-                model.s_n,
-                beta3,
-                model.c,
-                float(model.sigma2.sum()),
-                args.gnorm,
-            ),
-        )
+        beta3 = comb.bound_beta3(model.n, model.s_n, float(model.abs3.max()), model.c,
+                                 float(model.sigma2.sum()), args.gnorm)
+        report.add_bound("simplified_beta3", beta3)
     return _emit(report, args)
 
 
 def cmd_stein_identity(args) -> int:
     kind, model = _load_model(args.model)
-    if args.samples < 2:
-        raise UsageError("--samples must be at least 2")
-    dim = 2 if kind == "graph" else 1
-    funcs = _functionals(args.functional, dim)
+    funcs = _functionals(args.functional, kind)
     law = ou.graph_law(model) if kind == "graph" else ou.combinatorial_law(model)
     report = _report(
         args,
-        "stein-identity",
         {"model": args.model, "kind": kind, "samples": args.samples,
          "scale": args.scale,
          "functionals": [g.label for g in funcs]},
@@ -424,6 +378,19 @@ def cmd_stein_identity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low, kind=int):
+    """argparse type: a `kind` value no smaller than low."""
+
+    def parse(text):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %s, got %s" % (low, text))
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steinpaths",
@@ -434,15 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, samples=None):
+    def common(p, model=True, samples=None, fewest=1):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_at_least(1), default=1)
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if samples is not None:
-            p.add_argument("--samples", type=int, default=samples)
+            p.add_argument("--samples", type=_at_least(fewest), default=samples)
 
     p = sub.add_parser("simulate", help="estimate E g under both processes")
     common(p, samples=10000)
@@ -452,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-regression", help="enumerated regression identity")
     common(p)
     p.add_argument("--functional", action="append", default=[])
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_at_least(1), default=5)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=cmd_verify_regression)
 
     p = sub.add_parser("verify-covariance", help="covariance identities and MC")
-    common(p, samples=20000)
-    p.add_argument("--grid", type=int, default=8)
+    common(p, samples=20000, fewest=0)
+    p.add_argument("--grid", type=_at_least(0), default=8)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(fn=cmd_verify_covariance)
 
@@ -475,11 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="closed-form bound values")
     common(p)
-    p.add_argument("--gnorm", type=float, default=1.0)
+    p.add_argument("--gnorm", type=_at_least(0.0, float), default=1.0)
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("stein-identity", help="stationarity of the generator")
-    common(p, samples=100000)
+    common(p, samples=100000, fewest=2)
     p.add_argument("--functional", action="append", default=[])
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(fn=cmd_stein_identity)
@@ -494,10 +461,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, FileNotFoundError) as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
-    except (comb.ModelError, gr.GraphModelError, FunctionalError) as exc:
+    except (UsageError, FileNotFoundError, comb.ModelError, gr.GraphModelError,
+            FunctionalError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 

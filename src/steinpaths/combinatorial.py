@@ -118,7 +118,8 @@ class EntrySpec:
 
     @property
     def abs2(self) -> float:
-        return self.var + self.mean**2
+        # mean * mean, as numpy squares arrays; Python's mean**2 can differ
+        return self.var + self.mean * self.mean
 
 
 def constant_entry(value: float) -> EntrySpec:
@@ -168,45 +169,53 @@ def double_center(matrix) -> np.ndarray:
 
 
 class ArrayModel:
-    """n x n array of independent entries with certified moment data."""
+    """n x n array of independent entries: a table of entry laws and an
+    (n, n) index into it.  Every law array is the table's field read at the
+    index, so the entries of a preset share one table row."""
 
-    def __init__(self, entries: Sequence[Sequence[EntrySpec]]) -> None:
-        n = len(entries)
-        if n < 2 or any(len(row) != n for row in entries):
-            raise ModelError("entries must form an n x n grid with n >= 2")
+    def __init__(self, table: Sequence[EntrySpec], index) -> None:
+        index = np.array(index, dtype=np.intp)  # a copy: the law arrays follow it
+        n = len(index)
+        if n < 2 or index.shape != (n, n):
+            raise ModelError("index must form an n x n grid with n >= 2")
+        if index.min() < 0 or index.max() >= len(table):
+            raise ModelError("index entries must point into the law table")
         self.n = n
-        self.entries = tuple(tuple(row) for row in entries)
-        get = np.vectorize(lambda e, attr: getattr(e, attr), otypes=[float])
-        flat = np.array(self.entries, dtype=object)
-        self.family = np.array([[e.family for e in row] for row in entries])
-        self.c = get(flat, "mean")
-        self.sigma2 = get(flat, "var")
-        self.abs1 = get(flat, "abs1")
-        self.abs2 = self.sigma2 + self.c**2
-        self.abs3 = get(flat, "abs3")
-        self.p0 = get(flat, "p0")
-        self.p1 = get(flat, "p1")
-        self.p2 = get(flat, "p2")
+        self.table = tuple(table)
+        self.index = index
+        family, c, sigma2, abs1, abs2, abs3, p0, p1, p2 = (
+            np.array([getattr(e, name) for e in self.table])
+            for name in ("family", "mean", "var", "abs1", "abs2", "abs3", "p0", "p1", "p2")
+        )
         # The samplers split each entry law in two parts, each zero on the
         # other's entries: a Gaussian part (constant and Gaussian entries,
         # mean _gc, variance _gvar, sd _gsd) and a two-point part
         # (Rademacher and two-point entries: _lo if a uniform is below _q,
         # else _hi).
-        rad = self.family == _FAM_RADEMACHER
-        discrete = rad | (self.family == _FAM_TWO_POINT)
-        self._gc = np.where(discrete, 0.0, self.c)
-        self._gvar = np.where(discrete, 0.0, self.sigma2)
-        self._gsd = np.where(self.family == _FAM_GAUSSIAN, self.p1, 0.0)
-        self._q = np.where(rad, 0.5, np.where(discrete, self.p1, 0.0))
-        self._lo = np.where(rad, self.p0 - self.p1, np.where(discrete, self.p0, 0.0))
-        self._hi = np.where(rad, self.p0 + self.p1, np.where(discrete, self.p2, 0.0))
+        rad = family == _FAM_RADEMACHER
+        discrete = rad | (family == _FAM_TWO_POINT)
+        gc = np.where(discrete, 0.0, c)
+        gvar = np.where(discrete, 0.0, sigma2)
+        gsd = np.where(family == _FAM_GAUSSIAN, p1, 0.0)
+        q = np.where(rad, 0.5, np.where(discrete, p1, 0.0))
+        lo = np.where(rad, p0 - p1, np.where(discrete, p0, 0.0))
+        hi = np.where(rad, p0 + p1, np.where(discrete, p2, 0.0))
+        (self.family, self.c, self.sigma2, self.abs1, self.abs2, self.abs3,
+         self.p0, self.p1, self.p2, self._gc, self._gvar, self._gsd, self._q,
+         self._lo, self._hi) = (
+            a[index] for a in (family, c, sigma2, abs1, abs2, abs3,
+                               p0, p1, p2, gc, gvar, gsd, q, lo, hi)
+        )
         # Rows whose entry laws differ from the row above in some column
         # (row 0 always): the D_n kernel draws per run of equal-law rows.
-        law = np.stack([self._gc, self._gvar, self._q, self._lo, self._hi])
+        # Laws can differ only where the index does.
+        law = np.stack([gc, gvar, q, lo, hi])
+        row, col = np.nonzero(index[1:] != index[:-1])
+        changed = (law[:, index[row, col]] != law[:, index[row + 1, col]]).any(axis=0)
         self._run_start = np.ones(n, dtype=bool)
-        self._run_start[1:] = (law[:, 1:] != law[:, :-1]).any(axis=(0, 2))
-        self._has_gauss = bool((self.family == _FAM_GAUSSIAN).any())
-        self._has_discrete = bool(discrete.any())
+        self._run_start[1:] = np.bincount(row[changed], minlength=n - 1) > 0
+        self._has_gauss = bool((family == _FAM_GAUSSIAN)[index].any())
+        self._has_discrete = bool(discrete[index].any())
         self._validate()
 
     def _validate(self) -> None:
@@ -234,20 +243,26 @@ class ArrayModel:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def from_entries(cls, grid: Sequence[Sequence[EntrySpec]]) -> "ArrayModel":
+        """Model of an n x n grid of EntrySpecs; equal entries share a row."""
+        ids: dict = {}
+        index = [[ids.setdefault(e, len(ids)) for e in row] for row in grid]
+        return cls(list(ids), index)
+
+    @classmethod
     def iid_gaussian(cls, n: int) -> "ArrayModel":
-        e = gaussian_entry(0.0, 1.0)
-        return cls([[e] * n for _ in range(n)])
+        return cls([gaussian_entry(0.0, 1.0)], _constant_index(n))
 
     @classmethod
     def deterministic(cls, matrix=None) -> "ArrayModel":
         matrix = DETERMINISTIC_3X3 if matrix is None else matrix
         c = np.asarray(matrix, dtype=float)
-        return cls([[constant_entry(v) for v in row] for row in c])
+        values, index = np.unique(c, return_inverse=True)
+        return cls([constant_entry(v) for v in values], index.reshape(c.shape))
 
     @classmethod
     def iid_rademacher(cls, n: int, scale: float = 1.0) -> "ArrayModel":
-        e = rademacher_entry(0.0, scale)
-        return cls([[e] * n for _ in range(n)])
+        return cls([rademacher_entry(0.0, scale)], _constant_index(n))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ArrayModel":
@@ -261,9 +276,12 @@ class ArrayModel:
         if preset is not None:
             raise ModelError("unknown preset %r" % preset)
         n = int(d["n"])
-        grid = [[constant_entry(0.0)] * n for _ in range(n)]
+        ids = {constant_entry(0.0): 0}
+        index = _constant_index(n)
         for item in d["entries"]:
             i, j = int(item["i"]) - 1, int(item["j"]) - 1
+            if not (0 <= i < n and 0 <= j < n):
+                raise ModelError("entry (%d, %d) outside 1..%d" % (i + 1, j + 1, n))
             dist = item["dist"]
             if dist == "constant":
                 e = constant_entry(item["value"])
@@ -275,8 +293,13 @@ class ArrayModel:
                 e = two_point_entry(item["x1"], item["p1"], item["x2"])
             else:
                 raise ModelError("unknown dist %r" % dist)
-            grid[i][j] = e
-        return cls(grid)
+            index[i, j] = ids.setdefault(e, len(ids))
+        return cls(list(ids), index)
+
+
+def _constant_index(n: int) -> np.ndarray:
+    """(n, n) index of table row 0; (0, 0), which ArrayModel rejects, if n < 0."""
+    return np.zeros((max(n, 0),) * 2, dtype=np.intp)
 
 
 def s_n_squared(model: ArrayModel) -> float:
@@ -332,20 +355,20 @@ def _at_rows(steps: np.ndarray, rows: np.ndarray, scale: float) -> np.ndarray:
     return grid[:, rows]
 
 
-def _path_from_diag(model: ArrayModel, x: np.ndarray, pi: np.ndarray) -> PiecewiseConstantPath:
+def _path_from_diag(model: ArrayModel, x: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """(n+1, 1) values of Y_n at the grid rows k = 0..n."""
     picks = x[np.arange(model.n), pi]
-    vals = np.concatenate([[0.0], np.cumsum(picks) / model.s_n])
-    return grid_path(vals, model.n)
+    return np.concatenate([[0.0], np.cumsum(picks) / model.s_n])[:, None]
 
 
 @dataclass
 class CombinatorialRealization:
-    """One (X, pi) draw together with the assembled step path."""
+    """One (X, pi) draw together with the step path's grid values."""
 
     model: ArrayModel
     x: np.ndarray            # (n, n) realized array
     pi: np.ndarray           # permutation, 0-based
-    path: PiecewiseConstantPath
+    values: np.ndarray       # (n+1, 1): Y_n(k/n) for k = 0..n
 
     @property
     def n(self) -> int:
@@ -383,9 +406,9 @@ def regression_residual(real: CombinatorialRealization, f: CylinderFunctional) -
     finite sum and Df(Y)[.] is linear), so the residual is roundoff only.
     """
     model, n, s = real.model, real.n, real.model.s_n
-    x = f.stack(real.path)
+    cuts = f.rows(n)
+    x = real.values[cuts].reshape(-1)
     grads = f.grad_stacked(x)
-    cuts = np.array([int(n * t) for t in f.times])  # floor(n t_a), exact
 
     c = (np.arange(1, n + 1)[:, None] <= cuts) @ grads  # Df(Y)[1_[(i+1)/n, 1]]
     picks = real.x[np.arange(n), real.pi]  # X_{i, pi(i)}
@@ -591,7 +614,7 @@ def eps3_values(
     entry by entry.
     """
     n, s = model.n, model.s_n
-    rows, m = grid_rows(n, [int(n * t) for t in f.times])
+    rows, m = grid_rows(n, f.rows(n))
     row_c = model._gc[:m].sum(axis=1)[:, None]
     row_var = model._gvar[:m].sum(axis=1)[:, None]
     out = np.empty(size)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import PiecewiseConstantPath, as_time
+from .paths import PiecewiseConstantPath, as_time, time_rows
 
 __all__ = [
     "FunctionalError",
@@ -115,6 +115,11 @@ class CylinderFunctional:
     @property
     def n_args(self) -> int:
         return self.k * self.dim
+
+    def rows(self, n: int) -> np.ndarray:
+        """Rows floor(n t_a) of a grid path's (n+1, dim) values that the
+        functional reads; the rows' values, flattened, are its argument."""
+        return time_rows(n, self.times)
 
     def stack(self, w: PiecewiseConstantPath) -> np.ndarray:
         if w.dim != self.dim:

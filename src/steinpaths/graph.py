@@ -175,11 +175,11 @@ def _expected_cuts(model: GraphModel) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GraphRealization:
-    """Edge indicators plus the centered (edge, two-star) step path."""
+    """Edge indicators plus the centered (edge, two-star) grid values."""
 
     model: GraphModel
     edges: np.ndarray  # (n, n) symmetric 0/1, zero diagonal
-    path: PiecewiseConstantPath
+    values: np.ndarray  # (n+1, 2): Y_n(k/n) for k = 0..n
 
     @property
     def n(self) -> int:
@@ -205,10 +205,9 @@ def _tv_cut_values(model: GraphModel, edges: np.ndarray) -> np.ndarray:
     return np.stack([(np.arange(n + 1) - 2) * s / n**2, w / n**2], axis=1)
 
 
-def _path_from_edges(model: GraphModel, edges: np.ndarray) -> PiecewiseConstantPath:
-    raw = _tv_cut_values(model, edges)
-    et, ev = _expected_cuts(model)
-    return grid_path(raw - np.stack([et, ev], axis=1), model.n)
+def _path_from_edges(model: GraphModel, edges: np.ndarray) -> np.ndarray:
+    """(n+1, 2) centered (T, V) values at the grid rows k = 0..n."""
+    return _tv_cut_values(model, edges) - np.stack(_expected_cuts(model), axis=1)
 
 
 def sample_graph(model: GraphModel, rng: np.random.Generator) -> GraphRealization:
@@ -253,12 +252,12 @@ def regression_residual(real: GraphRealization, f: CylinderFunctional) -> float:
     I_ij - p; edge (i, j), i < j, moves (T, V)(t_a) by that jump times
     (m_a - 2, D_i + D_j - 2 I_ij)/n^2 once j <= m_a (D: prefix degrees)."""
     model, n = real.model, real.n
-    x = f.stack(real.path)
+    cuts = f.rows(n)
+    x = real.values[cuts].reshape(-1)
     grads = f.grad_stacked(x)
     df_y = float(grads @ x)
     # Df(Y)[v Lambda_n] = v . (Lambda_n g_a) at each cut a
     g_lam = grads.reshape(f.k, 2) @ lambda_matrix(model).T
-    cuts = np.array([int(n * t) for t in f.times])
 
     i, j = np.triu_indices(n, 1)
     iij = real.edges[i, j]

@@ -33,7 +33,7 @@ from . import combinatorial as comb
 from . import graph as gr
 from .functionals import CylinderFunctional, numeric_cylinder
 from .mc import McEstimate, SeedSpec, from_values, mc_run, mc_run_vector
-from .paths import PiecewiseConstantPath, lin_comb
+from .paths import PiecewiseConstantPath, lin_comb, time_rows
 
 __all__ = [
     "TargetLaw",
@@ -66,15 +66,12 @@ class TargetLaw:
     cov: Callable[[Fraction, Fraction], np.ndarray]
     _mean_cache: dict = field(default_factory=dict, repr=False)
 
-    def cuts(self, times: Sequence[Fraction]) -> np.ndarray:
-        return np.array([int(self.n * t) for t in times])
-
     def sample_at(
         self, rng: np.random.Generator, size: int, times: Sequence[Fraction]
     ) -> np.ndarray:
         """(size, k*dim) draws of D at the given times, stacked as a
         cylinder functional reads them."""
-        return self.sample_rows(rng, size, self.cuts(times)).reshape(size, -1)
+        return self.sample_rows(rng, size, time_rows(self.n, times)).reshape(size, -1)
 
     def cov_matrix(self, times: Sequence[Fraction]) -> np.ndarray:
         """(k*dim, k*dim) covariance of the stacked evaluations."""

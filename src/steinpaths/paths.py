@@ -30,6 +30,7 @@ __all__ = [
     "zero_path",
     "grid_path",
     "grid_rows",
+    "time_rows",
     "paths_equal",
 ]
 
@@ -199,6 +200,11 @@ def grid_rows(n: int, cuts=None) -> tuple[np.ndarray, int]:
     if rows.min() < 0 or rows.max() > n:
         raise PathError("grid rows must lie in 0..%d" % n)
     return rows, int(rows.max())
+
+
+def time_rows(n: int, times: Sequence) -> np.ndarray:
+    """Rows floor(n t), exact for rational t, of a grid path's values."""
+    return np.array([int(n * t) for t in times], dtype=np.intp)
 
 
 def paths_equal(

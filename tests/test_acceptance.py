@@ -14,6 +14,7 @@ import pytest
 
 from steinpaths import combinatorial as comb
 from steinpaths import graph as gr
+from steinpaths import cli
 from steinpaths import ou_stein as ou
 from steinpaths.cli import main
 from steinpaths.functionals import (
@@ -218,7 +219,7 @@ def test_criterion_4_combinatorial_prelimit():
         [comb.gaussian_entry(c, 0.4 + 0.1 * ((i + j) % 3)) for j, c in enumerate(row)]
         for i, row in enumerate(centered_matrix(4))
     ]
-    model = comb.ArrayModel(grid)
+    model = comb.ArrayModel.from_entries(grid)
     zc = comb.zhat_cov_matrix(model)
     zhat = comb.sample_zhat_values(model, SeedSpec(6).rng(), 10**5)
     worst_z = 0.0
@@ -255,7 +256,7 @@ def test_criterion_5_bound_instantiations():
             [comb.gaussian_entry(c[i, j], 0.3 + rng.random()) for j in range(n)]
             for i in range(n)
         ]
-        model = comb.ArrayModel(grid)
+        model = comb.ArrayModel.from_entries(grid)
         fast = comb._five_index_sum_factorized(model)
         slow = comb._five_index_sum_naive(model)
         worst_rel = max(worst_rel, abs(fast - slow) / slow)
@@ -284,16 +285,7 @@ def test_criterion_6_bound_validity_desk_scale():
         ]
         for idx, g in enumerate(funcs):
             gnorm = norm_upper_bound(g, "M2").value
-            cuts = [int(n * t) for t in g.times]
-
-            def y_fn(rng, size):
-                v = gr.sample_y_values(model, rng, size)
-                return g.value_stacked(v[:, cuts, :].reshape(size, -1))
-
-            def d_fn(rng, size):
-                v = gr.sample_dn_values(model, rng, size)
-                return g.value_stacked(v[:, cuts, :].reshape(size, -1))
-
+            y_fn, d_fn = cli._gap_sampler("graph", model, g)
             ey = mc_run(y_fn, samples, SeedSpec(8, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(8, (n, idx, 1)))
             gap = abs(ey.mean - ed.mean)
@@ -310,14 +302,7 @@ def test_criterion_6_bound_validity_desk_scale():
         ]
         for idx, g in enumerate(funcs):
             gnorm = norm_upper_bound(g, "M1").value
-            cuts = [int(n * t) for t in g.times]
-
-            def y_fn(rng, size):
-                return g.value_stacked(comb.sample_y_values(model, rng, size)[:, cuts])
-
-            def d_fn(rng, size):
-                return g.value_stacked(comb.sample_dn_values(model, rng, size)[:, cuts])
-
+            y_fn, d_fn = cli._gap_sampler("array", model, g)
             ey = mc_run(y_fn, samples, SeedSpec(9, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(9, (n, idx, 1)))
             gap = abs(ey.mean - ed.mean)

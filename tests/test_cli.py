@@ -130,6 +130,18 @@ def test_verify_covariance_degenerate_grid(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_covariance_array_degenerate_grid(tmp_path, capsys):
+    code, out = run(
+        capsys,
+        ["verify-covariance", "--model", iid_model(tmp_path, 6), "--grid", "0",
+         "--samples", "500"],
+    )
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["dn_grid_cov_mc"]["detail"] == "max |z| 0.00 (degenerate grid, vacuous)"
+    assert "vacuous" not in checks["zhat_cov_mc"]["detail"]
+
+
 def test_verify_covariance_array(tmp_path, capsys):
     code, out = run(
         capsys,
@@ -411,3 +423,43 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_missing_model_file_is_usage_error(tmp_path, capsys):
     code, _ = run(capsys, ["bound", "--model", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "@array", "--workers", "0"],
+    ["verify-regression", "--model", "@graph", "--workers", "0"],
+    ["verify-covariance", "--model", "@array", "--workers", "-1"],
+    ["distance", "--model", "@graph", "--workers", "0"],
+    ["coupling", "--n", "8", "--p", "0.3", "--workers", "0"],
+    ["bound", "--model", "@array", "--workers", "0"],
+    ["stein-identity", "--model", "@graph", "--workers", "0"],
+    ["verify-regression", "--model", "@array", "--trials", "0"],
+    ["verify-regression", "--model", "@graph", "--trials", "-1"],
+    ["verify-covariance", "--model", "@graph", "--grid", "-1"],
+    ["verify-covariance", "--model", "@array", "--grid", "-1"],
+    ["verify-covariance", "--model", "@graph", "--samples", "-1"],
+    ["bound", "--model", "@graph", "--gnorm", "-1"],
+    ["bound", "--model", "@array", "--gnorm", "-0.5"],
+])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    # rejected while parsing: no model is loaded and nothing is drawn
+    models = {"@graph": graph_model(tmp_path, 8, 0.3), "@array": iid_model(tmp_path, 6)}
+    calls = []
+    monkeypatch.setattr(cli, "_load_model", lambda path: calls.append(path))
+    monkeypatch.setattr(gr, "coupling_distance", lambda *a, **k: calls.append(a))
+    code, out = run(capsys, [models.get(a, a) for a in argv])
+    assert code == 2 and out == "" and calls == []
+
+
+def test_benchmark_values_stay_accepted():
+    parser = cli.build_parser()
+    for argv in (
+        ["simulate", "--model", "m", "--workers", "1"],
+        ["distance", "--model", "m", "--workers", "2"],
+        ["verify-regression", "--model", "m", "--trials", "200"],
+        ["verify-regression", "--model", "m", "--trials", "100", "--workers", "2"],
+        ["verify-covariance", "--model", "m", "--samples", "0", "--grid", "0"],
+        ["bound", "--model", "m", "--gnorm", "0"],
+        ["stein-identity", "--model", "m", "--samples", "2"],
+    ):
+        parser.parse_args(argv)

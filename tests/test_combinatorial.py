@@ -109,7 +109,7 @@ def test_s_n_squared_mc_oracle_mixed_model():
     n = 5
     rng = rng_for(1)
     grid = [[gaussian_entry(0.0, 0.5 + ((i + j) % 3)) for j in range(n)] for i in range(n)]
-    model = ArrayModel(grid)
+    model = ArrayModel.from_entries(grid)
     vals = sample_y_values(model, rng, 10**5)[:, -1] * model.s_n
     est = from_values(vals**2)
     assert abs(est.mean - s_n_squared(model)) < 4 * est.stderr
@@ -156,8 +156,8 @@ def test_sample_y_endpoint_and_breakpoints():
     model = ArrayModel.iid_gaussian(4)
     real = sample_y(model, rng_for(3))
     picks = real.x[np.arange(4), real.pi]
-    assert real.path(F(1))[0] == pytest.approx(picks.sum() / model.s_n)
-    assert set(real.path.breakpoints) == {F(0)} | {F(i, 4) for i in range(1, 5)}
+    assert real.values.shape == (5, 1) and real.values[0, 0] == 0.0
+    assert real.values[-1, 0] == pytest.approx(picks.sum() / model.s_n)
 
 
 def test_sample_y_unit_variance_at_one():
@@ -172,7 +172,7 @@ def test_pair_sup_norm_bound():
     rng = rng_for(5)
     for _ in range(50):
         y, y_prime, (i, j) = sample_pair(model, rng)
-        diff = y.path.values - y_prime.path.values
+        diff = y.values - y_prime.values
         lhs = float(np.abs(diff).max())
         s = model.s_n
         bound = (
@@ -193,7 +193,7 @@ def test_pair_swap_twice_restores():
     y, y_prime, (i, j) = sample_pair(model, rng_for(6))
     back = apply_swap(y_prime, i, j)
     assert np.array_equal(back.pi, y.pi)
-    assert np.allclose(back.path.values, y.path.values)
+    assert np.allclose(back.values, y.values)
 
 
 def test_pair_exchangeable_ks():
@@ -205,8 +205,8 @@ def test_pair_exchangeable_ks():
     for s in range(n_samp // 1000):
         for t in range(1000):
             y, y_prime, _ = sample_pair(model, rng)
-            a[s * 1000 + t] = y.path(F(1))[0]
-            b[s * 1000 + t] = y_prime.path(F(1))[0]
+            a[s * 1000 + t] = y.values[-1, 0]
+            b[s * 1000 + t] = y_prime.values[-1, 0]
     # two-sample KS statistic below the alpha=0.001 critical value
     grid = np.sort(np.concatenate([a, b]))
     fa = np.searchsorted(np.sort(a), grid, side="right") / n_samp
@@ -298,7 +298,7 @@ def test_pair_norm_stats_match_object_layer():
     rng = rng_for(16)
     for _ in range(4000):
         y, y_prime, _ = sample_pair(model, rng)
-        diff = np.abs(y.path.values - y_prime.path.values).max()
+        diff = np.abs(y.values - y_prime.values).max()
         slow_vals.append((model.n - 1) / 4.0 * diff**3)
     slow = from_values(np.array(slow_vals))
     tol = 5 * math.hypot(fast.stderr, slow.stderr)
@@ -321,7 +321,7 @@ def _random_moment_model(n, seed):
         [gaussian_entry(c[i, j], 0.3 + rng.random()) for j in range(n)]
         for i in range(n)
     ]
-    return ArrayModel(grid)
+    return ArrayModel.from_entries(grid)
 
 
 def test_bound_factorized_equals_naive():
@@ -356,7 +356,7 @@ def test_bound_iid_normal_matches_independent_formula():
 def test_bound_row_permutation_invariance():
     model = _random_moment_model(5, 3)
     perm = [3, 0, 4, 1, 2]
-    permuted = ArrayModel([model.entries[i] for i in perm])
+    permuted = ArrayModel(model.table, model.index[perm])
     assert bound_prelimit_distance(model, 1.0) == pytest.approx(
         bound_prelimit_distance(permuted, 1.0), rel=1e-12
     )
@@ -467,6 +467,116 @@ def test_model_from_json_entries():
         ArrayModel.from_json_dict({"preset": "bogus"})
 
 
+# -- law table and index ---------------------------------------------------
+
+_LAW_ARRAYS = ("family", "c", "sigma2", "abs1", "abs2", "abs3", "p0", "p1", "p2",
+               "_gc", "_gvar", "_gsd", "_q", "_lo", "_hi", "_run_start")
+
+
+def _entrywise_laws(grid):
+    """The law arrays read entry by entry off a grid of EntrySpecs, with the
+    sampler split written out on (n, n) arrays."""
+    def get(name):
+        return np.array([[getattr(e, name) for e in row] for row in grid])
+
+    family, c, sigma2, p0, p1, p2 = (get(k) for k in ("family", "mean", "var", "p0", "p1", "p2"))
+    rad, two = family == 2, family == 3
+    discrete = rad | two
+    laws = {
+        "family": family, "c": c, "sigma2": sigma2, "abs1": get("abs1"),
+        "abs2": sigma2 + c**2, "abs3": get("abs3"), "p0": p0, "p1": p1, "p2": p2,
+        "_gc": np.where(discrete, 0.0, c),
+        "_gvar": np.where(discrete, 0.0, sigma2),
+        "_gsd": np.where(family == 1, p1, 0.0),
+        "_q": np.where(rad, 0.5, np.where(two, p1, 0.0)),
+        "_lo": np.where(rad, p0 - p1, np.where(two, p0, 0.0)),
+        "_hi": np.where(rad, p0 + p1, np.where(two, p2, 0.0)),
+    }
+    law = np.stack([laws[k] for k in ("_gc", "_gvar", "_q", "_lo", "_hi")])
+    laws["_run_start"] = np.concatenate(
+        [[True], (law[:, 1:] != law[:, :-1]).any(axis=(0, 2))]
+    )
+    return laws
+
+
+def _json_8x8():
+    # all four families and a repeated law, on rows and columns with zero means
+    return {"n": 8, "entries": [
+        {"i": 1, "j": 1, "dist": "gaussian", "mean": 0.5, "var": 2.0},
+        {"i": 1, "j": 2, "dist": "constant", "value": -0.5},
+        {"i": 2, "j": 1, "dist": "rademacher-shifted", "mean": -0.5, "scale": 1.5},
+        {"i": 2, "j": 2, "dist": "two-point", "x1": 2.0, "p1": 0.25, "x2": 0.0},
+        {"i": 5, "j": 7, "dist": "gaussian", "var": 1.0},
+        {"i": 6, "j": 7, "dist": "gaussian", "var": 1.0},
+        {"i": 8, "j": 3, "dist": "two-point", "x1": 2.0, "p1": 1 / 3, "x2": -1.0},
+    ]}
+
+
+def test_law_arrays_match_entry_grid_bit_for_bit():
+    n = 8
+    c = double_center(rng_for(130).standard_normal((n, n)))
+    json_grid = [[constant_entry(0.0)] * n for _ in range(n)]
+    json_grid[0][:2] = [gaussian_entry(0.5, 2.0), constant_entry(-0.5)]
+    json_grid[1][:2] = [rademacher_entry(-0.5, 1.5), two_point_entry(2.0, 0.25, 0.0)]
+    json_grid[4][6] = json_grid[5][6] = gaussian_entry(0.0, 1.0)
+    json_grid[7][2] = two_point_entry(2.0, 1 / 3, -1.0)
+    # distinct entries with one sampler law: the index changes between rows
+    # 0 and 1, and 2 and 3, but a run starts only at row 3
+    rad, two = rademacher_entry(0.0, 1.0), two_point_entry(-1.0, 0.5, 1.0)
+    same_laws = [[rad] * 4, [two] * 4, [two] * 4, [rademacher_entry(0.0, 2.0)] * 4]
+    cases = [
+        (ArrayModel.iid_gaussian(n), [[gaussian_entry(0.0, 1.0)] * n] * n),
+        (ArrayModel.iid_rademacher(n, 1.5), [[rademacher_entry(0.0, 1.5)] * n] * n),
+        (ArrayModel.deterministic(c), [[constant_entry(v) for v in row] for row in c]),
+        (ArrayModel.from_json_dict(_json_8x8()), json_grid),
+        (_mixed_5x5(), _mixed_5x5_grid()),
+        (ArrayModel.from_entries(same_laws), same_laws),
+    ]
+    for idx, (model, grid) in enumerate(cases):
+        table = ArrayModel.from_entries(grid)
+        oracle = _entrywise_laws(grid)
+        for name in _LAW_ARRAYS:
+            for other in (getattr(table, name), oracle[name]):
+                got = getattr(model, name)
+                assert got.dtype == other.dtype and got.shape == other.shape, (idx, name)
+                assert got.tobytes() == other.tobytes(), (idx, name)
+        assert model._has_gauss == table._has_gauss == bool((oracle["family"] == 1).any())
+        assert model._has_discrete == table._has_discrete == bool((oracle["family"] >= 2).any())
+        assert len(table.table) == len(set(table.table))
+        assert [table.table[k] for k in table.index.reshape(-1)] == [e for row in grid for e in row]
+    assert cases[-1][0]._run_start.tolist() == [True, False, False, True]
+
+
+def test_law_tables_stay_small_at_n1024():
+    n = 1024
+    model = ArrayModel.iid_gaussian(n)
+    assert model.table == (gaussian_entry(0.0, 1.0),) and model.index.shape == (n, n)
+    listed = [
+        {"i": 1, "j": 1, "dist": "gaussian", "var": 1.0},
+        {"i": 7, "j": 300, "dist": "gaussian", "var": 2.0},
+        {"i": 512, "j": 2, "dist": "rademacher-shifted", "scale": 0.5},
+        {"i": 1024, "j": 1024, "dist": "two-point", "x1": 2.0, "p1": 1 / 3, "x2": -1.0},
+    ]
+    sparse = ArrayModel.from_json_dict({"n": n, "entries": listed})
+    assert len(sparse.table) == len(listed) + 1
+    assert np.count_nonzero(sparse.index) == len(listed)
+    assert sparse.sigma2[6, 299] == 2.0 and sparse.sigma2.sum() == 1.0 + 2.0 + 0.25 + 2.0
+
+
+def test_model_index_rejects_bad_shapes_and_rows():
+    e = gaussian_entry(0.0, 1.0)
+    for table, index in [([e], np.zeros((2, 3), int)), ([e], [[0]]), ([e], [[0, 1], [0, 0]]),
+                         ([e], [[0, -1], [0, 0]])]:
+        with pytest.raises(ModelError):
+            ArrayModel(table, index)
+    with pytest.raises(ValueError):
+        ArrayModel.from_entries([[e, e], [e]])
+    for i, j in [(0, 1), (3, 1), (1, -1)]:
+        with pytest.raises(ModelError):
+            ArrayModel.from_json_dict({"n": 2, "entries": [
+                {"i": i, "j": j, "dist": "gaussian", "var": 1.0}]})
+
+
 # -- cross-validation of the sampler layers -----------------------------------
 
 
@@ -563,7 +673,7 @@ def _mixed_2x2():
     )
 
 
-def _mixed_5x5():
+def _mixed_5x5_grid():
     # all four families, cycling over the entries, around double-centred means
     n = 5
     c = double_center(SeedSpec(93).rng().standard_normal((n, n)))
@@ -573,9 +683,11 @@ def _mixed_5x5():
         lambda m: two_point_entry(m + 1.5, 0.25, m - 0.5),
         constant_entry,
     )
-    return ArrayModel(
-        [[makers[(i + 2 * j) % 4](c[i, j]) for j in range(n)] for i in range(n)]
-    )
+    return [[makers[(i + 2 * j) % 4](c[i, j]) for j in range(n)] for i in range(n)]
+
+
+def _mixed_5x5():
+    return ArrayModel.from_entries(_mixed_5x5_grid())
 
 
 def _assert_cov_at_cuts(model, vals, cuts, label):
@@ -655,7 +767,7 @@ def _paired_rows():
         lambda m, j: two_point_entry(m + 1.5, 0.25, m - 0.5),
         lambda m, j: constant_entry(m),
     )
-    return ArrayModel(
+    return ArrayModel.from_entries(
         [[makers[(i // 2 + j) % 4](c[i, j], j) for j in range(n)] for i in range(n)]
     )
 
@@ -669,7 +781,7 @@ def test_run_starts_mark_rows_whose_laws_change():
 def _gaussian_columns(n):
     # equal rows of centred Gaussian entries whose variances alternate
     # between two values along the row
-    return ArrayModel([[gaussian_entry(0.0, 0.2 + 2.8 * (j % 2)) for j in range(n)]] * n)
+    return ArrayModel.from_entries([[gaussian_entry(0.0, 0.2 + 2.8 * (j % 2)) for j in range(n)]] * n)
 
 
 def _cos_dn_exact(model, k, a):
@@ -733,7 +845,7 @@ def test_dn_runs_match_entrywise_zhat_sums():
 def _heterogeneous(n):
     # every row its own run: the entry laws change along each column
     c = double_center(SeedSpec(95).rng().standard_normal((n, n)))
-    return ArrayModel(
+    return ArrayModel.from_entries(
         [
             [
                 gaussian_entry(c[i, j], 1.0 + (i + j) % 3)

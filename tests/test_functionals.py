@@ -17,7 +17,7 @@ from steinpaths.functionals import (
     tanh_product,
     validate_derivatives,
 )
-from steinpaths.paths import PiecewiseConstantPath, lin_comb, zero_path
+from steinpaths.paths import PiecewiseConstantPath, grid_path, lin_comb, zero_path
 
 F = Fraction
 
@@ -52,6 +52,20 @@ def test_eval_sum_of_two_times_on_staircase():
     direct = stair(F(1, 4))[0] + stair(F(3, 4))[0]
     assert g(stair) == pytest.approx(direct)
     assert direct == -1.0 + 0.25
+
+
+def test_rows_read_grid_values_as_the_path_does():
+    # rows are floor(n t) in exact arithmetic, jumps included, and the rows'
+    # values, flattened, are the stacked evaluations of the grid path
+    g = linear_cylinder([1, 2, 1], [F(0), F(2, 7), F(1)], [1.0, 2.0, 3.0], dim=2)
+    assert g.rows(7).tolist() == [0, 2, 7] and g.rows(3).tolist() == [0, 0, 3]
+    assert g.rows(7).dtype == np.intp
+    rng = np.random.default_rng(3)
+    for n in (3, 7, 10):
+        values = rng.standard_normal((n + 1, 2))
+        stacked = values[g.rows(n)].reshape(-1)
+        assert np.array_equal(stacked, g.stack(grid_path(values, n)))
+        assert g.value_stacked(stacked) == g(grid_path(values, n))
 
 
 def test_eval_dim_mismatch():

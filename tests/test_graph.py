@@ -278,8 +278,8 @@ def test_sampler_prefix_counts_match_brute_force():
             ev.append(v_raw - moments_tv(model, F(m, n))[1])
         # the same integer counts and one division each: equal bit for bit
         assert np.array_equal(_tv_cut_values(model, real.edges), raw)
-        assert np.allclose(real.path.values[:, 0], et, atol=1e-12)
-        assert np.allclose(real.path.values[:, 1], ev, atol=1e-12)
+        assert np.allclose(real.values[:, 0], et, atol=1e-12)
+        assert np.allclose(real.values[:, 1], ev, atol=1e-12)
 
 
 # -- exchangeable pair --------------------------------------------------------
@@ -290,7 +290,7 @@ def test_pair_same_value_identity():
     real = sample_graph(model, rng_for(5))
     same = resample_edge(real, 1, 2, real.edges[0, 1])
     assert np.array_equal(same.edges, real.edges)
-    assert np.allclose(same.path.values, real.path.values)
+    assert np.allclose(same.values, real.values)
 
 
 def test_pair_sup_norm_bound():
@@ -299,7 +299,7 @@ def test_pair_sup_norm_bound():
     bound = math.sqrt((model.n - 2) ** 2 + 4 * (model.n - 2) ** 2) / model.n**2
     for _ in range(100):
         y, y_prime, _ = sample_pair(model, rng)
-        gap = np.linalg.norm(y.path.values - y_prime.path.values, axis=1).max()
+        gap = np.linalg.norm(y.values - y_prime.values, axis=1).max()
         assert gap <= bound + 1e-12
 
 
@@ -311,8 +311,8 @@ def test_pair_exchangeable_ks():
     b = np.empty(n_samp)
     for s in range(n_samp):
         y, y_prime, _ = sample_pair(model, rng)
-        a[s] = y.path(F(1))[1]
-        b[s] = y_prime.path(F(1))[1]
+        a[s] = y.values[-1, 1]
+        b[s] = y_prime.values[-1, 1]
     grid = np.sort(np.concatenate([a, b]))
     fa = np.searchsorted(np.sort(a), grid, side="right") / n_samp
     fb = np.searchsorted(np.sort(b), grid, side="right") / n_samp
@@ -580,7 +580,7 @@ def test_pair_norm_stats_match_object_layer():
     rng = rng_for(18)
     for _ in range(4000):
         y, y_prime, _ = sample_pair(model, rng)
-        diff = y.path.values - y_prime.path.values
+        diff = y.values - y_prime.values
         sup = np.linalg.norm(diff, axis=1).max()
         sup_l = np.linalg.norm(diff @ lam, axis=1).max()
         slow_vals.append(sup_l * sup**2)

@@ -32,7 +32,7 @@ from steinpaths.ou_stein import (
     stein_identity_residual,
     stein_selfconsistency,
 )
-from steinpaths.paths import PiecewiseConstantPath, zero_path
+from steinpaths.paths import PiecewiseConstantPath, grid_path, zero_path
 
 F = Fraction
 
@@ -263,7 +263,7 @@ def test_epsilon1_generic_zero_lambda():
 
     def pair_sampler(r):
         y, y_prime, _ = comb_sample_pair(model, r)
-        return y.path, y_prime.path
+        return grid_path(y.values, model.n), grid_path(y_prime.values, model.n)
 
     est = epsilon1_estimate(
         pair_sampler, lambda path: zero_path(path.dim), 1.0, 200, rng
@@ -278,7 +278,7 @@ def test_epsilon1_generic_matches_fast_combinatorial():
 
     def pair_sampler(r):
         y, y_prime, _ = comb_sample_pair(model, r)
-        return y.path, y_prime.path
+        return grid_path(y.values, model.n), grid_path(y_prime.values, model.n)
 
     def lam_action(path):
         return PiecewiseConstantPath(
@@ -337,7 +337,7 @@ def test_epsilon1_generic_matches_fast_graph():
 
     def pair_sampler(r):
         y, y_prime, _ = sample_pair(model, r)
-        return y.path, y_prime.path
+        return grid_path(y.values, model.n), grid_path(y_prime.values, model.n)
 
     def lam_action(path):
         return PiecewiseConstantPath(
@@ -358,8 +358,8 @@ def test_pair_swap_statistic_exchangeable():
     fwd, rev = [], []
     for _ in range(10**4):
         y, y_prime, _ = comb_sample_pair(model, rng)
-        a = float(y.path(F(1))[0])
-        b = float(y_prime.path(F(1))[0])
+        a = float(y.values[-1, 0])
+        b = float(y_prime.values[-1, 0])
         fwd.append(a - 0.5 * abs(b))
         rev.append(b - 0.5 * abs(a))
     ef, er = from_values(np.array(fwd)), from_values(np.array(rev))
