@@ -36,7 +36,7 @@ F = Fraction
 
 USAGE_ERROR, CHECK_FAILURE = 2, 1
 PRODUCT_BYTES = 1 << 20  # bytes of product columns per Monte Carlo chunk, at most
-REGRESSION_TERMS = 1 << 20  # verify-regression's n^2 x (most times of a functional)
+REGRESSION_TERMS = 1 << 20  # verify-regression's trials x n^2 x (most times) per block
 
 
 class UsageError(ValueError):
@@ -139,12 +139,15 @@ def cmd_verify_regression(args) -> int:
          "tol": args.tol, "functionals": [g.label for g in funcs]},
     )
     mod = gr if kind == "graph" else comb
-    sample = gr.sample_graph if kind == "graph" else comb.sample_y
+    # a block's (trials, pairs, cuts) arrays are no larger than one trial's
+    # at the budget
+    block = max(1, REGRESSION_TERMS // terms)
     worst = 0.0
-    for trial in range(args.trials):
-        real = sample(model, SeedSpec(args.seed, (trial,)).rng())
-        for g in funcs:
-            worst = max(worst, mod.regression_residual(real, g))
+    for lo in range(0, args.trials, block):
+        rngs = [SeedSpec(args.seed, (t,)).rng()
+                for t in range(lo, min(lo + block, args.trials))]
+        real = mod.sample_trials(model, rngs)
+        worst = max(worst, float(mod.regression_residuals(real, funcs).max()))
     report.add_value("max_residual", worst)
     report.add_check(
         "regression_identity", worst < args.tol, args.tol, "max residual %.3e" % worst
@@ -246,10 +249,10 @@ def _verify_covariance_array(model, args, report):
         times = [F(k, args.grid) for k in range(1, args.grid + 1)]
         cuts = time_rows(n, times)
         pairs = [(a, b) for a in range(len(times)) for b in range(a, len(times))]
+        cov = comb.cov_d_grid(model, times, times).tolist()
         worst_z = _product_z(
             lambda rng, size: comb.sample_dn_values(model, rng, size, cuts),
-            pairs, [comb.cov_d(model, times[a], times[b]) for a, b in pairs],
-            args, SeedSpec(args.seed, (2,)),
+            pairs, [cov[a][b] for a, b in pairs], args, SeedSpec(args.seed, (2,)),
         )
         detail = "max |z| %.2f" % worst_z
         if not pairs:

@@ -48,12 +48,15 @@ __all__ = [
     "s_n_squared",
     "CombinatorialRealization",
     "sample_y",
+    "sample_trials",
     "sample_pair",
     "apply_swap",
     "regression_residual",
+    "regression_residuals",
     "zhat_cov",
     "zhat_cov_matrix",
     "cov_d",
+    "cov_d_grid",
     "sample_dn",
     "sample_y_values",
     "sample_zhat_values",
@@ -219,6 +222,10 @@ class ArrayModel:
         self._validate()
 
     def _validate(self) -> None:
+        moments = [(e.mean, e.var, e.abs3) for e in self.table]
+        if not np.isfinite(moments).all():
+            raise ModelError("entry laws need finite means, variances and "
+                             "third absolute moments")
         row = np.abs(self.c.mean(axis=1))
         col = np.abs(self.c.mean(axis=0))
         # relative to the entry scale, so double_center output passes at
@@ -233,12 +240,7 @@ class ArrayModel:
         # Lyapunov consistency E|X|^3 >= (E X^2)^(3/2) >= sigma^3
         if np.any(self.abs3 < self.sigma2**1.5 - 1e-9):
             raise ModelError("third absolute moments inconsistent with variances")
-        if s_n_squared(self) <= 0:
-            raise DegenerateModelError("s_n^2 must be positive")
-
-    @property
-    def s_n(self) -> float:
-        return math.sqrt(s_n_squared(self))
+        self.s_n = math.sqrt(s_n_squared(self))  # raises unless s_n^2 > 0
 
     # -- constructors -----------------------------------------------------
 
@@ -355,31 +357,48 @@ def _at_rows(steps: np.ndarray, rows: np.ndarray, scale: float) -> np.ndarray:
     return grid[:, rows]
 
 
+def _picks(x: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """(..., n) entries X_{i, pi(i)}."""
+    return np.take_along_axis(x, pi[..., None], axis=-1)[..., 0]
+
+
 def _path_from_diag(model: ArrayModel, x: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """(n+1, 1) values of Y_n at the grid rows k = 0..n."""
-    picks = x[np.arange(model.n), pi]
-    return np.concatenate([[0.0], np.cumsum(picks) / model.s_n])[:, None]
+    """(..., n+1, 1) values of Y_n at the grid rows k = 0..n."""
+    out = np.zeros(pi.shape[:-1] + (model.n + 1, 1))
+    out[..., 1:, 0] = np.cumsum(_picks(x, pi), axis=-1) / model.s_n
+    return out
 
 
 @dataclass
 class CombinatorialRealization:
-    """One (X, pi) draw together with the step path's grid values."""
+    """One (X, pi) draw together with the step path's grid values; with a
+    leading trial axis on every array it holds a stack of draws."""
 
     model: ArrayModel
-    x: np.ndarray            # (n, n) realized array
-    pi: np.ndarray           # permutation, 0-based
-    values: np.ndarray       # (n+1, 1): Y_n(k/n) for k = 0..n
+    x: np.ndarray            # (..., n, n) realized array
+    pi: np.ndarray           # (..., n) permutation, 0-based
+    values: np.ndarray       # (..., n+1, 1): Y_n(k/n) for k = 0..n
 
     @property
     def n(self) -> int:
         return self.model.n
 
 
+def sample_trials(
+    model: ArrayModel, rngs: Sequence[np.random.Generator]
+) -> CombinatorialRealization:
+    """One draw per generator, stacked on a leading trial axis; draw t
+    takes the draws ``sample_y(model, rngs[t])`` takes, and its values
+    equal that call's bit for bit."""
+    x, pi = zip(*[(_sample_full(model, rng, 1)[0], rng.permutation(model.n)) for rng in rngs])
+    x, pi = np.stack(x), np.stack(pi)
+    return CombinatorialRealization(model, x, pi, _path_from_diag(model, x, pi))
+
+
 def sample_y(model: ArrayModel, rng: np.random.Generator) -> CombinatorialRealization:
     """Sample X entrywise, pi uniform (Fisher-Yates), assemble the path."""
-    x = _sample_full(model, rng, 1)[0]
-    pi = rng.permutation(model.n)
-    return CombinatorialRealization(model, x, pi, _path_from_diag(model, x, pi))
+    real = sample_trials(model, [rng])
+    return CombinatorialRealization(model, real.x[0], real.pi[0], real.values[0])
 
 
 def apply_swap(real: CombinatorialRealization, i: int, j: int) -> CombinatorialRealization:
@@ -397,30 +416,50 @@ def sample_pair(model: ArrayModel, rng: np.random.Generator):
     return real, apply_swap(real, i, j), (i, j)
 
 
-def regression_residual(real: CombinatorialRealization, f: CylinderFunctional) -> float:
-    """|LHS - RHS| of the exchangeable-pair linear regression identity.
+def regression_residuals(
+    real: CombinatorialRealization, funcs: Sequence[CylinderFunctional]
+) -> np.ndarray:
+    """(len(funcs), ...) residuals |LHS - RHS| of the exchangeable-pair
+    linear regression identity, for a realization or a stack of them, one
+    row per functional.
 
     LHS averages Df(Y)[Y - Y'_(i,j)] over all ordered pairs i != j; RHS is
     (2/(n-1)) (Df(Y)[Y] - (1/(n s_n)) sum_{i,j} Df(Y)[X_{i,pi(j)} 1_[i/n,1]]).
     Both sides are exact given the realization (the (I,J)-average is a
     finite sum and Df(Y)[.] is linear), so the residual is roundoff only.
     """
-    model, n, s = real.model, real.n, real.model.s_n
-    cuts = f.rows(n)
-    x = real.values[cuts].reshape(-1)
-    grads = f.grad_stacked(x)
+    n, s = real.n, real.model.s_n
+    lead = real.values.shape[:-2]
+    picks = _picks(real.x, real.pi)  # X_{i, pi(i)}
+    row_prefix = np.zeros(lead + (n + 1,))
+    np.cumsum(real.x.sum(axis=-1), axis=-1, out=row_prefix[..., 1:])
 
-    c = (np.arange(1, n + 1)[:, None] <= cuts) @ grads  # Df(Y)[1_[(i+1)/n, 1]]
-    picks = real.x[np.arange(n), real.pi]  # X_{i, pi(i)}
-    # swapping rows i, j moves Y by u[i, j] from (i+1)/n on, u[j, i] from (j+1)/n on
-    u = picks[:, None] - real.x[:, real.pi]
-    lhs = float((c[:, None] * u + c * u.T).sum()) / (n * (n - 1) * s)
+    # one call per functional, so its (..., n, n) arrays are freed before
+    # the next functional's are built
+    def residual(f: CylinderFunctional) -> np.ndarray:
+        cuts = f.rows(n)
+        x = real.values[..., cuts, 0]
+        grads = f.grad_stacked(x)
+        c = grads @ (np.arange(1, n + 1)[:, None] <= cuts).T  # Df(Y)[1_[(i+1)/n, 1]]
+        # swapping rows i, j moves Y by u[i, j] from (i+1)/n on, u[j, i] from (j+1)/n on
+        u = picks[..., :, None] - np.take_along_axis(real.x, real.pi[..., None, :], axis=-1)
+        lhs = (c[..., :, None] * u + c[..., None, :] * u.swapaxes(-1, -2)).sum(axis=(-2, -1))
+        lhs /= n * (n - 1) * s
+        df_y = np.einsum("...a,...a->...", grads, x)
+        correction = np.einsum("...a,...a->...", grads, row_prefix[..., cuts]) / (n * s)
+        rhs = 2.0 / (n - 1) * (df_y - correction)
+        return np.abs(lhs - rhs)
 
-    df_y = float(grads @ x)
-    row_prefix = np.concatenate([[0.0], np.cumsum(real.x.sum(axis=1))])
-    correction = float(grads @ row_prefix[cuts]) / (n * s)
-    rhs = 2.0 / (n - 1) * (df_y - correction)
-    return abs(lhs - rhs)
+    out = np.empty((len(funcs),) + lead)
+    for row, f in enumerate(funcs):
+        out[row] = residual(f)
+    return out
+
+
+def regression_residual(real: CombinatorialRealization, f: CylinderFunctional) -> float:
+    """The residual of ``regression_residuals`` for one realization and one
+    functional."""
+    return float(regression_residuals(real, [f])[0])
 
 
 def zhat_cov(model: ArrayModel, i: int, j: int) -> float:
@@ -440,13 +479,19 @@ def zhat_cov_matrix(model: ArrayModel) -> np.ndarray:
     return out
 
 
-def cov_d(model: ArrayModel, s, t) -> float:
-    """Closed-form Cov(D_n(s), D_n(t)) = sum of Zhat covariances over the
-    index box, divided by s_n^2."""
-    ks = int(model.n * as_time(s))
-    kt = int(model.n * as_time(t))
+def cov_d_grid(model: ArrayModel, ss: Sequence, ts: Sequence) -> np.ndarray:
+    """(len(ss), len(ts)) closed-form Cov(D_n(s), D_n(t)) = sum of Zhat
+    covariances over the index box, divided by s_n^2, from one covariance
+    matrix."""
     zc = zhat_cov_matrix(model)
-    return float(zc[:ks, :kt].sum()) / s_n_squared(model)
+    rows = [[int(model.n * as_time(t)) for t in times] for times in (ss, ts)]
+    sums = [[float(zc[:ks, :kt].sum()) for kt in rows[1]] for ks in rows[0]]
+    return np.array(sums, dtype=float).reshape(len(ss), len(ts)) / s_n_squared(model)
+
+
+def cov_d(model: ArrayModel, s, t) -> float:
+    """Closed-form Cov(D_n(s), D_n(t)); the one-pair case of cov_d_grid."""
+    return float(cov_d_grid(model, [s], [t])[0, 0])
 
 
 def _block_sums(

@@ -53,11 +53,13 @@ __all__ = [
     "var_v_exact",
     "GraphRealization",
     "sample_graph",
+    "sample_trials",
     "sample_pair",
     "resample_edge",
     "lambda_matrix",
     "apply_lambda_values",
     "regression_residual",
+    "regression_residuals",
     "cov_d1d1",
     "cov_d1d2",
     "cov_d2d2",
@@ -175,11 +177,12 @@ def _expected_cuts(model: GraphModel) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GraphRealization:
-    """Edge indicators plus the centered (edge, two-star) grid values."""
+    """Edge indicators plus the centered (edge, two-star) grid values; with
+    a leading trial axis on both arrays it holds a stack of realizations."""
 
     model: GraphModel
-    edges: np.ndarray  # (n, n) symmetric 0/1, zero diagonal
-    values: np.ndarray  # (n+1, 2): Y_n(k/n) for k = 0..n
+    edges: np.ndarray  # (..., n, n) symmetric 0/1, zero diagonal
+    values: np.ndarray  # (..., n+1, 2): Y_n(k/n) for k = 0..n
 
     @property
     def n(self) -> int:
@@ -187,35 +190,43 @@ class GraphRealization:
 
 
 def _prefix_degrees(edges: np.ndarray) -> np.ndarray:
-    """(n, n+1) table: entry [v, m] counts v's neighbours among vertices < m."""
-    n = edges.shape[0]
-    out = np.zeros((n, n + 1), dtype=np.int64)
-    np.cumsum(edges, axis=1, out=out[:, 1:])
+    """(..., n, n+1) table: entry [v, m] counts v's neighbours among vertices
+    < m."""
+    out = np.zeros(edges.shape[:-1] + (edges.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(edges, axis=-1, out=out[..., 1:])
     return out
 
 
 def _tv_cut_values(model: GraphModel, edges: np.ndarray) -> np.ndarray:
-    """(n+1, 2) raw (T, V) values at grid cuts from an adjacency matrix; at
-    cut m each vertex v < m centres C(deg[v, m], 2) two-stars."""
+    """(..., n+1, 2) raw (T, V) values at grid cuts from adjacency matrices;
+    at cut m each vertex v < m centres C(deg[v, m], 2) two-stars."""
     n = model.n
     deg = _prefix_degrees(edges)
     deg *= np.arange(n)[:, None] < np.arange(n + 1)  # keep vertices v < m
-    s = deg.sum(axis=0) // 2
-    w = (deg * (deg - 1) // 2).sum(axis=0)
-    return np.stack([(np.arange(n + 1) - 2) * s / n**2, w / n**2], axis=1)
+    s = deg.sum(axis=-2) // 2
+    w = (deg * (deg - 1) // 2).sum(axis=-2)
+    return np.stack([(np.arange(n + 1) - 2) * s / n**2, w / n**2], axis=-1)
 
 
 def _path_from_edges(model: GraphModel, edges: np.ndarray) -> np.ndarray:
-    """(n+1, 2) centered (T, V) values at the grid rows k = 0..n."""
+    """(..., n+1, 2) centered (T, V) values at the grid rows k = 0..n."""
     return _tv_cut_values(model, edges) - np.stack(_expected_cuts(model), axis=1)
 
 
-def sample_graph(model: GraphModel, rng: np.random.Generator) -> GraphRealization:
+def sample_trials(model: GraphModel, rngs: Sequence[np.random.Generator]) -> GraphRealization:
+    """One graph per generator, stacked on a leading trial axis; graph t
+    takes the draws ``sample_graph(model, rngs[t])`` takes, and its values
+    equal that call's bit for bit."""
     n = model.n
-    upper = rng.random((n, n)) < model.p
+    upper = np.stack([rng.random((n, n)) < model.p for rng in rngs])
     edges = np.triu(upper, 1)
-    edges = (edges | edges.T).astype(int)
+    edges = (edges | edges.swapaxes(-1, -2)).astype(int)
     return GraphRealization(model, edges, _path_from_edges(model, edges))
+
+
+def sample_graph(model: GraphModel, rng: np.random.Generator) -> GraphRealization:
+    real = sample_trials(model, [rng])
+    return GraphRealization(model, real.edges[0], real.values[0])
 
 
 def resample_edge(
@@ -245,28 +256,54 @@ def apply_lambda_values(model: GraphModel, values: np.ndarray) -> np.ndarray:
     return np.asarray(values) @ lambda_matrix(model)
 
 
-def regression_residual(real: GraphRealization, f: CylinderFunctional) -> float:
-    """|Df(Y)[Y] - 2 E^Y Df(Y)[(Y-Y') Lambda_n]| with the conditional
-    expectation enumerated exactly over the C(n,2) edges and the two
-    resample outcomes weighted (1-p, p), which sum the jump I_ij - new to
-    I_ij - p; edge (i, j), i < j, moves (T, V)(t_a) by that jump times
-    (m_a - 2, D_i + D_j - 2 I_ij)/n^2 once j <= m_a (D: prefix degrees)."""
-    model, n = real.model, real.n
-    cuts = f.rows(n)
-    x = real.values[cuts].reshape(-1)
-    grads = f.grad_stacked(x)
-    df_y = float(grads @ x)
-    # Df(Y)[v Lambda_n] = v . (Lambda_n g_a) at each cut a
-    g_lam = grads.reshape(f.k, 2) @ lambda_matrix(model).T
+def regression_residuals(real: GraphRealization, funcs: Sequence[CylinderFunctional]) -> np.ndarray:
+    """(len(funcs), ...) residuals |Df(Y)[Y] - 2 E^Y Df(Y)[(Y-Y') Lambda_n]|
+    of a realization or a stack of them, one row per functional.
 
+    The conditional expectation is enumerated exactly over the C(n,2)
+    edges and the two resample outcomes weighted (1-p, p), which sum the
+    jump I_ij - new to I_ij - p; edge (i, j), i < j, moves (T, V)(t_a) by
+    that jump times (m_a - 2, D_i + D_j - 2 I_ij)/n^2 once j <= m_a (D:
+    prefix degrees, built once at every row some functional reads)."""
+    model, n = real.model, real.n
+    lead = real.values.shape[:-2]
+    lam = lambda_matrix(model)
     i, j = np.triu_indices(n, 1)
-    iij = real.edges[i, j]
-    deg = _prefix_degrees(real.edges)[:, cuts]  # (n, k)
-    nbr = deg[i] + deg[j] - 2 * iij[:, None]  # (pairs, k)
-    reached = j[:, None] + 1 <= cuts  # vertex j joins by cut a
-    moves = reached * ((cuts - 2) * g_lam[:, 0] + nbr * g_lam[:, 1])
-    total = float((iij - model.p) @ moves.sum(axis=1)) / (n**2 * _binom2(n))
-    return abs(df_y - 2.0 * total)
+    iij = real.edges[..., i, j]  # (..., pairs)
+    read = np.unique(np.concatenate([f.rows(n) for f in funcs]))
+    table = _prefix_degrees(real.edges)[..., read]  # (..., n, rows read)
+
+    # one call per functional, so its (..., pairs, cuts) arrays are freed
+    # before the next functional's are built
+    def residual(f: CylinderFunctional) -> np.ndarray:
+        cuts = f.rows(n)
+        x = real.values[..., cuts, :].reshape(lead + (-1,))
+        grads = f.grad_stacked(x)
+        # Df(Y)[v Lambda_n] = v . (Lambda_n g_a) at each cut a
+        g_lam = grads.reshape(lead + (f.k, 2)) @ lam.T
+        deg = table[..., np.searchsorted(read, cuts)]  # (..., n, k)
+        nbr = deg[..., i, :] - 2 * iij[..., None]  # (..., pairs, k)
+        nbr += deg[..., j, :]
+        moves = nbr * g_lam[..., None, :, 1]
+        del nbr  # at most two (..., pairs, k) arrays are live at once
+        moves += (cuts - 2) * g_lam[..., None, :, 0]
+        moves *= j[:, None] + 1 <= cuts  # vertex j joins by cut a
+        # fancy indexing leaves the pair axis strided in a stack; made
+        # contiguous, each trial's terms are summed pairwise, as for one trial
+        total = np.ascontiguousarray((iij - model.p) * moves.sum(axis=-1)).sum(axis=-1)
+        total /= n**2 * _binom2(n)
+        return np.abs(np.einsum("...a,...a->...", grads, x) - 2.0 * total)
+
+    out = np.empty((len(funcs),) + lead)
+    for row, f in enumerate(funcs):
+        out[row] = residual(f)
+    return out
+
+
+def regression_residual(real: GraphRealization, f: CylinderFunctional) -> float:
+    """The residual of ``regression_residuals`` for one realization and one
+    functional."""
+    return float(regression_residuals(real, [f])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +440,14 @@ def _bm(rng: np.random.Generator, size: int, times: np.ndarray) -> np.ndarray:
     return np.cumsum(steps, axis=1, out=steps)
 
 
+def _bytes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count,) uint8 draws equal to ``np.frombuffer(rng.bytes(count),
+    np.uint8)``: rng.bytes serializes these uint32 words little-endian and
+    cuts them to count, with three copies this view does not make."""
+    words = rng.integers(0, 2**32, -(-count // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:count]
+
+
 def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     """Boolean array of iid Bernoulli(p) draws, one byte per indicator.
 
@@ -412,8 +457,7 @@ def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     that uniform, as for ``rng.random() < p``.  The bytes are drawn first
     and the tie uniforms after them, in index order.
     """
-    count = math.prod(shape)
-    u = np.frombuffer(rng.bytes(count), dtype=np.uint8).reshape(shape)
+    u = _bytes(rng, math.prod(shape)).reshape(shape)
     q = 256.0 * p
     j = math.floor(q)
     out = u < j

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from steinpaths import cli, mc
+from steinpaths import combinatorial as comb
 from steinpaths import graph as gr
 from steinpaths.cli import main
 from steinpaths.mc import from_values
@@ -60,14 +62,14 @@ def test_verify_regression_graph(tmp_path, capsys):
 
 def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
     # the budget bounds n^2 x (most times of any functional), and is checked
-    # before anything is drawn
-    draws, sample_graph = [], gr.sample_graph
+    # before anything is drawn; at the budget a block holds one trial
+    draws, sample_trials = [], gr.sample_trials
 
     def spy(*args):
         draws.append(args)
-        return sample_graph(*args)
+        return sample_trials(*args)
 
-    monkeypatch.setattr(gr, "sample_graph", spy)
+    monkeypatch.setattr(gr, "sample_trials", spy)
     assert cli.REGRESSION_TERMS == 1024**2
     sin = ["--functional", "sin:coord=1,t=1"]
     for n, specs, expected in [
@@ -78,10 +80,54 @@ def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
         (512, ["--functional", "tanhprod:coords=1,1,1,1,1,t=1/5,2/5,3/5,4/5,1"], 2),
     ]:
         model = graph_model(tmp_path, n=n, p=0.5)
-        code = main(["verify-regression", "--model", model, "--trials", "1"] + specs)
+        code = main(["verify-regression", "--model", model, "--trials", "2"] + specs)
         capsys.readouterr()
         assert code == expected, n
-    assert [args[0].n for args in draws] == [1024, 724]
+    assert [(args[0].n, len(args[1])) for args in draws] == [(1024, 1)] * 2 + [(724, 1)] * 2
+
+
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_verify_regression_trial_blocks(tmp_path, capsys, monkeypatch, kind):
+    # blocks of trials draw what the per-trial samplers draw, and a smaller
+    # budget (more blocks) gives the same residuals
+    mod = gr if kind == "graph" else comb
+    model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    argv = ["verify-regression", "--model", model, "--trials", "23", "--seed", "4"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    whole = json.loads(out)["values"][0]["value"]
+    blocks, sample_trials = [], mod.sample_trials
+
+    def spy(model, rngs):
+        blocks.append(sample_trials(model, rngs))
+        return blocks[-1]
+
+    monkeypatch.setattr(mod, "sample_trials", spy)
+    monkeypatch.setattr(cli, "REGRESSION_TERMS", 5 * 12**2 * 2)  # 5 trials per block
+    code, out = run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0 and report["checks"][0]["pass"]
+    assert abs(report["values"][0]["value"] - whole) <= 1e-15
+    assert [len(b.values) for b in blocks] == [5, 5, 5, 5, 3]
+    monkeypatch.undo()
+    single = gr.sample_graph if kind == "graph" else comb.sample_y
+    trial = 0
+    for block in blocks:
+        for t in range(len(block.values)):
+            real = single(block.model, mc.SeedSpec(4, (trial,)).rng())
+            assert np.array_equal(real.values, block.values[t])
+            assert np.array_equal(real.edges if kind == "graph" else real.x,
+                                  block.edges[t] if kind == "graph" else block.x[t])
+            trial += 1
+    assert trial == 23
+
+
+def test_non_finite_model_moments_are_usage_errors(tmp_path, capsys):
+    model = tmp_path / "nan.json"
+    model.write_text('{"type": "array", "n": 2, "entries": '
+                     '[{"i": 1, "j": 1, "dist": "gaussian", "mean": NaN, "var": 1}]}')
+    code, out = run(capsys, ["bound", "--model", str(model)])
+    assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("payload", [

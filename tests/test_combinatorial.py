@@ -9,6 +9,7 @@ import pytest
 from steinpaths.combinatorial import (
     MEMORY_BUDGET,
     ArrayModel,
+    CombinatorialRealization,
     DegenerateModelError,
     ModelError,
     _five_index_sum_factorized,
@@ -20,16 +21,19 @@ from steinpaths.combinatorial import (
     bound_prelimit_distance_report,
     constant_entry,
     cov_d,
+    cov_d_grid,
     double_center,
     eps3_values,
     gaussian_entry,
     pair_norm_stats,
     rademacher_entry,
     regression_residual,
+    regression_residuals,
     s_n_squared,
     sample_dn,
     sample_dn_values,
     sample_pair,
+    sample_trials,
     sample_y,
     sample_y_values,
     sample_zhat_values,
@@ -37,7 +41,7 @@ from steinpaths.combinatorial import (
     zhat_cov,
     zhat_cov_matrix,
 )
-from steinpaths.functionals import linear_cylinder, sin_cylinder
+from steinpaths.functionals import certified_library, linear_cylinder, sin_cylinder
 from steinpaths.mc import SeedSpec, from_values, mc_run_vector
 
 F = Fraction
@@ -113,6 +117,20 @@ def test_s_n_squared_mc_oracle_mixed_model():
     vals = sample_y_values(model, rng, 10**5)[:, -1] * model.s_n
     est = from_values(vals**2)
     assert abs(est.mean - s_n_squared(model)) < 4 * est.stderr
+
+
+def test_s_n_is_stored_at_construction():
+    for model in (det3(), ArrayModel.iid_gaussian(7), _mixed_5x5()):
+        assert model.s_n == math.sqrt(s_n_squared(model))
+        assert "s_n" in vars(model)
+
+
+@pytest.mark.parametrize("field", ["mean", "var"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_moments_rejected(field, bad):
+    entry = {"i": 1, "j": 1, "dist": "gaussian", "mean": 0.0, "var": 1.0, field: bad}
+    with pytest.raises(ModelError):
+        ArrayModel.from_json_dict({"type": "array", "n": 2, "entries": [entry]})
 
 
 def test_degenerate_model_rejected():
@@ -238,6 +256,35 @@ def test_regression_residual_gaussian_sin():
         assert regression_residual(real, f) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["iid-gaussian", "deterministic", "mixed-5x5"])
+def test_stacked_trials_match_single_trials(name):
+    # stacked draws are the per-trial draws bit for bit, and each trial's
+    # batched residual is its one-trial residual
+    model = {
+        "iid-gaussian": ArrayModel.iid_gaussian(5),
+        "deterministic": ArrayModel.deterministic(centered_5x5()),
+        "mixed-5x5": _mixed_5x5(),
+    }[name]
+    funcs = certified_library(1)
+    stack = sample_trials(model, [SeedSpec(92, (t,)).rng() for t in range(6)])
+    assert stack.x.shape == (6, 5, 5) and stack.values.shape == (6, 6, 1)
+    batched = regression_residuals(stack, funcs)
+    assert batched.shape == (len(funcs), 6)
+    assert batched.max() < 1e-14
+    for t in range(6):
+        real = sample_y(model, SeedSpec(92, (t,)).rng())
+        assert np.array_equal(real.x, stack.x[t]) and np.array_equal(real.pi, stack.pi[t])
+        assert np.array_equal(real.values, stack.values[t])
+        for a, f in enumerate(funcs):
+            assert abs(regression_residual(real, f) - batched[a, t]) <= 1e-15
+    one = CombinatorialRealization(model, stack.x[:1], stack.pi[:1], stack.values[:1])
+    assert np.array_equal(regression_residuals(one, funcs)[:, 0], batched[:, 0])
+
+
+def centered_5x5():
+    return double_center(np.arange(25.0).reshape(5, 5) ** 1.3)
+
+
 # -- pre-limit covariances --------------------------------------------------
 
 
@@ -277,6 +324,22 @@ def test_dn_mean_zero_and_breakpoints():
     assert abs(est.mean) < 4 * est.stderr
     path = sample_dn(model, rng_for(13))
     assert set(path.breakpoints) == {F(i, 4) for i in range(5)}
+
+
+def test_cov_d_grid_sums_the_index_boxes():
+    # each entry is the box sum of one Zhat covariance matrix over s_n^2,
+    # bit for bit as the one-pair form cov_d
+    for model in (det3(), _mixed_5x5(), ArrayModel.iid_rademacher(6)):
+        n = model.n
+        zc, s2 = zhat_cov_matrix(model), s_n_squared(model)
+        ss, ts = [F(1, 3), F(1, 2), F(1)], [F(0), F(2, 3), F(1)]
+        grid = cov_d_grid(model, ss, ts)
+        assert grid.shape == (3, 3)
+        for a, s in enumerate(ss):
+            for b, t in enumerate(ts):
+                box = float(zc[: int(n * s), : int(n * t)].sum()) / s2
+                assert grid[a, b] == box == cov_d(model, s, t)
+    assert cov_d_grid(det3(), [], [F(1)]).shape == (0, 1)
 
 
 def test_dn_grid_covariance_matches_closed_form():

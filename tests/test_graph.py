@@ -17,6 +17,8 @@ from steinpaths.graph import (
     DirectGaussianOracle,
     GraphModel,
     GraphModelError,
+    GraphRealization,
+    _bytes,
     _tv_cut_values,
     bernoulli,
     bound_continuous,
@@ -37,16 +39,19 @@ from steinpaths.graph import (
     pair_norm_stats,
     prelimit_cov,
     regression_residual,
+    regression_residuals,
     resample_edge,
     sample_coupled_values,
     sample_dn,
     sample_dn_values,
     sample_graph,
     sample_pair,
+    sample_trials,
     sample_y_values,
     sample_z_values,
     var_v_exact,
 )
+from steinpaths.functionals import certified_library
 from steinpaths.mc import SeedSpec, from_values, merge
 
 F = Fraction
@@ -263,6 +268,17 @@ def test_bernoulli_law_and_draw_order(p):
         assert draws.sum() == draws[tie].sum() > 0
 
 
+def test_bytes_match_rng_bytes():
+    # the view of the uint32 words is rng.bytes' output, and leaves the
+    # generator where rng.bytes leaves it
+    rng, replay = rng_for(95), rng_for(95)
+    for count in list(range(1, 14)) + [4097, 3 * 4096]:
+        u = _bytes(rng, count)
+        assert u.dtype == np.uint8 and u.shape == (count,)
+        assert np.array_equal(u, np.frombuffer(replay.bytes(count), np.uint8)), count
+        assert rng.random() == replay.random()
+
+
 def test_sampler_prefix_counts_match_brute_force():
     for n, p in [(7, 0.4), (3, 0.5), (40, 0.9)]:
         model = GraphModel(n, p)
@@ -361,6 +377,26 @@ def test_regression_residual_nonlinear_n6():
     for k, f in enumerate(funcs):
         real = sample_graph(model, SeedSpec(72, (k,)).rng())
         assert regression_residual(real, f) < 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 6, 12, 64])
+def test_stacked_trials_match_single_trials(n):
+    # stacked draws are the per-trial draws bit for bit, and each trial's
+    # batched residual is its one-trial residual
+    model, funcs = GraphModel(n, 0.3), certified_library(2)
+    stack = sample_trials(model, [SeedSpec(73, (t,)).rng() for t in range(6)])
+    assert stack.edges.shape == (6, n, n) and stack.values.shape == (6, n + 1, 2)
+    batched = regression_residuals(stack, funcs)
+    assert batched.shape == (len(funcs), 6)
+    assert batched.max() < 1e-14
+    for t in range(6):
+        real = sample_graph(model, SeedSpec(73, (t,)).rng())
+        assert np.array_equal(real.edges, stack.edges[t])
+        assert np.array_equal(real.values, stack.values[t])
+        for a, f in enumerate(funcs):
+            assert abs(regression_residual(real, f) - batched[a, t]) <= 1e-15
+    one = GraphRealization(model, stack.edges[:1], stack.values[:1])
+    assert np.array_equal(regression_residuals(one, funcs)[:, 0], batched[:, 0])
 
 
 # -- pre-limit covariance -----------------------------------------------------
