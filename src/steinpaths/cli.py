@@ -144,8 +144,9 @@ def cmd_verify_regression(args) -> int:
     block = max(1, REGRESSION_TERMS // terms)
     worst = 0.0
     for lo in range(0, args.trials, block):
-        rngs = [SeedSpec(args.seed, (t,)).rng()
-                for t in range(lo, min(lo + block, args.trials))]
+        # a generator: each trial's stream is freed once drawn
+        rngs = (SeedSpec(args.seed, (t,)).rng()
+                for t in range(lo, min(lo + block, args.trials)))
         real = mod.sample_trials(model, rngs)
         worst = max(worst, float(mod.regression_residuals(real, funcs).max()))
     report.add_value("max_residual", worst)

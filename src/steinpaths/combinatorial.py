@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -385,11 +385,11 @@ class CombinatorialRealization:
 
 
 def sample_trials(
-    model: ArrayModel, rngs: Sequence[np.random.Generator]
+    model: ArrayModel, rngs: Iterable[np.random.Generator]
 ) -> CombinatorialRealization:
-    """One draw per generator, stacked on a leading trial axis; draw t
-    takes the draws ``sample_y(model, rngs[t])`` takes, and its values
-    equal that call's bit for bit."""
+    """One draw per generator, stacked on a leading trial axis; each draw
+    takes the draws ``sample_y(model, rng)`` takes from its generator, and
+    its values equal that call's bit for bit."""
     x, pi = zip(*[(_sample_full(model, rng, 1)[0], rng.permutation(model.n)) for rng in rngs])
     x, pi = np.stack(x), np.stack(pi)
     return CombinatorialRealization(model, x, pi, _path_from_diag(model, x, pi))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def _tv_cut_values(model: GraphModel, edges: np.ndarray) -> np.ndarray:
     deg = _prefix_degrees(edges)
     deg *= np.arange(n)[:, None] < np.arange(n + 1)  # keep vertices v < m
     s = deg.sum(axis=-2) // 2
-    w = (deg * (deg - 1) // 2).sum(axis=-2)
+    w = (deg * (deg - 1)).sum(axis=-2) // 2
     return np.stack([(np.arange(n + 1) - 2) * s / n**2, w / n**2], axis=-1)
 
 
@@ -213,10 +213,10 @@ def _path_from_edges(model: GraphModel, edges: np.ndarray) -> np.ndarray:
     return _tv_cut_values(model, edges) - np.stack(_expected_cuts(model), axis=1)
 
 
-def sample_trials(model: GraphModel, rngs: Sequence[np.random.Generator]) -> GraphRealization:
-    """One graph per generator, stacked on a leading trial axis; graph t
-    takes the draws ``sample_graph(model, rngs[t])`` takes, and its values
-    equal that call's bit for bit."""
+def sample_trials(model: GraphModel, rngs: Iterable[np.random.Generator]) -> GraphRealization:
+    """One graph per generator, stacked on a leading trial axis; each graph
+    takes the draws ``sample_graph(model, rng)`` takes from its generator,
+    and its values equal that call's bit for bit."""
     n = model.n
     upper = np.stack([rng.random((n, n)) < model.p for rng in rngs])
     edges = np.triu(upper, 1)
@@ -270,7 +270,8 @@ def regression_residuals(real: GraphRealization, funcs: Sequence[CylinderFunctio
     lam = lambda_matrix(model)
     i, j = np.triu_indices(n, 1)
     iij = real.edges[..., i, j]  # (..., pairs)
-    read = np.unique(np.concatenate([f.rows(n) for f in funcs]))
+    # sorted as a set: np.unique imports numpy.ma (about 16 ms) on first use
+    read = np.array(sorted({k for f in funcs for k in f.rows(n).tolist()}), dtype=np.intp)
     table = _prefix_degrees(real.edges)[..., read]  # (..., n, rows read)
 
     # one call per functional, so its (..., pairs, cuts) arrays are freed

@@ -65,9 +65,10 @@ def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
     # before anything is drawn; at the budget a block holds one trial
     draws, sample_trials = [], gr.sample_trials
 
-    def spy(*args):
-        draws.append(args)
-        return sample_trials(*args)
+    def spy(model, rngs):
+        rngs = list(rngs)
+        draws.append((model, rngs))
+        return sample_trials(model, rngs)
 
     monkeypatch.setattr(gr, "sample_trials", spy)
     assert cli.REGRESSION_TERMS == 1024**2
