@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .functionals import CylinderFunctional
-from .paths import PiecewiseConstantPath, as_time, grid_path, grid_rows
+from .paths import as_time, grid_rows
 
 __all__ = [
     "ModelError",
@@ -57,7 +57,6 @@ __all__ = [
     "zhat_cov_matrix",
     "cov_d",
     "cov_d_grid",
-    "sample_dn",
     "sample_y_values",
     "sample_zhat_values",
     "sample_dn_values",
@@ -203,11 +202,9 @@ class ArrayModel:
         q = np.where(rad, 0.5, np.where(discrete, p1, 0.0))
         lo = np.where(rad, p0 - p1, np.where(discrete, p0, 0.0))
         hi = np.where(rad, p0 + p1, np.where(discrete, p2, 0.0))
-        (self.family, self.c, self.sigma2, self.abs1, self.abs2, self.abs3,
-         self.p0, self.p1, self.p2, self._gc, self._gvar, self._gsd, self._q,
-         self._lo, self._hi) = (
-            a[index] for a in (family, c, sigma2, abs1, abs2, abs3,
-                               p0, p1, p2, gc, gvar, gsd, q, lo, hi)
+        (self.c, self.sigma2, self.abs1, self.abs2, self.abs3, self._gc,
+         self._gvar, self._gsd, self._q, self._lo, self._hi) = (
+            a[index] for a in (c, sigma2, abs1, abs2, abs3, gc, gvar, gsd, q, lo, hi)
         )
         # Rows whose entry laws differ from the row above in some column
         # (row 0 always): the D_n kernel draws per run of equal-law rows.
@@ -596,13 +593,10 @@ def sample_dn_values(
     every k = 0..n); only the sums of Zhat between consecutive cuts are
     drawn."""
     rows, _ = grid_rows(model.n, cuts)
-    ends = np.unique(rows[rows > 0])
+    # the sorted distinct rows > 0; np.unique here would import numpy.ma
+    ends = np.flatnonzero(np.bincount(rows)[1:]) + 1
     sums = _block_sums(model, rng, size, ends)
     return _at_rows(sums, np.searchsorted(ends, rows, side="right"), model.s_n)
-
-
-def sample_dn(model: ArrayModel, rng: np.random.Generator) -> PiecewiseConstantPath:
-    return grid_path(sample_dn_values(model, rng, 1)[0], model.n)
 
 
 def sample_y_values(

@@ -148,11 +148,7 @@ class CylinderFunctional:
 
 def dderiv(g: CylinderFunctional, w: PiecewiseConstantPath, h: PiecewiseConstantPath) -> float:
     """First directional derivative Dg(w)[h]; exact and linear in h."""
-    if h.dim != g.dim:
-        raise FunctionalError("direction dim %d != functional dim %d" % (h.dim, g.dim))
-    grad = g.base.grad(g.stack(w))
-    hx = np.concatenate([h(t) for t in g.times])
-    return float(grad @ hx)
+    return float(g.base.grad(g.stack(w)) @ g.stack(h))
 
 
 def dderiv2(
@@ -162,12 +158,7 @@ def dderiv2(
     h2: PiecewiseConstantPath,
 ) -> float:
     """Second directional derivative D^2 g(w)[h1, h2]; bilinear, symmetric."""
-    if h1.dim != g.dim or h2.dim != g.dim:
-        raise FunctionalError("direction dim mismatch")
-    H = g.base.hess(g.stack(w))
-    x1 = np.concatenate([h1(t) for t in g.times])
-    x2 = np.concatenate([h2(t) for t in g.times])
-    return float(x1 @ H @ x2)
+    return float(g.stack(h1) @ g.base.hess(g.stack(w)) @ g.stack(h2))
 
 
 def norm_upper_bound(g: CylinderFunctional, norm_class: str) -> NormBound:

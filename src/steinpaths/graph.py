@@ -41,7 +41,7 @@ import numpy as np
 
 from .functionals import CylinderFunctional
 from .mc import SeedSpec, mc_run_vector
-from .paths import PiecewiseConstantPath, as_time, grid_path, grid_rows
+from .paths import as_time, grid_rows
 
 __all__ = [
     "GraphModelError",
@@ -71,7 +71,6 @@ __all__ = [
     "bernoulli",
     "sample_y_values",
     "sample_dn_values",
-    "sample_dn",
     "DirectGaussianOracle",
     "z_coefficients",
     "sample_z_values",
@@ -397,20 +396,12 @@ class PrelimitCovariance:
 
     model: GraphModel
 
-    def d1d1(self, t, u) -> float:
-        return cov_d1d1(self.model.n, self.model.p, t, u)
-
-    def d1d2(self, t, u) -> float:
-        return cov_d1d2(self.model.n, self.model.p, t, u)
-
-    def d2d2(self, t, u) -> float:
-        return cov_d2d2(self.model.n, self.model.p, t, u)
-
     def block(self, t, u) -> np.ndarray:
+        n, p = self.model.n, self.model.p
         return np.array(
             [
-                [self.d1d1(t, u), self.d1d2(t, u)],
-                [self.d1d2(u, t), self.d2d2(t, u)],
+                [cov_d1d1(n, p, t, u), cov_d1d2(n, p, t, u)],
+                [cov_d1d2(n, p, u, t), cov_d2d2(n, p, t, u)],
             ]
         )
 
@@ -545,10 +536,6 @@ def sample_dn_values(
         + math.sqrt(2 * p**3 * (1 - p)) / n**2 * w5
     )
     return out if cuts is None else out[:, pos]
-
-
-def sample_dn(model: GraphModel, rng: np.random.Generator) -> PiecewiseConstantPath:
-    return grid_path(sample_dn_values(model, rng, 1)[0], model.n)
 
 
 class DirectGaussianOracle:

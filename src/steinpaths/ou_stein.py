@@ -23,7 +23,7 @@ the closed-form grid covariance: no Monte Carlo enters the second term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -57,14 +57,15 @@ __all__ = [
 class TargetLaw:
     """A pre-limit target: sampler at grid rows plus closed-form grid
     covariance.  ``sample_rows(rng, size, cuts)`` returns the values at
-    grid rows ``cuts``, shaped (size, len(cuts)) or (size, len(cuts), dim)."""
+    grid rows ``cuts``, shaped (size, len(cuts)) or (size, len(cuts), dim);
+    ``cov_grid(times)`` returns the covariance of the values at the times,
+    stacked in the same order."""
 
     dim: int
     n: int
     label: str
     sample_rows: Callable[[np.random.Generator, int, Sequence[int]], np.ndarray]
-    cov: Callable[[Fraction, Fraction], np.ndarray]
-    _mean_cache: dict = field(default_factory=dict, repr=False)
+    cov_grid: Callable[[Sequence[Fraction]], np.ndarray]
 
     def sample_at(
         self, rng: np.random.Generator, size: int, times: Sequence[Fraction]
@@ -75,29 +76,17 @@ class TargetLaw:
 
     def cov_matrix(self, times: Sequence[Fraction]) -> np.ndarray:
         """(k*dim, k*dim) covariance of the stacked evaluations."""
-        k, d = len(times), self.dim
-        out = np.zeros((k * d, k * d))
-        for a, t in enumerate(times):
-            for b, u in enumerate(times):
-                out[a * d : (a + 1) * d, b * d : (b + 1) * d] = np.atleast_2d(
-                    self.cov(t, u)
-                )
-        return out
+        return self.cov_grid(times)
 
     def mean_g(
         self, g: CylinderFunctional, samples: int, seed: SeedSpec, workers: int = 1
     ) -> McEstimate:
-        """Cached Monte Carlo estimate of E g(D)."""
-        key = (g.label, samples, seed.root, seed.path)
-        if key not in self._mean_cache:
+        """Monte Carlo estimate of E g(D)."""
 
-            def sampler(rng, size):
-                return g.value_stacked(self.sample_at(rng, size, g.times))
+        def sampler(rng, size):
+            return g.value_stacked(self.sample_at(rng, size, g.times))
 
-            self._mean_cache[key] = mc_run(
-                sampler, samples, seed, workers=workers, name="mean_g"
-            )
-        return self._mean_cache[key]
+        return mc_run(sampler, samples, seed, workers=workers, name="mean_g")
 
 
 def combinatorial_law(model: comb.ArrayModel) -> TargetLaw:
@@ -107,8 +96,9 @@ def combinatorial_law(model: comb.ArrayModel) -> TargetLaw:
     s2 = comb.s_n_squared(model)
     n = model.n
 
-    def cov(s, t):
-        return np.array([[prefix[int(n * s), int(n * t)] / s2]])
+    def cov_grid(times):
+        rows = time_rows(n, times)
+        return prefix[np.ix_(rows, rows)] / s2
 
     return TargetLaw(
         dim=1,
@@ -117,12 +107,11 @@ def combinatorial_law(model: comb.ArrayModel) -> TargetLaw:
         sample_rows=lambda rng, size, cuts: comb.sample_dn_values(
             model, rng, size, cuts
         ),
-        cov=cov,
+        cov_grid=cov_grid,
     )
 
 
 def graph_law(model: gr.GraphModel) -> TargetLaw:
-    pc = gr.prelimit_cov(model)
     return TargetLaw(
         dim=2,
         n=model.n,
@@ -130,7 +119,7 @@ def graph_law(model: gr.GraphModel) -> TargetLaw:
         sample_rows=lambda rng, size, cuts: gr.sample_dn_values(
             model, rng, size, cuts
         ),
-        cov=pc.block,
+        cov_grid=gr.prelimit_cov(model).grid,
     )
 
 

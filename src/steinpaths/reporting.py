@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .mc import McEstimate
 
@@ -27,9 +30,8 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: sorted object keys, 17-significant-digit floats."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -39,33 +41,24 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return '"%s"' % out
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (list, tuple)):
-        inner = ", ".join(canonical_json(v, indent) for v in obj)
-        return "[%s]" % inner
+        return "[%s]" % ", ".join(canonical_json(v) for v in obj)
     if isinstance(obj, dict):
         keys = sorted(obj)
         if any(not isinstance(k, str) for k in keys):
             raise ReportError("JSON object keys must be strings")
-        items = ", ".join(
-            '"%s": %s' % (k, canonical_json(obj[k], indent)) for k in keys
+        return "{%s}" % ", ".join(
+            "%s: %s" % (canonical_json(k), canonical_json(obj[k])) for k in keys
         )
-        return pad + "{%s}" % items
-    try:  # numpy scalars
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return str(int(obj))
-        if isinstance(obj, np.floating):
-            return fmt_float(float(obj))
-        if isinstance(obj, np.bool_):
-            return "true" if obj else "false"
-        if isinstance(obj, np.ndarray):
-            return canonical_json(obj.tolist(), indent)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return fmt_float(float(obj))
+    if isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist())
     raise ReportError("cannot serialize %r" % type(obj).__name__)
 
 

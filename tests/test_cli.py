@@ -463,6 +463,20 @@ def test_canonical_json_float_round_trip():
     assert json.loads(text)["v"] == x
 
 
+def test_control_characters_round_trip(tmp_path, capsys):
+    controls = "".join(map(chr, range(32)))
+    report = RunReport(command="bound", parameters={"model": controls, controls: 1},
+                       seed=0, version="v")
+    assert json.loads(report.to_json())["parameters"] == {"model": controls, controls: 1}
+    # from U+0020 up only the quote and the backslash are escaped
+    text = "".join(map(chr, range(32, 0x30000)))
+    assert canonical_json(text) == '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+    model = write_model(tmp_path, "g\x01.json", {"type": "graph", "n": 5, "p": 0.5})
+    code, out = run(capsys, ["bound", "--model", model])
+    assert code == 0
+    assert json.loads(out)["parameters"]["model"] == model
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,6 @@ from steinpaths.combinatorial import (
     regression_residual,
     regression_residuals,
     s_n_squared,
-    sample_dn,
     sample_dn_values,
     sample_pair,
     sample_trials,
@@ -322,8 +325,26 @@ def test_dn_mean_zero_and_breakpoints():
     vals = sample_dn_values(model, rng_for(12), 10**4)
     est = from_values(vals[:, 2])
     assert abs(est.mean) < 4 * est.stderr
-    path = sample_dn(model, rng_for(13))
-    assert set(path.breakpoints) == {F(i, 4) for i in range(5)}
+
+
+def test_dn_values_leave_numpy_ma_unimported():
+    # np.unique without a return_* flag imports numpy.ma, 10-15 ms in a
+    # fresh process; the D_n sampler finds its distinct rows without it
+    code = (
+        "import sys, numpy as np\n"
+        "from steinpaths import combinatorial as comb\n"
+        "model = comb.ArrayModel.iid_gaussian(6)\n"
+        "for cuts in ([0, 4, 2, 4, 6], [], [0]):\n"
+        "    vals = comb.sample_dn_values(model, np.random.default_rng(0), 3, cuts)\n"
+        "    assert vals.shape == (3, len(cuts))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_cov_d_grid_sums_the_index_boxes():
@@ -532,7 +553,7 @@ def test_model_from_json_entries():
 
 # -- law table and index ---------------------------------------------------
 
-_LAW_ARRAYS = ("family", "c", "sigma2", "abs1", "abs2", "abs3", "p0", "p1", "p2",
+_LAW_ARRAYS = ("c", "sigma2", "abs1", "abs2", "abs3",
                "_gc", "_gvar", "_gsd", "_q", "_lo", "_hi", "_run_start")
 
 
@@ -547,7 +568,7 @@ def _entrywise_laws(grid):
     discrete = rad | two
     laws = {
         "family": family, "c": c, "sigma2": sigma2, "abs1": get("abs1"),
-        "abs2": sigma2 + c**2, "abs3": get("abs3"), "p0": p0, "p1": p1, "p2": p2,
+        "abs2": sigma2 + c**2, "abs3": get("abs3"),
         "_gc": np.where(discrete, 0.0, c),
         "_gvar": np.where(discrete, 0.0, sigma2),
         "_gsd": np.where(family == 1, p1, 0.0),

@@ -42,7 +42,6 @@ from steinpaths.graph import (
     regression_residuals,
     resample_edge,
     sample_coupled_values,
-    sample_dn,
     sample_dn_values,
     sample_graph,
     sample_pair,
@@ -409,14 +408,14 @@ def test_prelimit_zero_when_cut_below_two():
 
 def test_prelimit_d1d1_matches_cov_tv_entry():
     pc = prelimit_cov(GraphModel(4, 0.5))
-    assert pc.d1d1(F(1), F(1)) == pytest.approx(0.0234375, abs=0)
-    assert pc.d1d1(F(1), F(1)) == cov_tv(GraphModel(4, 0.5), F(1))[0, 0]
+    assert pc.block(F(1), F(1))[0, 0] == pytest.approx(0.0234375, abs=0)
+    assert pc.block(F(1), F(1))[0, 0] == cov_tv(GraphModel(4, 0.5), F(1))[0, 0]
 
 
 def test_prelimit_d1d2_matches_cov_tv_entry():
     model = GraphModel(6, 0.3)
     pc = prelimit_cov(model)
-    assert pc.d1d2(F(1), F(1)) == pytest.approx(
+    assert pc.block(F(1), F(1))[0, 1] == pytest.approx(
         cov_tv(model, F(1))[0, 1], rel=1e-12
     )
 
@@ -496,12 +495,6 @@ def test_dn_sampler_covariance_matches_closed_form():
             for i, j in itertools.product(range(2), repeat=2):
                 est = from_values(vals[:, k1, i] * vals[:, k2, j])
                 assert abs(est.mean - block[i, j]) <= 5 * est.stderr + 1e-15
-
-
-def test_dn_object_path_grid():
-    path = sample_dn(GraphModel(4, 0.5), rng_for(13))
-    assert path.dim == 2
-    assert set(path.breakpoints) == {F(k, 4) for k in range(5)}
 
 
 # -- continuous limit ---------------------------------------------------------

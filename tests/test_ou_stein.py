@@ -12,6 +12,7 @@ from steinpaths.combinatorial import (
 from steinpaths.functionals import (
     cos_cylinder,
     linear_cylinder,
+    numeric_cylinder,
     sin_cylinder,
     tanh_product,
 )
@@ -73,6 +74,18 @@ def test_mehler_u_zero_is_identity():
     assert est.m2 == 0.0
 
 
+def test_mean_g_estimates_each_functional():
+    # both functionals carry the default label "numeric"
+    law = graph_law(GraphModel(6, 0.3))
+    first = numeric_cylinder(lambda x: np.sin(x[..., 0]), [F(1)], dim=2)
+    one = numeric_cylinder(lambda x: np.ones(x.shape[:-1]), [F(1)], dim=2)
+    assert first.label == one.label
+    seed = SeedSpec(55)
+    law.mean_g(first, 4096, seed)
+    est = law.mean_g(one, 4096, seed)
+    assert est.mean == 1.0 and est.stderr == 0.0
+
+
 def test_mehler_u_large_reaches_target_mean():
     law = graph_law(GraphModel(5, 0.3))
     g = cos_cylinder(2, 1, dim=2)
@@ -119,7 +132,7 @@ def test_generator_pure_trace_at_zero_path():
     law = combinatorial_law(det5_model())
     f = cos_cylinder(1, 1, dim=1)
     w = zero_path(1)
-    expected = -1.0 * float(law.cov(F(1), F(1))[0, 0])  # H = -cos(0) = -1
+    expected = -1.0 * float(law.cov_matrix([F(1)])[0, 0])  # H = -cos(0) = -1
     assert generator_apply(f, w, law) == pytest.approx(expected, abs=1e-14)
 
 
