@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from . import combinatorial as comb
 from . import graph as gr
+from . import mc
 from . import ou_stein as ou
 from .functionals import (
     FUNCTIONAL_SPEC_HELP,
@@ -142,13 +143,14 @@ def cmd_verify_regression(args) -> int:
     # a block's (trials, pairs, cuts) arrays are no larger than one trial's
     # at the budget
     block = max(1, REGRESSION_TERMS // terms)
-    worst = 0.0
-    for lo in range(0, args.trials, block):
+
+    def block_max(b: int) -> float:
         # a generator: each trial's stream is freed once drawn
         rngs = (SeedSpec(args.seed, (t,)).rng()
-                for t in range(lo, min(lo + block, args.trials)))
-        real = mod.sample_trials(model, rngs)
-        worst = max(worst, float(mod.regression_residuals(real, funcs).max()))
+                for t in range(b * block, min((b + 1) * block, args.trials)))
+        return float(mod.regression_residuals(mod.sample_trials(model, rngs), funcs).max())
+    # block maxima come back in block order, so the fold is the serial one
+    worst = max(0.0, *mc._run_tasks(block_max, -(-args.trials // block), args.workers))
     report.add_value("max_residual", worst)
     report.add_check(
         "regression_identity", worst < args.tol, args.tol, "max residual %.3e" % worst
@@ -318,7 +320,7 @@ def cmd_coupling(args) -> int:
     report = _report(
         args,
         {"n": args.n, "p": args.p, "samples": args.samples,
-         "refine": rep["refine"],
+         "refine": rep["refine"], "chunk": rep["chunk"],
          "discretization_bias_bound": rep["discretization_bias_bound"],
          "corr_at_one": rep["corr_at_one"]},
     )
@@ -405,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True, samples=None, fewest=1):
+    def common(p, model=True, samples=None, fewest=1, workers_help=None):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_at_least(1), default=1)
+        p.add_argument("--workers", type=_at_least(1), default=1, help=workers_help)
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if samples is not None:
@@ -445,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_coupling)
 
     p = sub.add_parser("bound", help="closed-form bound values")
-    common(p)
+    common(p, workers_help="accepted like every command's, but has no effect: "
+                           "bound draws nothing")
     p.add_argument("--gnorm", type=_at_least(0.0, float), default=1.0)
     p.set_defaults(fn=cmd_bound)
 

@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .functionals import CylinderFunctional
+from .mc import MEMORY_BUDGET
 from .paths import as_time, grid_rows
 
 __all__ = [
@@ -73,10 +74,9 @@ _FAM_CONSTANT, _FAM_GAUSSIAN, _FAM_RADEMACHER, _FAM_TWO_POINT = range(4)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# Working memory of one sampler call, beyond the array it returns: calls
-# fill their samples in sub-blocks, and each (block, m, n) float64 plane
-# takes at most an eighth of the budget (a block holds at most four).
-MEMORY_BUDGET = 32 << 20
+# Sampler calls fill their samples in sub-blocks, and each (block, m, n)
+# float64 plane takes at most an eighth of the budget (a block holds at
+# most four).
 _PLANE_BYTES = MEMORY_BUDGET // 8
 
 

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .functionals import CylinderFunctional
-from .mc import SeedSpec, mc_run_vector
+from .mc import MEMORY_BUDGET, SeedSpec, mc_run_vector
 from .paths import as_time, grid_rows
 
 __all__ = [
@@ -640,10 +640,11 @@ def sample_z_values(p: float, grid: Sequence, rng: np.random.Generator, size: in
     return out
 
 
-def _coupled_motions(model: GraphModel, rng: np.random.Generator, size: int, refine: int):
-    """Draw the five motions of `size` coupled samples; returns
-    (block, grid), where block(lo, hi) assembles (zn, z) for samples
-    lo..hi-1 from them."""
+def _coupled_sampler(model: GraphModel, refine: int):
+    """Build the merged clock, its index maps and the step scales once;
+    returns (draw, grid), where draw(rng, size) draws the five motions of
+    `size` coupled samples and returns the planes (zn1, zn2, z1, z2) of
+    Z_n on the step grid and of Z on `grid`."""
     n, p = model.n, model.p
     a1, a2, b1, b2 = z_coefficients(p)
     ks = np.arange(n + 1)
@@ -655,32 +656,30 @@ def _coupled_motions(model: GraphModel, rng: np.random.Generator, size: int, ref
     tau_idx, sq_idx = idx[: n + 1], idx[n + 1 :]
     grid = js / float(refine * n)
     shared = merged / float((refine * n) ** 2)
-    w1 = _bm(rng, size, shared)
-    w2 = _bm(rng, size, shared)
     tau_t, nu_t = tau[1:] / float(n * n), (ks * tau)[1:] / float(n**3)
-    pad = np.zeros((size, 1))
-    w3, w4, w5 = (
-        np.concatenate([pad, _bm(rng, size, times)], axis=1) for times in (tau_t, nu_t, tau_t)
-    )
-    shift = (np.arange(n + 1) - 2.0) / n
+    shift = (ks - 2.0) / n
+    scale3, scale4 = shift / math.sqrt(n), p * (1 - p) / math.sqrt(2.0 * n)
+    scale5 = math.sqrt(2 * p**3 * (1 - p)) / n
 
-    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        t1, t2 = w1[lo:hi, tau_idx], w2[lo:hi, tau_idx]
-        zn = np.empty((hi - lo, n + 1, 2))
-        zn[:, :, 0] = shift * (a1 * t1 + a2 * t2)
-        zn[:, :, 1] = (
-            shift * (b1 * t1 + b2 * t2)
-            + shift / math.sqrt(n) * w3[lo:hi]
-            + p * (1 - p) / math.sqrt(2.0 * n) * w4[lo:hi]
-            + math.sqrt(2 * p**3 * (1 - p)) / n * w5[lo:hi]
+    def draw(rng: np.random.Generator, size: int):
+        w1, w2 = _bm(rng, size, shared), _bm(rng, size, shared)
+        pad = np.zeros((size, 1))
+        w3, w4, w5 = (
+            np.concatenate([pad, _bm(rng, size, times)], axis=1) for times in (tau_t, nu_t, tau_t)
         )
-        s1, s2 = w1[lo:hi, sq_idx], w2[lo:hi, sq_idx]
-        z = np.empty((hi - lo, grid.size, 2))
-        z[:, :, 0] = grid * (a1 * s1 + a2 * s2)
-        z[:, :, 1] = grid * (b1 * s1 + b2 * s2)
-        return zn, z
+        # A = a1 W1 + a2 W2 and B = b1 W1 + b2 W2, each once on the merged clock
+        a = a1 * w1
+        a += a2 * w2
+        b = np.multiply(w1, b1, out=w1)
+        b += b2 * w2
+        zn2 = shift * b[:, tau_idx]
+        # the terms of Z_n2 in the order sample_coupled_values always added them
+        zn2 += scale3 * w3
+        zn2 += scale4 * w4
+        zn2 += scale5 * w5
+        return shift * a[:, tau_idx], zn2, grid * a[:, sq_idx], grid * b[:, sq_idx]
 
-    return block, grid
+    return draw, grid
 
 
 def sample_coupled_values(
@@ -694,9 +693,9 @@ def sample_coupled_values(
     motions B(k(k-1)) = n Btilde(k(k-1)/n^2) so that both processes read
     the same Btilde1, Btilde2.
     """
-    block, grid = _coupled_motions(model, rng, size, refine)
-    zn, z = block(0, size)
-    return zn, z, grid
+    draw, grid = _coupled_sampler(model, refine)
+    zn1, zn2, z1, z2 = draw(rng, size)
+    return np.stack([zn1, zn2], axis=2), np.stack([z1, z2], axis=2), grid
 
 
 def _discretization_bias_bound(model: GraphModel, refine: int) -> float:
@@ -722,48 +721,43 @@ def coupling_bounds(n: int) -> dict:
     }
 
 
-COUPLING_BLOCK = 128  # samples per sub-block of the coupling statistics
-
-
 def coupling_distance(
     model: GraphModel,
     samples: int,
     seed: SeedSpec,
     refine: int = 8,
-    chunk: int = 2000,
     workers: int = 1,
 ) -> dict:
     """Monte Carlo moments of the coupled (Z_n, Z) pair with pass flags
     against the closed-form bounds.
 
-    Each chunk draws its motions as ``sample_coupled_values`` does and
-    turns them into per-sample statistics COUPLING_BLOCK samples at a
-    time, so beyond the two merged-clock motions (2 * chunk * ~(refine+1)n
-    floats) its memory does not grow with the chunk.
+    Each engine chunk draws its motions as ``sample_coupled_values`` does
+    and reduces their planes straight to six per-sample statistics.  The
+    chunk size depends on (n, refine) only: a chunk's whole working set,
+    its five motions and its statistic planes, fits in an eighth of
+    ``MEMORY_BUDGET``, so memory is bounded at any n and sample count.
     """
     n = model.n
+    draw, _ = _coupled_sampler(model, refine)
     cut = np.arange(1, refine * n + 1) // refine  # floor(n * j/(refine n))
+    # per sample: W1, W2, A and B on the merged clock of (refine+1) n times
+    # (k(k-1) is no square for k >= 2), three step motions and two Z_n planes
+    # of n+1 values, and two Z planes and two difference planes of refine n
+    floats = 4 * (refine + 1) * n + 5 * (n + 1) + 4 * refine * n
+    chunk = max(1, MEMORY_BUDGET // 8 // (8 * floats))
 
     def stats(rng, size):
-        block, _ = _coupled_motions(model, rng, size, refine)
-        out = np.empty((6, size))
-        for lo in range(0, size, COUPLING_BLOCK):
-            hi = min(lo + COUPLING_BLOCK, size)
-            zn, z = block(lo, hi)
-            d = zn[:, cut, :] - z
-            # x0^2 + x1^2 is the sum np.linalg.norm takes, and a correctly
-            # rounded sqrt is monotone, so sqrt(max) is the max of the norms
-            gap = np.sqrt((d[:, :, 0] ** 2 + d[:, :, 1] ** 2).max(axis=1))
-            out[0, lo:hi] = gap
-            out[1, lo:hi] = gap**2
-            out[2, lo:hi] = np.sqrt((z[:, :, 0] ** 2 + z[:, :, 1] ** 2).max(axis=1)) ** 2
-            # correlation ingredients at t = 1
-            out[3, lo:hi] = zn[:, -1, 0] * z[:, -1, 0]
-            out[4, lo:hi] = zn[:, -1, 0] ** 2
-            out[5, lo:hi] = z[:, -1, 0] ** 2
+        zn1, zn2, z1, z2 = draw(rng, size)
+        d1, d2 = zn1[:, cut] - z1, zn2[:, cut] - z2
+        # x0^2 + x1^2 is the sum np.linalg.norm takes, and a correctly
+        # rounded sqrt is monotone, so sqrt(max) is the max of the norms
+        gap = np.sqrt((d1 * d1 + d2 * d2).max(axis=1))
+        sup_z2 = np.sqrt((z1 * z1 + z2 * z2).max(axis=1)) ** 2
+        at_one = zn1[:, -1], z1[:, -1]  # correlation ingredients at t = 1
         # column-major: each statistic is then summed pairwise as one
         # contiguous run, exactly as from_values sums a 1-D array
-        return out.T
+        return np.array([gap, gap**2, sup_z2, at_one[0] * at_one[1],
+                         at_one[0] ** 2, at_one[1] ** 2]).T
 
     gap, gap2, supz2, prod, zn2, z2 = mc_run_vector(
         stats, samples, seed, workers=workers, chunk=chunk
@@ -775,6 +769,7 @@ def coupling_distance(
         "p": model.p,
         "samples": samples,
         "refine": refine,
+        "chunk": chunk,
         "discretization_bias_bound": _discretization_bias_bound(model, refine),
         "corr_at_one": corr,
         "estimates": {

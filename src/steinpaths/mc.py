@@ -27,9 +27,11 @@ __all__ = [
     "mc_run",
     "mc_run_vector",
     "CHUNK",
+    "MEMORY_BUDGET",
 ]
 
 CHUNK = 4096  # samples per task; fixed so results do not depend on workers
+MEMORY_BUDGET = 32 << 20  # working memory of a sampler call or an engine chunk
 Z95 = 1.96
 
 

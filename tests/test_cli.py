@@ -123,6 +123,37 @@ def test_verify_regression_trial_blocks(tmp_path, capsys, monkeypatch, kind):
     assert trial == 23
 
 
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_verify_regression_honours_workers(tmp_path, capsys, monkeypatch, kind):
+    # trial blocks run through the engine's task runner; the block maximum
+    # does not depend on which worker finished first
+    seen = []
+    run_tasks = mc._run_tasks
+
+    def spy(task, n_tasks, workers):
+        seen.append((n_tasks, workers))
+        return run_tasks(task, n_tasks, workers)
+
+    monkeypatch.setattr(mc, "_run_tasks", spy)
+    monkeypatch.setattr(cli, "REGRESSION_TERMS", 5 * 12**2 * 2)  # 5 trials per block
+    model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    outputs = []
+    for workers in ("1", "3"):
+        code, out = run(capsys, ["verify-regression", "--model", model, "--trials", "23",
+                                 "--seed", "4", "--workers", workers])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert seen == [(5, 1), (5, 3)]
+
+
+def test_bound_help_says_workers_has_no_effect(capsys):
+    code, out = run(capsys, ["bound", "--help"])
+    assert code == 0
+    assert "--workers WORKERS accepted like every command's, but has no effect" in " ".join(
+        out.split())
+
+
 def test_non_finite_model_moments_are_usage_errors(tmp_path, capsys):
     model = tmp_path / "nan.json"
     model.write_text('{"type": "array", "n": 2, "entries": '
@@ -332,7 +363,7 @@ def test_reports_byte_identical_across_workers(tmp_path, capsys):
          "--functional", "cos:coord=2,t=1/2"],
         ["stein-identity", "--model", graph, "--samples", "8192",
          "--functional", "tanhprod:coords=1,2,t=1/2,1"],
-        # 4500 samples span three coupling chunks
+        # 4500 samples span eight coupling chunks of 595
         ["coupling", "--n", "12", "--p", "0.3", "--samples", "4500"],
     ]
     for argv in commands:

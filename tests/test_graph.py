@@ -51,7 +51,7 @@ from steinpaths.graph import (
     var_v_exact,
 )
 from steinpaths.functionals import certified_library
-from steinpaths.mc import SeedSpec, from_values, merge
+from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, merge
 
 F = Fraction
 
@@ -552,23 +552,26 @@ def test_coupling_correlation_grows_with_n():
 
 
 def test_coupling_distance_matches_public_sampler_bitwise():
-    # the sub-blocked statistics equal those of whole sample_coupled_values
-    # chunks; 2500 samples in chunks of 1000 end on a partial sub-block
+    # the planar statistics of each engine chunk equal those of
+    # sample_coupled_values over the same chunk; 2500 samples in chunks of
+    # 595 end on a partial chunk
     model = GraphModel(12, 0.3)
     seed = SeedSpec(75)
     cut = np.arange(1, 8 * 12 + 1) // 8
-    parts = []
-    for i, size in enumerate((1000, 1000, 500)):
-        zn, z, _ = sample_coupled_values(model, seed.child(i).rng(), size)
-        gap = np.linalg.norm(zn[:, cut, :] - z, axis=2).max(axis=1)
-        sup_z = (np.linalg.norm(z, axis=2) ** 2).max(axis=1)
-        stats = (gap, gap**2, sup_z, zn[:, -1, 0] * z[:, -1, 0],
-                 zn[:, -1, 0] ** 2, z[:, -1, 0] ** 2)
-        parts.append([from_values(x) for x in stats])
-    ref = functools.reduce(lambda a, b: [merge(x, y) for x, y in zip(a, b)], parts)
     keys = ("sup_distance", "sup_distance_sq", "sup_z_sq")
     for workers in (1, 2):
-        report = coupling_distance(model, 2500, seed, chunk=1000, workers=workers)
+        report = coupling_distance(model, 2500, seed, workers=workers)
+        sizes = _chunk_sizes(2500, report["chunk"])
+        assert sizes == [595] * 4 + [120]
+        parts = []
+        for i, size in enumerate(sizes):
+            zn, z, _ = sample_coupled_values(model, seed.child(i).rng(), size)
+            gap = np.linalg.norm(zn[:, cut, :] - z, axis=2).max(axis=1)
+            sup_z = (np.linalg.norm(z, axis=2) ** 2).max(axis=1)
+            stats = (gap, gap**2, sup_z, zn[:, -1, 0] * z[:, -1, 0],
+                     zn[:, -1, 0] ** 2, z[:, -1, 0] ** 2)
+            parts.append([from_values(x) for x in stats])
+        ref = functools.reduce(lambda a, b: [merge(x, y) for x, y in zip(a, b)], parts)
         for key, est in zip(keys, ref):
             got = report["estimates"][key]
             assert (got.count, got.mean, got.m2) == (est.count, est.mean, est.m2)
@@ -577,9 +580,8 @@ def test_coupling_distance_matches_public_sampler_bitwise():
 
 
 def test_coupling_distance_peak_memory_bounded():
-    # at n = 100 a 2000-sample chunk holds two merged-clock motions of
-    # 2000 x ~900 floats (~29 MB); the statistics, computed over the whole
-    # chunk at once, used to take the traced peak to 131 MB
+    # at n = 100 a chunk of 71 samples holds its working set within
+    # MEMORY_BUDGET // 8
     model = GraphModel(100, 0.3)
     tracemalloc.start()
     try:
@@ -588,6 +590,20 @@ def test_coupling_distance_peak_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+def test_coupling_distance_memory_bounded_at_any_n():
+    # the chunk shrinks as n grows (7 samples at n = 1000), so the peak
+    # does not grow with n
+    model = GraphModel(1000, 0.3)
+    tracemalloc.start()
+    try:
+        report = coupling_distance(model, 2000, SeedSpec(77))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["chunk"] == 7
+    assert peak <= MEMORY_BUDGET
 
 
 def test_coupling_frozen_bound_value():
