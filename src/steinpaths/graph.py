@@ -673,7 +673,7 @@ def _coupled_sampler(model: GraphModel, refine: int):
         b = np.multiply(w1, b1, out=w1)
         b += b2 * w2
         zn2 = shift * b[:, tau_idx]
-        # the terms of Z_n2 in the order sample_coupled_values always added them
+        # Z_n2's four terms, summed left to right
         zn2 += scale3 * w3
         zn2 += scale4 * w4
         zn2 += scale5 * w5
@@ -753,11 +753,10 @@ def coupling_distance(
         # rounded sqrt is monotone, so sqrt(max) is the max of the norms
         gap = np.sqrt((d1 * d1 + d2 * d2).max(axis=1))
         sup_z2 = np.sqrt((z1 * z1 + z2 * z2).max(axis=1)) ** 2
-        at_one = zn1[:, -1], z1[:, -1]  # correlation ingredients at t = 1
+        x, y = zn1[:, -1], z1[:, -1]  # correlation ingredients at t = 1
         # column-major: each statistic is then summed pairwise as one
         # contiguous run, exactly as from_values sums a 1-D array
-        return np.array([gap, gap**2, sup_z2, at_one[0] * at_one[1],
-                         at_one[0] ** 2, at_one[1] ** 2]).T
+        return np.array([gap, gap**2, sup_z2, x * y, x**2, y**2]).T
 
     gap, gap2, supz2, prod, zn2, z2 = mc_run_vector(
         stats, samples, seed, workers=workers, chunk=chunk

@@ -18,6 +18,7 @@ from steinpaths.graph import (
     GraphModel,
     GraphModelError,
     GraphRealization,
+    _bm,
     _bytes,
     _tv_cut_values,
     bernoulli,
@@ -49,6 +50,7 @@ from steinpaths.graph import (
     sample_y_values,
     sample_z_values,
     var_v_exact,
+    z_coefficients,
 )
 from steinpaths.functionals import certified_library
 from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, merge
@@ -533,6 +535,30 @@ def test_coupled_sampler_zn_law_matches_dn():
         assert abs(est.mean - expected) < 5 * est.stderr
 
 
+def test_coupled_sampler_assembles_its_motions_bitwise():
+    # reference: the five motions drawn in order from the same stream, read
+    # at each clock and combined term by term, Z_n2's terms added left to right
+    n, p, refine, size = 9, 0.3, 8, 40
+    zn, z, grid = sample_coupled_values(GraphModel(n, p), rng_for(17), size)
+    a1, a2, b1, b2 = z_coefficients(p)
+    ks, js = np.arange(n + 1), np.arange(1, refine * n + 1)
+    tau = ks * (ks - 1)
+    merged, idx = np.unique(np.concatenate([tau * refine**2, js * js]), return_inverse=True)
+    rng = rng_for(17)
+    w1, w2 = (_bm(rng, size, merged / float((refine * n) ** 2)) for _ in range(2))
+    w3, w4, w5 = (np.concatenate([np.zeros((size, 1)), _bm(rng, size, t[1:])], axis=1)
+                  for t in (tau / n**2, ks * tau / n**3, tau / n**2))
+    t1, t2 = w1[:, idx[: n + 1]], w2[:, idx[: n + 1]]
+    s1, s2 = w1[:, idx[n + 1 :]], w2[:, idx[n + 1 :]]
+    shift = (ks - 2.0) / n
+    zn2 = (shift * (b1 * t1 + b2 * t2) + shift / math.sqrt(n) * w3
+           + p * (1 - p) / math.sqrt(2.0 * n) * w4 + math.sqrt(2 * p**3 * (1 - p)) / n * w5)
+    assert np.array_equal(zn[:, :, 0], shift * (a1 * t1 + a2 * t2))
+    assert np.array_equal(zn[:, :, 1], zn2)
+    assert np.array_equal(z[:, :, 0], grid * (a1 * s1 + a2 * s2))
+    assert np.array_equal(z[:, :, 1], grid * (b1 * s1 + b2 * s2))
+
+
 def test_coupling_distance_bounds_hold():
     model = GraphModel(16, 0.3)
     report = coupling_distance(model, 2000, SeedSpec(73))
@@ -602,8 +628,8 @@ def test_coupling_distance_memory_bounded_at_any_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report["chunk"] == 7
     assert peak <= MEMORY_BUDGET
+    assert report["chunk"] == 7
 
 
 def test_coupling_frozen_bound_value():
