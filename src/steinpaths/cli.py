@@ -149,9 +149,12 @@ def cmd_verify_regression(args) -> int:
         rngs = (SeedSpec(args.seed, (t,)).rng()
                 for t in range(b * block, min((b + 1) * block, args.trials)))
         return float(mod.regression_residuals(mod.sample_trials(model, rngs), funcs).max())
-    # block maxima come back in block order, so the fold is the serial one
-    worst = max(0.0, *mc._run_tasks(block_max, -(-args.trials // block), args.workers))
-    report.add_value("max_residual", worst)
+    # block maxima come back in block order, so the fold is the serial one;
+    # np.max keeps a NaN, which fails the check and is no report value
+    blocks = mc._run_tasks(block_max, -(-args.trials // block), args.workers)
+    worst = float(np.max([0.0, *blocks]))
+    if math.isfinite(worst):
+        report.add_value("max_residual", worst)
     report.add_check(
         "regression_identity", worst < args.tol, args.tol, "max residual %.3e" % worst
     )
@@ -164,6 +167,8 @@ def _product_z(sample, pairs, targets, args, seed):
 
     One mc_run_vector call covers every product column; its chunk is chosen
     from the column count, so a chunk's products stay within PRODUCT_BYTES.
+    A column without spread (stderr 0) is compared with its target exactly,
+    at --tol relative to max(1, |target|): |z| is 0 within it, inf outside.
     """
     if not pairs:
         return 0.0
@@ -175,10 +180,10 @@ def _product_z(sample, pairs, targets, args, seed):
         return (x[left] * x[right]).T  # column-major: no copy in the engine
 
     ests = mc_run_vector(products, args.samples, seed, args.workers, chunk)
-    return max(
-        (abs(e.mean - t) / e.stderr for e, t in zip(ests, targets) if e.stderr > 0),
-        default=0.0,
-    )
+    z = [abs(e.mean - t) / e.stderr if e.stderr > 0
+         else 0.0 if abs(e.mean - t) <= args.tol * max(1.0, abs(t)) else math.inf
+         for e, t in zip(ests, targets)]
+    return float(np.max(z))
 
 
 def _verify_covariance_graph(model, args, report):
@@ -197,7 +202,8 @@ def _verify_covariance_graph(model, args, report):
         b = gr.brownian_side_cov(nn, pp, t, u)
         for name, (closed, i, j) in blocks.items():
             x, y = closed(nn, pp, t, u), b[i, j]
-            worst[name] = max(worst[name], abs(x - y) / max(abs(x), abs(y), 1e-30))
+            rel = abs(x - y) / max(abs(x), abs(y), 1e-30)
+            worst[name] = float(np.maximum(worst[name], rel))  # keeps a NaN
     for name, val in worst.items():
         report.add_check(name, val <= args.tol, args.tol, "max rel diff %.3e" % val)
 

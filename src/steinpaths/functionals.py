@@ -7,7 +7,9 @@ of the finite-dimensional base map phi: R^(k*p) -> R:
     Dg(w)[h]        = sum_a <grad_a phi(x), h(t_a)>,
     D^2g(w)[h1,h2]  = sum_{a,b} h1(t_a)^T H_ab(x) h2(t_b),
 
-with x the stacked vector (w(t_1), ..., w(t_k)).
+with x the stacked vector (w(t_1), ..., w(t_k)), shape (k*p,).  That vector,
+optionally with leading batch axes, is the one argument every evaluation
+takes: a grid path's rows ``rows(n)``, flattened, or a target's draws.
 
 Built-in bases (sine, cosine, tanh products, linear evaluations) carry
 hand-certified sup constants, from which sound upper bounds for the
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import PiecewiseConstantPath, as_time, time_rows
+from .paths import as_time, time_rows
 
 __all__ = [
     "FunctionalError",
@@ -32,8 +34,6 @@ __all__ = [
     "NormCertificate",
     "NormBound",
     "CylinderFunctional",
-    "dderiv",
-    "dderiv2",
     "norm_upper_bound",
     "sin_cylinder",
     "cos_cylinder",
@@ -48,8 +48,6 @@ __all__ = [
 
 # max over r >= 0 of r/(1+r^3), attained at r = 2^(-1/3)
 _LIN_WEIGHT_SUP = 2.0 ** (2.0 / 3.0) / 3.0
-# sup |d^2/dx^2 tanh| = 4/(3*sqrt(3)), at tanh^2 = 1/3
-_TANH_D2_SUP = 4.0 / (3.0 * np.sqrt(3.0))
 
 
 class FunctionalError(ValueError):
@@ -121,15 +119,7 @@ class CylinderFunctional:
         functional reads; the rows' values, flattened, are its argument."""
         return time_rows(n, self.times)
 
-    def stack(self, w: PiecewiseConstantPath) -> np.ndarray:
-        if w.dim != self.dim:
-            raise FunctionalError("path dim %d != functional dim %d" % (w.dim, self.dim))
-        return np.concatenate([w(t) for t in self.times])
-
-    def __call__(self, w: PiecewiseConstantPath) -> float:
-        return float(self.base.value(self.stack(w)))
-
-    # batched evaluation on stacked arguments, used by the Monte Carlo layer
+    # evaluation on stacked arguments x, shape (..., k*dim)
     def value_stacked(self, x: np.ndarray) -> np.ndarray:
         return self.base.value(x)
 
@@ -144,21 +134,6 @@ class CylinderFunctional:
 
     def __repr__(self) -> str:
         return "CylinderFunctional(%s, dim=%d, k=%d)" % (self.label, self.dim, self.k)
-
-
-def dderiv(g: CylinderFunctional, w: PiecewiseConstantPath, h: PiecewiseConstantPath) -> float:
-    """First directional derivative Dg(w)[h]; exact and linear in h."""
-    return float(g.base.grad(g.stack(w)) @ g.stack(h))
-
-
-def dderiv2(
-    g: CylinderFunctional,
-    w: PiecewiseConstantPath,
-    h1: PiecewiseConstantPath,
-    h2: PiecewiseConstantPath,
-) -> float:
-    """Second directional derivative D^2 g(w)[h1, h2]; bilinear, symmetric."""
-    return float(g.stack(h1) @ g.base.hess(g.stack(w)) @ g.stack(h2))
 
 
 def norm_upper_bound(g: CylinderFunctional, norm_class: str) -> NormBound:
@@ -346,10 +321,6 @@ class _NumericBase:
 # factories
 
 
-def _block_index(times: tuple, t: Fraction) -> int:
-    return times.index(t)
-
-
 def _single_site_certificate(k: int, block: int, d0: float, d1: float, d2: float, d3: float) -> NormCertificate:
     grad = [0.0] * k
     grad[block] = d1
@@ -400,12 +371,12 @@ def tanh_product(coords: Sequence[int], times: Sequence, dim: int = 1) -> Cylind
     for c, t in zip(coords, raw_times):
         if not 1 <= c <= dim:
             raise FunctionalError("coord %d outside 1..%d" % (c, dim))
-        indices.append(_block_index(uniq_times, t) * dim + (c - 1))
+        indices.append(uniq_times.index(t) * dim + (c - 1))
     base = _TanhProdBase(tuple(indices), k * dim)
 
     counts = [0] * k
     for c, t in zip(coords, raw_times):
-        counts[_block_index(uniq_times, t)] += 1
+        counts[uniq_times.index(t)] += 1
     grad = tuple(np.sqrt(c) for c in counts)
     hess = tuple(
         tuple(np.sqrt(ca * cb) for cb in counts) for ca in counts
@@ -445,7 +416,7 @@ def linear_cylinder(
     for c, t, wt in zip(coords, raw_times, weights):
         if not 1 <= c <= dim:
             raise FunctionalError("coord %d outside 1..%d" % (c, dim))
-        wvec[_block_index(uniq_times, t) * dim + (c - 1)] += wt
+        wvec[uniq_times.index(t) * dim + (c - 1)] += wt
     base = _LinearBase(wvec)
     blocks = wvec.reshape(k, dim)
     base.certificate = NormCertificate(

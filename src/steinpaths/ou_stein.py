@@ -14,10 +14,14 @@ and the centered equation A f = g - E g(D) is solved by
 f = -int_0^inf T_u (g - E g(D)) du, computed after substituting
 v = e^{-u} by fixed-order quadrature on (0, 1].
 
-Everything here touches the target only through its values at the test
-functional's finitely many times, so the expectation in the generator's
-second term is the exact trace contraction of the Hessian blocks against
-the closed-form grid covariance: no Monte Carlo enters the second term.
+A cylinder functional reads a path only at its k times, so every
+function here takes the path as the stacked argument x = (w(t_1), ...,
+w(t_k)) of shape (k*dim,): for a grid path, its rows ``g.rows(n)``
+flattened.  An argument of any other shape raises ``FunctionalError``.
+The target enters through its values at the same times, so the
+expectation in the generator's second term is the exact trace
+contraction of the Hessian blocks against the closed-form grid
+covariance: no Monte Carlo enters the second term.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ import numpy as np
 
 from . import combinatorial as comb
 from . import graph as gr
-from .functionals import CylinderFunctional, numeric_cylinder
+from .functionals import CylinderFunctional, FunctionalError, numeric_cylinder
 from .mc import McEstimate, SeedSpec, from_values, mc_run, mc_run_vector
-from .paths import PiecewiseConstantPath, lin_comb, time_rows
+from .paths import time_rows
 
 __all__ = [
     "TargetLaw",
@@ -46,7 +50,6 @@ __all__ = [
     "solve_phi",
     "make_phi_cylinder",
     "stein_selfconsistency",
-    "epsilon1_estimate",
     "epsilon1_combinatorial",
     "epsilon1_graph",
     "epsilon3_estimate",
@@ -127,26 +130,37 @@ def graph_law(model: gr.GraphModel) -> TargetLaw:
 # semigroup and generator
 
 
+def _argument(g: CylinderFunctional, x) -> np.ndarray:
+    """x as a float vector of g's argument length k*dim."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (g.n_args,):
+        raise FunctionalError(
+            "%s takes %d stacked values, got shape %s" % (g.label, g.n_args, x.shape)
+        )
+    return x
+
+
 def mehler_apply(
     g: CylinderFunctional,
-    w: PiecewiseConstantPath,
+    x: np.ndarray,
     u: float,
     law: TargetLaw,
     inner_samples: int,
     seed: SeedSpec,
     workers: int = 1,
 ) -> McEstimate:
-    """Monte Carlo estimate of (T_u g)(w).
+    """Monte Carlo estimate of (T_u g)(w), w read as its stacked argument x.
 
     At u = 0 the mixing factor vanishes identically, so every draw
     evaluates g(w) and the estimator is exact with zero variance.
     """
+    x = _argument(g, x)
     if u < 0:
         raise ValueError("the semigroup parameter must be nonnegative")
-    x = g.stack(w)
     if u == 0.0:
         # the mixing factor is identically zero: exact, zero variance
-        return McEstimate(count=inner_samples, mean=g(w), m2=0.0, name="mehler")
+        mean = float(g.value_stacked(x))
+        return McEstimate(count=inner_samples, mean=mean, m2=0.0, name="mehler")
     decay = math.exp(-u)
     beta = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * u)))
 
@@ -158,7 +172,7 @@ def mehler_apply(
 
 def mehler_two_step(
     g: CylinderFunctional,
-    w: PiecewiseConstantPath,
+    x: np.ndarray,
     u: float,
     v: float,
     law: TargetLaw,
@@ -167,7 +181,7 @@ def mehler_two_step(
 ) -> McEstimate:
     """Unbiased estimator of (T_u T_v g)(w) with one fresh inner draw per
     outer draw; its mean equals (T_{u+v} g)(w) by the semigroup property."""
-    x = g.stack(w)
+    x = _argument(g, x)
     du, dv = math.exp(-u), math.exp(-v)
     bu = math.sqrt(max(0.0, 1.0 - du * du))
     bv = math.sqrt(max(0.0, 1.0 - dv * dv))
@@ -181,14 +195,14 @@ def mehler_two_step(
 
 
 def generator_apply(
-    f: CylinderFunctional, w: PiecewiseConstantPath, law: TargetLaw
+    f: CylinderFunctional, x: np.ndarray, law: TargetLaw
 ) -> float:
     """A f(w) = -Df(w)[w] + sum_ab trace(H_ab(w)^T Cov(D(t_a), D(t_b))).
 
     Deterministic: the second term contracts the Hessian against the
     closed-form covariance matrix of the stacked evaluations.
     """
-    x = f.stack(w)
+    x = _argument(f, x)
     grad = f.grad_stacked(x)
     hess = f.hess_stacked(x)
     cov = law.cov_matrix(f.times)
@@ -258,7 +272,7 @@ def _phi_sample_values(
 
 def solve_phi(
     g: CylinderFunctional,
-    w: PiecewiseConstantPath,
+    x: np.ndarray,
     law: TargetLaw,
     quad_points: int = 64,
     inner_samples: int = 4096,
@@ -269,9 +283,9 @@ def solve_phi(
     Returns (estimate, quadrature_error_estimate); the latter is a
     node-halving comparison on the same draws.
     """
+    x = _argument(g, x)
     nodes, weights = _gauss_legendre_01(quad_points)
     half_nodes, half_weights = _gauss_legendre_01(max(8, quad_points // 2))
-    x = g.stack(w)
 
     def sampler(rng, size):
         d_flat = law.sample_at(rng, size, g.times)
@@ -326,7 +340,7 @@ def make_phi_cylinder(
 
 def stein_selfconsistency(
     g: CylinderFunctional,
-    w: PiecewiseConstantPath,
+    x: np.ndarray,
     law: TargetLaw,
     quad_points: int = 64,
     inner_samples: int = 32768,
@@ -339,20 +353,21 @@ def stein_selfconsistency(
     generator values gives the Monte Carlo part of the tolerance, and a
     node-halving run on the first group gives the quadrature part.
     """
+    x = _argument(g, x)
     per_group = inner_samples // groups
     lhs_vals = []
     for grp in range(groups):
         phi_hat = make_phi_cylinder(
             g, law, quad_points, per_group, seed.child(10 + grp)
         )
-        lhs_vals.append(generator_apply(phi_hat, w, law))
+        lhs_vals.append(generator_apply(phi_hat, x, law))
     phi_half = make_phi_cylinder(
         g, law, max(8, quad_points // 2), per_group, seed.child(10)
     )
-    quad_err = abs(generator_apply(phi_half, w, law) - lhs_vals[0])
+    quad_err = abs(generator_apply(phi_half, x, law) - lhs_vals[0])
     lhs = from_values(np.array(lhs_vals))
     gbar = law.mean_g(g, max(inner_samples, 4096), seed.child(0))
-    rhs = g(w) - gbar.mean
+    rhs = float(g.value_stacked(x)) - gbar.mean
     tolerance = 5.0 * lhs.stderr + 5.0 * gbar.stderr + quad_err + 1e-4
     return {
         "lhs": lhs.mean,
@@ -366,23 +381,6 @@ def stein_selfconsistency(
 
 # ---------------------------------------------------------------------------
 # epsilon estimators for the abstract bound
-
-
-def epsilon1_estimate(
-    pair_sampler: Callable[[np.random.Generator], tuple],
-    lambda_action: Callable[[PiecewiseConstantPath], PiecewiseConstantPath],
-    gnorm: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> McEstimate:
-    """(|g|/6) E ||(Y-Y') Lambda|| ||Y-Y'||^2 over object-layer pairs."""
-    vals = np.empty(samples)
-    for s in range(samples):
-        y, y_prime = pair_sampler(rng)
-        diff = lin_comb(1.0, y, -1.0, y_prime)
-        vals[s] = lambda_action(diff).sup_norm() * diff.sup_norm() ** 2
-    est = from_values(gnorm / 6.0 * vals, name="epsilon1")
-    return est
 
 
 def epsilon1_combinatorial(

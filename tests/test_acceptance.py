@@ -25,7 +25,6 @@ from steinpaths.functionals import (
     tanh_product,
 )
 from steinpaths.mc import SeedSpec, from_values, mc_run
-from steinpaths.paths import PiecewiseConstantPath
 
 F = Fraction
 
@@ -385,14 +384,15 @@ def test_criterion_8_stein_identity():
 def test_criterion_9_semigroup_consistency():
     law = ou.combinatorial_law(comb.ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
-    w = PiecewiseConstantPath(1, [F(0), F(1, 3), F(2, 3)], [[0.0], [0.6], [-0.2]])
-    ident = ou.mehler_apply(g, w, 0.0, law, 1000, SeedSpec(13))
-    assert ident.mean == g(w) and ident.m2 == 0.0
-    far = ou.mehler_apply(g, w, 20.0, law, 2 * 10**4, SeedSpec(14, (0,)))
+    # the path 0.6 on [1/3, 2/3) and -0.2 on [2/3, 1], read at g's time 1
+    x = np.array([-0.2])
+    ident = ou.mehler_apply(g, x, 0.0, law, 1000, SeedSpec(13))
+    assert ident.mean == g.value_stacked(x) and ident.m2 == 0.0
+    far = ou.mehler_apply(g, x, 20.0, law, 2 * 10**4, SeedSpec(14, (0,)))
     target = law.mean_g(g, 2 * 10**4, SeedSpec(14, (1,)))
     tol = 4 * math.hypot(far.stderr, target.stderr)
     assert abs(far.mean - target.mean) <= tol
-    report = ou.stein_selfconsistency(g, w, law, seed=SeedSpec(15))
+    report = ou.stein_selfconsistency(g, x, law, seed=SeedSpec(15))
     announce(
         "9 semigroup-consistency",
         report["pass"],

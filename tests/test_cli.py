@@ -173,6 +173,83 @@ def test_verify_regression_at_n64(tmp_path, capsys, payload):
     assert json.loads(out)["values"][0]["value"] < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_verify_regression_nan_residual_fails(tmp_path, capsys, monkeypatch, kind):
+    # a NaN in the middle block of three must reach the check, not be
+    # folded away by a max that skips it
+    mod = gr if kind == "graph" else comb
+    residuals, calls = mod.regression_residuals, []
+
+    def nan_in_second_block(real, funcs):
+        calls.append(1)
+        out = residuals(real, funcs)
+        return np.full_like(out, np.nan) if len(calls) == 2 else out
+
+    monkeypatch.setattr(mod, "regression_residuals", nan_in_second_block)
+    monkeypatch.setattr(cli, "REGRESSION_TERMS", 5 * 12**2 * 2)  # 5 trials per block
+    model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    code, out = run(capsys, ["verify-regression", "--model", model, "--trials", "15"])
+    assert len(calls) == 3
+    assert code == 1
+    report = json.loads(out)
+    (check,) = report["checks"]
+    assert check["name"] == "regression_identity" and not check["pass"]
+    assert check["detail"] == "max residual nan"
+    assert "values" not in report  # a canonical report holds no NaN value
+
+
+def test_verify_covariance_nan_relative_difference_fails(tmp_path, capsys, monkeypatch):
+    side_cov = gr.brownian_side_cov
+
+    def nan_edge_entry(n, p, t, u):
+        b = np.array(side_cov(n, p, t, u), dtype=float)
+        b[0, 0] = np.nan
+        return b
+
+    monkeypatch.setattr(gr, "brownian_side_cov", nan_edge_entry)
+    code, out = run(capsys, ["verify-covariance", "--model", graph_model(tmp_path),
+                             "--samples", "0"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["edge_block_identity"]["pass"]
+    assert checks["edge_block_identity"]["detail"] == "max rel diff nan"
+    assert checks["cross_block_identity"]["pass"]
+
+
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_verify_covariance_constant_column_off_target_fails(tmp_path, capsys, monkeypatch,
+                                                           kind):
+    # a constant product column has zero stderr, so its mean is compared
+    # with the target exactly (at --tol) instead of by a z-score
+    if kind == "graph":  # D_n = 0: constant, and off every nonzero target
+        monkeypatch.setattr(gr, "sample_dn_values",
+                            lambda model, rng, size, cuts: np.zeros((size, len(cuts), 2)))
+        model, check = graph_model(tmp_path, n=4, p=0.3), "sampler_vs_closed_form_mc"
+    else:  # Zhat = 1 everywhere
+        monkeypatch.setattr(comb, "sample_zhat_values",
+                            lambda model, rng, size: np.ones((size, model.n)))
+        model, check = iid_model(tmp_path, 4), "zhat_cov_mc"
+    code, out = run(capsys, ["verify-covariance", "--model", model,
+                             "--samples", "600", "--grid", "2"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks[check]["pass"]
+    assert checks[check]["detail"] == "max |z| inf over 600 samples"
+    if kind == "array":
+        assert checks["dn_grid_cov_mc"]["pass"]
+
+
+def test_verify_covariance_constant_columns_on_target_pass(tmp_path, capsys):
+    # graph D_n's edge coordinate is 0 at rows k <= 2 and both coordinates
+    # at k <= 1, and so are the targets: those columns pass exactly
+    model = graph_model(tmp_path, n=4, p=0.3)
+    code, out = run(capsys, ["verify-covariance", "--model", model, "--samples", "4000",
+                             "--grid", "8"])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["sampler_vs_closed_form_mc"]["pass"], checks
+    assert code == 1 and not checks["cov_tv_vs_prelimit_VV"]["pass"]  # by design
+
+
 def test_verify_covariance_graph_identities(tmp_path, capsys):
     model = graph_model(tmp_path, n=7, p=0.3)
     code, out = run(

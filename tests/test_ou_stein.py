@@ -21,7 +21,6 @@ from steinpaths.mc import SeedSpec, from_values
 from steinpaths.ou_stein import (
     combinatorial_law,
     epsilon1_combinatorial,
-    epsilon1_estimate,
     epsilon1_graph,
     epsilon3_estimate,
     generator_apply,
@@ -33,7 +32,6 @@ from steinpaths.ou_stein import (
     stein_identity_residual,
     stein_selfconsistency,
 )
-from steinpaths.paths import PiecewiseConstantPath, grid_path, zero_path
 
 F = Fraction
 
@@ -43,13 +41,31 @@ def det5_model():
     return ArrayModel.deterministic(double_center(base))
 
 
-def step_path(dim, jumps):
-    """Path with the given {time: vector} jumps added cumulatively."""
-    bps = [F(0)] + sorted(jumps)
-    vals = [np.zeros(dim)]
-    for t in sorted(jumps):
-        vals.append(vals[-1] + np.asarray(jumps[t], dtype=float))
-    return PiecewiseConstantPath(dim, bps, vals)
+def step_argument(g, jumps):
+    """g's stacked argument at the step path that starts at 0 and adds each
+    {time: vector} jump from its time on."""
+    return np.concatenate([
+        sum((np.asarray(v, dtype=float) for s, v in jumps.items() if s <= t),
+            np.zeros(g.dim))
+        for t in g.times
+    ])
+
+
+def sup_norm(values):
+    """Sup norm of a grid path from its (n+1, dim) values."""
+    return float(np.linalg.norm(values, axis=-1).max())
+
+
+def epsilon1_pairs(pair_sampler, lambda_action, gnorm, samples, rng):
+    """(|g|/6) E ||(Y-Y') Lambda|| ||Y-Y'||^2, one object-layer pair at a
+    time: the pair's two (n+1, dim) grid arrays share one grid, so Y - Y'
+    is their difference."""
+    vals = np.empty(samples)
+    for s in range(samples):
+        y, y_prime = pair_sampler(rng)
+        diff = y - y_prime
+        vals[s] = sup_norm(lambda_action(diff)) * sup_norm(diff) ** 2
+    return from_values(gnorm / 6.0 * vals, name="epsilon1")
 
 
 def test_law_cov_matches_sampler():
@@ -68,9 +84,9 @@ def test_law_cov_matches_sampler():
 def test_mehler_u_zero_is_identity():
     law = combinatorial_law(det5_model())
     g = sin_cylinder(1, 1, dim=1)
-    w = step_path(1, {F(1, 3): [0.7], F(4, 5): [-0.2]})
-    est = mehler_apply(g, w, 0.0, law, 1000, SeedSpec(51))
-    assert est.mean == g(w)
+    x = step_argument(g, {F(1, 3): [0.7], F(4, 5): [-0.2]})
+    est = mehler_apply(g, x, 0.0, law, 1000, SeedSpec(51))
+    assert est.mean == g.value_stacked(x)
     assert est.m2 == 0.0
 
 
@@ -89,8 +105,8 @@ def test_mean_g_estimates_each_functional():
 def test_mehler_u_large_reaches_target_mean():
     law = graph_law(GraphModel(5, 0.3))
     g = cos_cylinder(2, 1, dim=2)
-    w = step_path(2, {F(1, 2): [0.5, -0.3]})
-    far = mehler_apply(g, w, 20.0, law, 2 * 10**4, SeedSpec(52, (0,)))
+    x = step_argument(g, {F(1, 2): [0.5, -0.3]})
+    far = mehler_apply(g, x, 20.0, law, 2 * 10**4, SeedSpec(52, (0,)))
     target = law.mean_g(g, 2 * 10**4, SeedSpec(52, (1,)))
     tol = 4 * math.hypot(far.stderr, target.stderr)
     assert abs(far.mean - target.mean) < tol
@@ -100,20 +116,20 @@ def test_mehler_contraction_on_linear():
     # T_u g(w) = e^{-u} g(w) for centered linear g
     law = combinatorial_law(det5_model())
     g = linear_cylinder([1], [F(3, 5)], None, dim=1)
-    w = step_path(1, {F(1, 5): [1.3]})
+    x = step_argument(g, {F(1, 5): [1.3]})
     for u in (0.3, 1.0):
-        est = mehler_apply(g, w, u, law, 4 * 10**4, SeedSpec(53, (int(10 * u),)))
-        assert abs(est.mean - math.exp(-u) * g(w)) < 4 * est.stderr
+        est = mehler_apply(g, x, u, law, 4 * 10**4, SeedSpec(53, (int(10 * u),)))
+        assert abs(est.mean - math.exp(-u) * g.value_stacked(x)) < 4 * est.stderr
 
 
 def test_mehler_semigroup_property():
     # Gaussian target: two-step evaluation agrees with the single step
     law = combinatorial_law(det5_model())
     g = tanh_product([1, 1], [F(2, 5), F(1)], dim=1)
-    w = step_path(1, {F(1, 5): [0.8], F(3, 5): [-0.4]})
+    x = step_argument(g, {F(1, 5): [0.8], F(3, 5): [-0.4]})
     u, v = 0.4, 0.9
-    two = mehler_two_step(g, w, u, v, law, 6 * 10**4, SeedSpec(54, (0,)))
-    one = mehler_apply(g, w, u + v, law, 6 * 10**4, SeedSpec(54, (1,)))
+    two = mehler_two_step(g, x, u, v, law, 6 * 10**4, SeedSpec(54, (0,)))
+    one = mehler_apply(g, x, u + v, law, 6 * 10**4, SeedSpec(54, (1,)))
     tol = 4 * math.hypot(two.stderr, one.stderr)
     assert abs(two.mean - one.mean) < tol
 
@@ -121,33 +137,33 @@ def test_mehler_semigroup_property():
 def test_generator_linear_functional():
     law = graph_law(GraphModel(4, 0.5))
     f = linear_cylinder([1, 2], [F(1, 2), F(1)], [2.0, -1.0], dim=2)
-    w = step_path(2, {F(1, 4): [0.3, 0.1], F(3, 4): [-0.2, 0.5]})
-    x = f.stack(w)
+    x = step_argument(f, {F(1, 4): [0.3, 0.1], F(3, 4): [-0.2, 0.5]})
     grad = f.grad_stacked(x)
-    assert generator_apply(f, w, law) == pytest.approx(-float(grad @ x), abs=1e-14)
+    assert generator_apply(f, x, law) == pytest.approx(-float(grad @ x), abs=1e-14)
 
 
 def test_generator_pure_trace_at_zero_path():
     # at w = 0 a cosine cylinder has zero gradient, so only the trace term
     law = combinatorial_law(det5_model())
     f = cos_cylinder(1, 1, dim=1)
-    w = zero_path(1)
+    x = np.zeros(f.n_args)
     expected = -1.0 * float(law.cov_matrix([F(1)])[0, 0])  # H = -cos(0) = -1
-    assert generator_apply(f, w, law) == pytest.approx(expected, abs=1e-14)
+    assert generator_apply(f, x, law) == pytest.approx(expected, abs=1e-14)
 
 
 def test_generator_linearity_and_constant_invariance():
     # adding a constant leaves the generator unchanged; scaling a linear
     # base scales the generator
     law = combinatorial_law(det5_model())
-    w = step_path(1, {F(2, 5): [0.4], F(4, 5): [1.1]})
+    jumps = {F(2, 5): [0.4], F(4, 5): [1.1]}
     f = linear_cylinder([1, 1], [F(2, 5), F(1)], [1.0, -0.5], dim=1)
     f3 = linear_cylinder([1, 1], [F(2, 5), F(1)], [3.0, -1.5], dim=1)
-    assert generator_apply(f3, w, law) == pytest.approx(
-        3.0 * generator_apply(f, w, law), rel=1e-12
+    x = step_argument(f, jumps)
+    assert generator_apply(f3, x, law) == pytest.approx(
+        3.0 * generator_apply(f, x, law), rel=1e-12
     )
     const = linear_cylinder([1], [F(1)], [0.0], dim=1)
-    assert generator_apply(const, w, law) == 0.0
+    assert generator_apply(const, step_argument(const, jumps), law) == 0.0
 
 
 def test_generator_matches_semigroup_derivative():
@@ -155,8 +171,7 @@ def test_generator_matches_semigroup_derivative():
     # random numbers across the two step sizes
     law = combinatorial_law(det5_model())
     f = cos_cylinder(1, 1, dim=1)
-    w = step_path(1, {F(2, 5): [0.6]})
-    x = f.stack(w)
+    x = step_argument(f, {F(2, 5): [0.6]})
     delta = 0.05
     rng = SeedSpec(55).rng()
     d = law.sample_at(rng, 2 * 10**5, f.times).reshape(-1, 1)
@@ -169,7 +184,7 @@ def test_generator_matches_semigroup_derivative():
     fd1 = (t_est(delta) - f0) / delta
     fd2 = (t_est(2 * delta) - f0) / (2 * delta)
     richardson = from_values(2 * fd1 - fd2)
-    gen = generator_apply(f, w, law)
+    gen = generator_apply(f, x, law)
     assert abs(richardson.mean - gen) < 5 * richardson.stderr + 0.01
 
 
@@ -237,7 +252,7 @@ def test_stein_identity_pass_rate_over_reruns():
 def test_solve_phi_constant_is_zero():
     law = combinatorial_law(ArrayModel.deterministic())
     g = linear_cylinder([1], [1], [0.0], dim=1)
-    est, quad_err = solve_phi(g, zero_path(1), law, inner_samples=2000, seed=SeedSpec(62))
+    est, quad_err = solve_phi(g, np.zeros(1), law, inner_samples=2000, seed=SeedSpec(62))
     assert est.mean == 0.0
     assert quad_err == 0.0
 
@@ -245,27 +260,27 @@ def test_solve_phi_constant_is_zero():
 def test_solve_phi_quadrature_refinement_within_error():
     law = combinatorial_law(ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
-    w = step_path(1, {F(1, 3): [0.9]})
-    est64, err64 = solve_phi(g, w, law, 64, 4096, SeedSpec(63))
-    est128, _ = solve_phi(g, w, law, 128, 4096, SeedSpec(63))
+    x = step_argument(g, {F(1, 3): [0.9]})
+    est64, err64 = solve_phi(g, x, law, 64, 4096, SeedSpec(63))
+    est128, _ = solve_phi(g, x, law, 128, 4096, SeedSpec(63))
     assert abs(est128.mean - est64.mean) <= max(err64, 1e-12)
 
 
 def test_phi_cylinder_matches_solve_phi():
     law = combinatorial_law(ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
-    w = step_path(1, {F(1, 3): [0.9]})
-    est, _ = solve_phi(g, w, law, 64, 4096, SeedSpec(64))
+    x = step_argument(g, {F(1, 3): [0.9]})
+    est, _ = solve_phi(g, x, law, 64, 4096, SeedSpec(64))
     phi_hat = make_phi_cylinder(g, law, 64, 4096, SeedSpec(64, (9,)))
     # independent draws: agree within combined Monte Carlo resolution
-    assert phi_hat(w) == pytest.approx(est.mean, abs=5 * est.stderr + 1e-3)
+    assert phi_hat.value_stacked(x) == pytest.approx(est.mean, abs=5 * est.stderr + 1e-3)
 
 
 def test_stein_selfconsistency_small_n():
     law = combinatorial_law(ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
-    w = step_path(1, {F(1, 3): [0.5], F(2, 3): [-0.3]})
-    report = stein_selfconsistency(g, w, law, seed=SeedSpec(65))
+    x = step_argument(g, {F(1, 3): [0.5], F(2, 3): [-0.3]})
+    report = stein_selfconsistency(g, x, law, seed=SeedSpec(65))
     assert report["pass"], report
     assert report["gap"] <= report["tolerance"]
 
@@ -276,11 +291,9 @@ def test_epsilon1_generic_zero_lambda():
 
     def pair_sampler(r):
         y, y_prime, _ = comb_sample_pair(model, r)
-        return grid_path(y.values, model.n), grid_path(y_prime.values, model.n)
+        return y.values, y_prime.values
 
-    est = epsilon1_estimate(
-        pair_sampler, lambda path: zero_path(path.dim), 1.0, 200, rng
-    )
+    est = epsilon1_pairs(pair_sampler, np.zeros_like, 1.0, 200, rng)
     assert est.mean == 0.0
 
 
@@ -291,14 +304,9 @@ def test_epsilon1_generic_matches_fast_combinatorial():
 
     def pair_sampler(r):
         y, y_prime, _ = comb_sample_pair(model, r)
-        return grid_path(y.values, model.n), grid_path(y_prime.values, model.n)
+        return y.values, y_prime.values
 
-    def lam_action(path):
-        return PiecewiseConstantPath(
-            path.dim, path.breakpoints, lam * np.asarray(path.values)
-        )
-
-    slow = epsilon1_estimate(pair_sampler, lam_action, 6.0, 3000, rng)
+    slow = epsilon1_pairs(pair_sampler, lambda values: lam * values, 6.0, 3000, rng)
     fast = epsilon1_combinatorial(model, 6.0, 3000, SeedSpec(68))
     tol = 5 * math.hypot(slow.stderr, fast.stderr)
     assert abs(slow.mean - fast.mean) < tol
@@ -350,14 +358,12 @@ def test_epsilon1_generic_matches_fast_graph():
 
     def pair_sampler(r):
         y, y_prime, _ = sample_pair(model, r)
-        return grid_path(y.values, model.n), grid_path(y_prime.values, model.n)
+        return y.values, y_prime.values
 
-    def lam_action(path):
-        return PiecewiseConstantPath(
-            path.dim, path.breakpoints, apply_lambda_values(model, path.values)
-        )
+    def lam_action(values):
+        return apply_lambda_values(model, values)
 
-    slow = epsilon1_estimate(pair_sampler, lam_action, 6.0, 2500, rng)
+    slow = epsilon1_pairs(pair_sampler, lam_action, 6.0, 2500, rng)
     fast = epsilon1_graph(model, 6.0, 2500, SeedSpec(85))
     tol = 5 * math.hypot(slow.stderr, fast.stderr)
     assert abs(slow.mean - fast.mean) < tol
