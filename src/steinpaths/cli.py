@@ -3,7 +3,9 @@
 Subcommands: simulate | verify-regression | verify-covariance | distance
 | coupling | bound | stein-identity.  Every command emits a
 self-contained JSON (or CSV) report; exit code 0 means all checks
-passed, 1 means some check failed, 2 means a usage error.
+passed, 1 means some check failed, 2 means a usage error.  `main` runs
+every command through `_run`, which loads the model, parses the
+functionals, builds the report and emits it; a `cmd_*` only adds entries.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from . import ou_stein as ou
 from .functionals import (
     FUNCTIONAL_SPEC_HELP,
     FunctionalError,
-    UnsupportedFunctionalError,
     certified_library,
     norm_upper_bound,
     parse_functional,
@@ -38,6 +39,10 @@ F = Fraction
 USAGE_ERROR, CHECK_FAILURE = 2, 1
 PRODUCT_BYTES = 1 << 20  # bytes of product columns per Monte Carlo chunk, at most
 REGRESSION_TERMS = 1 << 20  # verify-regression's trials x n^2 x (most times) per block
+# options left out of a report's parameters: the seed has its own field,
+# the functionals are recorded by their labels, and the rest do not change
+# a report's contents
+NOT_PARAMETERS = frozenset({"command", "fn", "seed", "workers", "out", "format", "functional"})
 
 
 class UsageError(ValueError):
@@ -45,46 +50,33 @@ class UsageError(ValueError):
 
 
 def _load_model(path: str):
-    """Returns ("graph", GraphModel) or ("array", ArrayModel)."""
-    with open(path) as fh:
-        d = json.load(fh)
-    kind = d.get("type")
-    if kind is None:
-        kind = "graph" if set(d) >= {"n", "p"} else "array"
-    if kind == "graph":
-        return "graph", gr.GraphModel.from_json_dict(d)
-    if kind == "array":
-        return "array", comb.ArrayModel.from_json_dict(d)
-    raise UsageError("unknown model type %r" % kind)
+    """Returns ("graph", GraphModel) or ("array", ArrayModel).  A file that
+    is not a JSON model object, lacks a field or has a non-integer n is a
+    usage error."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError("not a JSON object")
+        kind = d.get("type")
+        if not float(d.get("n", 0)).is_integer():
+            raise ValueError("n = %r is not an integer" % d["n"])
+        if kind is None:
+            kind = "graph" if set(d) >= {"n", "p"} else "array"
+        if kind == "graph":
+            return "graph", gr.GraphModel.from_json_dict(d)
+        if kind == "array":
+            return "array", comb.ArrayModel.from_json_dict(d)
+        raise ValueError("unknown model type %r" % kind)
+    except KeyError as exc:
+        raise UsageError("model file %s: missing field %s" % (path, exc)) from exc
+    except (ValueError, TypeError) as exc:
+        raise UsageError("model file %s: %s" % (path, exc)) from exc
 
 
 def _functionals(specs, kind):
     dim = 2 if kind == "graph" else 1
-    if not specs:
-        return certified_library(dim)
-    try:
-        return [parse_functional(s, dim) for s in specs]
-    except FunctionalError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _report(args, parameters: dict) -> RunReport:
-    return RunReport(
-        command=args.command,
-        parameters=parameters,
-        seed=args.seed,
-        version="steinpaths-%s" % __version__,
-    )
-
-
-def _emit(report: RunReport, args) -> int:
-    text = report.to_csv() if args.format == "csv" else report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if report.all_pass else CHECK_FAILURE
+    return [parse_functional(s, dim) for s in specs] if specs else certified_library(dim)
 
 
 def _gap_sampler(kind, model, g):
@@ -106,27 +98,24 @@ def _gap_sampler(kind, model, g):
 # subcommands
 
 
-def cmd_simulate(args) -> int:
-    kind, model = _load_model(args.model)
-    funcs = _functionals(args.functional, kind)
-    report = _report(
-        args,
-        {"model": args.model, "kind": kind, "samples": args.samples,
-         "functionals": [g.label for g in funcs]},
-    )
-    seed = SeedSpec(args.seed)
+def _gap_estimates(args, kind, model, funcs, report):
+    """Adds E[g(Y)] and E[g(D)] for each functional; returns the pairs."""
+    seed, pairs = SeedSpec(args.seed), []
     for idx, g in enumerate(funcs):
         y_fn, d_fn = _gap_sampler(kind, model, g)
         est_y = mc_run(y_fn, args.samples, seed.child(2 * idx), workers=args.workers)
         est_d = mc_run(d_fn, args.samples, seed.child(2 * idx + 1), workers=args.workers)
         report.add_estimate("E[g(Y)] %s" % g.label, est_y)
         report.add_estimate("E[g(D)] %s" % g.label, est_d)
-    return _emit(report, args)
+        pairs.append((est_y, est_d))
+    return pairs
 
 
-def cmd_verify_regression(args) -> int:
-    kind, model = _load_model(args.model)
-    funcs = _functionals(args.functional, kind)
+def cmd_simulate(args, kind, model, funcs, report):
+    _gap_estimates(args, kind, model, funcs, report)
+
+
+def cmd_verify_regression(args, kind, model, funcs, report):
     terms = model.n**2 * max(g.k for g in funcs)
     if terms > REGRESSION_TERMS:
         raise UsageError(
@@ -134,11 +123,6 @@ def cmd_verify_regression(args) -> int:
             "over the budget of %d (use a smaller model or fewer times)"
             % (terms, REGRESSION_TERMS)
         )
-    report = _report(
-        args,
-        {"model": args.model, "kind": kind, "trials": args.trials,
-         "tol": args.tol, "functionals": [g.label for g in funcs]},
-    )
     mod = gr if kind == "graph" else comb
     # a block's (trials, pairs, cuts) arrays are no larger than one trial's
     # at the budget
@@ -158,7 +142,6 @@ def cmd_verify_regression(args) -> int:
     report.add_check(
         "regression_identity", worst < args.tol, args.tol, "max residual %.3e" % worst
     )
-    return _emit(report, args)
 
 
 def _product_z(sample, pairs, targets, args, seed):
@@ -269,44 +252,23 @@ def _verify_covariance_array(model, args, report):
         report.add_check("dn_grid_cov_mc", worst_z <= 5.0, "5 stderr", detail)
 
 
-def cmd_verify_covariance(args) -> int:
-    kind, model = _load_model(args.model)
-    report = _report(
-        args,
-        {"model": args.model, "kind": kind, "grid": args.grid,
-         "tol": args.tol, "samples": args.samples},
-    )
+def cmd_verify_covariance(args, kind, model, funcs, report):
     if kind == "graph":
         _verify_covariance_graph(model, args, report)
     else:
         _verify_covariance_array(model, args, report)
-    return _emit(report, args)
 
 
-def cmd_distance(args) -> int:
-    kind, model = _load_model(args.model)
-    funcs = _functionals(args.functional, kind)
-    report = _report(
-        args,
-        {"model": args.model, "kind": kind, "samples": args.samples,
-         "functionals": [g.label for g in funcs]},
-    )
-    seed = SeedSpec(args.seed)
-    for idx, g in enumerate(funcs):
-        try:
-            norm_class = "M2" if kind == "graph" else "M1"
-            gnorm = norm_upper_bound(g, norm_class).value
-        except UnsupportedFunctionalError as exc:
-            raise UsageError(str(exc)) from exc
-        y_fn, d_fn = _gap_sampler(kind, model, g)
-        est_y = mc_run(y_fn, args.samples, seed.child(2 * idx), workers=args.workers)
-        est_d = mc_run(d_fn, args.samples, seed.child(2 * idx + 1), workers=args.workers)
+def cmd_distance(args, kind, model, funcs, report):
+    # every norm is certified before anything is drawn
+    norm_class = "M2" if kind == "graph" else "M1"
+    gnorms = [norm_upper_bound(g, norm_class).value for g in funcs]
+    pairs = _gap_estimates(args, kind, model, funcs, report)
+    for g, gnorm, (est_y, est_d) in zip(funcs, gnorms, pairs):
         gap = abs(est_y.mean - est_d.mean)
         ci = 1.96 * math.hypot(est_y.stderr, est_d.stderr)
         bound = (gr.bound_prelimit(model.n, gnorm) if kind == "graph"
                  else comb.bound_prelimit_distance(model, gnorm))
-        report.add_estimate("E[g(Y)] %s" % g.label, est_y)
-        report.add_estimate("E[g(D)] %s" % g.label, est_d)
         report.add_value("gap %s" % g.label, gap)
         report.add_bound("bound %s" % g.label, bound)
         report.add_check(
@@ -315,21 +277,15 @@ def cmd_distance(args) -> int:
             "gap - ci95 <= bound",
             "gap %.4g, ci %.4g, bound %.4g (|g| <= %.4g)" % (gap, ci, bound, gnorm),
         )
-    return _emit(report, args)
 
 
-def cmd_coupling(args) -> int:
-    model = gr.GraphModel(args.n, args.p)
+def cmd_coupling(args, kind, model, funcs, report):
     rep = gr.coupling_distance(
-        model, args.samples, SeedSpec(args.seed), workers=args.workers
+        gr.GraphModel(args.n, args.p), args.samples, SeedSpec(args.seed),
+        workers=args.workers,
     )
-    report = _report(
-        args,
-        {"n": args.n, "p": args.p, "samples": args.samples,
-         "refine": rep["refine"], "chunk": rep["chunk"],
-         "discretization_bias_bound": rep["discretization_bias_bound"],
-         "corr_at_one": rep["corr_at_one"]},
-    )
+    report.parameters.update({key: rep[key] for key in (
+        "refine", "chunk", "discretization_bias_bound", "corr_at_one")})
     for name, est in rep["estimates"].items():
         report.add_estimate(name, est)
         report.add_bound("bound %s" % name, rep["bounds"][name])
@@ -339,12 +295,9 @@ def cmd_coupling(args) -> int:
             rep["bounds"][name],
             "estimate %.4g <= bound %.4g" % (est.mean, rep["bounds"][name]),
         )
-    return _emit(report, args)
 
 
-def cmd_bound(args) -> int:
-    kind, model = _load_model(args.model)
-    report = _report(args, {"model": args.model, "kind": kind, "gnorm": args.gnorm})
+def cmd_bound(args, kind, model, funcs, report):
     if kind == "graph":
         report.add_bound("prelimit_12g_over_n", gr.bound_prelimit(model.n, args.gnorm))
         report.add_bound(
@@ -359,19 +312,10 @@ def cmd_bound(args) -> int:
         beta3 = comb.bound_beta3(model.n, model.s_n, float(model.abs3.max()), model.c,
                                  float(model.sigma2.sum()), args.gnorm)
         report.add_bound("simplified_beta3", beta3)
-    return _emit(report, args)
 
 
-def cmd_stein_identity(args) -> int:
-    kind, model = _load_model(args.model)
-    funcs = _functionals(args.functional, kind)
+def cmd_stein_identity(args, kind, model, funcs, report):
     law = ou.graph_law(model) if kind == "graph" else ou.combinatorial_law(model)
-    report = _report(
-        args,
-        {"model": args.model, "kind": kind, "samples": args.samples,
-         "scale": args.scale,
-         "functionals": [g.label for g in funcs]},
-    )
     for idx, g in enumerate(funcs):
         est = ou.stein_identity_residual(
             g, law, args.samples, SeedSpec(args.seed, (idx,)), scale=args.scale,
@@ -384,7 +328,6 @@ def cmd_stein_identity(args) -> int:
             "3 stderr",
             "|mean| %.3e vs 3 se %.3e" % (abs(est.mean), 3 * est.stderr),
         )
-    return _emit(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +409,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Loads the model and parses the functionals the subcommand takes, lets
+    it fill one report and emits that report.  A Monte Carlo sample that is
+    not finite fails the report's `finite_samples` check."""
+    options = vars(args)
+    kind = model = funcs = None
+    parameters = {k: v for k, v in options.items() if k not in NOT_PARAMETERS}
+    if "model" in options:
+        kind, model = _load_model(args.model)
+        parameters["kind"] = kind
+    if "functional" in options:
+        funcs = _functionals(args.functional, kind)
+        parameters["functionals"] = [g.label for g in funcs]
+    report = RunReport(command=args.command, parameters=parameters, seed=args.seed,
+                       version="steinpaths-%s" % __version__)
+    try:
+        args.fn(args, kind, model, funcs, report)
+    except mc.McError as exc:
+        report.add_check("finite_samples", False, "finite", str(exc))
+    text = report.to_csv() if args.format == "csv" else report.to_json()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if report.all_pass else CHECK_FAILURE
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -473,7 +444,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return _run(args)
     except (UsageError, FileNotFoundError, comb.ModelError, gr.GraphModelError,
             FunctionalError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -65,20 +65,6 @@ class McEstimate:
             return 0.0
         return float(np.sqrt(self.variance / self.count))
 
-    def add_batch(self, xs: np.ndarray) -> None:
-        xs = np.asarray(xs, dtype=float).ravel()
-        if xs.size == 0:
-            return
-        if not np.all(np.isfinite(xs)):
-            raise McError("non-finite sample in batch")
-        other = McEstimate(
-            count=int(xs.size),
-            mean=float(np.mean(xs)),
-            m2=float(np.sum((xs - np.mean(xs)) ** 2)),
-        )
-        merged = merge(self, other)
-        self.count, self.mean, self.m2 = merged.count, merged.mean, merged.m2
-
     def ci95(self) -> tuple[float, float]:
         return ci95(self)
 
@@ -115,9 +101,14 @@ def ci95(est: McEstimate) -> tuple[float, float]:
 
 
 def from_values(xs, name: str = "") -> McEstimate:
-    est = McEstimate(name=name)
-    est.add_batch(np.asarray(xs, dtype=float))
-    return est
+    """Moments of the flattened values xs; no values give an empty estimate."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    if xs.size == 0:
+        return McEstimate(name=name)
+    if not np.all(np.isfinite(xs)):
+        raise McError("non-finite sample in batch")
+    mean = np.mean(xs)
+    return McEstimate(int(xs.size), float(mean), float(np.sum((xs - mean) ** 2)), name)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -592,6 +593,88 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_missing_model_file_is_usage_error(tmp_path, capsys):
     code, _ = run(capsys, ["bound", "--model", str(tmp_path / "nope.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[1, 2]",
+    '{"type": "graph"}',
+    '{"type": "graph", "n": 8}',
+    '{"type": "array", "n": 3}',
+    '{"type": "array", "n": 2, "entries": [{"i": 1, "j": 1, "dist": "gaussian"}]}',
+    '{"n": "abc", "p": 0.3}',
+    '{"n": null, "p": 0.3}',
+    '{"n": 6.9, "p": 0.3}',
+    '{"preset": "iid-gaussian", "n": 5.5}',
+    '{"type": "graph", "n": Infinity, "p": 0.3}',
+])
+def test_malformed_model_file_is_usage_error(tmp_path, capsys, text):
+    model = tmp_path / "bad.json"
+    model.write_text(text)
+    code = main(["bound", "--model", str(model)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: model file %s: " % model)
+    assert err.count("\n") == 1
+
+
+def test_integral_n_stays_accepted(tmp_path, capsys):
+    for payload in ({"n": 6.0, "p": 0.3}, {"preset": "iid-gaussian", "n": 5}):
+        code, _ = run(capsys, ["bound", "--model", write_model(tmp_path, "m.json", payload)])
+        assert code == 0
+
+
+def test_non_finite_sample_fails_a_check(tmp_path, capsys, monkeypatch):
+    sample_zhat = comb.sample_zhat_values
+
+    def nan_column(model, rng, size):
+        x = sample_zhat(model, rng, size)
+        x[:, 1] = np.nan
+        return x
+
+    monkeypatch.setattr(comb, "sample_zhat_values", nan_column)
+    code = main(["verify-covariance", "--model", iid_model(tmp_path, 4), "--samples", "600",
+                 "--workers", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == ["finite_samples"]
+    assert not checks["finite_samples"]["pass"]
+    assert checks["finite_samples"]["detail"] == "non-finite sample in chunk 0"
+
+
+def test_report_parameters_are_the_options(tmp_path, capsys):
+    # a report records every option that changes its contents, and nothing
+    # the run did not take as input beyond the model kind, the functionals'
+    # labels and coupling's derived settings
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    sizes = {
+        "simulate": ["--samples", "10"],
+        "verify-regression": ["--trials", "1"],
+        "verify-covariance": ["--samples", "10", "--grid", "2"],
+        "distance": ["--samples", "10"],
+        "coupling": ["--n", "8", "--p", "0.3", "--samples", "10"],
+        "bound": [],
+        "stein-identity": ["--samples", "10"],
+    }
+    assert sorted(subparsers.choices) == sorted(sizes)
+    derived = {"refine", "chunk", "discretization_bias_bound", "corr_at_one"}
+    for command, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions} - {"help"}
+        expected = dests - {"seed", "workers", "out", "format", "functional"}
+        expected |= {"kind"} if "model" in dests else set()
+        expected |= {"functionals"} if "functional" in dests else set()
+        expected |= derived if command == "coupling" else set()
+        models = ([graph_model(tmp_path, 8, 0.3), iid_model(tmp_path, 4)]
+                  if "model" in dests else [None])
+        for model in models:
+            argv = [command] + sizes[command] + (["--model", model] if model else [])
+            _, out = run(capsys, argv + ["--seed", "3"])
+            parameters = json.loads(out)["parameters"]
+            assert set(parameters) == expected, command
+            options = vars(parser.parse_args(argv))
+            assert all(parameters[k] == options[k] for k in expected & dests), command
 
 
 @pytest.mark.parametrize("argv", [
