@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -50,9 +51,9 @@ class UsageError(ValueError):
 
 
 def _load_model(path: str):
-    """Returns ("graph", GraphModel) or ("array", ArrayModel).  A file that
-    is not a JSON model object, lacks a field or has a non-integer n is a
-    usage error."""
+    """Returns ("graph", GraphModel) or ("array", ArrayModel).  A path that
+    cannot be read, or a file that is not a JSON model object, lacks a field
+    or has a non-integer n, is a usage error."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -68,6 +69,8 @@ def _load_model(path: str):
         if kind == "array":
             return "array", comb.ArrayModel.from_json_dict(d)
         raise ValueError("unknown model type %r" % kind)
+    except OSError as exc:
+        raise UsageError("model file %s: %s" % (path, exc.strerror or exc)) from exc
     except KeyError as exc:
         raise UsageError("model file %s: missing field %s" % (path, exc)) from exc
     except (ValueError, TypeError) as exc:
@@ -411,8 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> int:
     """Loads the model and parses the functionals the subcommand takes, lets
-    it fill one report and emits that report.  A Monte Carlo sample that is
-    not finite fails the report's `finite_samples` check."""
+    it fill one report and emits that report.  An `--out` in a directory
+    that does not exist is refused before anything is drawn.  A Monte Carlo
+    sample that is not finite fails the report's `finite_samples` check."""
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise UsageError("output file %s: no such directory" % args.out)
     options = vars(args)
     kind = model = funcs = None
     parameters = {k: v for k, v in options.items() if k not in NOT_PARAMETERS}
@@ -430,8 +436,11 @@ def _run(args) -> int:
         report.add_check("finite_samples", False, "finite", str(exc))
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("output file %s: %s" % (args.out, exc.strerror or exc)) from exc
     else:
         sys.stdout.write(text)
     return 0 if report.all_pass else CHECK_FAILURE
@@ -445,8 +454,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (UsageError, FileNotFoundError, comb.ModelError, gr.GraphModelError,
-            FunctionalError) as exc:
+    except (UsageError, comb.ModelError, gr.GraphModelError, FunctionalError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 

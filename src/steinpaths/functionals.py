@@ -335,10 +335,17 @@ def _single_site_certificate(k: int, block: int, d0: float, d1: float, d2: float
     )
 
 
+def _coord_index(coord: int, dim: int) -> int:
+    """0-based index of a 1-based path coordinate, which must lie in 1..dim."""
+    if not 1 <= coord <= dim:
+        raise FunctionalError("coord %d outside 1..%d" % (coord, dim))
+    return coord - 1
+
+
 def sin_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
     """g(w) = sin(w^(coord)(t)); all sup constants equal 1."""
     t = as_time(t)
-    base = _TrigBase("sin", coord - 1, dim)
+    base = _TrigBase("sin", _coord_index(coord, dim), dim)
     base.certificate = _single_site_certificate(1, 0, 1.0, 1.0, 1.0, 1.0)
     return CylinderFunctional(dim, [t], base, label="sin:coord=%d,t=%s" % (coord, t))
 
@@ -346,7 +353,7 @@ def sin_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
 def cos_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
     """g(w) = cos(w^(coord)(t))."""
     t = as_time(t)
-    base = _TrigBase("cos", coord - 1, dim)
+    base = _TrigBase("cos", _coord_index(coord, dim), dim)
     base.certificate = _single_site_certificate(1, 0, 1.0, 1.0, 1.0, 1.0)
     return CylinderFunctional(dim, [t], base, label="cos:coord=%d,t=%s" % (coord, t))
 
@@ -369,9 +376,7 @@ def tanh_product(coords: Sequence[int], times: Sequence, dim: int = 1) -> Cylind
     k, m = len(uniq_times), len(coords)
     indices = []
     for c, t in zip(coords, raw_times):
-        if not 1 <= c <= dim:
-            raise FunctionalError("coord %d outside 1..%d" % (c, dim))
-        indices.append(uniq_times.index(t) * dim + (c - 1))
+        indices.append(uniq_times.index(t) * dim + _coord_index(c, dim))
     base = _TanhProdBase(tuple(indices), k * dim)
 
     counts = [0] * k
@@ -414,9 +419,7 @@ def linear_cylinder(
     k = len(uniq_times)
     wvec = np.zeros(k * dim)
     for c, t, wt in zip(coords, raw_times, weights):
-        if not 1 <= c <= dim:
-            raise FunctionalError("coord %d outside 1..%d" % (c, dim))
-        wvec[uniq_times.index(t) * dim + (c - 1)] += wt
+        wvec[uniq_times.index(t) * dim + _coord_index(c, dim)] += wt
     base = _LinearBase(wvec)
     blocks = wvec.reshape(k, dim)
     base.certificate = NormCertificate(

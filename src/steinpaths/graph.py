@@ -463,39 +463,38 @@ def sample_y_values(
     model: GraphModel, rng: np.random.Generator, size: int, cuts=None
 ) -> np.ndarray:
     """(size, len(cuts), 2) centered values of Y_n at t = k/n for k in cuts
-    (default: every k = 0..n); O(m^2) per sample for m = max(cuts).
+    (default: every k = 0..n).
 
-    Vertex k joins with a (k, size) block of indicators from ``bernoulli``;
-    the two-star count grows by C(e_k, 2) plus the degrees of k's new
-    neighbours.  Degrees are held vertex-major, (vertex, sample), in int32;
-    the counts are exact at every n.  The loop stops at vertex m, so the
-    rows returned equal the full call's rows at the same seed.
+    Vertex k joins with a (k, size) block of indicators from ``bernoulli``,
+    added to the degrees of vertices < k; its own degree is the block's
+    column sum.  Degrees are held vertex-major, (vertex, sample), in the
+    smallest integer dtype that holds n - 1.  The edge and two-star counts
+    are formed only at the distinct rows r read, as sum(d) / 2 and
+    (sum(d^2) - sum(d)) / 2 over the first r degrees, both exact.  A sample
+    costs m(m-1)/2 random bytes for m = max(cuts) plus O(r) per row read,
+    and its rows equal the full call's rows at the same seed.
     """
     n, p = model.n, model.p
     rows, m = grid_rows(n, cuts)
-    out = np.zeros((size, m + 1, 2))
-    s = np.zeros(size, dtype=np.int64)
-    w = np.zeros(size, dtype=np.int64)
-    # degrees are at most n - 1, so int32 holds them and any neighbour-degree
-    # sum over `span` rows; each partial sum goes into w (int64) on its own
-    deg = np.zeros((m, size), dtype=np.int32)
-    span = (2**31 - 1) // (n - 1)
-    for k in range(1, m):
-        block = bernoulli(rng, p, (k, size)).view(np.uint8)
-        e_k = block.sum(axis=0, dtype=np.int64)
-        w += e_k * (e_k - 1) // 2
-        held = deg[:k]
-        for lo in range(0, k, span):
-            w += np.einsum("ks,ks->s", block[lo : lo + span], held[lo : lo + span])
-        s += e_k
-        deg[:k] += block
-        deg[k] = e_k
-        out[:, k + 1, 0] = (k - 1) * s / n**2
-        out[:, k + 1, 1] = w / n**2
+    reads, pos = np.unique(rows, return_inverse=True)
+    dt = np.min_scalar_type(n - 1)
+    acc = np.int32 if n * (n - 1) ** 2 < 2**31 else np.int64  # holds sum(d^2)
+    deg = np.zeros((m, size), dtype=dt)
     et, ev = _expected_cuts(model)
-    out[:, :, 0] -= et[: m + 1]
-    out[:, :, 1] -= ev[: m + 1]
-    return out if cuts is None else out[:, rows]
+    out = np.empty((size, reads.size, 2))
+    joined = 1  # vertices 0..joined-1 are in the graph
+    for i, r in enumerate(reads):
+        for k in range(joined, r):
+            block = bernoulli(rng, p, (k, size)).view(np.uint8)
+            deg[:k] += block
+            np.add.reduce(block, axis=0, dtype=dt, out=deg[k])
+        joined = max(joined, r)
+        d = deg[:r]
+        s = np.add.reduce(d, axis=0, dtype=acc)
+        q = np.einsum("vs,vs->s", d, d, dtype=acc)
+        out[:, i, 0] = (r - 2) * (s // 2) / n**2 - et[r]
+        out[:, i, 1] = (q - s) // 2 / n**2 - ev[r]
+    return out if cuts is None else out[:, pos]
 
 
 def sample_dn_values(

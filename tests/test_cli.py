@@ -595,6 +595,58 @@ def test_missing_model_file_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["models", "file.json/graph.json"])
+def test_unreadable_model_path_is_usage_error(tmp_path, capsys, name):
+    # a directory, or a path through a regular file: OSErrors other than a
+    # missing file
+    (tmp_path / "models").mkdir()
+    (tmp_path / "file.json").write_text("{}")
+    model = tmp_path / name
+    code = main(["bound", "--model", str(model)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: model file %s: " % model)
+    assert err.count("\n") == 1
+
+
+@pytest.fixture
+def graph_draws(monkeypatch):
+    """Records every graph Y call."""
+    calls, sample_y = [], gr.sample_y_values
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return sample_y(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "sample_y_values", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["sin:coord=3,t=1", "sin:coord=0,t=1", "cos:coord=3,t=1/2"])
+def test_coordinate_outside_model_is_usage_error(tmp_path, capsys, graph_draws, spec):
+    code = main(["simulate", "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
+                 "--functional", spec])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "usage error: coord %s outside 1..2\n" % spec.split("=")[1].split(",")[0]
+    assert graph_draws == []
+
+
+def test_out_in_missing_directory_is_refused_before_drawing(tmp_path, capsys, graph_draws):
+    out_file = tmp_path / "missing" / "report.json"
+    code = main(["simulate", "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
+                 "--functional", "sin:coord=1,t=1", "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "usage error: output file %s: no such directory\n" % out_file
+    assert graph_draws == [] and not out_file.parent.exists()
+    # the same run with --out in an existing directory draws and writes
+    code = main(["simulate", "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
+                 "--functional", "sin:coord=1,t=1", "--out", str(tmp_path / "report.json")])
+    assert code == 0 and len(graph_draws) == 1
+    assert json.loads((tmp_path / "report.json").read_text())["command"] == "simulate"
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     "[1, 2]",

@@ -284,6 +284,21 @@ def test_parse_functional_errors():
         parse_functional("sin:t=1", dim=1)
 
 
+@pytest.mark.parametrize("spec", [
+    "sin:coord=0,t=1",
+    "sin:coord=3,t=1",
+    "cos:coord=0,t=1/2",
+    "cos:coord=3,t=1/2",
+    "tanhprod:coords=1,3,t=1/2,1",
+    "lin:coords=0,t=1",
+])
+def test_coordinate_outside_path_dimension_is_refused(spec):
+    # coord 0 would read the last coordinate through index -1, coord 3 the
+    # next time's first coordinate or past the end of x
+    with pytest.raises(FunctionalError, match="outside 1..2"):
+        parse_functional(spec, dim=2)
+
+
 def test_certified_library_has_five_certified(    ):
     for dim in (1, 2):
         lib = certified_library(dim)

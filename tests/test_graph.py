@@ -20,6 +20,7 @@ from steinpaths.graph import (
     GraphRealization,
     _bm,
     _bytes,
+    _expected_cuts,
     _tv_cut_values,
     bernoulli,
     bound_continuous,
@@ -54,6 +55,7 @@ from steinpaths.graph import (
 )
 from steinpaths.functionals import certified_library
 from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, merge
+from steinpaths.paths import grid_rows
 
 F = Fraction
 
@@ -245,6 +247,81 @@ def test_y_two_star_counts_do_not_wrap_at_large_n():
         et, ev = moments_tv(model, F(1))
         assert np.allclose(vals[:, 0, 0] + et, t_raw, rtol=1e-12, atol=0)
         assert np.allclose(vals[:, 0, 1] + ev, v_raw, rtol=1e-12, atol=0)
+
+
+def y_incremental_reference(model, rng, size, cuts=None):
+    """Graph Y by the incremental vertex loop: at every vertex k the
+    two-star count grows by C(e_k, 2) plus the degrees of k's new
+    neighbours (an einsum over int32 degrees), and both counts are written
+    at every row.  It takes the same draws as ``sample_y_values``."""
+    n, p = model.n, model.p
+    rows, m = grid_rows(n, cuts)
+    out = np.zeros((size, m + 1, 2))
+    s = np.zeros(size, dtype=np.int64)
+    w = np.zeros(size, dtype=np.int64)
+    # degrees are at most n - 1, so int32 holds them and any neighbour-degree
+    # sum over `span` rows; each partial sum goes into w (int64) on its own
+    deg = np.zeros((m, size), dtype=np.int32)
+    span = (2**31 - 1) // (n - 1)
+    for k in range(1, m):
+        block = bernoulli(rng, p, (k, size)).view(np.uint8)
+        e_k = block.sum(axis=0, dtype=np.int64)
+        w += e_k * (e_k - 1) // 2
+        held = deg[:k]
+        for lo in range(0, k, span):
+            w += np.einsum("ks,ks->s", block[lo : lo + span], held[lo : lo + span])
+        s += e_k
+        deg[:k] += block
+        deg[k] = e_k
+        out[:, k + 1, 0] = (k - 1) * s / n**2
+        out[:, k + 1, 1] = w / n**2
+    et, ev = _expected_cuts(model)
+    out[:, :, 0] -= et[: m + 1]
+    out[:, :, 1] -= ev[: m + 1]
+    return out if cuts is None else out[:, rows]
+
+
+@pytest.mark.parametrize("n, p, cuts", [
+    (3, 0.3, None),
+    (5, 0.3, None),
+    (12, 0.3, None),
+    (200, 0.3, None),
+    (64, 0.3, [64]),
+    (64, 0.3, [32]),
+    (64, 0.3, [5, 0, 64, 5]),
+    (64, 0.3, [0]),
+    (181, 0.95, [181, 90]),
+    (181, 0.95, None),
+    (200, 0.9, None),
+    (257, 0.6, [1, 257, 128]),  # degrees past one byte
+])
+def test_y_matches_incremental_reference(n, p, cuts):
+    # counts formed only at the rows read equal the incremental loop's bit
+    # for bit, at every row it writes
+    model = GraphModel(n, p)
+    for size in (1, 33):
+        vals = sample_y_values(model, rng_for(96), size, cuts)
+        ref = y_incremental_reference(model, rng_for(96), size, cuts)
+        assert vals.shape == ref.shape and np.array_equal(vals, ref)
+
+
+@pytest.mark.parametrize("n, cuts, reference_mib", [
+    (64, [64], 6.87),
+    (256, [256], 24.17),
+    (256, None, 24.17),
+])
+def test_y_peak_memory_within_incremental_loop(n, cuts, reference_mib):
+    # traced peak of one call at 4096 samples against the incremental loop's
+    # (its int32 degrees and every row of the output); the full-grid output
+    # alone is 16.06 MiB
+    model = GraphModel(n, 0.3)
+    tracemalloc.start()
+    try:
+        sample_y_values(model, rng_for(97), 4096, cuts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= reference_mib * 2**20
 
 
 @pytest.mark.parametrize("p", [0.002, 0.25, 0.3, 0.5, 0.999])
