@@ -478,7 +478,6 @@ def sample_y_values(
     rows, m = grid_rows(n, cuts)
     reads, pos = np.unique(rows, return_inverse=True)
     dt = np.min_scalar_type(n - 1)
-    acc = np.int32 if n * (n - 1) ** 2 < 2**31 else np.int64  # holds sum(d^2)
     deg = np.zeros((m, size), dtype=dt)
     et, ev = _expected_cuts(model)
     out = np.empty((size, reads.size, 2))
@@ -490,8 +489,8 @@ def sample_y_values(
             np.add.reduce(block, axis=0, dtype=dt, out=deg[k])
         joined = max(joined, r)
         d = deg[:r]
-        s = np.add.reduce(d, axis=0, dtype=acc)
-        q = np.einsum("vs,vs->s", d, d, dtype=acc)
+        s = np.add.reduce(d, axis=0, dtype=np.int64)
+        q = np.einsum("vs,vs->s", d, d, dtype=np.int64)
         out[:, i, 0] = (r - 2) * (s // 2) / n**2 - et[r]
         out[:, i, 1] = (q - s) // 2 / n**2 - ev[r]
     return out if cuts is None else out[:, pos]
