@@ -415,10 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """Loads the model and parses the functionals the subcommand takes, lets
     it fill one report and emits that report.  An `--out` in a directory
-    that does not exist is refused before anything is drawn.  A Monte Carlo
-    sample that is not finite fails the report's `finite_samples` check."""
+    that does not exist, or naming a directory, is refused before anything
+    is drawn.  A Monte Carlo sample that is not finite fails the report's
+    `finite_samples` check."""
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise UsageError("output file %s: no such directory" % args.out)
+    if args.out and os.path.isdir(args.out):
+        raise UsageError("output file %s: is a directory" % args.out)
     options = vars(args)
     kind = model = funcs = None
     parameters = {k: v for k, v in options.items() if k not in NOT_PARAMETERS}

@@ -33,6 +33,7 @@ t B(t^2); coupling Z_n to Z shares those two motions on a merged clock.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -638,11 +639,22 @@ def sample_z_values(p: float, grid: Sequence, rng: np.random.Generator, size: in
     return out
 
 
+def _rows(plane: np.ndarray, size: int, width: int) -> np.ndarray:
+    """The first size * width values of a flat plane as a (size, width) array."""
+    return plane[: size * width].reshape(size, width)
+
+
 def _coupled_sampler(model: GraphModel, refine: int):
     """Build the merged clock, its index maps and the step scales once;
-    returns (draw, grid), where draw(rng, size) draws the five motions of
-    `size` coupled samples and returns the planes (zn1, zn2, z1, z2) of
-    Z_n on the step grid and of Z on `grid`."""
+    returns (draw, grid, width), width being the size of the merged clock.
+
+    draw(rng, size, planes) draws the five motions of `size` coupled samples
+    and returns (zn1, zn2, z1, z2): Z_n on the step grid, as new (size, n+1)
+    arrays, and Z on `grid`, as (size, L) views of planes[1] and planes[3].
+    `planes` are four flat float64 arrays of at least size * width values:
+    W1 and W2 are drawn into planes[0] and planes[1], A into planes[2] with
+    planes[3] as the temporary, and B over W1, so on return planes[0] and
+    planes[2] hold nothing that is read again."""
     n, p = model.n, model.p
     a1, a2, b1, b2 = z_coefficients(p)
     ks = np.arange(n + 1)
@@ -654,30 +666,44 @@ def _coupled_sampler(model: GraphModel, refine: int):
     tau_idx, sq_idx = idx[: n + 1], idx[n + 1 :]
     grid = js / float(refine * n)
     shared = merged / float((refine * n) ** 2)
+    steps = np.sqrt(np.diff(np.concatenate([[0.0], shared])))  # as _bm scales them
     tau_t, nu_t = tau[1:] / float(n * n), (ks * tau)[1:] / float(n**3)
     shift = (ks - 2.0) / n
     scale3, scale4 = shift / math.sqrt(n), p * (1 - p) / math.sqrt(2.0 * n)
     scale5 = math.sqrt(2 * p**3 * (1 - p)) / n
+    width = merged.size
 
-    def draw(rng: np.random.Generator, size: int):
-        w1, w2 = _bm(rng, size, shared), _bm(rng, size, shared)
+    def draw(rng: np.random.Generator, size: int, planes):
+        w1, w2, a, tmp = (_rows(plane, size, width) for plane in planes)
+        for w in (w1, w2):
+            rng.standard_normal(out=w)
+            w *= steps
+            np.cumsum(w, axis=1, out=w)
         pad = np.zeros((size, 1))
         w3, w4, w5 = (
             np.concatenate([pad, _bm(rng, size, times)], axis=1) for times in (tau_t, nu_t, tau_t)
         )
         # A = a1 W1 + a2 W2 and B = b1 W1 + b2 W2, each once on the merged clock
-        a = a1 * w1
-        a += a2 * w2
+        np.multiply(w1, a1, out=a)
+        a += np.multiply(w2, a2, out=tmp)
         b = np.multiply(w1, b1, out=w1)
-        b += b2 * w2
-        zn2 = shift * b[:, tau_idx]
+        b += np.multiply(w2, b2, out=tmp)
+        zn1 = np.take(a, tau_idx, axis=1)
+        zn1 *= shift
+        zn2 = np.take(b, tau_idx, axis=1)
+        zn2 *= shift
         # Z_n2's four terms, summed left to right
         zn2 += scale3 * w3
         zn2 += scale4 * w4
         zn2 += scale5 * w5
-        return shift * a[:, tau_idx], zn2, grid * a[:, sq_idx], grid * b[:, sq_idx]
+        # Z into the planes of W2 and of the temporary, both read by now
+        z1 = np.take(a, sq_idx, axis=1, out=_rows(planes[1], size, grid.size), mode="clip")
+        z1 *= grid
+        z2 = np.take(b, sq_idx, axis=1, out=_rows(planes[3], size, grid.size), mode="clip")
+        z2 *= grid
+        return zn1, zn2, z1, z2
 
-    return draw, grid
+    return draw, grid, width
 
 
 def sample_coupled_values(
@@ -691,8 +717,8 @@ def sample_coupled_values(
     motions B(k(k-1)) = n Btilde(k(k-1)/n^2) so that both processes read
     the same Btilde1, Btilde2.
     """
-    draw, grid = _coupled_sampler(model, refine)
-    zn1, zn2, z1, z2 = draw(rng, size)
+    draw, grid, width = _coupled_sampler(model, refine)
+    zn1, zn2, z1, z2 = draw(rng, size, [np.empty(size * width) for _ in range(4)])
     return np.stack([zn1, zn2], axis=2), np.stack([z1, z2], axis=2), grid
 
 
@@ -734,27 +760,46 @@ def coupling_distance(
     chunk size depends on (n, refine) only: a chunk's whole working set,
     its five motions and its statistic planes, fits in an eighth of
     ``MEMORY_BUDGET``, so memory is bounded at any n and sample count.
+    Each worker thread draws its chunks into four planes of chunk * width
+    values that it allocates once; they are freed when the call returns.
     """
     n = model.n
-    draw, _ = _coupled_sampler(model, refine)
+    draw, _, width = _coupled_sampler(model, refine)
     cut = np.arange(1, refine * n + 1) // refine  # floor(n * j/(refine n))
     # per sample: W1, W2, A and B on the merged clock of (refine+1) n times
     # (k(k-1) is no square for k >= 2), three step motions and two Z_n planes
-    # of n+1 values, and two Z planes and two difference planes of refine n
+    # of n+1 values, and two Z planes and two difference planes of refine n;
+    # Z and the differences now reuse the merged-clock planes, so this
+    # over-counts, and keeps the chunk and with it every report as they were
     floats = 4 * (refine + 1) * n + 5 * (n + 1) + 4 * refine * n
     chunk = max(1, MEMORY_BUDGET // 8 // (8 * floats))
+    local = threading.local()
 
     def stats(rng, size):
-        zn1, zn2, z1, z2 = draw(rng, size)
-        d1, d2 = zn1[:, cut] - z1, zn2[:, cut] - z2
+        if not hasattr(local, "planes"):
+            local.planes = [np.empty(chunk * width) for _ in range(4)]
+        planes = local.planes
+        zn1, zn2, z1, z2 = draw(rng, size, planes)
+        # the differences go into the planes of B and A, which draw leaves free
+        d1 = np.take(zn1, cut, axis=1, out=_rows(planes[2], size, cut.size), mode="clip")
+        d1 -= z1
+        d2 = np.take(zn2, cut, axis=1, out=_rows(planes[0], size, cut.size), mode="clip")
+        d2 -= z2
+        x, y = zn1[:, -1], z1[:, -1]  # correlation ingredients at t = 1
+        corr = [x * y, x**2, y**2]  # taken before z1 is squared in place
         # x0^2 + x1^2 is the sum np.linalg.norm takes, and a correctly
         # rounded sqrt is monotone, so sqrt(max) is the max of the norms
-        gap = np.sqrt((d1 * d1 + d2 * d2).max(axis=1))
-        sup_z2 = np.sqrt((z1 * z1 + z2 * z2).max(axis=1)) ** 2
-        x, y = zn1[:, -1], z1[:, -1]  # correlation ingredients at t = 1
+        d1 *= d1
+        d2 *= d2
+        d1 += d2
+        gap = np.sqrt(d1.max(axis=1))
+        z1 *= z1
+        z2 *= z2
+        z1 += z2
+        sup_z2 = np.sqrt(z1.max(axis=1)) ** 2
         # column-major: each statistic is then summed pairwise as one
         # contiguous run, exactly as from_values sums a 1-D array
-        return np.array([gap, gap**2, sup_z2, x * y, x**2, y**2]).T
+        return np.array([gap, gap**2, sup_z2, *corr]).T
 
     gap, gap2, supz2, prod, zn2, z2 = mc_run_vector(
         stats, samples, seed, workers=workers, chunk=chunk

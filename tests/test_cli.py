@@ -647,6 +647,38 @@ def test_out_in_missing_directory_is_refused_before_drawing(tmp_path, capsys, gr
     assert json.loads((tmp_path / "report.json").read_text())["command"] == "simulate"
 
 
+def test_out_naming_a_directory_is_refused_before_loading(tmp_path, capsys, monkeypatch,
+                                                         graph_draws):
+    model = graph_model(tmp_path, 12, 0.3)
+    loads = []
+    monkeypatch.setattr(cli, "_load_model", lambda path: loads.append(path))
+    code = main(["simulate", "--model", model, "--samples", "100",
+                 "--functional", "sin:coord=1,t=1", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "usage error: output file %s: is a directory\n" % tmp_path
+    assert loads == [] and graph_draws == []
+
+
+def test_out_write_failure_is_usage_error_after_the_run(tmp_path, capsys, monkeypatch,
+                                                        graph_draws):
+    # an --out that passes the up-front checks but cannot be written
+    out_file = tmp_path / "report.json"
+
+    def refuse(path, *args, **kwargs):
+        if path == str(out_file):
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code = main(["simulate", "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
+                 "--functional", "sin:coord=1,t=1", "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "usage error: output file %s: Permission denied\n" % out_file
+    assert len(graph_draws) == 1 and not out_file.exists()
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     "[1, 2]",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from steinpaths import graph
 from steinpaths.functionals import (
     cos_cylinder,
     linear_cylinder,
@@ -54,7 +55,7 @@ from steinpaths.graph import (
     z_coefficients,
 )
 from steinpaths.functionals import certified_library
-from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, merge
+from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, mc_run_vector, merge
 from steinpaths.paths import grid_rows
 
 F = Fraction
@@ -707,6 +708,81 @@ def test_coupling_distance_memory_bounded_at_any_n():
         tracemalloc.stop()
     assert peak <= MEMORY_BUDGET
     assert report["chunk"] == 7
+
+
+def coupled_stats_reference(model, rng, size, refine=8):
+    """The six per-sample coupling statistics by the allocate-per-chunk
+    draw, where every motion, A, B, Z and difference plane is a new array,
+    reduced as ``coupling_distance`` reduces them.  It takes the same draws
+    as a ``coupling_distance`` chunk."""
+    n, p = model.n, model.p
+    a1, a2, b1, b2 = z_coefficients(p)
+    ks = np.arange(n + 1)
+    js = np.arange(1, refine * n + 1)
+    tau = ks * (ks - 1)
+    merged, idx = np.unique(np.concatenate([tau * refine**2, js * js]), return_inverse=True)
+    tau_idx, sq_idx = idx[: n + 1], idx[n + 1 :]
+    grid = js / float(refine * n)
+    shared = merged / float((refine * n) ** 2)
+    tau_t, nu_t = tau[1:] / float(n * n), (ks * tau)[1:] / float(n**3)
+    shift = (ks - 2.0) / n
+    scale3, scale4 = shift / math.sqrt(n), p * (1 - p) / math.sqrt(2.0 * n)
+    scale5 = math.sqrt(2 * p**3 * (1 - p)) / n
+    cut = np.arange(1, refine * n + 1) // refine
+    w1, w2 = _bm(rng, size, shared), _bm(rng, size, shared)
+    pad = np.zeros((size, 1))
+    w3, w4, w5 = (
+        np.concatenate([pad, _bm(rng, size, times)], axis=1) for times in (tau_t, nu_t, tau_t)
+    )
+    a = a1 * w1
+    a += a2 * w2
+    b = np.multiply(w1, b1, out=w1)
+    b += b2 * w2
+    zn2 = shift * b[:, tau_idx]
+    zn2 += scale3 * w3
+    zn2 += scale4 * w4
+    zn2 += scale5 * w5
+    zn1, z1, z2 = shift * a[:, tau_idx], grid * a[:, sq_idx], grid * b[:, sq_idx]
+    d1, d2 = zn1[:, cut] - z1, zn2[:, cut] - z2
+    gap = np.sqrt((d1 * d1 + d2 * d2).max(axis=1))
+    sup_z2 = np.sqrt((z1 * z1 + z2 * z2).max(axis=1)) ** 2
+    x, y = zn1[:, -1], z1[:, -1]
+    return np.array([gap, gap**2, sup_z2, x * y, x**2, y**2]).T
+
+
+@pytest.mark.parametrize("n, samples", [(7, 3500), (100, 300), (257, 100)])
+def test_coupling_statistics_match_reference(monkeypatch, n, samples):
+    # chunks drawn into per-thread planes give the six statistics of the
+    # allocate-per-chunk draw bit for bit; every case ends on a partial chunk
+    model, seed = GraphModel(n, 0.3), SeedSpec(78, (n,))
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(mc_run_vector(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(graph, "mc_run_vector", spy)
+    for workers in (1, 2, 3):
+        chunk = coupling_distance(model, samples, seed, workers=workers)["chunk"]
+        sizes = _chunk_sizes(samples, chunk)
+        assert len(sizes) >= 4 and sizes[-1] < chunk
+        ref = mc_run_vector(lambda rng, size: coupled_stats_reference(model, rng, size),
+                            samples, seed, chunk=chunk)
+        assert len(runs[-1]) == len(ref) == 6
+        for got, est in zip(runs[-1], ref):
+            assert (got.count, got.mean, got.m2) == (est.count, est.mean, est.m2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coupling_peak_memory_within_reference_loop(workers):
+    # traced peak of the call against the allocate-per-chunk loop over the
+    # same chunks (71 samples at n = 100), measured here
+    model, seed = GraphModel(100, 0.3), SeedSpec(79)
+    chunk = coupling_distance(model, 1, seed)["chunk"]
+    reference = traced_peak(mc_run_vector,
+                            lambda rng, size: coupled_stats_reference(model, rng, size),
+                            2000, seed, workers, chunk)
+    assert traced_peak(coupling_distance, model, 2000, seed, 8, workers) <= reference
 
 
 def test_coupling_frozen_bound_value():
