@@ -666,7 +666,7 @@ def _coupled_sampler(model: GraphModel, refine: int):
     tau_idx, sq_idx = idx[: n + 1], idx[n + 1 :]
     grid = js / float(refine * n)
     shared = merged / float((refine * n) ** 2)
-    steps = np.sqrt(np.diff(np.concatenate([[0.0], shared])))  # as _bm scales them
+    step_sd = np.sqrt(np.diff(np.concatenate([[0.0], shared])))  # as _bm scales its steps
     tau_t, nu_t = tau[1:] / float(n * n), (ks * tau)[1:] / float(n**3)
     shift = (ks - 2.0) / n
     scale3, scale4 = shift / math.sqrt(n), p * (1 - p) / math.sqrt(2.0 * n)
@@ -677,7 +677,7 @@ def _coupled_sampler(model: GraphModel, refine: int):
         w1, w2, a, tmp = (_rows(plane, size, width) for plane in planes)
         for w in (w1, w2):
             rng.standard_normal(out=w)
-            w *= steps
+            w *= step_sd
             np.cumsum(w, axis=1, out=w)
         pad = np.zeros((size, 1))
         w3, w4, w5 = (
@@ -768,9 +768,9 @@ def coupling_distance(
     cut = np.arange(1, refine * n + 1) // refine  # floor(n * j/(refine n))
     # per sample: W1, W2, A and B on the merged clock of (refine+1) n times
     # (k(k-1) is no square for k >= 2), three step motions and two Z_n planes
-    # of n+1 values, and two Z planes and two difference planes of refine n;
-    # Z and the differences now reuse the merged-clock planes, so this
-    # over-counts, and keeps the chunk and with it every report as they were
+    # of n+1 values, and two Z planes and two difference planes of refine n.
+    # Z and the differences reuse the merged-clock planes, so this
+    # over-counts; it stays, as every report depends on the chunk size
     floats = 4 * (refine + 1) * n + 5 * (n + 1) + 4 * refine * n
     chunk = max(1, MEMORY_BUDGET // 8 // (8 * floats))
     local = threading.local()

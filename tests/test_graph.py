@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -762,15 +763,20 @@ def test_coupling_statistics_match_reference(monkeypatch, n, samples):
         return runs[-1]
 
     monkeypatch.setattr(graph, "mc_run_vector", spy)
-    for workers in (1, 2, 3):
-        chunk = coupling_distance(model, samples, seed, workers=workers)["chunk"]
-        sizes = _chunk_sizes(samples, chunk)
-        assert len(sizes) >= 4 and sizes[-1] < chunk
-        ref = mc_run_vector(lambda rng, size: coupled_stats_reference(model, rng, size),
-                            samples, seed, chunk=chunk)
-        assert len(runs[-1]) == len(ref) == 6
-        for got, est in zip(runs[-1], ref):
-            assert (got.count, got.mean, got.m2) == (est.count, est.mean, est.m2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often while sharing the call
+    try:
+        for workers in (1, 2, 3):
+            chunk = coupling_distance(model, samples, seed, workers=workers)["chunk"]
+            sizes = _chunk_sizes(samples, chunk)
+            assert len(sizes) >= 4 and sizes[-1] < chunk
+            ref = mc_run_vector(lambda rng, size: coupled_stats_reference(model, rng, size),
+                                samples, seed, chunk=chunk)
+            assert len(runs[-1]) == len(ref) == 6
+            for got, est in zip(runs[-1], ref):
+                assert (got.count, got.mean, got.m2) == (est.count, est.mean, est.m2)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
