@@ -69,13 +69,16 @@ class RunReport:
     estimates carry {name, value, stderr, ci95, count}; values (exact
     point values, such as a worst residual or a gap of two estimates) and
     bounds carry {name, value}; checks carry {name, pass, tolerance,
-    detail}.  The JSON has a "values" list only when a value was added.
+    detail}.  The JSON has a "values" list only when a value was added, and
+    a "bit_generator" (the class name of the engine's generator) only when
+    one is given; the CSV has no bit_generator row.
     """
 
     command: str
     parameters: dict
     seed: int
     version: str
+    bit_generator: str | None = None
     estimates: list = field(default_factory=list)
     values: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
@@ -118,6 +121,8 @@ class RunReport:
         }
         if self.values:
             out["values"] = self.values
+        if self.bit_generator is not None:
+            out["bit_generator"] = self.bit_generator
         return out
 
     def to_json(self) -> str:

@@ -225,7 +225,7 @@ def test_verify_covariance_constant_column_off_target_fails(tmp_path, capsys, mo
     if kind == "graph":  # D_n = 0: constant, and off every nonzero target
         monkeypatch.setattr(gr, "sample_dn_values",
                             lambda model, rng, size, cuts: np.zeros((size, len(cuts), 2)))
-        model, check = graph_model(tmp_path, n=4, p=0.3), "sampler_vs_closed_form_mc"
+        model, check = graph_model(tmp_path, n=4, p=0.3), "dn_grid_cov_mc"
     else:  # Zhat = 1 everywhere
         monkeypatch.setattr(comb, "sample_zhat_values",
                             lambda model, rng, size: np.ones((size, model.n)))
@@ -247,7 +247,7 @@ def test_verify_covariance_constant_columns_on_target_pass(tmp_path, capsys):
     code, out = run(capsys, ["verify-covariance", "--model", model, "--samples", "4000",
                              "--grid", "8"])
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["sampler_vs_closed_form_mc"]["pass"], checks
+    assert checks["dn_grid_cov_mc"]["pass"], checks
     assert code == 1 and not checks["cov_tv_vs_prelimit_VV"]["pass"]  # by design
 
 
@@ -266,12 +266,40 @@ def test_verify_covariance_graph_identities(tmp_path, capsys):
     for name in ("cov_tv_vs_prelimit_TT", "cov_tv_vs_prelimit_TV"):
         assert checks[name]["pass"], checks[name]
     assert checks["prelimit_grid_psd"]["pass"]
-    assert checks["sampler_vs_closed_form_mc"]["pass"]
+    assert checks["dn_grid_cov_mc"]["pass"]
     # the two-star variance entry of the rank-one covariance cannot match
     # the pre-limit, which carries extra variance components by design;
     # the command reports that honestly
     assert not checks["cov_tv_vs_prelimit_VV"]["pass"]
     assert code == 1
+
+
+def test_graph_dn_grid_cov_mc_passes_and_is_worker_independent(tmp_path, capsys):
+    # every pair of (row, coordinate) columns of the --grid rows, against
+    # the pre-limit's grid covariance, at the default --samples and --grid
+    model = write_model(tmp_path, "g12.json", {"type": "graph", "n": 12, "p": 0.3})
+    outputs = []
+    for workers in ("1", "2"):
+        code, out = run(capsys, ["verify-covariance", "--model", model,
+                                 "--workers", workers])
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    checks = {c["name"]: c for c in json.loads(outputs[0])["checks"]}
+    assert checks["dn_grid_cov_mc"]["pass"], checks["dn_grid_cov_mc"]
+    assert checks["dn_grid_cov_mc"]["detail"].endswith("over 20000 samples")
+    assert code == 1 and not checks["cov_tv_vs_prelimit_VV"]["pass"]  # by design
+
+
+def test_graph_dn_grid_cov_mc_fails_an_inflated_sampler(tmp_path, capsys, monkeypatch):
+    # negative control: D_n with every covariance entry scaled by 1.1
+    sample = gr.sample_dn_values
+    monkeypatch.setattr(gr, "sample_dn_values", lambda model, rng, size, cuts:
+                        np.sqrt(1.1) * sample(model, rng, size, cuts))
+    model = write_model(tmp_path, "g12.json", {"type": "graph", "n": 12, "p": 0.3})
+    code, out = run(capsys, ["verify-covariance", "--model", model])
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and not checks["dn_grid_cov_mc"]["pass"], checks["dn_grid_cov_mc"]
+    assert checks["twostar_block_identity"]["pass"]
 
 
 def test_verify_covariance_degenerate_grid(tmp_path, capsys):
@@ -482,7 +510,7 @@ def test_verify_covariance_honours_workers(tmp_path, capsys, monkeypatch, kind):
                              "--grid", "3", "--workers", "2"])
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     if kind == "graph":  # one sampler check; VV fails by design
-        assert code == 1 and checks["sampler_vs_closed_form_mc"]["pass"]
+        assert code == 1 and checks["dn_grid_cov_mc"]["pass"]
         assert seen == [2]
     else:  # the Zhat and the D_n grid checks
         assert code == 0
@@ -564,6 +592,22 @@ def test_report_rerun_reproduces_estimates(tmp_path, capsys):
     report = json.loads(first)
     assert report["seed"] == 11
     assert report["parameters"]["samples"] == 3000
+
+
+def test_report_names_its_bit_generator(tmp_path, capsys):
+    # a report that draws names the engine's bit generator, so a report made
+    # under another generator cannot pass for a rerun; the CSV layout and
+    # the report of bound, which draws nothing, carry no such field
+    model = graph_model(tmp_path, 8, 0.4)
+    args = ["simulate", "--model", model, "--samples", "3000", "--seed", "3"]
+    _, first = run(capsys, args)
+    _, second = run(capsys, args)
+    assert first == second
+    assert json.loads(first)["bit_generator"] == "SFC64"
+    _, text = run(capsys, args + ["--format", "csv"])
+    assert "SFC64" not in text
+    _, out = run(capsys, ["bound", "--model", model])
+    assert "bit_generator" not in json.loads(out)
 
 
 def test_canonical_json_float_round_trip():

@@ -916,6 +916,24 @@ def test_cut_dn_matches_closed_form_and_full_grid():
                 assert abs(est.mean - block[i, j]) <= 5 * est.stderr + 1e-15
     full = sample_dn_values(model, rng_for(92), 500)
     assert np.array_equal(sample_dn_values(model, rng_for(92), 500, list(range(9))), full)
-    # the full-grid draw is one normal per motion and row 1..n, as it always was
-    assert full[0, 8].tolist() == [-0.2373795595572749, -0.1671371390251281]
-    assert full[-1, 5].tolist() == [-0.060923484698612335, -0.0018936551573136098]
+    # the full-grid draw is one normal per motion and row 1..n, as it always
+    # was: rebuilt here from the generator's own normals, motion by motion
+    n, p = model.n, model.p
+    rng = rng_for(92)
+    ks = np.arange(1, n + 1)
+    tau = (ks * (ks - 1)).astype(float)
+    w = []
+    for clock in (tau, tau, tau, ks * tau, tau):
+        steps = rng.standard_normal((500, n))
+        steps *= np.sqrt(np.diff(np.concatenate([[0.0], clock])))
+        w.append(np.concatenate([np.zeros((500, 1)), np.cumsum(steps, axis=1)], axis=1))
+    a1, a2, b1, b2 = z_coefficients(p)
+    shift = (np.arange(n + 1) - 2.0) / n**2
+    rebuilt = np.stack(
+        [shift * (a1 * w[0] + a2 * w[1]),
+         shift * (b1 * w[0] + b2 * w[1]) + shift / math.sqrt(n) * w[2]
+         + p * (1 - p) / (math.sqrt(2.0) * n**2) * w[3]
+         + math.sqrt(2 * p**3 * (1 - p)) / n**2 * w[4]],
+        axis=2,
+    )
+    assert np.array_equal(full, rebuilt)

@@ -113,6 +113,17 @@ def test_seedspec_reproducible():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("root, path", [(0, ()), (42, (1, 2)), (7, (3,))])
+def test_seedspec_engine_is_sfc64_keyed_by_spawn_path(root, path):
+    rng = SeedSpec(root, path).rng()
+    assert type(rng.bit_generator) is np.random.SFC64
+    ref = np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(root, spawn_key=path)))
+    assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+    assert np.array_equal(rng.integers(0, 2**32, 64, dtype=np.uint32),
+                          ref.integers(0, 2**32, 64, dtype=np.uint32))
+
+
 def test_substream_independence():
     n = 20000
     x = SeedSpec(5, (0,)).rng().standard_normal(n)
