@@ -147,29 +147,32 @@ def cmd_verify_regression(args, kind, model, funcs, report):
     )
 
 
-def _product_z(sample, pairs, targets, args, seed):
-    """Largest |z| of the Monte Carlo means of x_i x_j against targets, over
-    (i, j) in pairs, where x are the flattened rows sample(rng, size) draws.
+def _product_check(report, name, note, sample, pairs, targets, args, seed):
+    """Adds the check `name`: the largest |z| of the Monte Carlo means of
+    x_i x_j against targets, over (i, j) in pairs (0 without pairs), is at
+    most 5, where x are the flattened rows sample(rng, size) draws; note
+    ends the check's detail.
 
     One mc_run_vector call covers every product column; its chunk is chosen
     from the column count, so a chunk's products stay within PRODUCT_BYTES.
     A column without spread (stderr 0) is compared with its target exactly,
     at --tol relative to max(1, |target|): |z| is 0 within it, inf outside.
     """
-    if not pairs:
-        return 0.0
-    left, right = np.array(pairs).T
-    chunk = max(1, min(CHUNK, PRODUCT_BYTES // (8 * len(pairs))))
+    z = []
+    if pairs:
+        left, right = np.array(pairs).T
+        chunk = max(1, min(CHUNK, PRODUCT_BYTES // (8 * len(pairs))))
 
-    def products(rng, size):
-        x = np.ascontiguousarray(sample(rng, size).reshape(size, -1).T)
-        return (x[left] * x[right]).T  # column-major: no copy in the engine
+        def products(rng, size):
+            x = np.ascontiguousarray(sample(rng, size).reshape(size, -1).T)
+            return (x[left] * x[right]).T  # column-major: no copy in the engine
 
-    ests = mc_run_vector(products, args.samples, seed, args.workers, chunk)
-    z = [abs(e.mean - t) / e.stderr if e.stderr > 0
-         else 0.0 if abs(e.mean - t) <= args.tol * max(1.0, abs(t)) else math.inf
-         for e, t in zip(ests, targets)]
-    return float(np.max(z))
+        ests = mc_run_vector(products, args.samples, seed, args.workers, chunk)
+        z = [abs(e.mean - t) / e.stderr if e.stderr > 0
+             else 0.0 if abs(e.mean - t) <= args.tol * max(1.0, abs(t)) else math.inf
+             for e, t in zip(ests, targets)]
+    worst_z = float(np.max([0.0, *z]))
+    report.add_check(name, worst_z <= 5.0, "5 stderr", "max |z| %.2f%s" % (worst_z, note))
 
 
 def _verify_covariance_graph(model, args, report):
@@ -213,15 +216,10 @@ def _verify_covariance_graph(model, args, report):
         # values at row a, coordinate i sit in flattened column 2a + i, as in
         # grid_cov; the products are symmetric, so c <= d covers every entry
         pairs = [(c, d) for c in range(2 * len(times)) for d in range(c, 2 * len(times))]
-        worst_z = _product_z(
+        _product_check(
+            report, "dn_grid_cov_mc", " over %d samples" % args.samples,
             lambda rng, size: gr.sample_dn_values(model, rng, size, cuts),
             pairs, [grid_cov[c, d] for c, d in pairs], args, SeedSpec(args.seed, (1,)),
-        )
-        report.add_check(
-            "dn_grid_cov_mc",
-            worst_z <= 5.0,
-            "5 stderr",
-            "max |z| %.2f over %d samples" % (worst_z, args.samples),
         )
 
 
@@ -231,28 +229,20 @@ def _verify_covariance_array(model, args, report):
     if args.samples > 0:
         # the products are symmetric, so i <= j covers every entry
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        worst_z = _product_z(
+        _product_check(
+            report, "zhat_cov_mc", " over %d samples" % args.samples,
             lambda rng, size: comb.sample_zhat_values(model, rng, size),
             pairs, [zc[i, j] for i, j in pairs], args, SeedSpec(args.seed, (1,)),
-        )
-        report.add_check(
-            "zhat_cov_mc",
-            worst_z <= 5.0,
-            "5 stderr",
-            "max |z| %.2f over %d samples" % (worst_z, args.samples),
         )
         times = [F(k, args.grid) for k in range(1, args.grid + 1)]
         cuts = time_rows(n, times)
         pairs = [(a, b) for a in range(len(times)) for b in range(a, len(times))]
         cov = comb.cov_d_grid(model, times, times).tolist()
-        worst_z = _product_z(
+        _product_check(
+            report, "dn_grid_cov_mc", "" if pairs else " (degenerate grid, vacuous)",
             lambda rng, size: comb.sample_dn_values(model, rng, size, cuts),
             pairs, [cov[a][b] for a, b in pairs], args, SeedSpec(args.seed, (2,)),
         )
-        detail = "max |z| %.2f" % worst_z
-        if not pairs:
-            detail += " (degenerate grid, vacuous)"
-        report.add_check("dn_grid_cov_mc", worst_z <= 5.0, "5 stderr", detail)
 
 
 def cmd_verify_covariance(args, kind, model, funcs, report):
@@ -269,7 +259,7 @@ def cmd_distance(args, kind, model, funcs, report):
     pairs = _gap_estimates(args, kind, model, funcs, report)
     for g, gnorm, (est_y, est_d) in zip(funcs, gnorms, pairs):
         gap = abs(est_y.mean - est_d.mean)
-        ci = 1.96 * math.hypot(est_y.stderr, est_d.stderr)
+        ci = mc.Z95 * math.hypot(est_y.stderr, est_d.stderr)
         bound = (gr.bound_prelimit(model.n, gnorm) if kind == "graph"
                  else comb.bound_prelimit_distance(model, gnorm))
         report.add_value("gap %s" % g.label, gap)
@@ -287,17 +277,17 @@ def cmd_coupling(args, kind, model, funcs, report):
         gr.GraphModel(args.n, args.p), args.samples, SeedSpec(args.seed),
         workers=args.workers,
     )
-    report.parameters.update({key: rep[key] for key in (
-        "refine", "chunk", "discretization_bias_bound", "corr_at_one")})
-    for name, est in rep["estimates"].items():
+    bounds = gr.coupling_bounds(args.n)
+    for name, est in rep.pop("estimates").items():
         report.add_estimate(name, est)
-        report.add_bound("bound %s" % name, rep["bounds"][name])
+        report.add_bound("bound %s" % name, bounds[name])
         report.add_check(
             "coupling_%s" % name,
-            rep["passes"][name],
-            rep["bounds"][name],
-            "estimate %.4g <= bound %.4g" % (est.mean, rep["bounds"][name]),
+            est.mean <= bounds[name],
+            bounds[name],
+            "estimate %.4g <= bound %.4g" % (est.mean, bounds[name]),
         )
+    report.parameters.update(rep)  # refine, chunk and the derived diagnostics
 
 
 def cmd_bound(args, kind, model, funcs, report):
@@ -337,10 +327,13 @@ def cmd_stein_identity(args, kind, model, funcs, report):
 
 
 def _at_least(low, kind=int):
-    """argparse type: a `kind` value no smaller than low."""
+    """argparse type: a `kind` value no smaller than low; a float must be
+    finite, as every value a report records must be."""
 
     def parse(text):
         value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be finite, got %s" % text)
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %s, got %s" % (low, text))
         return value
@@ -358,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    finite = _at_least(-math.inf, float)
 
     def common(p, model=True, samples=None, fewest=1, workers_help=None):
         if model:
@@ -378,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--functional", action="append", default=[])
     p.add_argument("--trials", type=_at_least(1), default=5)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=finite, default=1e-9)
     p.set_defaults(fn=cmd_verify_regression)
 
     p = sub.add_parser("verify-covariance", help="covariance identities and MC")
     common(p, samples=20000, fewest=0)
     p.add_argument("--grid", type=_at_least(0), default=8)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=finite, default=1e-10)
     p.set_defaults(fn=cmd_verify_covariance)
 
     p = sub.add_parser("distance", help="Monte Carlo distance vs closed-form bound")
@@ -407,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stein-identity", help="stationarity of the generator")
     common(p, samples=100000, fewest=2)
     p.add_argument("--functional", action="append", default=[])
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=finite, default=1.0)
     p.set_defaults(fn=cmd_stein_identity)
     return parser
 

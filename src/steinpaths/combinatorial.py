@@ -72,8 +72,6 @@ __all__ = [
 
 _FAM_CONSTANT, _FAM_GAUSSIAN, _FAM_RADEMACHER, _FAM_TWO_POINT = range(4)
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
 # Sampler calls fill their samples in sub-blocks, and each (block, m, n)
 # float64 plane takes at most an eighth of the budget (a block holds at
 # most four).

@@ -176,42 +176,39 @@ def norm_upper_bound(g: CylinderFunctional, norm_class: str) -> NormBound:
 
 
 class _TrigBase:
-    """phi(x) = fn(x[idx]) for fn in {sin, cos}."""
+    """phi(x) = f(x[idx]) for f = sin or cos, given as fns = (f, f', f'')."""
 
-    def __init__(self, fn: str, idx: int, n_args: int):
-        self.fn = fn
+    def __init__(self, fns: tuple, idx: int, n_args: int, certificate: NormCertificate):
+        self.fn, self.dfn, self.d2fn = fns
         self.idx = idx
         self.n_args = n_args
-        self.certificate = None  # set by factory
+        self.certificate = certificate
 
     def value(self, x):
-        u = np.asarray(x)[..., self.idx]
-        return np.sin(u) if self.fn == "sin" else np.cos(u)
+        return self.fn(np.asarray(x)[..., self.idx])
 
     def grad(self, x):
         x = np.asarray(x)
-        u = x[..., self.idx]
         out = np.zeros_like(x)
-        out[..., self.idx] = np.cos(u) if self.fn == "sin" else -np.sin(u)
+        out[..., self.idx] = self.dfn(x[..., self.idx])
         return out
 
     def hess(self, x):
         x = np.asarray(x)
-        u = x[..., self.idx]
         out = np.zeros(x.shape + (self.n_args,))
-        out[..., self.idx, self.idx] = -np.sin(u) if self.fn == "sin" else -np.cos(u)
+        out[..., self.idx, self.idx] = self.d2fn(x[..., self.idx])
         return out
 
 
 class _TanhProdBase:
     """phi(x) = prod_m tanh(x[idx_m]) over distinct flat indices."""
 
-    def __init__(self, indices: tuple, n_args: int):
+    def __init__(self, indices: tuple, n_args: int, certificate: NormCertificate):
         if len(set(indices)) != len(indices):
             raise FunctionalError("tanh product factors must be distinct")
         self.indices = tuple(indices)
         self.n_args = n_args
-        self.certificate = None
+        self.certificate = certificate
 
     def value(self, x):
         x = np.asarray(x)
@@ -251,10 +248,10 @@ class _TanhProdBase:
 class _LinearBase:
     """phi(x) = sum_f weights[f] * x[f]."""
 
-    def __init__(self, weights: np.ndarray):
+    def __init__(self, weights: np.ndarray, certificate: NormCertificate):
         self.weights = np.asarray(weights, dtype=float)
         self.n_args = self.weights.size
-        self.certificate = None
+        self.certificate = certificate
 
     def value(self, x):
         return np.asarray(x) @ self.weights
@@ -321,18 +318,15 @@ class _NumericBase:
 # factories
 
 
-def _single_site_certificate(k: int, block: int, d0: float, d1: float, d2: float, d3: float) -> NormCertificate:
-    grad = [0.0] * k
-    grad[block] = d1
-    hess = [[0.0] * k for _ in range(k)]
-    hess[block][block] = d2
-    return NormCertificate(
-        sup_abs=d0,
-        sup_abs_over_cubic=d0,
-        grad_block_sups=tuple(grad),
-        hess_block_sups=tuple(tuple(r) for r in hess),
-        hess_lipschitz=d3,
-    )
+# sin or cos at one time: the function and its first three derivatives
+# are bounded by 1
+_TRIG_CERTIFICATE = NormCertificate(
+    sup_abs=1.0,
+    sup_abs_over_cubic=1.0,
+    grad_block_sups=(1.0,),
+    hess_block_sups=((1.0,),),
+    hess_lipschitz=1.0,
+)
 
 
 def _coord_index(coord: int, dim: int) -> int:
@@ -342,20 +336,35 @@ def _coord_index(coord: int, dim: int) -> int:
     return coord - 1
 
 
+def _trig_cylinder(name: str, fns: tuple, coord: int, t, dim: int) -> CylinderFunctional:
+    t = as_time(t)
+    base = _TrigBase(fns, _coord_index(coord, dim), dim, _TRIG_CERTIFICATE)
+    return CylinderFunctional(dim, [t], base, label="%s:coord=%d,t=%s" % (name, coord, t))
+
+
 def sin_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
     """g(w) = sin(w^(coord)(t)); all sup constants equal 1."""
-    t = as_time(t)
-    base = _TrigBase("sin", _coord_index(coord, dim), dim)
-    base.certificate = _single_site_certificate(1, 0, 1.0, 1.0, 1.0, 1.0)
-    return CylinderFunctional(dim, [t], base, label="sin:coord=%d,t=%s" % (coord, t))
+    return _trig_cylinder("sin", (np.sin, np.cos, lambda u: -np.sin(u)), coord, t, dim)
 
 
 def cos_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
     """g(w) = cos(w^(coord)(t))."""
-    t = as_time(t)
-    base = _TrigBase("cos", _coord_index(coord, dim), dim)
-    base.certificate = _single_site_certificate(1, 0, 1.0, 1.0, 1.0, 1.0)
-    return CylinderFunctional(dim, [t], base, label="cos:coord=%d,t=%s" % (coord, t))
+    return _trig_cylinder("cos", (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u)),
+                          coord, t, dim)
+
+
+def _sites(name: str, coords: Sequence[int], times: Sequence, dim: int):
+    """Label, sorted distinct times and stacked-argument indices of the
+    sites (coords[m], times[m]) that a `name` functional reads."""
+    coords = tuple(int(c) for c in coords)
+    raw_times = tuple(as_time(t) for t in times)
+    if len(coords) != len(raw_times):
+        raise FunctionalError("coords and times must pair up")
+    uniq_times = tuple(sorted(set(raw_times)))
+    indices = [uniq_times.index(t) * dim + _coord_index(c, dim) for c, t in zip(coords, raw_times)]
+    label = "%s:coords=%s,t=%s" % (name, ",".join(map(str, coords)),
+                                   ",".join(map(str, raw_times)))
+    return label, uniq_times, indices
 
 
 def tanh_product(coords: Sequence[int], times: Sequence, dim: int = 1) -> CylinderFunctional:
@@ -368,35 +377,22 @@ def tanh_product(coords: Sequence[int], times: Sequence, dim: int = 1) -> Cylind
     2 m^(3/2)-Lipschitz (third-derivative form summed over factor triples
     against a unit stacked direction).
     """
-    coords = tuple(int(c) for c in coords)
-    raw_times = tuple(as_time(t) for t in times)
-    if len(coords) != len(raw_times):
-        raise FunctionalError("coords and times must pair up")
-    uniq_times = tuple(sorted(set(raw_times)))
-    k, m = len(uniq_times), len(coords)
-    indices = []
-    for c, t in zip(coords, raw_times):
-        indices.append(uniq_times.index(t) * dim + _coord_index(c, dim))
-    base = _TanhProdBase(tuple(indices), k * dim)
-
-    counts = [0] * k
-    for c, t in zip(coords, raw_times):
-        counts[uniq_times.index(t)] += 1
+    label, uniq_times, indices = _sites("tanhprod", coords, times, dim)
+    k, m = len(uniq_times), len(indices)
+    counts = [0] * k  # n_a, the factors at time a
+    for i in indices:
+        counts[i // dim] += 1
     grad = tuple(np.sqrt(c) for c in counts)
     hess = tuple(
         tuple(np.sqrt(ca * cb) for cb in counts) for ca in counts
     )
-    base.certificate = NormCertificate(
+    base = _TanhProdBase(tuple(indices), k * dim, NormCertificate(
         sup_abs=1.0,
         sup_abs_over_cubic=1.0,
         grad_block_sups=grad,
         hess_block_sups=hess,
         hess_lipschitz=2.0 * m**1.5,
-    )
-    label = "tanhprod:coords=%s,t=%s" % (
-        ",".join(map(str, coords)),
-        ",".join(map(str, raw_times)),
-    )
+    ))
     return CylinderFunctional(dim, uniq_times, base, label=label)
 
 
@@ -408,31 +404,22 @@ def linear_cylinder(
     Unbounded, so M0 is unsupported; the cubic-weighted sup uses
     |g(w)| <= (sum|weights|) ||w|| and max_r r/(1+r^3) = 2^(2/3)/3.
     """
-    coords = tuple(int(c) for c in coords)
-    raw_times = tuple(as_time(t) for t in times)
-    if weights is None:
-        weights = [1.0] * len(coords)
-    weights = tuple(float(wt) for wt in weights)
-    if not len(coords) == len(raw_times) == len(weights):
-        raise FunctionalError("coords, times, weights must pair up")
-    uniq_times = tuple(sorted(set(raw_times)))
+    label, uniq_times, indices = _sites("lin", coords, times, dim)
+    weights = [1.0] * len(indices) if weights is None else [float(wt) for wt in weights]
+    if len(weights) != len(indices):
+        raise FunctionalError("coords and weights must pair up")
     k = len(uniq_times)
     wvec = np.zeros(k * dim)
-    for c, t, wt in zip(coords, raw_times, weights):
-        wvec[uniq_times.index(t) * dim + _coord_index(c, dim)] += wt
-    base = _LinearBase(wvec)
+    for i, wt in zip(indices, weights):
+        wvec[i] += wt
     blocks = wvec.reshape(k, dim)
-    base.certificate = NormCertificate(
+    base = _LinearBase(wvec, NormCertificate(
         sup_abs=None,
         sup_abs_over_cubic=_LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec))),
         grad_block_sups=tuple(float(np.linalg.norm(b)) for b in blocks),
         hess_block_sups=tuple(tuple(0.0 for _ in range(k)) for _ in range(k)),
         hess_lipschitz=0.0,
-    )
-    label = "lin:coords=%s,t=%s" % (
-        ",".join(map(str, coords)),
-        ",".join(map(str, raw_times)),
-    )
+    ))
     return CylinderFunctional(dim, uniq_times, base, label=label)
 
 
@@ -461,13 +448,20 @@ functional specs:
 times are exact rationals, e.g. t=1/2; coordinates are 1-based."""
 
 
-def _parse_kv(body: str) -> dict:
+# the fields each functional takes; sin and cos take one value per field
+_SPEC_FIELDS = {"sin": ("coord", "t"), "cos": ("coord", "t"),
+                "tanhprod": ("coords", "t"), "lin": ("coords", "t", "w")}
+
+
+def _parse_kv(body: str, alias: dict) -> dict:
     out: dict[str, list[str]] = {}
     key = None
     for tok in body.split(","):
         if "=" in tok:
             key, v = tok.split("=", 1)
-            key = key.strip()
+            key = alias.get(key.strip(), key.strip())
+            if key in out:
+                raise FunctionalError("field %r given twice" % key)
             out[key] = [v.strip()]
         else:
             if key is None:
@@ -477,28 +471,39 @@ def _parse_kv(body: str) -> dict:
 
 
 def parse_functional(spec: str, dim: int) -> CylinderFunctional:
-    """Parse a functional mini-language spec (see FUNCTIONAL_SPEC_HELP)."""
+    """Parse a functional mini-language spec (see FUNCTIONAL_SPEC_HELP).
+
+    A field the functional does not take, a second value of a sin or cos
+    field and a value that does not parse (or a time outside [0,1]) are
+    each a FunctionalError that names the field."""
     if ":" not in spec:
         raise FunctionalError("functional spec needs 'name:args', got %r" % spec)
     name, body = spec.split(":", 1)
-    kv = _parse_kv(body)
-    try:
-        if name == "sin":
-            return sin_cylinder(int(kv["coord"][0]), Fraction(kv["t"][0]), dim)
-        if name == "cos":
-            return cos_cylinder(int(kv["coord"][0]), Fraction(kv["t"][0]), dim)
-        if name == "tanhprod":
-            coords = [int(c) for c in kv["coords"]]
-            times = [Fraction(t) for t in kv["t"]]
-            return tanh_product(coords, times, dim)
-        if name == "lin":
-            coords = [int(c) for c in kv.get("coords", kv.get("coord", []))]
-            times = [Fraction(t) for t in kv["t"]]
-            weights = [float(x) for x in kv["w"]] if "w" in kv else None
-            return linear_cylinder(coords, times, weights, dim)
-    except KeyError as exc:
-        raise FunctionalError("spec %r missing field %s" % (spec, exc)) from exc
-    raise FunctionalError("unknown functional %r" % name)
+    if name not in _SPEC_FIELDS:
+        raise FunctionalError("unknown functional %r" % name)
+    # lin also reads coords under the alias coord
+    kv = _parse_kv(body, {"coord": "coords"} if name == "lin" else {})
+    for key, values in kv.items():
+        if key not in _SPEC_FIELDS[name]:
+            raise FunctionalError("spec %r: %s takes no field %r" % (spec, name, key))
+        if len(values) > 1 and name in ("sin", "cos"):
+            raise FunctionalError("spec %r: field %r takes one value" % (spec, key))
+
+    def field(key, parse):
+        if key not in kv:
+            raise FunctionalError("spec %r missing field %r" % (spec, key))
+        try:
+            return [parse(v) for v in kv[key]]
+        except (ValueError, ZeroDivisionError) as exc:  # PathError is a ValueError
+            raise FunctionalError("spec %r: field %r: %s" % (spec, key, exc)) from exc
+
+    if name == "tanhprod":
+        return tanh_product(field("coords", int), field("t", as_time), dim)
+    if name == "lin":
+        weights = field("w", float) if "w" in kv else None
+        return linear_cylinder(field("coords", int), field("t", as_time), weights, dim)
+    (coord,), (t,) = field("coord", int), field("t", as_time)
+    return (sin_cylinder if name == "sin" else cos_cylinder)(coord, t, dim)
 
 
 def certified_library(dim: int) -> list[CylinderFunctional]:

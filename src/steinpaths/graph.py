@@ -75,6 +75,7 @@ __all__ = [
     "DirectGaussianOracle",
     "z_coefficients",
     "sample_z_values",
+    "REFINE",
     "sample_coupled_values",
     "coupling_distance",
     "pair_norm_stats",
@@ -639,12 +640,15 @@ def sample_z_values(p: float, grid: Sequence, rng: np.random.Generator, size: in
     return out
 
 
+REFINE = 8  # cells of Z's grid j/(REFINE n) per step of Z_n's grid k/n
+
+
 def _rows(plane: np.ndarray, size: int, width: int) -> np.ndarray:
     """The first size * width values of a flat plane as a (size, width) array."""
     return plane[: size * width].reshape(size, width)
 
 
-def _coupled_sampler(model: GraphModel, refine: int):
+def _coupled_sampler(model: GraphModel):
     """Build the merged clock, its index maps and the step scales once;
     returns (draw, grid, width), width being the size of the merged clock.
 
@@ -658,14 +662,14 @@ def _coupled_sampler(model: GraphModel, refine: int):
     n, p = model.n, model.p
     a1, a2, b1, b2 = z_coefficients(p)
     ks = np.arange(n + 1)
-    js = np.arange(1, refine * n + 1)
+    js = np.arange(1, REFINE * n + 1)
     tau = ks * (ks - 1)
-    # the shared times k(k-1)/n^2 and (j/(refine n))^2 are integers over
-    # (refine n)^2, and each integer quotient is the correctly rounded time
-    merged, idx = np.unique(np.concatenate([tau * refine**2, js * js]), return_inverse=True)
+    # the shared times k(k-1)/n^2 and (j/(REFINE n))^2 are integers over
+    # (REFINE n)^2, and each integer quotient is the correctly rounded time
+    merged, idx = np.unique(np.concatenate([tau * REFINE**2, js * js]), return_inverse=True)
     tau_idx, sq_idx = idx[: n + 1], idx[n + 1 :]
-    grid = js / float(refine * n)
-    shared = merged / float((refine * n) ** 2)
+    grid = js / float(REFINE * n)
+    shared = merged / float((REFINE * n) ** 2)
     step_sd = np.sqrt(np.diff(np.concatenate([[0.0], shared])))  # as _bm scales its steps
     tau_t, nu_t = tau[1:] / float(n * n), (ks * tau)[1:] / float(n**3)
     shift = (ks - 2.0) / n
@@ -707,29 +711,29 @@ def _coupled_sampler(model: GraphModel, refine: int):
 
 
 def sample_coupled_values(
-    model: GraphModel, rng: np.random.Generator, size: int, refine: int = 8
+    model: GraphModel, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample (Z_n, Z) from shared B1, B2 on the merged clock.
 
     Returns (zn, z, grid_floats): zn has shape (size, n+1, 2) on the step
-    grid k/n; z has shape (size, L, 2) on the refined grid j/(refine*n),
-    j = 1..refine*n.  The step process is rewritten through the scaled
+    grid k/n; z has shape (size, L, 2) on the refined grid j/(REFINE*n),
+    j = 1..REFINE*n.  The step process is rewritten through the scaled
     motions B(k(k-1)) = n Btilde(k(k-1)/n^2) so that both processes read
     the same Btilde1, Btilde2.
     """
-    draw, grid, width = _coupled_sampler(model, refine)
+    draw, grid, width = _coupled_sampler(model)
     zn1, zn2, z1, z2 = draw(rng, size, [np.empty(size * width) for _ in range(4)])
     return np.stack([zn1, zn2], axis=2), np.stack([z1, z2], axis=2), grid
 
 
-def _discretization_bias_bound(model: GraphModel, refine: int) -> float:
+def _discretization_bias_bound(model: GraphModel) -> float:
     """Crude upper bound for the sup-norm bias of evaluating Z on the
     refined grid: coefficient mass times an expected-maximal-increment
-    bound over the refine*n cells (clock gap <= 2/(refine*n))."""
+    bound over the REFINE*n cells (clock gap <= 2/(REFINE*n))."""
     n, p = model.n, model.p
     a1, a2, b1, b2 = z_coefficients(p)
     coef = math.hypot(a1 + a2, b1 + b2)
-    cells = refine * n
+    cells = REFINE * n
     gap = 2.0 / cells
     max_inc = math.sqrt(2.0 * gap * math.log(2.0 * cells)) + math.sqrt(gap)
     drift = 2.0 / cells  # |t - g| sup|B| contribution, E sup|B(t^2)| <= 2
@@ -749,29 +753,29 @@ def coupling_distance(
     model: GraphModel,
     samples: int,
     seed: SeedSpec,
-    refine: int = 8,
     workers: int = 1,
 ) -> dict:
-    """Monte Carlo moments of the coupled (Z_n, Z) pair with pass flags
-    against the closed-form bounds.
+    """Monte Carlo moments of the coupled (Z_n, Z) pair: the three
+    estimates, with the derived refine, chunk, discretization_bias_bound
+    and corr_at_one.  ``coupling_bounds`` holds the bounds they meet.
 
     Each engine chunk draws its motions as ``sample_coupled_values`` does
     and reduces their planes straight to six per-sample statistics.  The
-    chunk size depends on (n, refine) only: a chunk's whole working set,
+    chunk size depends on n only: a chunk's whole working set,
     its five motions and its statistic planes, fits in an eighth of
     ``MEMORY_BUDGET``, so memory is bounded at any n and sample count.
     Each worker thread draws its chunks into four planes of chunk * width
     values that it allocates once; they are freed when the call returns.
     """
     n = model.n
-    draw, _, width = _coupled_sampler(model, refine)
-    cut = np.arange(1, refine * n + 1) // refine  # floor(n * j/(refine n))
-    # per sample: W1, W2, A and B on the merged clock of (refine+1) n times
+    draw, _, width = _coupled_sampler(model)
+    cut = np.arange(1, REFINE * n + 1) // REFINE  # floor(n * j/(REFINE n))
+    # per sample: W1, W2, A and B on the merged clock of (REFINE+1) n times
     # (k(k-1) is no square for k >= 2), three step motions and two Z_n planes
-    # of n+1 values, and two Z planes and two difference planes of refine n.
+    # of n+1 values, and two Z planes and two difference planes of REFINE n.
     # Z and the differences reuse the merged-clock planes, so this
     # over-counts; it stays, as every report depends on the chunk size
-    floats = 4 * (refine + 1) * n + 5 * (n + 1) + 4 * refine * n
+    floats = 4 * (REFINE + 1) * n + 5 * (n + 1) + 4 * REFINE * n
     chunk = max(1, MEMORY_BUDGET // 8 // (8 * floats))
     local = threading.local()
 
@@ -804,30 +808,18 @@ def coupling_distance(
     gap, gap2, supz2, prod, zn2, z2 = mc_run_vector(
         stats, samples, seed, workers=workers, chunk=chunk
     )
-    bounds = coupling_bounds(n)
     corr = prod.mean / math.sqrt(max(zn2.mean * z2.mean, 1e-300))
-    report = {
-        "n": n,
-        "p": model.p,
-        "samples": samples,
-        "refine": refine,
+    return {
+        "refine": REFINE,
         "chunk": chunk,
-        "discretization_bias_bound": _discretization_bias_bound(model, refine),
+        "discretization_bias_bound": _discretization_bias_bound(model),
         "corr_at_one": corr,
         "estimates": {
             "sup_distance": gap,
             "sup_distance_sq": gap2,
             "sup_z_sq": supz2,
         },
-        "bounds": bounds,
-        "passes": {
-            key: acc_est.mean <= bounds[key]
-            for key, acc_est in zip(
-                ("sup_distance", "sup_distance_sq", "sup_z_sq"), (gap, gap2, supz2)
-            )
-        },
     }
-    return report
 
 
 # ---------------------------------------------------------------------------

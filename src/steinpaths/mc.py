@@ -12,7 +12,7 @@ count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,7 +51,6 @@ class McEstimate:
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
-    name: str = field(default="", compare=False)
 
     @property
     def variance(self) -> float:
@@ -68,28 +67,18 @@ class McEstimate:
     def ci95(self) -> tuple[float, float]:
         return ci95(self)
 
-    def to_dict(self) -> dict:
-        lo, hi = (self.ci95() if self.count >= 2 else (self.mean, self.mean))
-        return {
-            "name": self.name,
-            "count": self.count,
-            "value": self.mean,
-            "stderr": self.stderr,
-            "ci95": [lo, hi],
-        }
-
 
 def merge(a: McEstimate, b: McEstimate) -> McEstimate:
     """Combine two disjoint accumulations (Chan's parallel update)."""
     if a.count == 0:
-        return McEstimate(b.count, b.mean, b.m2, a.name or b.name)
+        return McEstimate(b.count, b.mean, b.m2)
     if b.count == 0:
-        return McEstimate(a.count, a.mean, a.m2, a.name or b.name)
+        return McEstimate(a.count, a.mean, a.m2)
     n = a.count + b.count
     delta = b.mean - a.mean
     mean = a.mean + delta * (b.count / n)
     m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / n)
-    return McEstimate(n, mean, m2, a.name or b.name)
+    return McEstimate(n, mean, m2)
 
 
 def ci95(est: McEstimate) -> tuple[float, float]:
@@ -100,15 +89,15 @@ def ci95(est: McEstimate) -> tuple[float, float]:
     return est.mean - half, est.mean + half
 
 
-def from_values(xs, name: str = "") -> McEstimate:
+def from_values(xs) -> McEstimate:
     """Moments of the flattened values xs; no values give an empty estimate."""
     xs = np.asarray(xs, dtype=float).ravel()
     if xs.size == 0:
-        return McEstimate(name=name)
+        return McEstimate()
     if not np.all(np.isfinite(xs)):
         raise McError("non-finite sample in batch")
     mean = np.mean(xs)
-    return McEstimate(int(xs.size), float(mean), float(np.sum((xs - mean) ** 2)), name)
+    return McEstimate(int(xs.size), float(mean), float(np.sum((xs - mean) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -194,11 +183,8 @@ def mc_run(
     n_samples: int,
     seed: SeedSpec,
     workers: int = 1,
-    chunk: int = CHUNK,
-    name: str = "",
 ) -> McEstimate:
     """Estimate E[X] where sample_fn(rng, size) draws size iid samples:
     the one-column case of mc_run_vector."""
-    (est,) = mc_run_vector(sample_fn, n_samples, seed, workers, chunk)
-    est.name = name
+    (est,) = mc_run_vector(sample_fn, n_samples, seed, workers)
     return est

@@ -89,7 +89,7 @@ class TargetLaw:
         def sampler(rng, size):
             return g.value_stacked(self.sample_at(rng, size, g.times))
 
-        return mc_run(sampler, samples, seed, workers=workers, name="mean_g")
+        return mc_run(sampler, samples, seed, workers=workers)
 
 
 def combinatorial_law(model: comb.ArrayModel) -> TargetLaw:
@@ -160,14 +160,14 @@ def mehler_apply(
     if u == 0.0:
         # the mixing factor is identically zero: exact, zero variance
         mean = float(g.value_stacked(x))
-        return McEstimate(count=inner_samples, mean=mean, m2=0.0, name="mehler")
+        return McEstimate(count=inner_samples, mean=mean, m2=0.0)
     decay = math.exp(-u)
     beta = math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * u)))
 
     def sampler(rng, size):
         return g.value_stacked(decay * x + beta * law.sample_at(rng, size, g.times))
 
-    return mc_run(sampler, inner_samples, seed, workers=workers, name="mehler")
+    return mc_run(sampler, inner_samples, seed, workers=workers)
 
 
 def mehler_two_step(
@@ -191,7 +191,14 @@ def mehler_two_step(
         d2 = law.sample_at(rng, size, g.times)
         return g.value_stacked(du * dv * x + dv * bu * d1 + bv * d2)
 
-    return mc_run(sampler, inner_samples, seed, name="mehler2")
+    return mc_run(sampler, inner_samples, seed)
+
+
+def _generator_values(f: CylinderFunctional, x: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """A f at each row of the stacked arguments x, shape (s, k*dim), with
+    cov the covariance matrix of the stacked evaluations."""
+    first = -np.einsum("si,si->s", f.grad_stacked(x), x)
+    return first + np.einsum("sij,ij->s", f.hess_stacked(x), cov)
 
 
 def generator_apply(
@@ -203,10 +210,7 @@ def generator_apply(
     closed-form covariance matrix of the stacked evaluations.
     """
     x = _argument(f, x)
-    grad = f.grad_stacked(x)
-    hess = f.hess_stacked(x)
-    cov = law.cov_matrix(f.times)
-    return float(-grad @ x + np.sum(hess * cov))
+    return float(_generator_values(f, x[None], law.cov_matrix(f.times))[0])
 
 
 def stein_identity_residual(
@@ -222,14 +226,9 @@ def stein_identity_residual(
     cov = law.cov_matrix(f.times)
 
     def sampler(rng, size):
-        d = scale * law.sample_at(rng, size, f.times)
-        grads = f.grad_stacked(d)
-        first = -np.einsum("si,si->s", grads, d)
-        hess = f.hess_stacked(d)
-        second = np.einsum("sij,ij->s", hess, cov)
-        return first + second
+        return _generator_values(f, scale * law.sample_at(rng, size, f.times), cov)
 
-    return mc_run(sampler, samples, seed, workers=workers, name="stein_residual")
+    return mc_run(sampler, samples, seed, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,9 @@ def _phi_sample_values(
     nodes: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Per-sample values of -sum_q (w_q/v_q)(g(x v_q + b_q D_s) - g(D_s)).
+    """Per-sample values of -sum_q (w_q/v_q)(g(x v_q + b_q D_s) - g(D_s))
+    over the rows D_s of d_flat; points x shaped (..., 1, k*dim) give one
+    row of values per point.
 
     Centering with the same draw D_s (instead of a separately estimated
     E g(D)) keeps every summand bounded as v_q -> 0: the difference
@@ -263,7 +264,7 @@ def _phi_sample_values(
     enters.  The estimator stays unbiased by linearity.
     """
     g_at_d = g.value_stacked(d_flat)
-    out = np.zeros(d_flat.shape[0])
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], d_flat.shape[:-1]))
     for v, wt in zip(nodes, weights):
         b = math.sqrt(max(0.0, 1.0 - v * v))
         out -= (wt / v) * (g.value_stacked(v * x + b * d_flat) - g_at_d)
@@ -295,7 +296,6 @@ def solve_phi(
         ]).T  # column-major: one contiguous run per column
 
     est, est_half = mc_run_vector(sampler, inner_samples, seed)
-    est.name = "phi"
     return est, abs(est.mean - est_half.mean)
 
 
@@ -318,20 +318,10 @@ def make_phi_cylinder(
     """
     nodes, weights = _gauss_legendre_01(quad_points)
     d_flat = law.sample_at(seed.child(1).rng(), inner_samples, g.times)
-    g_at_d = np.asarray(g.value_stacked(d_flat))
-    betas = np.sqrt(np.clip(1.0 - nodes**2, 0.0, None))
 
     def value_fn(x):
-        x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.zeros(flat.shape[0])
-        for v, b, wt in zip(nodes, betas, weights):
-            args = v * flat[:, None, :] + b * d_flat[None, :, :]
-            out -= (wt / v) * (
-                g.value_stacked(args) - g_at_d[None, :]
-            ).mean(axis=1)
-        return out.reshape(lead)
+        x = np.asarray(x, dtype=float)[..., None, :]
+        return _phi_sample_values(g, x, d_flat, nodes, weights).mean(axis=-1)
 
     return numeric_cylinder(
         value_fn, g.times, dim=g.dim, step=fd_step, label="phi(%s)" % g.label
@@ -383,26 +373,22 @@ def stein_selfconsistency(
 # epsilon estimators for the abstract bound
 
 
+def _epsilon1(pair_norm_stats, model, gnorm: float, samples: int, seed: SeedSpec) -> McEstimate:
+    """(|g|/6) E ||(Y-Y') Lambda_n|| ||Y-Y'||^2 from a family's pair statistic."""
+    return mc_run(lambda rng, size: gnorm / 6.0 * pair_norm_stats(model, rng, size),
+                  samples, seed)
+
+
 def epsilon1_combinatorial(
     model: comb.ArrayModel, gnorm: float, samples: int, seed: SeedSpec
 ) -> McEstimate:
-    return mc_run(
-        lambda rng, size: gnorm / 6.0 * comb.pair_norm_stats(model, rng, size),
-        samples,
-        seed,
-        name="epsilon1",
-    )
+    return _epsilon1(comb.pair_norm_stats, model, gnorm, samples, seed)
 
 
 def epsilon1_graph(
     model: gr.GraphModel, gnorm: float, samples: int, seed: SeedSpec
 ) -> McEstimate:
-    return mc_run(
-        lambda rng, size: gnorm / 6.0 * gr.pair_norm_stats(model, rng, size),
-        samples,
-        seed,
-        name="epsilon1",
-    )
+    return _epsilon1(gr.pair_norm_stats, model, gnorm, samples, seed)
 
 
 def epsilon3_estimate(model, f: CylinderFunctional, samples: int, seed: SeedSpec) -> McEstimate:
@@ -410,12 +396,11 @@ def epsilon3_estimate(model, f: CylinderFunctional, samples: int, seed: SeedSpec
     the tower property turns the conditional means into plain draws of
     (1/(n s_n)) sum_ij Df(Y)[X_{i,pi(j)} 1_[i/n,1]]."""
     if isinstance(model, gr.GraphModel):
-        return McEstimate(count=samples, mean=0.0, m2=0.0, name="epsilon3")
+        return McEstimate(count=samples, mean=0.0, m2=0.0)
     if isinstance(model, comb.ArrayModel):
         return mc_run(
             lambda rng, size: comb.eps3_values(model, f, rng, size),
             samples,
             seed,
-            name="epsilon3",
         )
     raise TypeError("unsupported model type %r" % type(model).__name__)

@@ -85,9 +85,9 @@ class RunReport:
     checks: list = field(default_factory=list)
 
     def add_estimate(self, name: str, est: McEstimate) -> None:
-        d = est.to_dict()
-        d["name"] = name
-        self.estimates.append(d)
+        lo, hi = est.ci95() if est.count >= 2 else (est.mean, est.mean)
+        self.estimates.append({"name": name, "count": est.count, "value": est.mean,
+                               "stderr": est.stderr, "ci95": [lo, hi]})
 
     def add_value(self, name: str, value: float) -> None:
         self.values.append({"name": name, "value": float(value)})

@@ -325,7 +325,7 @@ def test_criterion_7_coupling_moments():
     for n in (16, 64, 256):
         model = gr.GraphModel(n, 0.3)
         rep = gr.coupling_distance(model, 10**4, SeedSpec(10, (n,)))
-        bounds = rep["bounds"]
+        bounds = gr.coupling_bounds(n)
         for key in ("sup_distance", "sup_distance_sq", "sup_z_sq"):
             est = rep["estimates"][key]
             assert est.mean + 1.96 * est.stderr <= bounds[key], (n, key)

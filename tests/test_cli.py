@@ -676,6 +676,31 @@ def test_coordinate_outside_model_is_usage_error(tmp_path, capsys, graph_draws, 
     assert graph_draws == []
 
 
+@pytest.mark.parametrize("spec, field", [
+    ("sin:coord=1,t=2", "'t'"),
+    ("sin:coord=x,t=1", "'coord'"),
+    ("sin:coord=1,t=abc", "'t'"),
+    ("lin:coords=1,t=1,w=abc", "'w'"),
+    ("sin:coord=1,t=1/0", "'t'"),
+    ("sin:coord=1,t=1,w=5", "'w'"),
+    ("sin:coord=1,t=1/2,1", "'t'"),
+    ("cos:coord=1,2,t=1", "'coord'"),
+    ("tanhprod:coords=1,t=1,w=2", "'w'"),
+    ("sin:coord=1,t=1,t=1/2", "'t'"),
+    ("lin:coord=1,coords=2,t=1,1", "'coords'"),
+])
+def test_malformed_or_ignored_spec_field_is_usage_error(tmp_path, capsys, graph_draws, spec,
+                                                        field):
+    # a value that does not parse, a field the functional does not take and
+    # a second value of a single-valued field are refused before any draw
+    code = main(["simulate", "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
+                 "--functional", spec])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and field in err
+    assert graph_draws == []
+
+
 def test_out_in_missing_directory_is_refused_before_drawing(tmp_path, capsys, graph_draws):
     out_file = tmp_path / "missing" / "report.json"
     code = main(["simulate", "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
@@ -820,6 +845,12 @@ def test_report_parameters_are_the_options(tmp_path, capsys):
     ["verify-covariance", "--model", "@graph", "--samples", "-1"],
     ["bound", "--model", "@graph", "--gnorm", "-1"],
     ["bound", "--model", "@array", "--gnorm", "-0.5"],
+    ["bound", "--model", "@graph", "--gnorm", "nan"],
+    ["bound", "--model", "@array", "--gnorm", "inf"],
+    ["stein-identity", "--model", "@graph", "--scale", "nan"],
+    ["stein-identity", "--model", "@array", "--scale", "inf"],
+    ["verify-regression", "--model", "@graph", "--tol", "nan"],
+    ["verify-covariance", "--model", "@array", "--tol", "inf"],
 ])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     # rejected while parsing: no model is loaded and nothing is drawn

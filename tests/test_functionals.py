@@ -282,6 +282,14 @@ def test_parse_functional_errors():
         parse_functional("sin", dim=1)
     with pytest.raises(FunctionalError):
         parse_functional("sin:t=1", dim=1)
+    for spec in ("sin:coord=1,t=2", "sin:coord=x,t=1", "sin:coord=1,t=abc",
+                 "lin:coords=1,t=1,w=abc", "sin:coord=1,t=1/0", "sin:coord=1,t=1,w=5",
+                 "sin:coord=1,t=1/2,1", "cos:coord=1,2,t=1", "tanhprod:coords=1,t=1,w=2",
+                 "sin:coord=1,t=1,t=1/2", "lin:coord=1,coords=2,t=1,1"):
+        with pytest.raises(FunctionalError):
+            parse_functional(spec, dim=1)
+    # lin keeps its documented alias coord for coords
+    assert parse_functional("lin:coord=1,t=1", dim=1).label == "lin:coords=1,t=1"
 
 
 @pytest.mark.parametrize("spec", [

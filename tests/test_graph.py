@@ -641,7 +641,8 @@ def test_coupled_sampler_assembles_its_motions_bitwise():
 def test_coupling_distance_bounds_hold():
     model = GraphModel(16, 0.3)
     report = coupling_distance(model, 2000, SeedSpec(73))
-    assert all(report["passes"].values())
+    bounds = coupling_bounds(16)
+    assert all(est.mean <= bounds[key] for key, est in report["estimates"].items())
     est = report["estimates"]["sup_distance"]
     assert est.mean + 5 * est.stderr < coupling_bounds(16)["sup_distance"]
     assert report["estimates"]["sup_z_sq"].mean < 5.0
@@ -788,7 +789,7 @@ def test_coupling_peak_memory_within_reference_loop(workers):
     reference = traced_peak(mc_run_vector,
                             lambda rng, size: coupled_stats_reference(model, rng, size),
                             2000, seed, workers, chunk)
-    assert traced_peak(coupling_distance, model, 2000, seed, 8, workers) <= reference
+    assert traced_peak(coupling_distance, model, 2000, seed, workers) <= reference
 
 
 def test_coupling_frozen_bound_value():

@@ -65,7 +65,7 @@ def epsilon1_pairs(pair_sampler, lambda_action, gnorm, samples, rng):
         y, y_prime = pair_sampler(rng)
         diff = y - y_prime
         vals[s] = sup_norm(lambda_action(diff)) * sup_norm(diff) ** 2
-    return from_values(gnorm / 6.0 * vals, name="epsilon1")
+    return from_values(gnorm / 6.0 * vals)
 
 
 def test_law_cov_matches_sampler():
