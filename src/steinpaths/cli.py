@@ -291,20 +291,25 @@ def cmd_coupling(args, kind, model, funcs, report):
 
 
 def cmd_bound(args, kind, model, funcs, report):
+    """Adds every closed-form bound at --gnorm; a --gnorm so large that a
+    bound overflows is a usage error, raised before the report is emitted."""
     if kind == "graph":
-        report.add_bound("prelimit_12g_over_n", gr.bound_prelimit(model.n, args.gnorm))
-        report.add_bound(
-            "continuous_sqrt_log", gr.bound_continuous(model.n, args.gnorm)
-        )
+        bounds = {
+            "prelimit_12g_over_n": gr.bound_prelimit(model.n, args.gnorm),
+            "continuous_sqrt_log": gr.bound_continuous(model.n, args.gnorm),
+        }
         for name, val in gr.coupling_bounds(model.n).items():
-            report.add_bound("coupling_%s" % name, val)
+            bounds["coupling_%s" % name] = val
     else:
-        rep = comb.bound_prelimit_distance_report(model, args.gnorm)
-        for key, val in rep.items():
-            report.add_bound(key, val)
-        beta3 = comb.bound_beta3(model.n, model.s_n, float(model.abs3.max()), model.c,
-                                 float(model.sigma2.sum()), args.gnorm)
-        report.add_bound("simplified_beta3", beta3)
+        bounds = dict(comb.bound_prelimit_distance_report(model, args.gnorm))
+        bounds["simplified_beta3"] = comb.bound_beta3(
+            model.n, model.s_n, float(model.abs3.max()), model.c,
+            float(model.sigma2.sum()), args.gnorm)
+    overflow = [key for key, val in bounds.items() if not math.isfinite(val)]
+    if overflow:
+        raise UsageError("--gnorm %r overflows the bounds %s" % (args.gnorm, ", ".join(overflow)))
+    for key, val in bounds.items():
+        report.add_bound(key, val)
 
 
 def cmd_stein_identity(args, kind, model, funcs, report):

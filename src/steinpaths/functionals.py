@@ -396,6 +396,13 @@ def tanh_product(coords: Sequence[int], times: Sequence, dim: int = 1) -> Cylind
     return CylinderFunctional(dim, uniq_times, base, label=label)
 
 
+def _shortest(x: float) -> str:
+    """repr(x) without a trailing '.0': the fewest digits float() reads
+    back as x."""
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def linear_cylinder(
     coords: Sequence[int], times: Sequence, weights: Sequence[float] | None = None, dim: int = 1
 ) -> CylinderFunctional:
@@ -405,7 +412,11 @@ def linear_cylinder(
     |g(w)| <= (sum|weights|) ||w|| and max_r r/(1+r^3) = 2^(2/3)/3.
     """
     label, uniq_times, indices = _sites("lin", coords, times, dim)
-    weights = [1.0] * len(indices) if weights is None else [float(wt) for wt in weights]
+    if weights is None:
+        weights = [1.0] * len(indices)
+    else:  # given weights are part of the label, in repr's round-trip digits
+        weights = [float(wt) for wt in weights]
+        label += ",w=" + ",".join(_shortest(wt) for wt in weights)
     if len(weights) != len(indices):
         raise FunctionalError("coords and weights must pair up")
     k = len(uniq_times)

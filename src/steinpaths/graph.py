@@ -435,29 +435,41 @@ def _bm(rng: np.random.Generator, size: int, times: np.ndarray) -> np.ndarray:
 
 
 def _bytes(rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count,) uint8 draws equal to ``np.frombuffer(rng.bytes(count),
-    np.uint8)``: rng.bytes serializes these uint32 words little-endian and
-    cuts them to count, with three copies this view does not make."""
-    words = rng.integers(0, 2**32, -(-count // 4), dtype=np.uint32)
-    return words.astype("<u4", copy=False).view(np.uint8)[:count]
+    """(count,) uint8 draws: the little-endian bytes of ceil(count/8) raw
+    64-bit words of the bit generator, cut to count.  They equal
+    ``np.frombuffer(rng.bytes(count), np.uint8)``, which splits the same
+    words into uint32 halves, and when ceil(count/4) is even the generator
+    also ends where rng.bytes leaves it."""
+    words = rng.bit_generator.random_raw(-(-count // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:count]
 
 
 def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     """Boolean array of iid Bernoulli(p) draws, one byte per indicator.
 
-    With q = 256p and j = floor(q), a byte u gives 1 if u < j and 0 if
-    u > j; only the 1/256 ties u == j draw a uniform, which gives 1 with
-    probability q - j.  The law is Bernoulli(p) to the 2^-53 resolution of
-    that uniform, as for ``rng.random() < p``.  The bytes are drawn first
-    and the tie uniforms after them, in index order.
+    With q = 256p and j = floor(q), a byte u gives u < j, which is
+    Bernoulli(j/256), or u <= j, which is Bernoulli((j+1)/256).  A sparse
+    correction then sets to 1 an independent Bernoulli((q-j)/(256-j))
+    subset of the first, or clears a Bernoulli((j+1-q)/(j+1)) subset of
+    the second, whichever rate is smaller; it is at most 1/257.  The
+    subset is K ~ Binomial(count, rate) distinct uniform positions, so it
+    costs O(K) and never scans the bytes.  The law is Bernoulli(p) to
+    double precision; when q == j nothing beyond the bytes is drawn.  The
+    raw words are drawn first, then K, then the positions.
     """
-    u = _bytes(rng, math.prod(shape)).reshape(shape)
+    count = math.prod(shape)
+    u = _bytes(rng, count).reshape(shape)
     q = 256.0 * p
     j = math.floor(q)
-    out = u < j
-    if q > j:
-        ties = np.flatnonzero(u == j)
-        out.reshape(-1)[ties] = rng.random(ties.size) < q - j
+    if q == j:
+        return u < j
+    set_rate, clear_rate = (q - j) / (256 - j), (j + 1 - q) / (j + 1)
+    if set_rate <= clear_rate:
+        out, rate, fill = u < j, set_rate, True
+    else:
+        out, rate, fill = u <= j, clear_rate, False
+    picks = rng.choice(count, rng.binomial(count, rate), replace=False, shuffle=False)
+    out.reshape(-1)[picks] = fill
     return out
 
 

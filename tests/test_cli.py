@@ -412,6 +412,27 @@ def test_bound_commands(tmp_path, capsys):
     assert "total" in bounds and "total_third_moment_variant" in bounds
 
 
+@pytest.mark.parametrize("kind, gnorm, overflowing", [
+    ("graph", "1e308", "prelimit_12g_over_n, continuous_sqrt_log"),
+    ("graph", "1.7e306", "continuous_sqrt_log"),
+    ("array", "1e308", "five_index_term"),
+])
+def test_bound_overflowing_gnorm_is_usage_error(tmp_path, capsys, kind, gnorm, overflowing):
+    # a finite --gnorm whose bounds overflow is refused before the report is
+    # emitted (it used to end in a ReportError traceback), and --out is not
+    # written
+    model = graph_model(tmp_path, 12, 0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    out_file = tmp_path / "report.json"
+    code = main(["bound", "--model", model, "--gnorm", gnorm, "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.startswith("usage error: --gnorm %r overflows the bounds " % float(gnorm))
+    assert overflowing in err
+    # a --gnorm whose bounds fit is still reported
+    code, out = run(capsys, ["bound", "--model", model, "--gnorm", "1e300"])
+    assert code == 0 and len(json.loads(out)["bounds"]) >= 5
+
+
 def test_stein_identity_command(tmp_path, capsys):
     code, out = run(
         capsys,

@@ -275,6 +275,26 @@ def test_parse_functional_round_trip():
     assert g.value_stacked(np.zeros(2)) == 1.0
 
 
+@pytest.mark.parametrize("spec", [
+    "sin:coord=2,t=1/3",
+    "cos:coord=1,t=1",
+    "tanhprod:coords=1,2,2,t=1/2,1,1/4",
+    "lin:coords=1,2,t=1,1/2",
+    "lin:coords=1,t=1,w=5",
+    "lin:coords=1,2,1,t=1/2,1,1/2,w=0.1,-3,2.5e-300",
+])
+def test_label_rebuilds_the_functional(spec):
+    # a report records its functionals by label, so each label parses back
+    # to a functional with the same label, times, values and certificate
+    g = parse_functional(spec, dim=2)
+    h = parse_functional(g.label, dim=2)
+    assert h.label == g.label and h.times == g.times
+    x = np.random.default_rng(3).standard_normal((5, g.n_args))
+    for ev in ("value_stacked", "grad_stacked", "hess_stacked"):
+        assert np.array_equal(getattr(h, ev)(x), getattr(g, ev)(x))
+    assert h.certificate() == g.certificate()
+
+
 def test_parse_functional_errors():
     with pytest.raises(FunctionalError):
         parse_functional("nope:coord=1,t=1", dim=1)

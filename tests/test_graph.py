@@ -326,36 +326,64 @@ def test_y_peak_memory_within_incremental_loop(n, cuts):
     assert traced_peak(sample_y_values, model, rng_for(97), 4096, cuts) <= reference
 
 
-@pytest.mark.parametrize("p", [0.002, 0.25, 0.3, 0.5, 0.999])
+def _state(rng):
+    """(the bit generator's words, its buffered uint32 half or None)."""
+    s = rng.bit_generator.state
+    return tuple(s["state"]["state"].tolist()), s["uinteger"] if s["has_uint32"] else None
+
+
+@pytest.mark.parametrize("p", [0.002, 0.25, 0.3, 0.5, 0.999, 1 - 1 / 512])
 def test_bernoulli_law_and_draw_order(p):
     shape, size = (1000, 1000), 10**6
     rng = rng_for(94)
     draws = bernoulli(rng, p, shape)
     assert draws.dtype == bool and draws.shape == shape
     assert abs(draws.mean() - p) <= 5 * math.sqrt(p * (1 - p) / size)
-    # replay: one byte per indicator, then one uniform per tie u == floor(256p)
+    # adjacent indicators are uncorrelated: x[i] x[i+1] has mean p^2, and its
+    # 1-dependent sum has variance (p^2 (1 - p^2) + 2 (p^3 - p^4)) per term
+    x = draws.reshape(-1)
+    pairs = x[:-1] & x[1:]
+    var = p**2 * (1 - p**2) + 2 * (p**3 - p**4)
+    assert abs(pairs.mean() - p**2) <= 5 * math.sqrt(var / pairs.size)
+    # replay: one raw byte per indicator, then K and the K positions of the
+    # correction, which sets u < j to 1 or clears u <= j, at the smaller rate
     replay = rng_for(94)
-    u = np.frombuffer(replay.bytes(size), dtype=np.uint8).reshape(shape)
-    j = math.floor(256 * p)
-    tie = u == j
-    assert np.array_equal(draws[~tie], u[~tie] < j)
-    if 256 * p == j:  # p = 0.25, 0.5: the tie part is zero, no uniform drawn
-        assert not draws[tie].any()
+    u = replay.bit_generator.random_raw(size // 8).astype("<u8").view(np.uint8)
+    q = 256 * p
+    j = math.floor(q)
+    if q == j:  # p = 0.25, 0.5: no correction, nothing else drawn
+        expect = u < j
     else:
-        assert np.array_equal(draws[tie], replay.random(int(tie.sum())) < 256 * p - j)
-    assert rng.random() == replay.random()
-    if j == 0:  # p = 0.002: every 1 comes from a tie
-        assert draws.sum() == draws[tie].sum() > 0
+        set_rate, clear_rate = (q - j) / (256 - j), (j + 1 - q) / (j + 1)
+        assert min(set_rate, clear_rate) <= 1 / 257
+        fill = set_rate <= clear_rate
+        expect = u < j if fill else u <= j
+        k = replay.binomial(size, min(set_rate, clear_rate))
+        picks = replay.choice(size, k, replace=False, shuffle=False)
+        assert np.unique(picks).size == k
+        expect[picks] = fill
+        # p = 0.002 sets from all zeros; 0.3, 0.999 and 1 - 1/512 clear
+        assert fill == (p == 0.002)
+    assert np.array_equal(draws.reshape(-1), expect)
+    assert _state(rng) == _state(replay)
+    if j == 0:  # p = 0.002: every 1 comes from the correction
+        assert not (u < j).any() and draws.sum() > 0
+    if j == 255:  # p = 0.999, 1 - 1/512: every 0 comes from the correction
+        assert (u <= j).all() and not draws.all()
 
 
 def test_bytes_match_rng_bytes():
-    # the view of the uint32 words is rng.bytes' output, and leaves the
-    # generator where rng.bytes leaves it
-    rng, replay = rng_for(95), rng_for(95)
-    for count in list(range(1, 14)) + [4097, 3 * 4096]:
+    # the raw words' bytes are rng.bytes' output; the generator ends where
+    # rng.bytes leaves it when rng.bytes draws an even number of uint32
+    # words, and otherwise differs only by the uint32 half rng.bytes keeps
+    for count in list(range(1, 17)) + [4097, 3 * 4096]:
+        rng, replay = rng_for(95), rng_for(95)
         u = _bytes(rng, count)
         assert u.dtype == np.uint8 and u.shape == (count,)
         assert np.array_equal(u, np.frombuffer(replay.bytes(count), np.uint8)), count
+        (words, half), (other_words, other_half) = _state(rng), _state(replay)
+        assert words == other_words, count
+        assert (half == other_half) == (-(-count // 4) % 2 == 0), count
         assert rng.random() == replay.random()
 
 
