@@ -396,13 +396,6 @@ def tanh_product(coords: Sequence[int], times: Sequence, dim: int = 1) -> Cylind
     return CylinderFunctional(dim, uniq_times, base, label=label)
 
 
-def _shortest(x: float) -> str:
-    """repr(x) without a trailing '.0': the fewest digits float() reads
-    back as x."""
-    text = repr(x)
-    return text[:-2] if text.endswith(".0") else text
-
-
 def linear_cylinder(
     coords: Sequence[int], times: Sequence, weights: Sequence[float] | None = None, dim: int = 1
 ) -> CylinderFunctional:
@@ -414,9 +407,11 @@ def linear_cylinder(
     label, uniq_times, indices = _sites("lin", coords, times, dim)
     if weights is None:
         weights = [1.0] * len(indices)
-    else:  # given weights are part of the label, in repr's round-trip digits
+    else:
+        # given weights are part of the label, in the fewest digits that read
+        # back as the same floats
         weights = [float(wt) for wt in weights]
-        label += ",w=" + ",".join(_shortest(wt) for wt in weights)
+        label += ",w=" + ",".join(repr(wt).removesuffix(".0") for wt in weights)
     if len(weights) != len(indices):
         raise FunctionalError("coords and weights must pair up")
     k = len(uniq_times)
