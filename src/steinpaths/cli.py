@@ -313,7 +313,7 @@ def cmd_bound(args, kind, model, funcs, report):
 
 
 def cmd_stein_identity(args, kind, model, funcs, report):
-    law = ou.graph_law(model) if kind == "graph" else ou.combinatorial_law(model)
+    law = ou.TargetLaw(model)
     for idx, g in enumerate(funcs):
         est = ou.stein_identity_residual(
             g, law, args.samples, SeedSpec(args.seed, (idx,)), scale=args.scale,
@@ -358,11 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     finite = _at_least(-math.inf, float)
 
-    def common(p, model=True, samples=None, fewest=1, workers_help=None):
+    def common(p, model=True, samples=None, fewest=1, draws=True):
+        # a command that draws nothing still takes --seed and --workers, and
+        # says in its help that they have no effect
+        no_effect = None if draws else ("accepted like every command's, but has no effect: "
+                                        "%s draws nothing" % p.prog.split()[-1])
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_at_least(1), default=1, help=workers_help)
+        p.add_argument("--seed", type=int, default=0, help=no_effect)
+        p.add_argument("--workers", type=_at_least(1), default=1, help=no_effect)
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if samples is not None:
@@ -398,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_coupling)
 
     p = sub.add_parser("bound", help="closed-form bound values")
-    common(p, workers_help="accepted like every command's, but has no effect: "
-                           "bound draws nothing")
+    common(p, draws=False)
     p.add_argument("--gnorm", type=_at_least(0.0, float), default=1.0)
     p.set_defaults(fn=cmd_bound)
 

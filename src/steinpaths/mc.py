@@ -153,7 +153,8 @@ def mc_run_vector(
     that column (a row-major (size, d > 1) array reduced along axis 0 does
     not), and chunks merge in index order by Chan's update, vectorized over
     the columns with the arithmetic of ``merge``; the result is therefore
-    independent of the worker count.
+    independent of the worker count.  A non-finite sample, or finite
+    samples whose mean or m2 overflows, raise ``McError``.
     """
     if n_samples < 1:
         raise McError("n_samples must be positive")
@@ -175,6 +176,9 @@ def mc_run_vector(
         mean = mean + delta * (size / total)
         m2 = m2 + m2s + delta * delta * (count * size / total)
         count = total
+    # finite samples can still overflow the moments, e.g. squared deviations
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(m2))):
+        raise McError("non-finite moments over %d finite samples" % count)
     return [McEstimate(count, float(a), float(b)) for a, b in zip(mean, m2)]
 
 

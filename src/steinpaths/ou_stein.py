@@ -1,8 +1,8 @@
 """Ornstein-Uhlenbeck operator layer for the pre-limiting targets.
 
-Given a target law D (one of the two pre-limit samplers), the transition
-operator of the associated stationary evolution is the Gaussian
-interpolation
+Given a target law D (the pre-limit D_n of a graph or array model), the
+transition operator of the associated stationary evolution is the
+Gaussian interpolation
 
     (T_u g)(w) = E g(w e^{-u} + sqrt(1 - e^{-2u}) D),
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from .paths import time_rows
 
 __all__ = [
     "TargetLaw",
-    "combinatorial_law",
-    "graph_law",
     "mehler_apply",
     "mehler_two_step",
     "generator_apply",
@@ -56,30 +54,32 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetLaw:
-    """A pre-limit target: sampler at grid rows plus closed-form grid
-    covariance.  ``sample_rows(rng, size, cuts)`` returns the values at
-    grid rows ``cuts``, shaped (size, len(cuts)) or (size, len(cuts), dim);
-    ``cov_grid(times)`` returns the covariance of the values at the times,
-    stacked in the same order."""
+    """The pre-limit target D_n of a model (a ``GraphModel`` or an
+    ``ArrayModel``): draws at a functional's times and their closed-form
+    covariance, both read from the model's own family module."""
 
-    dim: int
-    n: int
-    label: str
-    sample_rows: Callable[[np.random.Generator, int, Sequence[int]], np.ndarray]
-    cov_grid: Callable[[Sequence[Fraction]], np.ndarray]
+    model: gr.GraphModel | comb.ArrayModel
+
+    @property
+    def n(self) -> int:
+        return self.model.n
 
     def sample_at(
         self, rng: np.random.Generator, size: int, times: Sequence[Fraction]
     ) -> np.ndarray:
         """(size, k*dim) draws of D at the given times, stacked as a
         cylinder functional reads them."""
-        return self.sample_rows(rng, size, time_rows(self.n, times)).reshape(size, -1)
+        family = gr if isinstance(self.model, gr.GraphModel) else comb
+        rows = time_rows(self.n, times)
+        return family.sample_dn_values(self.model, rng, size, rows).reshape(size, -1)
 
     def cov_matrix(self, times: Sequence[Fraction]) -> np.ndarray:
         """(k*dim, k*dim) covariance of the stacked evaluations."""
-        return self.cov_grid(times)
+        if isinstance(self.model, gr.GraphModel):
+            return gr.prelimit_cov(self.model).grid(times)
+        return comb.cov_d_grid(self.model, times, times)
 
     def mean_g(
         self, g: CylinderFunctional, samples: int, seed: SeedSpec, workers: int = 1
@@ -90,40 +90,6 @@ class TargetLaw:
             return g.value_stacked(self.sample_at(rng, size, g.times))
 
         return mc_run(sampler, samples, seed, workers=workers)
-
-
-def combinatorial_law(model: comb.ArrayModel) -> TargetLaw:
-    zc = comb.zhat_cov_matrix(model)
-    prefix = np.zeros((model.n + 1, model.n + 1))
-    prefix[1:, 1:] = zc.cumsum(axis=0).cumsum(axis=1)
-    s2 = comb.s_n_squared(model)
-    n = model.n
-
-    def cov_grid(times):
-        rows = time_rows(n, times)
-        return prefix[np.ix_(rows, rows)] / s2
-
-    return TargetLaw(
-        dim=1,
-        n=n,
-        label="combinatorial(n=%d)" % n,
-        sample_rows=lambda rng, size, cuts: comb.sample_dn_values(
-            model, rng, size, cuts
-        ),
-        cov_grid=cov_grid,
-    )
-
-
-def graph_law(model: gr.GraphModel) -> TargetLaw:
-    return TargetLaw(
-        dim=2,
-        n=model.n,
-        label="graph(n=%d,p=%g)" % (model.n, model.p),
-        sample_rows=lambda rng, size, cuts: gr.sample_dn_values(
-            model, rng, size, cuts
-        ),
-        cov_grid=gr.prelimit_cov(model).grid,
-    )
 
 
 # ---------------------------------------------------------------------------

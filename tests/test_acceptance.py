@@ -344,8 +344,8 @@ def test_criterion_7_coupling_moments():
 
 def test_criterion_8_stein_identity():
     laws = [
-        ou.graph_law(gr.GraphModel(6, 0.3)),
-        ou.combinatorial_law(comb.ArrayModel.deterministic(centered_matrix(5))),
+        ou.TargetLaw(gr.GraphModel(6, 0.3)),
+        ou.TargetLaw(comb.ArrayModel.deterministic(centered_matrix(5))),
     ]
     func_sets = [
         [
@@ -363,7 +363,7 @@ def test_criterion_8_stein_identity():
     for lidx, (law, funcs) in enumerate(zip(laws, func_sets)):
         for fidx, g in enumerate(funcs):
             est = ou.stein_identity_residual(g, law, 10**5, SeedSpec(11, (lidx, fidx)))
-            assert abs(est.mean) <= 3 * est.stderr, (law.label, g.label)
+            assert abs(est.mean) <= 3 * est.stderr, (law.model, g.label)
             worst_z = max(worst_z, abs(est.mean) / est.stderr)
     # negative control: the same test must reject 1.1 * D_n
     rejected = 0
@@ -382,7 +382,7 @@ def test_criterion_8_stein_identity():
 
 
 def test_criterion_9_semigroup_consistency():
-    law = ou.combinatorial_law(comb.ArrayModel.deterministic())
+    law = ou.TargetLaw(comb.ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
     # the path 0.6 on [1/3, 2/3) and -0.2 on [2/3, 1], read at g's time 1
     x = np.array([-0.2])

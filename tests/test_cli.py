@@ -155,6 +155,13 @@ def test_bound_help_says_workers_has_no_effect(capsys):
         out.split())
 
 
+def test_bound_help_says_seed_has_no_effect(capsys):
+    code, out = run(capsys, ["bound", "--help"])
+    assert code == 0
+    assert ("--seed SEED accepted like every command's, but has no effect: bound draws "
+            "nothing") in " ".join(out.split())
+
+
 def test_non_finite_model_moments_are_usage_errors(tmp_path, capsys):
     model = tmp_path / "nan.json"
     model.write_text('{"type": "array", "n": 2, "entries": '
@@ -815,6 +822,18 @@ def test_non_finite_sample_fails_a_check(tmp_path, capsys, monkeypatch):
     assert list(checks) == ["finite_samples"]
     assert not checks["finite_samples"]["pass"]
     assert checks["finite_samples"]["detail"] == "non-finite sample in chunk 0"
+
+
+@pytest.mark.parametrize("command", ["simulate", "distance", "stein-identity"])
+def test_overflowing_moments_fail_a_check(tmp_path, capsys, command):
+    # the values are finite, but their squared deviations overflow
+    code = main([command, "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
+                 "--functional", "lin:coords=1,t=1,w=1e300"])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["finite_samples"]["pass"]
+    assert checks["finite_samples"]["detail"] == "non-finite moments over 100 finite samples"
 
 
 def test_report_parameters_are_the_options(tmp_path, capsys):

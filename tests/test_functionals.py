@@ -113,7 +113,7 @@ def test_rows_read_grid_values_as_the_path_does():
 def test_eval_dim_mismatch():
     # the operator layer takes g's stacked argument, of length k*dim, only
     g = sin_cylinder(1, 1, dim=2)
-    law = ou.graph_law(GraphModel(4, 0.3))
+    law = ou.TargetLaw(GraphModel(4, 0.3))
     seed = SeedSpec(0)
     calls = [
         lambda x: ou.mehler_apply(g, x, 0.5, law, 16, seed),

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from steinpaths import combinatorial as comb
+from steinpaths import graph as gr
 from steinpaths.combinatorial import (
     ArrayModel,
     double_center,
@@ -19,12 +21,11 @@ from steinpaths.functionals import (
 from steinpaths.graph import GraphModel
 from steinpaths.mc import SeedSpec, from_values
 from steinpaths.ou_stein import (
-    combinatorial_law,
+    TargetLaw,
     epsilon1_combinatorial,
     epsilon1_graph,
     epsilon3_estimate,
     generator_apply,
-    graph_law,
     make_phi_cylinder,
     mehler_apply,
     mehler_two_step,
@@ -32,6 +33,7 @@ from steinpaths.ou_stein import (
     stein_identity_residual,
     stein_selfconsistency,
 )
+from steinpaths.paths import time_rows
 
 F = Fraction
 
@@ -68,8 +70,37 @@ def epsilon1_pairs(pair_sampler, lambda_action, gnorm, samples, rng):
     return from_values(gnorm / 6.0 * vals)
 
 
+@pytest.mark.parametrize("model", [
+    GraphModel(7, 0.3),
+    ArrayModel.iid_gaussian(6),
+    ArrayModel.deterministic(),
+    ArrayModel.from_json_dict({"type": "array", "n": 3, "entries": [
+        {"i": 1, "j": 1, "dist": "gaussian", "mean": 1.0, "var": 2.0},
+        {"i": 1, "j": 2, "dist": "rademacher-shifted", "mean": -1.0, "scale": 0.5},
+        {"i": 2, "j": 1, "dist": "two-point", "x1": 0.0, "p1": 0.5, "x2": -2.0},
+        {"i": 2, "j": 2, "dist": "constant", "value": 1.0},
+        {"i": 3, "j": 3, "dist": "gaussian", "var": 1.0},
+    ]}),
+], ids=["graph", "iid-gaussian", "deterministic", "entries"])
+def test_target_law_is_the_family_functions(model):
+    # TargetLaw(model) reads the model's own family module, bit for bit
+    law = TargetLaw(model)
+    times = [F(1, 3), F(1, 2), F(1)]
+    rows = time_rows(model.n, times)
+    family = gr if isinstance(model, GraphModel) else comb
+    assert law.n == model.n
+    got = law.sample_at(SeedSpec(70).rng(), 9, times)
+    want = family.sample_dn_values(model, SeedSpec(70).rng(), 9, rows)
+    assert got.shape == (9, want[0].size)
+    assert got.tobytes() == want.reshape(9, -1).tobytes()
+    want_cov = (gr.prelimit_cov(model).grid(times) if family is gr
+                else comb.cov_d_grid(model, times, times))
+    cov = law.cov_matrix(times)
+    assert cov.shape == want_cov.shape and cov.tobytes() == want_cov.tobytes()
+
+
 def test_law_cov_matches_sampler():
-    for law in (combinatorial_law(det5_model()), graph_law(GraphModel(5, 0.3))):
+    for law in (TargetLaw(det5_model()), TargetLaw(GraphModel(5, 0.3))):
         times = [F(2, 5), F(1)]
         d = law.sample_at(SeedSpec(50).rng(), 4 * 10**4, times)
         cov = law.cov_matrix(times)
@@ -82,7 +113,7 @@ def test_law_cov_matches_sampler():
 
 
 def test_mehler_u_zero_is_identity():
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     g = sin_cylinder(1, 1, dim=1)
     x = step_argument(g, {F(1, 3): [0.7], F(4, 5): [-0.2]})
     est = mehler_apply(g, x, 0.0, law, 1000, SeedSpec(51))
@@ -92,7 +123,7 @@ def test_mehler_u_zero_is_identity():
 
 def test_mean_g_estimates_each_functional():
     # both functionals carry the default label "numeric"
-    law = graph_law(GraphModel(6, 0.3))
+    law = TargetLaw(GraphModel(6, 0.3))
     first = numeric_cylinder(lambda x: np.sin(x[..., 0]), [F(1)], dim=2)
     one = numeric_cylinder(lambda x: np.ones(x.shape[:-1]), [F(1)], dim=2)
     assert first.label == one.label
@@ -103,7 +134,7 @@ def test_mean_g_estimates_each_functional():
 
 
 def test_mehler_u_large_reaches_target_mean():
-    law = graph_law(GraphModel(5, 0.3))
+    law = TargetLaw(GraphModel(5, 0.3))
     g = cos_cylinder(2, 1, dim=2)
     x = step_argument(g, {F(1, 2): [0.5, -0.3]})
     far = mehler_apply(g, x, 20.0, law, 2 * 10**4, SeedSpec(52, (0,)))
@@ -114,7 +145,7 @@ def test_mehler_u_large_reaches_target_mean():
 
 def test_mehler_contraction_on_linear():
     # T_u g(w) = e^{-u} g(w) for centered linear g
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     g = linear_cylinder([1], [F(3, 5)], None, dim=1)
     x = step_argument(g, {F(1, 5): [1.3]})
     for u in (0.3, 1.0):
@@ -124,7 +155,7 @@ def test_mehler_contraction_on_linear():
 
 def test_mehler_semigroup_property():
     # Gaussian target: two-step evaluation agrees with the single step
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     g = tanh_product([1, 1], [F(2, 5), F(1)], dim=1)
     x = step_argument(g, {F(1, 5): [0.8], F(3, 5): [-0.4]})
     u, v = 0.4, 0.9
@@ -135,7 +166,7 @@ def test_mehler_semigroup_property():
 
 
 def test_generator_linear_functional():
-    law = graph_law(GraphModel(4, 0.5))
+    law = TargetLaw(GraphModel(4, 0.5))
     f = linear_cylinder([1, 2], [F(1, 2), F(1)], [2.0, -1.0], dim=2)
     x = step_argument(f, {F(1, 4): [0.3, 0.1], F(3, 4): [-0.2, 0.5]})
     grad = f.grad_stacked(x)
@@ -144,7 +175,7 @@ def test_generator_linear_functional():
 
 def test_generator_pure_trace_at_zero_path():
     # at w = 0 a cosine cylinder has zero gradient, so only the trace term
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     f = cos_cylinder(1, 1, dim=1)
     x = np.zeros(f.n_args)
     expected = -1.0 * float(law.cov_matrix([F(1)])[0, 0])  # H = -cos(0) = -1
@@ -154,7 +185,7 @@ def test_generator_pure_trace_at_zero_path():
 def test_generator_linearity_and_constant_invariance():
     # adding a constant leaves the generator unchanged; scaling a linear
     # base scales the generator
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     jumps = {F(2, 5): [0.4], F(4, 5): [1.1]}
     f = linear_cylinder([1, 1], [F(2, 5), F(1)], [1.0, -0.5], dim=1)
     f3 = linear_cylinder([1, 1], [F(2, 5), F(1)], [3.0, -1.5], dim=1)
@@ -169,7 +200,7 @@ def test_generator_linearity_and_constant_invariance():
 def test_generator_matches_semigroup_derivative():
     # Richardson finite difference of u -> T_u f(w) at u = 0, with common
     # random numbers across the two step sizes
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     f = cos_cylinder(1, 1, dim=1)
     x = step_argument(f, {F(2, 5): [0.6]})
     delta = 0.05
@@ -194,7 +225,7 @@ def test_stein_identity_zero_for_gaussian_targets():
         cos_cylinder(1, F(1, 2), dim=1),
         tanh_product([1, 1], [F(1, 2), F(1)], dim=1),
     ]
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     for k, f in enumerate(funcs1):
         est = stein_identity_residual(f, law, 10**5, SeedSpec(56, (k,)))
         assert abs(est.mean) <= 3 * est.stderr
@@ -203,14 +234,14 @@ def test_stein_identity_zero_for_gaussian_targets():
         cos_cylinder(2, F(1, 2), dim=2),
         tanh_product([1, 2], [F(1, 2), F(1)], dim=2),
     ]
-    law2 = graph_law(GraphModel(6, 0.3))
+    law2 = TargetLaw(GraphModel(6, 0.3))
     for k, f in enumerate(funcs2):
         est = stein_identity_residual(f, law2, 10**5, SeedSpec(57, (k,)))
         assert abs(est.mean) <= 3 * est.stderr
 
 
 def test_stein_identity_negative_control_detected():
-    law = combinatorial_law(det5_model())
+    law = TargetLaw(det5_model())
     f = cos_cylinder(1, 1, dim=1)
     est = stein_identity_residual(f, law, 10**5, SeedSpec(58), scale=1.1)
     assert abs(est.mean) > 3 * est.stderr
@@ -219,7 +250,7 @@ def test_stein_identity_negative_control_detected():
 def test_stein_identity_mixture_defect_is_real():
     # random-array targets are Gaussian mixtures; the unconditional-
     # covariance generator is biased for even functionals
-    law = combinatorial_law(ArrayModel.iid_gaussian(5))
+    law = TargetLaw(ArrayModel.iid_gaussian(5))
     f = cos_cylinder(1, 1, dim=1)
     est = stein_identity_residual(f, law, 2 * 10**5, SeedSpec(59))
     assert abs(est.mean) > 3 * est.stderr
@@ -234,7 +265,7 @@ def test_stein_identity_pass_rate_over_reruns():
     # each rerun is a 3-stderr test that a correct sampler passes with
     # probability 0.9973, so it passes fewer than 48 of 50 with
     # probability 3.5e-4
-    law = combinatorial_law(ArrayModel.deterministic())
+    law = TargetLaw(ArrayModel.deterministic())
 
     def passes(f, scale):
         count = 0
@@ -250,7 +281,7 @@ def test_stein_identity_pass_rate_over_reruns():
 
 
 def test_solve_phi_constant_is_zero():
-    law = combinatorial_law(ArrayModel.deterministic())
+    law = TargetLaw(ArrayModel.deterministic())
     g = linear_cylinder([1], [1], [0.0], dim=1)
     est, quad_err = solve_phi(g, np.zeros(1), law, inner_samples=2000, seed=SeedSpec(62))
     assert est.mean == 0.0
@@ -258,7 +289,7 @@ def test_solve_phi_constant_is_zero():
 
 
 def test_solve_phi_quadrature_refinement_within_error():
-    law = combinatorial_law(ArrayModel.deterministic())
+    law = TargetLaw(ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
     x = step_argument(g, {F(1, 3): [0.9]})
     est64, err64 = solve_phi(g, x, law, 64, 4096, SeedSpec(63))
@@ -267,7 +298,7 @@ def test_solve_phi_quadrature_refinement_within_error():
 
 
 def test_phi_cylinder_matches_solve_phi():
-    law = combinatorial_law(ArrayModel.deterministic())
+    law = TargetLaw(ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
     x = step_argument(g, {F(1, 3): [0.9]})
     est, _ = solve_phi(g, x, law, 64, 4096, SeedSpec(64))
@@ -277,7 +308,7 @@ def test_phi_cylinder_matches_solve_phi():
 
 
 def test_stein_selfconsistency_small_n():
-    law = combinatorial_law(ArrayModel.deterministic())
+    law = TargetLaw(ArrayModel.deterministic())
     g = sin_cylinder(1, 1, dim=1)
     x = step_argument(g, {F(1, 3): [0.5], F(2, 3): [-0.3]})
     report = stein_selfconsistency(g, x, law, seed=SeedSpec(65))
