@@ -32,7 +32,6 @@ from .functionals import (
     parse_functional,
 )
 from .mc import CHUNK, SeedSpec, mc_run, mc_run_vector
-from .paths import time_rows
 from .reporting import RunReport
 
 F = Fraction
@@ -73,7 +72,7 @@ def _load_model(path: str):
         raise UsageError("model file %s: %s" % (path, exc.strerror or exc)) from exc
     except KeyError as exc:
         raise UsageError("model file %s: missing field %s" % (path, exc)) from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # an int too large for a float
         raise UsageError("model file %s: %s" % (path, exc)) from exc
 
 
@@ -84,17 +83,17 @@ def _functionals(specs, kind):
 
 def _gap_sampler(kind, model, g):
     """Chunk samplers for g(Y_n) and g(D_n), drawing only the grid rows g
-    reads."""
-    cuts = g.rows(model.n)
-
-    def values(sampler):
-        def fn(rng, size):
-            return g.value_stacked(sampler(model, rng, size, cuts).reshape(size, -1))
-
-        return fn
-
+    reads; D_n is drawn by the model's TargetLaw."""
+    cuts, law = g.rows(model.n), ou.TargetLaw(model)
     mod = gr if kind == "graph" else comb
-    return values(mod.sample_y_values), values(mod.sample_dn_values)
+
+    def y_fn(rng, size):
+        return g.value_stacked(mod.sample_y_values(model, rng, size, cuts).reshape(size, -1))
+
+    def d_fn(rng, size):
+        return g.value_stacked(law.sample_at(rng, size, g.times))
+
+    return y_fn, d_fn
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +146,10 @@ def cmd_verify_regression(args, kind, model, funcs, report):
     )
 
 
-def _product_check(report, name, note, sample, pairs, targets, args, seed):
+def _product_check(report, name, note, sample, cov, args, seed):
     """Adds the check `name`: the largest |z| of the Monte Carlo means of
-    x_i x_j against targets, over (i, j) in pairs (0 without pairs), is at
-    most 5, where x are the flattened rows sample(rng, size) draws; note
+    x_i x_j against cov[i, j], over i <= j (the products are symmetric), is
+    at most 5, where x are the flattened rows sample(rng, size) draws; note
     ends the check's detail.
 
     One mc_run_vector call covers every product column; its chunk is chosen
@@ -158,25 +157,26 @@ def _product_check(report, name, note, sample, pairs, targets, args, seed):
     A column without spread (stderr 0) is compared with its target exactly,
     at --tol relative to max(1, |target|): |z| is 0 within it, inf outside.
     """
-    z = []
-    if pairs:
-        left, right = np.array(pairs).T
-        chunk = max(1, min(CHUNK, PRODUCT_BYTES // (8 * len(pairs))))
+    left, right = np.triu_indices(len(cov))
+    chunk = max(1, min(CHUNK, PRODUCT_BYTES // (8 * left.size)))
 
-        def products(rng, size):
-            x = np.ascontiguousarray(sample(rng, size).reshape(size, -1).T)
-            return (x[left] * x[right]).T  # column-major: no copy in the engine
+    def products(rng, size):
+        x = np.ascontiguousarray(sample(rng, size).reshape(size, -1).T)
+        return (x[left] * x[right]).T  # column-major: no copy in the engine
 
-        ests = mc_run_vector(products, args.samples, seed, args.workers, chunk)
-        z = [abs(e.mean - t) / e.stderr if e.stderr > 0
-             else 0.0 if abs(e.mean - t) <= args.tol * max(1.0, abs(t)) else math.inf
-             for e, t in zip(ests, targets)]
-    worst_z = float(np.max([0.0, *z]))
+    ests = mc_run_vector(products, args.samples, seed, args.workers, chunk)
+    z = [abs(e.mean - t) / e.stderr if e.stderr > 0
+         else 0.0 if abs(e.mean - t) <= args.tol * max(1.0, abs(t)) else math.inf
+         for e, t in zip(ests, cov[left, right])]
+    worst_z = float(np.max(z))
     report.add_check(name, worst_z <= 5.0, "5 stderr", "max |z| %.2f%s" % (worst_z, note))
 
 
-def _verify_covariance_graph(model, args, report):
-    n, p = model.n, model.p
+def _graph_identities(model, times, cov, vacuous, args, report):
+    """Adds the graph's closed-form checks: each covariance block of the
+    Brownian construction against its closed form, the rank-one cov_tv
+    against the diagonal blocks of cov, the pre-limit's covariance at
+    times, and cov's positive semidefiniteness."""
     rng = SeedSpec(args.seed, (0,)).rng()
     # each closed-form block against the Brownian construction's entry
     blocks = {"edge_block_identity": (gr.cov_d1d1, 0, 0),
@@ -196,60 +196,41 @@ def _verify_covariance_graph(model, args, report):
     for name, val in worst.items():
         report.add_check(name, val <= args.tol, args.tol, "max rel diff %.3e" % val)
 
-    times = [F(k, args.grid) for k in range(1, args.grid + 1)] if args.grid else [F(0)]
-    pc = gr.prelimit_cov(model)
-    vacuous = bool((time_rows(n, times) <= 1).all())
-    labels = {(0, 0): "TT", (0, 1): "TV", (1, 1): "VV"}
-    for (i, j), lab in labels.items():
-        gap = max(abs(float(gr.cov_tv(model, t)[i, j]) - pc.block(t, t)[i, j]) for t in times)
-        detail = "max abs diff %.3e" % gap
-        if vacuous:
-            detail += " (degenerate grid, vacuous)"
-        report.add_check("cov_tv_vs_prelimit_%s" % lab, gap <= 1e-12, 1e-12, detail)
+    for (i, j), lab in {(0, 0): "TT", (0, 1): "TV", (1, 1): "VV"}.items():
+        gap = max(abs(float(gr.cov_tv(model, t)[i, j]) - cov[2 * a + i, 2 * a + j])
+                  for a, t in enumerate(times))
+        report.add_check("cov_tv_vs_prelimit_%s" % lab, gap <= 1e-12, 1e-12,
+                         "max abs diff %.3e%s" % (gap, vacuous))
 
-    grid_cov = pc.grid(times)
-    eig_min = float(np.linalg.eigvalsh(grid_cov).min()) if times else 0.0
+    eig_min = float(np.linalg.eigvalsh(cov).min())
     report.add_check("prelimit_grid_psd", eig_min >= -1e-9, -1e-9, "min eig %.3e" % eig_min)
-
-    if args.samples > 0 and not vacuous:
-        cuts = time_rows(n, times)
-        # values at row a, coordinate i sit in flattened column 2a + i, as in
-        # grid_cov; the products are symmetric, so c <= d covers every entry
-        pairs = [(c, d) for c in range(2 * len(times)) for d in range(c, 2 * len(times))]
-        _product_check(
-            report, "dn_grid_cov_mc", " over %d samples" % args.samples,
-            lambda rng, size: gr.sample_dn_values(model, rng, size, cuts),
-            pairs, [grid_cov[c, d] for c, d in pairs], args, SeedSpec(args.seed, (1,)),
-        )
-
-
-def _verify_covariance_array(model, args, report):
-    n = model.n
-    zc = comb.zhat_cov_matrix(model)
-    if args.samples > 0:
-        # the products are symmetric, so i <= j covers every entry
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        _product_check(
-            report, "zhat_cov_mc", " over %d samples" % args.samples,
-            lambda rng, size: comb.sample_zhat_values(model, rng, size),
-            pairs, [zc[i, j] for i, j in pairs], args, SeedSpec(args.seed, (1,)),
-        )
-        times = [F(k, args.grid) for k in range(1, args.grid + 1)]
-        cuts = time_rows(n, times)
-        pairs = [(a, b) for a in range(len(times)) for b in range(a, len(times))]
-        cov = comb.cov_d_grid(model, times, times).tolist()
-        _product_check(
-            report, "dn_grid_cov_mc", "" if pairs else " (degenerate grid, vacuous)",
-            lambda rng, size: comb.sample_dn_values(model, rng, size, cuts),
-            pairs, [cov[a][b] for a, b in pairs], args, SeedSpec(args.seed, (2,)),
-        )
 
 
 def cmd_verify_covariance(args, kind, model, funcs, report):
+    """The family's own checks, then, for both families, dn_grid_cov_mc:
+    D_n's products at the --grid times against TargetLaw's covariance.
+    --grid 0 reads time 0 alone, where D_n and its covariance vanish, so
+    the checks on that degenerate grid are vacuous."""
+    law = ou.TargetLaw(model)
+    times = [F(k, args.grid) for k in range(1, args.grid + 1)] or [F(0)]
+    cov = law.cov_matrix(times)
+    vacuous = "" if cov.any() else " (degenerate grid, vacuous)"
     if kind == "graph":
-        _verify_covariance_graph(model, args, report)
-    else:
-        _verify_covariance_array(model, args, report)
+        _graph_identities(model, times, cov, vacuous, args, report)
+    if args.samples == 0:
+        return
+    samples = " over %d samples" % args.samples
+    if kind == "array":
+        # Zhat in units of 2^e, the least power of two above s_n: exact, so
+        # no |z| changes, and its products' squared deviations stay finite
+        # at any entry scale (unscaled, they overflow from entries near 1e76)
+        unit = math.ldexp(1.0, -math.frexp(model.s_n)[1])
+        _product_check(report, "zhat_cov_mc", samples,
+                       lambda rng, size: unit * comb.sample_zhat_values(model, rng, size),
+                       comb.zhat_cov_matrix(model) * (unit * unit), args, SeedSpec(args.seed, (1,)))
+    _product_check(report, "dn_grid_cov_mc", vacuous or samples,
+                   lambda rng, size: law.sample_at(rng, size, times),
+                   cov, args, SeedSpec(args.seed, (2,)))
 
 
 def cmd_distance(args, kind, model, funcs, report):

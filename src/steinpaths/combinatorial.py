@@ -24,6 +24,7 @@ third-moment variant of the final term is reported alongside.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,11 +123,28 @@ class EntrySpec:
         return self.var + self.mean * self.mean
 
 
+def _entry_law(helper):
+    """An entry helper whose moments overflow a float (``x**3`` raises
+    OverflowError) raises ModelError instead, naming the law."""
+
+    @functools.wraps(helper)
+    def build(*params):
+        try:
+            return helper(*params)
+        except OverflowError as exc:
+            raise ModelError("the moments of %s(%s) overflow a float"
+                             % (helper.__name__, ", ".join(map(str, params)))) from exc
+
+    return build
+
+
+@_entry_law
 def constant_entry(value: float) -> EntrySpec:
     v = float(value)
     return EntrySpec(_FAM_CONSTANT, v, mean=v, var=0.0, abs1=abs(v), abs3=abs(v) ** 3)
 
 
+@_entry_law
 def gaussian_entry(mean: float, var: float) -> EntrySpec:
     mean, var = float(mean), float(var)
     if var < 0:
@@ -138,6 +156,7 @@ def gaussian_entry(mean: float, var: float) -> EntrySpec:
     return EntrySpec(_FAM_GAUSSIAN, mean, sd, mean=mean, var=var, abs1=m1, abs3=m3)
 
 
+@_entry_law
 def rademacher_entry(mean: float, scale: float) -> EntrySpec:
     """X = mean + scale * R with R = +-1 equally likely."""
     mean, scale = float(mean), float(scale)
@@ -148,6 +167,7 @@ def rademacher_entry(mean: float, scale: float) -> EntrySpec:
     )
 
 
+@_entry_law
 def two_point_entry(x1: float, p1: float, x2: float) -> EntrySpec:
     x1, p1, x2 = float(x1), float(p1), float(x2)
     if not 0.0 <= p1 <= 1.0:
@@ -275,10 +295,19 @@ class ArrayModel:
         n = int(d["n"])
         ids = {constant_entry(0.0): 0}
         index = _constant_index(n)
-        for item in d["entries"]:
+        seen: dict = {}
+        for pos, item in enumerate(d["entries"], 1):
+            # a coordinate reads as n does: 2.0 is 2, and 1.7 is refused
+            for key in ("i", "j"):
+                if not float(item[key]).is_integer():
+                    raise ModelError("entry %d: %s = %r is not an integer" % (pos, key, item[key]))
             i, j = int(item["i"]) - 1, int(item["j"]) - 1
             if not (0 <= i < n and 0 <= j < n):
                 raise ModelError("entry (%d, %d) outside 1..%d" % (i + 1, j + 1, n))
+            if (i, j) in seen:
+                raise ModelError("entry %d: (%d, %d) is already given by entry %d"
+                                 % (pos, i + 1, j + 1, seen[i, j]))
+            seen[i, j] = pos
             dist = item["dist"]
             if dist == "constant":
                 e = constant_entry(item["value"])

@@ -74,7 +74,6 @@ __all__ = [
     "sample_dn_values",
     "DirectGaussianOracle",
     "z_coefficients",
-    "sample_z_values",
     "REFINE",
     "sample_coupled_values",
     "coupling_distance",
@@ -636,20 +635,6 @@ class DirectGaussianOracle:
 
 # ---------------------------------------------------------------------------
 # continuous limit and the coupling
-
-
-def sample_z_values(p: float, grid: Sequence, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, L, 2) of the continuous limit Z at the grid times, from two
-    shared Brownian motions through t B(t^2)."""
-    ts = np.array([float(as_time(t)) for t in grid])
-    if np.any(np.diff(ts) <= 0):
-        raise GraphModelError("grid must be strictly increasing")
-    a1, a2, b1, b2 = z_coefficients(p)
-    w1, w2 = _bm(rng, size, ts**2), _bm(rng, size, ts**2)
-    out = np.empty((size, ts.size, 2))
-    out[:, :, 0] = ts * (a1 * w1 + a2 * w2)
-    out[:, :, 1] = ts * (b1 * w1 + b2 * w2)
-    return out
 
 
 REFINE = 8  # cells of Z's grid j/(REFINE n) per step of Z_n's grid k/n

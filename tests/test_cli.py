@@ -170,6 +170,63 @@ def test_non_finite_model_moments_are_usage_errors(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("payload, law", [
+    ({"type": "array", "preset": "deterministic",
+      "matrix": [[1e300, -1e300, 0], [-1e300, 1e300, 0], [0, 0, 0]]}, "constant_entry(-1e+300)"),
+    ({"type": "array", "n": 2, "entries": [{"i": 1, "j": 1, "dist": "gaussian", "var": 1e250}]},
+     "gaussian_entry(0.0, 1e+250)"),
+    ({"type": "array", "n": 2, "entries": [
+        {"i": 1, "j": 1, "dist": "rademacher-shifted", "scale": 1e150}]},
+     "rademacher_entry(0.0, 1e+150)"),
+    ({"type": "array", "n": 2, "entries": [
+        {"i": 1, "j": 1, "dist": "two-point", "x1": 1e200, "p1": 0.5, "x2": 0.0}]},
+     "two_point_entry(1e+200, 0.5, 0.0)"),
+    ({"type": "array", "preset": "iid-rademacher", "n": 4, "scale": 1e120},
+     "rademacher_entry(0.0, 1e+120)"),
+], ids=["constant", "gaussian", "rademacher-shifted", "two-point", "iid-rademacher"])
+def test_overflowing_entry_moments_are_usage_errors(tmp_path, capsys, payload, law):
+    # x**3 of a finite entry overflows a float: refused before anything is drawn
+    model = write_model(tmp_path, "big.json", payload)
+    code = main(["bound", "--model", model])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "usage error: model file %s: the moments of %s overflow a float\n" % (model, law)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"i": 1.7, "j": 1, "dist": "constant", "value": 1.0}], "entry 1: i = 1.7 is not an integer"),
+    ([{"i": 1, "j": 1, "dist": "constant", "value": 1.0},
+      {"i": 2, "j": 0.5, "dist": "constant", "value": 1.0}], "entry 2: j = 0.5 is not an integer"),
+    ([{"i": 1, "j": 2, "dist": "constant", "value": 1.0},
+      {"i": 2, "j": 2, "dist": "constant", "value": -1.0},
+      {"i": 1.0, "j": 2, "dist": "gaussian", "var": 1.0}],
+     "entry 3: (1, 2) is already given by entry 1"),
+], ids=["fractional-i", "fractional-j", "repeated"])
+def test_malformed_entry_coordinates_are_usage_errors(tmp_path, capsys, entries, message):
+    model = write_model(tmp_path, "e.json", {"type": "array", "n": 2, "entries": entries})
+    code = main(["bound", "--model", model])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "usage error: model file %s: %s\n" % (model, message)
+
+
+@pytest.mark.parametrize("payload", [
+    {"type": "array", "preset": "iid-rademacher", "n": 8, "scale": 1e90},
+    {"type": "array", "preset": "deterministic",
+     "matrix": [[1e100, -1e100, 0], [-1e100, 1e100, 0], [0, 0, 0]]},
+], ids=["iid-rademacher-1e90", "deterministic-1e100"])
+def test_verify_covariance_at_large_entry_scale(tmp_path, capsys, payload):
+    # Zhat's products near 1e180 would overflow their squared deviations;
+    # measured in a power of two near s_n they do not
+    code, out = run(capsys, ["verify-covariance", "--model",
+                             write_model(tmp_path, "big.json", payload), "--grid", "3"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == ["zhat_cov_mc", "dn_grid_cov_mc"]
+    assert all(c["pass"] and c["detail"].endswith(" over 20000 samples")
+               for c in checks.values()), checks
+
+
 @pytest.mark.parametrize("payload", [
     {"type": "graph", "n": 64, "p": 0.3},
     {"type": "array", "preset": "iid-gaussian", "n": 64},
@@ -319,6 +376,18 @@ def test_verify_covariance_degenerate_grid(tmp_path, capsys):
     checks = {c["name"]: c for c in report["checks"]}
     assert "vacuous" in checks["cov_tv_vs_prelimit_VV"]["detail"]
     assert code == 0
+
+
+def test_verify_covariance_graph_grid_zero_dn_check_is_vacuous(tmp_path, capsys):
+    # --grid 0 reads time 0 alone, where D_n and its covariance vanish
+    model = graph_model(tmp_path, n=7, p=0.3)
+    code, out = run(capsys, ["verify-covariance", "--model", model, "--grid", "0",
+                             "--samples", "500"])
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["dn_grid_cov_mc"]["pass"]
+    assert checks["dn_grid_cov_mc"]["detail"] == "max |z| 0.00 (degenerate grid, vacuous)"
+    assert list(checks)[-1] == "dn_grid_cov_mc"
 
 
 def test_verify_covariance_array_degenerate_grid(tmp_path, capsys):
@@ -788,6 +857,10 @@ def test_out_write_failure_is_usage_error_after_the_run(tmp_path, capsys, monkey
     '{"n": 6.9, "p": 0.3}',
     '{"preset": "iid-gaussian", "n": 5.5}',
     '{"type": "graph", "n": Infinity, "p": 0.3}',
+    # integers past the largest float
+    pytest.param('{"type": "graph", "n": 1%s, "p": 0.3}' % ("0" * 400), id="n-1e400"),
+    pytest.param('{"type": "array", "n": 2, "entries": [{"i": 1%s, "j": 1, "dist": "constant", '
+                 '"value": 0}]}' % ("0" * 400), id="entry-i-1e400"),
 ])
 def test_malformed_model_file_is_usage_error(tmp_path, capsys, text):
     model = tmp_path / "bad.json"
@@ -800,7 +873,11 @@ def test_malformed_model_file_is_usage_error(tmp_path, capsys, text):
 
 
 def test_integral_n_stays_accepted(tmp_path, capsys):
-    for payload in ({"n": 6.0, "p": 0.3}, {"preset": "iid-gaussian", "n": 5}):
+    # an entry's coordinates read as n does: 2.0 is 2
+    entries = {"type": "array", "n": 2, "entries": [
+        {"i": 1, "j": 1, "dist": "gaussian", "var": 1.0},
+        {"i": 2.0, "j": 1.0, "dist": "gaussian", "var": 2.0}]}
+    for payload in ({"n": 6.0, "p": 0.3}, {"preset": "iid-gaussian", "n": 5}, entries):
         code, _ = run(capsys, ["bound", "--model", write_model(tmp_path, "m.json", payload)])
         assert code == 0
 

@@ -51,7 +51,6 @@ from steinpaths.graph import (
     sample_pair,
     sample_trials,
     sample_y_values,
-    sample_z_values,
     var_v_exact,
     z_coefficients,
 )
@@ -610,9 +609,10 @@ def test_dn_sampler_covariance_matches_closed_form():
 
 
 def test_z_starts_at_zero_and_variance():
+    # Z comes from the coupled sampler, whose grid j/32 at n = 4 holds j/16
     p = 0.3
-    grid = [F(j, 16) for j in range(1, 17)]
-    vals = sample_z_values(p, grid, rng_for(14), 4 * 10**4)
+    _, vals, grid = sample_coupled_values(GraphModel(4, p), rng_for(14), 4 * 10**4)
+    assert set(j / 16 for j in range(1, 17)) <= set(grid) and grid[-1] == 1.0
     var_1 = from_values(vals[:, -1, 0] ** 2)
     expected = p * (1 - p) / (2 + 8 * p**2) + 2 * p**3 * (1 - p) / (1 + 4 * p**2)
     assert abs(var_1.mean - expected) < 4 * var_1.stderr
@@ -622,8 +622,8 @@ def test_z_starts_at_zero_and_variance():
 
 def test_z_cross_covariance_matches_coefficients():
     p = 0.45
-    grid = [F(1, 2), F(1)]
-    vals = sample_z_values(p, grid, rng_for(15), 4 * 10**4)
+    _, vals, grid = sample_coupled_values(GraphModel(4, p), rng_for(15), 4 * 10**4)
+    assert 0.5 in grid and grid[-1] == 1.0
     est = from_values(vals[:, -1, 0] * vals[:, -1, 1])
     assert abs(est.mean - p**2 * (1 - p)) < 4 * est.stderr
 
@@ -909,11 +909,6 @@ def test_bound_continuous_values():
     vals = [bound_continuous(int(n), 1.0) for n in ns]
     assert np.all(np.diff(vals) < 0)
     assert bound_continuous(50, 2.0) == pytest.approx(2 * bound_continuous(50, 1.0))
-
-
-def test_z_exactly_zero_at_time_zero():
-    vals = sample_z_values(0.4, [F(0), F(1, 2), F(1)], rng_for(20), 100)
-    assert np.all(vals[:, 0, :] == 0.0)
 
 
 def test_cut_aware_samplers_repeat_full_rows():
