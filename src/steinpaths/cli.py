@@ -210,7 +210,11 @@ def cmd_verify_covariance(args, kind, model, funcs, report):
     """The family's own checks, then, for both families, dn_grid_cov_mc:
     D_n's products at the --grid times against TargetLaw's covariance.
     --grid 0 reads time 0 alone, where D_n and its covariance vanish, so
-    the checks on that degenerate grid are vacuous."""
+    the checks on that degenerate grid are vacuous.  A single sample has no
+    standard error to judge a product by, so --samples 1 is a usage error."""
+    if args.samples == 1:
+        raise UsageError("--samples 1 gives no standard error; use 0 to skip "
+                         "the Monte Carlo checks, or at least 2")
     law = ou.TargetLaw(model)
     times = [F(k, args.grid) for k in range(1, args.grid + 1)] or [F(0)]
     cov = law.cov_matrix(times)

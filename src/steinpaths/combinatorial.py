@@ -283,15 +283,25 @@ class ArrayModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ArrayModel":
+        """Model of a model file's array object.  A field that its preset,
+        or an entry's law, does not read is refused, and so is a
+        deterministic preset's n that differs from its matrix's."""
         preset = d.get("preset")
+        if preset is not None:
+            if not isinstance(preset, str) or preset not in _PRESET_FIELDS:
+                raise ModelError("unknown preset %r" % preset)
+            _refuse_unread(d, _PRESET_FIELDS[preset], "preset %r" % preset)
         if preset == "iid-gaussian":
             return cls.iid_gaussian(int(d["n"]))
         if preset == "iid-rademacher":
             return cls.iid_rademacher(int(d["n"]), float(d.get("scale", 1.0)))
         if preset == "deterministic":
-            return cls.deterministic(d.get("matrix"))
-        if preset is not None:
-            raise ModelError("unknown preset %r" % preset)
+            model = cls.deterministic(d.get("matrix"))
+            if "n" in d and int(d["n"]) != model.n:
+                raise ModelError("n = %r does not match the %d x %d matrix"
+                                 % (d["n"], model.n, model.n))
+            return model
+        _refuse_unread(d, ("type", "n", "entries"), "an entries model")
         n = int(d["n"])
         ids = {constant_entry(0.0): 0}
         index = _constant_index(n)
@@ -309,18 +319,36 @@ class ArrayModel:
                                  % (pos, i + 1, j + 1, seen[i, j]))
             seen[i, j] = pos
             dist = item["dist"]
-            if dist == "constant":
-                e = constant_entry(item["value"])
-            elif dist == "gaussian":
-                e = gaussian_entry(item.get("mean", 0.0), item["var"])
-            elif dist == "rademacher-shifted":
-                e = rademacher_entry(item.get("mean", 0.0), item["scale"])
-            elif dist == "two-point":
-                e = two_point_entry(item["x1"], item["p1"], item["x2"])
-            else:
+            if not isinstance(dist, str) or dist not in _ENTRY_LAWS:
                 raise ModelError("unknown dist %r" % dist)
+            law, fields = _ENTRY_LAWS[dist]
+            _refuse_unread(item, ("i", "j", "dist") + fields, "entry %d (%s)" % (pos, dist))
+            e = law(*(item.get(f, 0.0) if f == "mean" else item[f] for f in fields))
             index[i, j] = ids.setdefault(e, len(ids))
         return cls(list(ids), index)
+
+
+# the fields a model file's array object may hold, by preset
+_PRESET_FIELDS = {
+    "iid-gaussian": ("type", "preset", "n"),
+    "iid-rademacher": ("type", "preset", "n", "scale"),
+    "deterministic": ("type", "preset", "n", "matrix"),
+}
+# each entry law's helper and the fields it reads, in argument order; a
+# missing mean is 0
+_ENTRY_LAWS = {
+    "constant": (constant_entry, ("value",)),
+    "gaussian": (gaussian_entry, ("mean", "var")),
+    "rademacher-shifted": (rademacher_entry, ("mean", "scale")),
+    "two-point": (two_point_entry, ("x1", "p1", "x2")),
+}
+
+
+def _refuse_unread(d: dict, fields: tuple, what: str) -> None:
+    """ModelError naming the fields of d outside `fields`, which `what` reads."""
+    unread = sorted(set(d) - set(fields))
+    if unread:
+        raise ModelError("%s takes no field %s" % (what, ", ".join(map(repr, unread))))
 
 
 def _constant_index(n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "cos_cylinder",
     "tanh_product",
     "linear_cylinder",
-    "numeric_cylinder",
     "parse_functional",
     "certified_library",
     "FUNCTIONAL_SPEC_HELP",
@@ -96,9 +95,11 @@ class CylinderFunctional:
         Smooth map with vectorized ``value(x)``, ``grad(x)``, ``hess(x)``
         over a trailing axis of length k*p, and optionally a
         ``certificate`` attribute (NormCertificate).
+    label : str
+        The functional's name in reports and error messages.
     """
 
-    def __init__(self, dim: int, times: Sequence, base, label: str = "") -> None:
+    def __init__(self, dim: int, times: Sequence, base, label: str) -> None:
         ts = tuple(as_time(t) for t in times)
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise FunctionalError("times must be strictly increasing")
@@ -108,7 +109,7 @@ class CylinderFunctional:
         self.times = ts
         self.k = len(ts)
         self.base = base
-        self.label = label or type(base).__name__
+        self.label = label
 
     @property
     def n_args(self) -> int:
@@ -265,55 +266,6 @@ class _LinearBase:
         return np.zeros(x.shape + (self.n_args,))
 
 
-class _NumericBase:
-    """Base defined by a vectorized callable; derivatives by central FD.
-
-    No certificate: norm bounds are unsupported for numeric bases.
-    """
-
-    def __init__(self, value_fn: Callable[[np.ndarray], np.ndarray], n_args: int, step: float = 1e-4):
-        self.value_fn = value_fn
-        self.n_args = n_args
-        self.step = step
-
-    def value(self, x):
-        return self.value_fn(np.asarray(x, dtype=float))
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        h = self.step
-        out = np.empty(x.shape)
-        for i in range(self.n_args):
-            e = np.zeros(self.n_args)
-            e[i] = h
-            out[..., i] = (self.value_fn(x + e) - self.value_fn(x - e)) / (2 * h)
-        return out
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        h = self.step
-        out = np.empty(x.shape + (self.n_args,))
-        f0 = self.value_fn(x)
-        for i in range(self.n_args):
-            ei = np.zeros(self.n_args)
-            ei[i] = h
-            out[..., i, i] = (
-                self.value_fn(x + ei) - 2 * f0 + self.value_fn(x - ei)
-            ) / h**2
-            for j in range(i + 1, self.n_args):
-                ej = np.zeros(self.n_args)
-                ej[j] = h
-                mixed = (
-                    self.value_fn(x + ei + ej)
-                    - self.value_fn(x + ei - ej)
-                    - self.value_fn(x - ei + ej)
-                    + self.value_fn(x - ei - ej)
-                ) / (4 * h**2)
-                out[..., i, j] = mixed
-                out[..., j, i] = mixed
-        return out
-
-
 # ---------------------------------------------------------------------------
 # factories
 
@@ -427,19 +379,6 @@ def linear_cylinder(
         hess_lipschitz=0.0,
     ))
     return CylinderFunctional(dim, uniq_times, base, label=label)
-
-
-def numeric_cylinder(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    times: Sequence,
-    dim: int = 1,
-    step: float = 1e-4,
-    label: str = "numeric",
-) -> CylinderFunctional:
-    """Cylinder functional from a vectorized callable; FD derivatives."""
-    ts = tuple(as_time(t) for t in times)
-    base = _NumericBase(value_fn, len(ts) * dim, step=step)
-    return CylinderFunctional(dim, ts, base, label=label)
 
 
 # ---------------------------------------------------------------------------

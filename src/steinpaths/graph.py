@@ -103,6 +103,11 @@ class GraphModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GraphModel":
+        """Model of a model file's graph object, which holds no field
+        beyond type, n and p."""
+        unread = sorted(set(d) - {"type", "n", "p"})
+        if unread:
+            raise GraphModelError("a graph model takes no field %s" % ", ".join(map(repr, unread)))
         return cls(int(d["n"]), float(d["p"]))
 
 

@@ -11,9 +11,10 @@ count.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -124,11 +125,21 @@ class SeedSpec:
         return np.random.Generator(np.random.SFC64(ss))
 
 
-def _run_tasks(task, n_tasks: int, workers: int) -> list:
+def _run_tasks(task, n_tasks: int, workers: int) -> Iterator:
+    """Yields task(0), ..., task(n_tasks - 1) in index order.  At most
+    2 * workers tasks are submitted and not yet yielded, so the results
+    held at once do not grow with n_tasks."""
     if workers <= 1 or n_tasks <= 1:
-        return [task(i) for i in range(n_tasks)]
+        yield from map(task, range(n_tasks))
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(n_tasks)))
+        ahead = deque()
+        for i in range(n_tasks):
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+            ahead.append(pool.submit(task, i))
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def _chunk_sizes(n_samples: int, chunk: int) -> list[int]:
@@ -153,8 +164,9 @@ def mc_run_vector(
     that column (a row-major (size, d > 1) array reduced along axis 0 does
     not), and chunks merge in index order by Chan's update, vectorized over
     the columns with the arithmetic of ``merge``; the result is therefore
-    independent of the worker count.  A non-finite sample, or finite
-    samples whose mean or m2 overflows, raise ``McError``.
+    independent of the worker count.  Each chunk is merged as it arrives,
+    so memory does not grow with the chunk count.  A non-finite sample, or
+    finite samples whose mean or m2 overflows, raise ``McError``.
     """
     if n_samples < 1:
         raise McError("n_samples must be positive")

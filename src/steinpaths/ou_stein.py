@@ -35,7 +35,7 @@ import numpy as np
 
 from . import combinatorial as comb
 from . import graph as gr
-from .functionals import CylinderFunctional, FunctionalError, numeric_cylinder
+from .functionals import CylinderFunctional, FunctionalError
 from .mc import McEstimate, SeedSpec, from_values, mc_run, mc_run_vector
 from .paths import time_rows
 
@@ -201,12 +201,15 @@ def stein_identity_residual(
 # Stein-equation solution
 
 
-def _gauss_legendre_01(n_nodes: int, panels: int = 8) -> tuple[np.ndarray, np.ndarray]:
+_GL_PANELS = 8  # panels of the composite Gauss-Legendre rule on (0, 1]
+
+
+def _gauss_legendre_01(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on (0, 1] with n_nodes total nodes."""
-    per = max(1, n_nodes // panels)
+    per = max(1, n_nodes // _GL_PANELS)
     base_x, base_w = np.polynomial.legendre.leggauss(per)
     nodes, weights = [], []
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges = np.linspace(0.0, 1.0, _GL_PANELS + 1)
     for lo, hi in zip(edges, edges[1:]):
         nodes.append(0.5 * (hi - lo) * base_x + 0.5 * (hi + lo))
         weights.append(0.5 * (hi - lo) * base_w)
@@ -265,33 +268,62 @@ def solve_phi(
     return est, abs(est.mean - est_half.mean)
 
 
+class _PhiBase:
+    """phi(g) and its exact derivatives, by one quadrature rule over one
+    frozen set of target draws D_s (the rows of d_flat).  With
+    b_q = sqrt(1 - v_q^2), the chain rule's factor v_q cancels one 1/v_q:
+
+        phi(x)         = -sum_q (w_q/v_q) mean_s [g(v_q x + b_q D_s) - g(D_s)],
+        grad phi(x)    = -sum_q w_q mean_s grad g(v_q x + b_q D_s),
+        hess phi(x)    = -sum_q w_q v_q mean_s hess g(v_q x + b_q D_s).
+
+    It has no certificate, so norm_upper_bound refuses phi(g).
+    """
+
+    def __init__(self, g: CylinderFunctional, d_flat: np.ndarray, nodes, weights):
+        self.g, self.d_flat, self.nodes, self.weights = g, d_flat, nodes, weights
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)[..., None, :]
+        return _phi_sample_values(self.g, x, self.d_flat, self.nodes, self.weights).mean(axis=-1)
+
+    def _derivative(self, deriv, order: int, x):
+        """-sum_q w_q v_q^(order-1) mean_s deriv(v_q x + b_q D_s)."""
+        x = np.asarray(x, dtype=float)[..., None, :]
+        draws = x.ndim - 2  # the axis of the draws D_s in deriv's output
+        out = 0.0
+        for v, wt in zip(self.nodes, self.weights):
+            b = math.sqrt(max(0.0, 1.0 - v * v))
+            out = out - wt * v ** (order - 1) * deriv(v * x + b * self.d_flat).mean(axis=draws)
+        return out
+
+    def grad(self, x):
+        return self._derivative(self.g.grad_stacked, 1, x)
+
+    def hess(self, x):
+        return self._derivative(self.g.hess_stacked, 2, x)
+
+
 def make_phi_cylinder(
     g: CylinderFunctional,
     law: TargetLaw,
     quad_points: int = 64,
     inner_samples: int = 4096,
     seed: SeedSpec = SeedSpec(0),
-    fd_step: float = 1e-3,
 ) -> CylinderFunctional:
-    """phi(g) as a numeric cylinder functional on g's own times.
+    """phi(g) as a cylinder functional on g's own times.
 
-    The semigroup maps cylinders to cylinders over the same time set, so
-    the solution is psi(x) = -sum_q (w_q/v_q) mean_s [g(x v_q + b_q D_s)
-    - g(D_s)] with one frozen set of target draws shared by every
-    evaluation point (common random numbers keep finite differences of
-    the Monte Carlo average smooth, and the per-draw centering keeps the
-    v -> 0 nodes noise-free).
+    The semigroup maps cylinders to cylinders over the same time set, and
+    differentiates under the integral: phi's gradient and Hessian are
+    quadratures of g's, on the same nodes and the same frozen target
+    draws as phi (see _PhiBase).  Per-draw centering keeps the v -> 0
+    nodes of phi noise-free; its derivatives need none, since the chain
+    rule's v_q cancels the 1/v_q.
     """
     nodes, weights = _gauss_legendre_01(quad_points)
     d_flat = law.sample_at(seed.child(1).rng(), inner_samples, g.times)
-
-    def value_fn(x):
-        x = np.asarray(x, dtype=float)[..., None, :]
-        return _phi_sample_values(g, x, d_flat, nodes, weights).mean(axis=-1)
-
-    return numeric_cylinder(
-        value_fn, g.times, dim=g.dim, step=fd_step, label="phi(%s)" % g.label
-    )
+    base = _PhiBase(g, d_flat, nodes, weights)
+    return CylinderFunctional(g.dim, g.times, base, label="phi(%s)" % g.label)
 
 
 def stein_selfconsistency(

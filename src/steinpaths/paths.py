@@ -37,19 +37,16 @@ class PathError(ValueError):
     """Invalid path construction or evaluation outside [0,1]."""
 
 
-def as_time(t, den: int | None = None) -> Fraction:
+def as_time(t) -> Fraction:
     """Coerce ``t`` to an exact rational time in [0,1].
 
-    Accepts a Fraction, an int, a ``(num, den)`` pair via the two-argument
-    form, or a string like ``"3/4"``.  Floats are rejected: binary floats
-    at jump locations are exactly the ambiguity this module avoids.
+    Accepts a Fraction, an int or a string like ``"3/4"``.  Floats are
+    rejected: binary floats at jump locations are exactly the ambiguity
+    this module avoids.
     """
-    if den is not None:
-        t = Fraction(t, den)
-    elif isinstance(t, float):
+    if isinstance(t, float):
         raise PathError("times must be exact rationals, got float %r" % t)
-    else:
-        t = Fraction(t)
+    t = Fraction(t)
     if not ZERO <= t <= ONE:
         raise PathError("time %s outside [0,1]" % t)
     return t

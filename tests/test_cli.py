@@ -9,6 +9,7 @@ import pytest
 from steinpaths import cli, mc
 from steinpaths import combinatorial as comb
 from steinpaths import graph as gr
+from steinpaths import ou_stein as ou
 from steinpaths.cli import main
 from steinpaths.mc import from_values
 from steinpaths.reporting import RunReport, canonical_json
@@ -443,6 +444,20 @@ def test_distance_zero_samples_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_verify_covariance_one_sample_is_usage_error(tmp_path, capsys, monkeypatch, kind):
+    # one sample has no standard error, so it could only be compared with
+    # its target exactly; it is refused before anything is drawn
+    draws = []
+    monkeypatch.setattr(gr, "brownian_side_cov", lambda *a: draws.append(a))
+    monkeypatch.setattr(ou.TargetLaw, "sample_at", lambda *a: draws.append(a))
+    model = graph_model(tmp_path, 12, 0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    code = main(["verify-covariance", "--model", model, "--samples", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and draws == []
+    assert err.startswith("usage error: --samples 1 ")
+
+
 def test_distance_uncertified_functional_usage_error(tmp_path, capsys):
     code, _ = run(
         capsys,
@@ -872,12 +887,30 @@ def test_malformed_model_file_is_usage_error(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"preset": "deterministic", "n": 5}, "n = 5"),
+    ({"type": "array", "preset": "iid-gaussian", "n": 6, "scale": 2.0}, "'scale'"),
+    ({"type": "graph", "n": 6, "p": 0.3, "preset": "iid-gaussian"}, "'preset'"),
+    ({"n": 6, "p": 0.3, "entries": []}, "'entries'"),
+    ({"type": "array", "n": 2, "entries": [
+        {"i": 1, "j": 1, "dist": "gaussian", "var": 1.0, "scale": 2.0}]}, "'scale'"),
+    ({"type": "array", "n": 2, "p": 0.3, "entries": []}, "'p'"),
+])
+def test_unread_model_field_is_usage_error(tmp_path, capsys, payload, field):
+    # a field that the model's loader reads nowhere is refused, not ignored
+    code = main(["bound", "--model", write_model(tmp_path, "m.json", payload)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: model file ") and field in err
+
+
 def test_integral_n_stays_accepted(tmp_path, capsys):
     # an entry's coordinates read as n does: 2.0 is 2
     entries = {"type": "array", "n": 2, "entries": [
         {"i": 1, "j": 1, "dist": "gaussian", "var": 1.0},
         {"i": 2.0, "j": 1.0, "dist": "gaussian", "var": 2.0}]}
-    for payload in ({"n": 6.0, "p": 0.3}, {"preset": "iid-gaussian", "n": 5}, entries):
+    for payload in ({"n": 6.0, "p": 0.3}, {"preset": "iid-gaussian", "n": 5}, entries,
+                    {"preset": "deterministic", "n": 3.0}):
         code, _ = run(capsys, ["bound", "--model", write_model(tmp_path, "m.json", payload)])
         assert code == 0
 

@@ -9,7 +9,6 @@ from steinpaths.functionals import (
     certified_library,
     linear_cylinder,
     norm_upper_bound,
-    numeric_cylinder,
     parse_functional,
     sin_cylinder,
     tanh_product,
@@ -80,11 +79,6 @@ def test_random_steps_are_step_paths_on_the_grid():
 def test_eval_sin_zero_path():
     g = sin_cylinder(1, 1, dim=1)
     assert g.value_stacked(np.zeros(g.n_args)) == 0.0
-
-
-def test_eval_product_of_coordinates():
-    g = numeric_cylinder(lambda x: x[..., 0] * x[..., 1], [F(1)], dim=2)
-    assert g.value_stacked(np.array([2.0, 3.0])) == pytest.approx(6.0)
 
 
 def test_eval_sum_of_two_times_on_staircase():
@@ -211,7 +205,9 @@ def test_norm_bound_linear_m0_unsupported():
 
 
 def test_norm_bound_numeric_unsupported():
-    g = numeric_cylinder(lambda x: x[..., 0], [F(1)], dim=1)
+    # the Stein solution phi(g) carries no certificate
+    law = ou.TargetLaw(GraphModel(4, 0.3))
+    g = ou.make_phi_cylinder(sin_cylinder(1, 1, dim=2), law, 16, 64, SeedSpec(0))
     with pytest.raises(UnsupportedFunctionalError):
         norm_upper_bound(g, "M1")
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,3 +191,21 @@ def test_engine_rejects_overflowing_moments():
         mc_run(lambda rng, size: rng.choice([-1e300, 1e300], size), 10, SeedSpec(14))
     with pytest.raises(McError, match="non-finite moments"):
         mc_run_vector(lambda rng, size: np.full((size, 2), 1.7e308), CHUNK + 1, SeedSpec(14))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_memory_does_not_grow_with_chunk_count(workers):
+    # chunks are merged as they arrive: ten times the chunks of 1000 columns
+    # hold no more memory (every chunk's moments held at once: 16 kB each)
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            mc_run_vector(lambda rng, size: np.ones((size, 1000)), n_samples, SeedSpec(0),
+                          workers, chunk=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # first-call allocations
+    small, large = peak(200), peak(2000)
+    assert large <= 2 * small, (small, large)

@@ -12,11 +12,13 @@ from steinpaths.combinatorial import (
     sample_pair as comb_sample_pair,
 )
 from steinpaths.functionals import (
+    CylinderFunctional,
     cos_cylinder,
     linear_cylinder,
-    numeric_cylinder,
+    parse_functional,
     sin_cylinder,
     tanh_product,
+    validate_derivatives,
 )
 from steinpaths.graph import GraphModel
 from steinpaths.mc import SeedSpec, from_values
@@ -121,11 +123,21 @@ def test_mehler_u_zero_is_identity():
     assert est.m2 == 0.0
 
 
+class _ConstantBase:
+    """phi(x) = c: a base with no certificate."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, x):
+        return np.full(np.shape(x)[:-1], self.c)
+
+
 def test_mean_g_estimates_each_functional():
-    # both functionals carry the default label "numeric"
+    # both functionals carry the same label
     law = TargetLaw(GraphModel(6, 0.3))
-    first = numeric_cylinder(lambda x: np.sin(x[..., 0]), [F(1)], dim=2)
-    one = numeric_cylinder(lambda x: np.ones(x.shape[:-1]), [F(1)], dim=2)
+    first = CylinderFunctional(2, [F(1)], _ConstantBase(0.5), "const")
+    one = CylinderFunctional(2, [F(1)], _ConstantBase(1.0), "const")
     assert first.label == one.label
     seed = SeedSpec(55)
     law.mean_g(first, 4096, seed)
@@ -305,6 +317,19 @@ def test_phi_cylinder_matches_solve_phi():
     phi_hat = make_phi_cylinder(g, law, 64, 4096, SeedSpec(64, (9,)))
     # independent draws: agree within combined Monte Carlo resolution
     assert phi_hat.value_stacked(x) == pytest.approx(est.mean, abs=5 * est.stderr + 1e-3)
+
+
+@pytest.mark.parametrize("model, spec, dim", [
+    (ArrayModel.deterministic(), "sin:coord=1,t=1", 1),
+    (GraphModel(6, 0.3), "tanhprod:coords=1,2,t=1/2,1", 2),
+])
+def test_phi_cylinder_derivatives_validate(model, spec, dim):
+    # phi(g)'s gradient and Hessian are quadratures of g's; finite
+    # differences of phi(g)'s own values, on the same draws, agree with them
+    g = parse_functional(spec, dim)
+    phi_hat = make_phi_cylinder(g, TargetLaw(model), 64, 512, SeedSpec(67))
+    assert phi_hat.n_args == g.n_args and phi_hat.label == "phi(%s)" % spec
+    validate_derivatives(phi_hat, SeedSpec(68).rng(), trials=5)
 
 
 def test_stein_selfconsistency_small_n():
