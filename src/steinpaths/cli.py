@@ -343,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     finite = _at_least(-math.inf, float)
 
-    def common(p, model=True, samples=None, fewest=1, draws=True):
+    # a Monte Carlo command takes at least 2 samples, so that each estimate
+    # has a standard error (verify-covariance also takes 0)
+    def common(p, model=True, samples=None, fewest=2, draws=True):
         # a command that draws nothing still takes --seed and --workers, and
         # says in its help that they have no effect
         no_effect = None if draws else ("accepted like every command's, but has no effect: "
@@ -392,23 +394,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("stein-identity", help="stationarity of the generator")
-    common(p, samples=100000, fewest=2)
+    common(p, samples=100000)
     p.add_argument("--functional", action="append", default=[])
     p.add_argument("--scale", type=finite, default=1.0)
     p.set_defaults(fn=cmd_stein_identity)
     return parser
 
 
+def _probe_out(path: str) -> None:
+    """Refuses an --out file that cannot be opened for writing (a usage
+    error), and leaves the file system as it found it: a file the probe
+    creates is removed, and an existing one is opened to append nothing."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError("output file %s: no such directory" % path)
+    if os.path.isdir(path):
+        raise UsageError("output file %s: is a directory" % path)
+    existed = os.path.lexists(path)
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
+    except OSError as exc:
+        raise UsageError("output file %s: %s" % (path, exc.strerror or exc)) from exc
+    if not existed:
+        os.remove(path)
+
+
 def _run(args) -> int:
     """Loads the model and parses the functionals the subcommand takes, lets
     it fill one report and emits that report.  An `--out` in a directory
-    that does not exist, or naming a directory, is refused before anything
-    is drawn.  A Monte Carlo sample that is not finite fails the report's
-    `finite_samples` check."""
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise UsageError("output file %s: no such directory" % args.out)
-    if args.out and os.path.isdir(args.out):
-        raise UsageError("output file %s: is a directory" % args.out)
+    that does not exist, naming a directory, or that cannot be opened for
+    writing is refused before anything is drawn.  A Monte Carlo sample that
+    is not finite fails the report's `finite_samples` check."""
+    if args.out:
+        _probe_out(args.out)
     options = vars(args)
     kind = model = funcs = None
     parameters = {k: v for k, v in options.items() if k not in NOT_PARAMETERS}

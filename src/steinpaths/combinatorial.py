@@ -232,6 +232,13 @@ class ArrayModel:
         changed = (law[:, index[row, col]] != law[:, index[row + 1, col]]).any(axis=0)
         self._run_start = np.ones(n, dtype=bool)
         self._run_start[1:] = np.bincount(row[changed], minlength=n - 1) > 0
+        # Rows whose entry law is the same in every column: their pick
+        # X_{i,pi(i)} has that law whatever pi is, so the Y sampler draws
+        # it without pi.  Row reductions of the law arrays make no (n, n)
+        # temporary.
+        self._flat_row = np.logical_and.reduce(
+            [a.min(axis=1) == a.max(axis=1)
+             for a in (self._gc, self._gvar, self._q, self._lo, self._hi)])
         self._has_gauss = bool((family == _FAM_GAUSSIAN)[index].any())
         self._has_discrete = bool(discrete[index].any())
         self._validate()
@@ -371,6 +378,51 @@ def _blocks(size: int, m: int, n: int) -> list[tuple[int, int]]:
     that one (block, m, n) float64 plane takes at most _PLANE_BYTES."""
     step = max(1, _PLANE_BYTES // (8 * max(m, 1) * n))
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+
+
+def _ends(rows: np.ndarray) -> np.ndarray:
+    """The sorted distinct rows > 0; np.unique here would import numpy.ma."""
+    return np.flatnonzero(np.bincount(rows)[1:]) + 1
+
+
+def _runs(starts: np.ndarray, ends: np.ndarray):
+    """Runs of the rows 0..m-1, m = ends[-1] (ends as _block_sums takes
+    them): a run starts where the bool array `starts` (length m, starts[0]
+    set) is set and after every end but the last, so no run straddles an
+    end.  Returns each run's first row, its length, and the index of the
+    first run of each block (e_{a-1}, e_a]."""
+    m = int(ends[-1])
+    starts = starts.copy()
+    starts[ends[:-1]] = True
+    first = np.flatnonzero(starts)
+    return first, np.diff(np.append(first, m)), np.searchsorted(first, np.append(0, ends[:-1]))
+
+
+def _half_binomial(rng: np.random.Generator, b: np.ndarray, shape) -> np.ndarray:
+    """(len(b),) + shape int64 draws of K_j ~ Binomial(b_j, 1/2): the
+    popcount of b_j random bits.  Each draw takes ceil(max(b) / 64) raw
+    64-bit words of the bit generator, word w masked to its first
+    min(64, b_j - 64 w) bits (none once b_j is spent); the words are drawn
+    one (len(b),) + shape plane at a time, w outer."""
+    k = np.zeros((b.size,) + tuple(shape), dtype=np.int64)
+    lead = (-1,) + (1,) * len(shape)
+    for w in range(-(-int(b.max()) // 64)):
+        bits = np.clip(b - 64 * w, 0, 64).tolist()
+        mask = np.array([(1 << x) - 1 for x in bits], dtype=np.uint64).reshape(lead)
+        words = rng.bit_generator.random_raw(k.size).reshape(k.shape)
+        k += np.bitwise_count(np.bitwise_and(words, mask, out=words))
+    return k
+
+
+def _low_counts(rng: np.random.Generator, b: np.ndarray, q, spread, shape) -> np.ndarray:
+    """(len(b),) + shape draws of K ~ Binomial(b_j, q), the number of low
+    values in a run of b_j two-point draws; q and spread (low minus high
+    value) broadcast against that shape.  A count where spread is 0 is
+    never read, so when every other q is 1/2 the counts are popcounts
+    (_half_binomial); otherwise they are rng.binomial's."""
+    if ((q == 0.5) | (spread == 0)).all():
+        return _half_binomial(rng, b, shape)
+    return rng.binomial(b.reshape((-1,) + (1,) * len(shape)), q, (b.size,) + tuple(shape))
 
 
 def _two_point(model: ArrayModel, rng: np.random.Generator, shape, idx) -> np.ndarray:
@@ -561,7 +613,8 @@ def _block_sums(
       Gaussian part:  N(c U, sigma^2 (U^2/b + chi^2_{b-1}))
                       (one chi^2 per distinct sigma^2 of the run);
       two-point part: U (K lo + (b-K) hi)/b + N(0, K (b-K) (hi-lo)^2 / b)
-                      with K ~ Bin(b, q) the number of lo values.
+                      with K ~ Bin(b, q) the number of lo values
+                      (_low_counts: popcounts where q = 1/2).
     Rows after the last end enter only through the column sums in Zbar,
     which take one N(0, n - e_last) normal per column.  When every run is
     one row (b = 1) this is the entrywise computation, with one uniform per
@@ -572,11 +625,8 @@ def _block_sums(
     if not ends.size:
         return np.zeros((size, 0))
     m = int(ends[-1])
-    starts = model._run_start[:m].copy()
-    starts[ends[:-1]] = True
-    first = np.flatnonzero(starts)
+    first, b, block_first = _runs(model._run_start[:m], ends)
     r = first.size
-    b = np.diff(np.append(first, m))
     multi = np.flatnonzero(b > 1)
     b3 = b[:, None, None]
     # per-run entry laws: views of the model's arrays when every run is one
@@ -591,7 +641,6 @@ def _block_sums(
         q, high = model._q[take][:, None], model._hi[take]
         spread = model._lo[take] - high
         spread_b, spread2_b = spread / b[:, None], spread**2 / b[:, None]
-    block_first = np.searchsorted(first, np.append(0, ends[:-1]))
     noisy = model._has_gauss or (model._has_discrete and multi.size > 0)
 
     def draw(s: int) -> np.ndarray:
@@ -615,7 +664,7 @@ def _block_sums(
         if model._has_discrete and not multi.size:
             acc += np.einsum("rsl,rsl->sr", _two_point(model, rng, u.shape, (take, None)), u)
         elif model._has_discrete:
-            k_lo = rng.binomial(b3, q, u.shape)
+            k_lo = _low_counts(rng, b, q, spread[:, None], (s, n))
             acc += np.einsum("rsl,rl->sr", u, high)
             acc += np.einsum("rsl,rsl,rl->sr", k_lo, u, spread_b)
             k_lo *= b3 - k_lo
@@ -648,8 +697,7 @@ def sample_dn_values(
     every k = 0..n); only the sums of Zhat between consecutive cuts are
     drawn."""
     rows, _ = grid_rows(model.n, cuts)
-    # the sorted distinct rows > 0; np.unique here would import numpy.ma
-    ends = np.flatnonzero(np.bincount(rows)[1:]) + 1
+    ends = _ends(rows)
     sums = _block_sums(model, rng, size, ends)
     return _at_rows(sums, np.searchsorted(ends, rows, side="right"), model.s_n)
 
@@ -658,17 +706,50 @@ def sample_y_values(
     model: ArrayModel, rng: np.random.Generator, size: int, cuts=None
 ) -> np.ndarray:
     """(size, len(cuts)) values of Y_n at t = k/n for k in cuts (default:
-    every k = 0..n); picks are drawn only for rows up to max(cuts).
+    every k = 0..n); only rows up to m = max(cuts) are drawn.
 
-    The picks are drawn row-major over (row, sample), so at the same seed
-    the rows a cut-aware call returns repeat the full call's values for a
-    model with a single family of random entries.
+    The rows split into runs as in _block_sums, and every row not in
+    ArrayModel._flat_row is a run of its own.  A flat row's pick has the
+    row's law whatever pi is, so a run of b flat rows (all of one law)
+    adds one draw of its sum: N(b gc, b gvar) plus lo K + hi (b - K), with
+    K ~ Bin(b, q) from _low_counts.  Every other row takes its pick
+    X_{i,pi(i)} through pi, which is drawn only if such a row is <= m.
+    Samples are filled in sub-blocks whose (block, n) planes (pi's, or
+    (block, runs) without pi) take at most _PLANE_BYTES / 2; per sub-block
+    the draws are pi's uniforms, the picks (as _draw takes them, rows
+    outer), then the runs' normals and counts.
     """
     n = model.n
-    rows, m = grid_rows(n, cuts)
-    pi = np.argsort(rng.random((size, n)), axis=1)[:, :m]
-    picks = _draw(model, rng, (m, size), (np.arange(m)[:, None], pi.T))
-    return _at_rows(picks.T, rows, model.s_n)
+    rows, _ = grid_rows(n, cuts)
+    ends = _ends(rows)
+    if not ends.size:
+        return np.zeros((size, rows.size))
+    m = ends[-1]
+    first, b, _ = _runs(model._run_start[:m] | ~model._flat_row[:m], ends)
+    at = np.searchsorted(first + b, rows, side="right")
+    flat = model._flat_row[first]
+    picked = first[~flat]
+    # the law of each run of flat rows, read in its first column
+    gc, gvar, q, lo, hi = (a[first[flat], 0] for a in
+                           (model._gc, model._gvar, model._q, model._lo, model._hi))
+    b = b[flat]
+    out = np.empty((size, rows.size))
+    for start, stop in _blocks(size, 2, n if picked.size else first.size):
+        s = stop - start
+        steps = np.empty((s, first.size))
+        if picked.size:
+            pi = np.argsort(rng.random((s, n)), axis=1)[:, picked]
+            steps[:, ~flat] = _draw(model, rng, (picked.size, s), (picked[:, None], pi.T)).T
+        if b.size:
+            x = np.repeat((b * gc)[:, None], s, axis=1)
+            if gvar.any():
+                x += np.sqrt(b * gvar)[:, None] * rng.standard_normal((b.size, s))
+            if (lo != hi).any():
+                k = _low_counts(rng, b, q[:, None], (lo - hi)[:, None], (s,))
+                x += (lo - hi)[:, None] * k + (b * hi)[:, None]
+            steps[:, flat] = x.T
+        out[start:stop] = _at_rows(steps, at, model.s_n)
+    return out
 
 
 def pair_norm_stats(model: ArrayModel, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -677,13 +758,13 @@ def pair_norm_stats(model: ArrayModel, rng: np.random.Generator, size: int) -> n
     Only the four affected entries matter: with rows (I,J) and columns
     (pi(I), pi(J)) uniform ordered distinct pairs, Y-Y' jumps by
     u = X_{I pi(I)} - X_{I pi(J)} at I/n and v = X_{J pi(J)} - X_{J pi(I)}
-    at J/n, so the sup norm is max(|first jump alone|, |u+v|)/s_n.
+    at J/n, so the sup norm is max(|first jump alone|, |u+v|)/s_n.  Each
+    pair is drawn as graph.pair_norm_stats draws its vertices.
     """
     n = model.n
-    ij = np.argsort(rng.random((size, n)), axis=1)[:, :2]
-    kl = np.argsort(rng.random((size, n)), axis=1)[:, :2]
-    i_, j_ = ij[:, 0], ij[:, 1]
-    k_, l_ = kl[:, 0], kl[:, 1]
+    i_, j_, k_, l_ = (rng.integers(0, n - shift, size) for shift in (0, 1, 0, 1))
+    j_ += j_ >= i_
+    l_ += l_ >= k_
     x_ik = _draw(model, rng, size, (i_, k_))
     x_jl = _draw(model, rng, size, (j_, l_))
     x_il = _draw(model, rng, size, (i_, l_))

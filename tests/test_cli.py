@@ -458,6 +458,20 @@ def test_verify_covariance_one_sample_is_usage_error(tmp_path, capsys, monkeypat
     assert err.startswith("usage error: --samples 1 ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "distance", "coupling"])
+def test_one_sample_is_usage_error(tmp_path, capsys, monkeypatch, graph_draws, command):
+    # an estimate of one sample has stderr 0, so distance passed it with
+    # "ci 0"; the parser refuses --samples 1 before anything is drawn
+    couplings = []
+    monkeypatch.setattr(gr, "coupling_distance", lambda *a, **k: couplings.append(a))
+    model = [] if command == "coupling" else ["--model", graph_model(tmp_path, 12, 0.3)]
+    extra = ["--n", "8", "--p", "0.3"] if command == "coupling" else []
+    code = main([command, *model, *extra, "--samples", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and graph_draws == [] and couplings == []
+    assert "--samples: must be at least 2, got 1" in err
+
+
 def test_distance_uncertified_functional_usage_error(tmp_path, capsys):
     code, _ = run(
         capsys,
@@ -839,6 +853,19 @@ def test_out_naming_a_directory_is_refused_before_loading(tmp_path, capsys, monk
     assert code == 2 and out == ""
     assert err == "usage error: output file %s: is a directory\n" % tmp_path
     assert loads == [] and graph_draws == []
+
+
+def test_out_that_cannot_be_opened_is_refused_before_drawing(tmp_path, capsys, graph_draws):
+    # a 300-character basename is ENAMETOOLONG on common file systems; it
+    # used to surface only when the report was written, after the run
+    out_file = tmp_path / ("r" * 300)
+    model = graph_model(tmp_path, 12, 0.3)
+    code = main(["simulate", "--model", model, "--samples", "100",
+                 "--functional", "sin:coord=1,t=1", "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and graph_draws == []
+    assert err == "usage error: output file %s: File name too long\n" % out_file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.json"]
 
 
 def test_out_write_failure_is_usage_error_after_the_run(tmp_path, capsys, monkeypatch,

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import os
@@ -18,6 +19,7 @@ from steinpaths.combinatorial import (
     ModelError,
     _five_index_sum_factorized,
     _five_index_sum_naive,
+    _half_binomial,
     apply_swap,
     assumption_diagnostic,
     bound_beta3,
@@ -799,15 +801,14 @@ def test_cut_aware_dn_covariance_matches_closed_form():
 
 
 def test_cut_aware_y_repeats_full_rows():
-    # single-family models: the picks are drawn row-major, so the rows a
-    # cut-aware call returns are the full call's values at the same seed
-    for idx, model in enumerate(
-        [det3(), ArrayModel.iid_gaussian(8), ArrayModel.iid_rademacher(8)]
-    ):
-        cuts = [2, 1] if model.n == 3 else [5, 0, 2]
-        full = sample_y_values(model, rng_for(60 + idx), 2000)
-        cut = sample_y_values(model, rng_for(60 + idx), 2000, cuts)
-        assert np.array_equal(cut, full[:, cuts])
+    # det3's first two rows are not flat, so their picks go through pi, and
+    # the rows a cut-aware call returns are the full call's values at the
+    # same seed (iid models draw run sums instead: test_y_flat_runs_exact_law)
+    model = det3()
+    cuts = [2, 1]
+    full = sample_y_values(model, rng_for(60), 2000)
+    cut = sample_y_values(model, rng_for(60), 2000, cuts)
+    assert np.array_equal(cut, full[:, cuts])
 
 
 def test_cut_aware_y_mixed_families_covariance():
@@ -964,3 +965,131 @@ def test_dn_sampler_peak_memory_within_budget():
             tracemalloc.stop()
         assert vals.shape == shape
         assert peak <= MEMORY_BUDGET, (idx, peak)
+
+
+# -- flat rows: Y run sums without pi, and popcount counts --------------------
+
+# two centred, skewed two-point laws (x1, p1, x2): -3 w.p. 0.1 else 1/3, and
+# 2 w.p. 0.25 else -2/3
+_SKEWED = ((-3.0, 0.1, 1 / 3), (2.0, 0.25, -2 / 3))
+
+
+def _skewed_law(i, n):
+    return _SKEWED[(4 * i // n) % 2]  # blocks of n/4 rows: A, B, A, B
+
+
+def _skewed_flat_rows(n):
+    # an "entries" model whose rows are flat: each row's law is the same in
+    # every column, and runs of equal rows hold b > 1 rows
+    entries = [
+        {"i": i + 1, "j": j + 1, "dist": "two-point", "x1": x1, "p1": p1, "x2": x2}
+        for i in range(n) for x1, p1, x2 in [_skewed_law(i, n)] for j in range(n)
+    ]
+    return ArrayModel.from_json_dict({"n": n, "entries": entries})
+
+
+def _y_transform_exact(label, model, k, a):
+    """E exp(i a Y(k/n)): Y(k/n) is a sum of k independent picks over s_n,
+    whatever pi is, so its transform is a product over the rows."""
+    t = a / model.s_n
+    if label == "iid-gaussian":
+        return math.exp(-a * a * k / (2 * model.s_n**2))
+    if label == "iid-rademacher":
+        return math.cos(1.5 * t) ** k
+    return np.prod([p1 * cmath.exp(1j * t * x1) + (1 - p1) * cmath.exp(1j * t * x2)
+                    for x1, p1, x2 in (_skewed_law(i, model.n) for i in range(k))])
+
+
+@pytest.mark.parametrize("n, cuts", [(8, [5, 0, 2]), (32, [8, 32, 20])])
+def test_y_flat_runs_exact_law(n, cuts):
+    # every row is flat, so Y draws one sum per run and no pi; E cos(aY) and
+    # E sin(aY) against the closed forms pin each run's law (its b, its
+    # Gaussian variance b gvar and which value is the low one)
+    a = 2.0
+    cases = [("iid-gaussian", ArrayModel.iid_gaussian(n)),
+             ("iid-rademacher", ArrayModel.iid_rademacher(n, 1.5)),
+             ("skewed", _skewed_flat_rows(n))]
+    for idx, (label, model) in enumerate(cases):
+        assert model._flat_row.all()
+
+        def cos_sin(rng, size):
+            v = sample_y_values(model, rng, size, cuts)
+            return np.concatenate([np.cos(a * v), np.sin(a * v)], axis=1)
+
+        ests = mc_run_vector(cos_sin, 10**5, SeedSpec(142, (n, idx)))
+        exact = [complex(_y_transform_exact(label, model, k, a)) for k in cuts]
+        for est, value in zip(ests, [e.real for e in exact] + [e.imag for e in exact]):
+            assert abs(est.mean - value) <= 5 * est.stderr + 1e-12, (label, cuts)
+
+
+def _flat_and_pi_rows():
+    # n = 6: rows 1-2 flat Gaussian, rows 3-4 not flat (laws that alternate
+    # along the row, with opposite means), rows 5-6 flat skewed two-point
+    c = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5]
+
+    def varied(sign):
+        return [gaussian_entry(sign * m, 0.5) if j % 2 == 0
+                else two_point_entry(sign * m - 0.6, 0.4, sign * m + 0.4)
+                for j, m in enumerate(c)]
+
+    flat_gauss, flat_skewed = gaussian_entry(0.0, 2.0), two_point_entry(*_SKEWED[0])
+    return ArrayModel.from_entries(
+        [[flat_gauss] * 6] * 2 + [varied(1.0), varied(-1.0)] + [[flat_skewed] * 6] * 2
+    )
+
+
+def test_y_mixing_flat_and_pi_rows_covariance():
+    # runs of b = 2 flat rows around two rows drawn through pi, at cuts that
+    # keep and that split those runs
+    model = _flat_and_pi_rows()
+    assert model._flat_row.tolist() == [True, True, False, False, True, True]
+    for idx, cuts in enumerate([[2, 3, 6], [1, 4, 5]]):
+        vals = sample_y_values(model, rng_for(143 + idx), 10**5, cuts)
+        _assert_cov_at_cuts(model, vals, cuts, cuts)
+
+
+def test_flat_rows_mark_rows_of_one_law():
+    # a row is flat when its sampler law (_gc, _gvar, _q, _lo, _hi) is the
+    # same in every column, even where distinct entries give that law
+    rad, two = rademacher_entry(0.0, 1.0), two_point_entry(-1.0, 0.5, 1.0)
+    same_law = ArrayModel.from_entries([[rad, two], [two, rad]])
+    assert same_law._flat_row.tolist() == [True, True]
+    assert det3()._flat_row.tolist() == [False, False, True]
+    assert ArrayModel.iid_gaussian(5)._flat_row.all()
+    assert not _mixed_5x5()._flat_row.any()
+    assert _paired_rows()._flat_row.tolist() == [False] * 6
+
+
+def test_half_binomial_pmf_is_exact():
+    # one call with several run lengths: their words share a plane, and the
+    # bits past each b are masked off
+    b = np.array([1, 16, 63, 64, 65])
+    size = 2 * 10**5
+    k = _half_binomial(rng_for(145), b, (size,))
+    assert k.shape == (b.size, size) and k.dtype == np.int64
+    for bj, kj in zip(b.tolist(), k):
+        assert 0 <= kj.min() and kj.max() <= bj
+        pmf = np.array([math.comb(bj, x) for x in range(bj + 1)]) / 2.0**bj
+        freq = np.bincount(kj, minlength=bj + 1) / size
+        # each tail whose counts are expected below 10 is pooled into one cell
+        lo, hi = np.flatnonzero(size * pmf >= 10)[[0, -1]]
+        p, f = (np.concatenate([[x[:lo].sum()], x[lo:hi + 1], [x[hi + 1:].sum()]])
+                for x in (pmf, freq))
+        assert np.all(np.abs(f - p) <= 5 * np.sqrt(p * (1 - p) / size) + 1e-12), bj
+
+
+def test_y_pi_path_peak_memory_within_budget():
+    # no row is flat, so every pick goes through pi; drawn at once, the
+    # (4096, 512) uniforms, their argsort and the picks took about 98 MB
+    n = 512
+    table = [gaussian_entry(0.0, 2.0), two_point_entry(-0.6, 0.4, 0.4)]
+    model = ArrayModel(table, np.add.outer(np.arange(n), np.arange(n)) % 2)
+    assert not model._flat_row.any()
+    tracemalloc.start()
+    try:
+        vals = sample_y_values(model, rng_for(146), 4096, [n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (4096, 1)
+    assert peak <= MEMORY_BUDGET, peak
