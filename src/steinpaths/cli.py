@@ -134,7 +134,7 @@ def cmd_verify_regression(args, kind, model, funcs, report):
         # a generator: each trial's stream is freed once drawn
         rngs = (SeedSpec(args.seed, (t,)).rng()
                 for t in range(b * block, min((b + 1) * block, args.trials)))
-        return float(mod.regression_residuals(mod.sample_trials(model, rngs), funcs).max())
+        return float(mod.regression_residual(mod.sample_trials(model, rngs), funcs).max())
     # block maxima come back in block order, so the fold is the serial one;
     # np.max keeps a NaN, which fails the check and is no report value
     blocks = mc._run_tasks(block_max, -(-args.trials // block), args.workers)

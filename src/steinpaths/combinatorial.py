@@ -49,15 +49,11 @@ __all__ = [
     "DETERMINISTIC_3X3",
     "s_n_squared",
     "CombinatorialRealization",
-    "sample_y",
     "sample_trials",
-    "sample_pair",
-    "apply_swap",
+    "pair_moves",
     "regression_residual",
-    "regression_residuals",
     "zhat_cov",
     "zhat_cov_matrix",
-    "cov_d",
     "cov_d_grid",
     "sample_y_values",
     "sample_zhat_values",
@@ -491,50 +487,56 @@ class CombinatorialRealization:
 def sample_trials(
     model: ArrayModel, rngs: Iterable[np.random.Generator]
 ) -> CombinatorialRealization:
-    """One draw per generator, stacked on a leading trial axis; each draw
-    takes the draws ``sample_y(model, rng)`` takes from its generator, and
-    its values equal that call's bit for bit."""
+    """One (X, pi) draw per generator, stacked on a leading trial axis: X
+    entrywise, then pi uniform (Fisher-Yates), so a one-generator call
+    draws the stack's draw from that generator bit for bit."""
     x, pi = zip(*[(_sample_full(model, rng, 1)[0], rng.permutation(model.n)) for rng in rngs])
     x, pi = np.stack(x), np.stack(pi)
     return CombinatorialRealization(model, x, pi, _path_from_diag(model, x, pi))
 
 
-def sample_y(model: ArrayModel, rng: np.random.Generator) -> CombinatorialRealization:
-    """Sample X entrywise, pi uniform (Fisher-Yates), assemble the path."""
-    real = sample_trials(model, [rng])
-    return CombinatorialRealization(model, real.x[0], real.pi[0], real.values[0])
+def pair_moves(real: CombinatorialRealization, rows, h) -> tuple[np.ndarray, np.ndarray]:
+    """Every exchangeable pair (Y, Y') of a realization or a stack of them:
+    the (..., pairs) values sum_a h[..., a, 0] (Y - Y')(rows[a]/n), and
+    each pair's probability given Y, 1/(n(n-1)).
+
+    Y' swaps pi(i) and pi(j) for a uniform ordered pair of distinct rows;
+    the pairs are the n(n-1) of them, row major.  The swap moves Y by
+    u_ij = X_{i,pi(i)} - X_{i,pi(j)} from row i+1 on and by u_ji from row
+    j+1 on: the value is (c_i u_ij + c_j u_ji)/s_n, c_i = sum_a h_a
+    1[i+1 <= rows[a]].  The covectors h, (..., len(rows), 1), broadcast
+    against the realization's leading axes: unit covectors on an extra
+    leading axis give the moves."""
+    n = real.n
+    c = np.asarray(h)[..., 0] @ (np.arange(1, n + 1)[:, None] <= rows).T  # (..., n)
+    u = np.take_along_axis(real.x, real.pi[..., None, :], axis=-1)  # X_{i, pi(j)}
+    np.subtract(_picks(real.x, real.pi)[..., :, None], u, out=u)
+    moves = c[..., :, None] * u
+    moves += c[..., None, :] * u.swapaxes(-1, -2)
+    del u
+    # the off-diagonal entries, row major: past entry (0, 0) each run of
+    # n + 1 entries ends on a diagonal one
+    lead = moves.shape[:-2]
+    runs = moves.reshape(lead + (n * n,))[..., 1:].reshape(lead + (n - 1, n + 1))
+    out = runs[..., :n].reshape(lead + (n * (n - 1),))
+    out /= real.model.s_n
+    return out, np.broadcast_to(1.0 / (n * (n - 1)), real.pi.shape[:-1] + out.shape[-1:])
 
 
-def apply_swap(real: CombinatorialRealization, i: int, j: int) -> CombinatorialRealization:
-    """Swap the permutation images of rows i and j (1-based); X unchanged."""
-    pi = real.pi.copy()
-    pi[[i - 1, j - 1]] = pi[[j - 1, i - 1]]
-    return CombinatorialRealization(real.model, real.x, pi, _path_from_diag(real.model, real.x, pi))
-
-
-def sample_pair(model: ArrayModel, rng: np.random.Generator):
-    """Exchangeable pair: resample (I,J) uniform among ordered distinct rows
-    and swap their permutation images."""
-    real = sample_y(model, rng)
-    i, j = (rng.permutation(model.n)[:2] + 1).tolist()
-    return real, apply_swap(real, i, j), (i, j)
-
-
-def regression_residuals(
+def regression_residual(
     real: CombinatorialRealization, funcs: Sequence[CylinderFunctional]
 ) -> np.ndarray:
     """(len(funcs), ...) residuals |LHS - RHS| of the exchangeable-pair
     linear regression identity, for a realization or a stack of them, one
     row per functional.
 
-    LHS averages Df(Y)[Y - Y'_(i,j)] over all ordered pairs i != j; RHS is
-    (2/(n-1)) (Df(Y)[Y] - (1/(n s_n)) sum_{i,j} Df(Y)[X_{i,pi(j)} 1_[i/n,1]]).
-    Both sides are exact given the realization (the (I,J)-average is a
+    LHS = E^Y Df(Y)[Y - Y'] is the sum of ``pair_moves`` with the
+    covectors g_a of f's gradient, weighted by the pairs' probabilities;
+    RHS is (2/(n-1)) (Df(Y)[Y] - (1/(n s_n)) sum_{i,j} Df(Y)[X_{i,pi(j)} 1_[i/n,1]]).
+    Both sides are exact given the realization (the pair average is a
     finite sum and Df(Y)[.] is linear), so the residual is roundoff only.
     """
-    n, s = real.n, real.model.s_n
-    lead = real.values.shape[:-2]
-    picks = _picks(real.x, real.pi)  # X_{i, pi(i)}
+    n, s, lead = real.n, real.model.s_n, real.values.shape[:-2]
     row_prefix = np.zeros(lead + (n + 1,))
     np.cumsum(real.x.sum(axis=-1), axis=-1, out=row_prefix[..., 1:])
 
@@ -544,26 +546,13 @@ def regression_residuals(
         cuts = f.rows(n)
         x = real.values[..., cuts, 0]
         grads = f.grad_stacked(x)
-        c = grads @ (np.arange(1, n + 1)[:, None] <= cuts).T  # Df(Y)[1_[(i+1)/n, 1]]
-        # swapping rows i, j moves Y by u[i, j] from (i+1)/n on, u[j, i] from (j+1)/n on
-        u = picks[..., :, None] - np.take_along_axis(real.x, real.pi[..., None, :], axis=-1)
-        lhs = (c[..., :, None] * u + c[..., None, :] * u.swapaxes(-1, -2)).sum(axis=(-2, -1))
-        lhs /= n * (n - 1) * s
+        moves, prob = pair_moves(real, cuts, grads[..., None])
+        moves *= prob
         df_y = np.einsum("...a,...a->...", grads, x)
         correction = np.einsum("...a,...a->...", grads, row_prefix[..., cuts]) / (n * s)
-        rhs = 2.0 / (n - 1) * (df_y - correction)
-        return np.abs(lhs - rhs)
+        return np.abs(moves.sum(axis=-1) - 2.0 / (n - 1) * (df_y - correction))
 
-    out = np.empty((len(funcs),) + lead)
-    for row, f in enumerate(funcs):
-        out[row] = residual(f)
-    return out
-
-
-def regression_residual(real: CombinatorialRealization, f: CylinderFunctional) -> float:
-    """The residual of ``regression_residuals`` for one realization and one
-    functional."""
-    return float(regression_residuals(real, [f])[0])
+    return np.array([residual(f) for f in funcs]).reshape((len(funcs),) + lead)
 
 
 def zhat_cov(model: ArrayModel, i: int, j: int) -> float:
@@ -591,11 +580,6 @@ def cov_d_grid(model: ArrayModel, ss: Sequence, ts: Sequence) -> np.ndarray:
     rows = [[int(model.n * as_time(t)) for t in times] for times in (ss, ts)]
     sums = [[float(zc[:ks, :kt].sum()) for kt in rows[1]] for ks in rows[0]]
     return np.array(sums, dtype=float).reshape(len(ss), len(ts)) / s_n_squared(model)
-
-
-def cov_d(model: ArrayModel, s, t) -> float:
-    """Closed-form Cov(D_n(s), D_n(t)); the one-pair case of cov_d_grid."""
-    return float(cov_d_grid(model, [s], [t])[0, 0])
 
 
 def _block_sums(

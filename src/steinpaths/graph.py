@@ -47,20 +47,15 @@ from .paths import as_time, grid_rows
 __all__ = [
     "GraphModelError",
     "GraphModel",
-    "moments_tv",
     "moments_tv_exact",
     "cov_tv",
     "cov_tv_exact",
     "var_v_exact",
     "GraphRealization",
-    "sample_graph",
     "sample_trials",
-    "sample_pair",
-    "resample_edge",
     "lambda_matrix",
-    "apply_lambda_values",
+    "pair_moves",
     "regression_residual",
-    "regression_residuals",
     "cov_d1d1",
     "cov_d1d2",
     "cov_d2d2",
@@ -127,11 +122,6 @@ def moments_tv_exact(model: GraphModel, t) -> tuple[Fraction, Fraction]:
     et = Fraction(m - 2, 1) * _binom2(m) * p / n**2
     ev = 3 * _binom3(m) * p**2 / Fraction(n**2)
     return et, ev
-
-
-def moments_tv(model: GraphModel, t) -> tuple[float, float]:
-    et, ev = moments_tv_exact(model, t)
-    return float(et), float(ev)
 
 
 def cov_tv_exact(model: GraphModel, t) -> list[list[Fraction]]:
@@ -219,9 +209,9 @@ def _path_from_edges(model: GraphModel, edges: np.ndarray) -> np.ndarray:
 
 
 def sample_trials(model: GraphModel, rngs: Iterable[np.random.Generator]) -> GraphRealization:
-    """One graph per generator, stacked on a leading trial axis; each graph
-    takes the draws ``sample_graph(model, rng)`` takes from its generator,
-    and its values equal that call's bit for bit."""
+    """One graph per generator, stacked on a leading trial axis; graph t
+    takes its n x n uniforms from the t-th generator, so a one-generator
+    call draws the stack's t-th graph bit for bit."""
     n = model.n
     upper = np.stack([rng.random((n, n)) < model.p for rng in rngs])
     edges = np.triu(upper, 1)
@@ -229,87 +219,63 @@ def sample_trials(model: GraphModel, rngs: Iterable[np.random.Generator]) -> Gra
     return GraphRealization(model, edges, _path_from_edges(model, edges))
 
 
-def sample_graph(model: GraphModel, rng: np.random.Generator) -> GraphRealization:
-    real = sample_trials(model, [rng])
-    return GraphRealization(model, real.edges[0], real.values[0])
-
-
-def resample_edge(
-    real: GraphRealization, i: int, j: int, new_value: int
-) -> GraphRealization:
-    """Replace indicator of edge (i, j) (1-based) by new_value."""
-    edges = real.edges.copy()
-    edges[i - 1, j - 1] = edges[j - 1, i - 1] = int(new_value)
-    return GraphRealization(real.model, edges, _path_from_edges(real.model, edges))
-
-
-def sample_pair(model: GraphModel, rng: np.random.Generator):
-    """Exchangeable pair: resample one uniformly chosen edge."""
-    real = sample_graph(model, rng)
-    i, j = sorted(rng.permutation(model.n)[:2] + 1)
-    new = int(rng.random() < model.p)
-    return real, resample_edge(real, i, j, new), (i, j, new)
-
-
 def lambda_matrix(model: GraphModel) -> np.ndarray:
     n, p = model.n, model.p
     return n * (n - 1) / 8.0 * np.array([[2.0, 2.0 * p], [0.0, 1.0]])
 
 
-def apply_lambda_values(model: GraphModel, values: np.ndarray) -> np.ndarray:
-    """Row-vector action v -> v Lambda_n on (..., 2) arrays."""
-    return np.asarray(values) @ lambda_matrix(model)
+def pair_moves(real: GraphRealization, rows, h) -> tuple[np.ndarray, np.ndarray]:
+    """Every exchangeable pair (Y, Y') of a realization or a stack of them:
+    the (..., pairs) values sum_a h[..., a, :] . (Y - Y')(rows[a]/n), and
+    each pair's probability given Y.
+
+    Y' resamples a uniformly chosen edge from Bernoulli(p); keeping the
+    edge moves nothing, so the pairs are the C(n,2) flips of edge (i, j),
+    i < j, in np.triu_indices order, with probability (1-p)/C(n,2) for a
+    present edge and p/C(n,2) for an absent one.  A flip moves (T, V)(k/n)
+    by delta (k - 2, D_i + D_j - 2 I_ij)/n^2 once j < k (0-based), with
+    delta = I_ij - I'_ij and D the prefix degrees at row k.  The covectors
+    h, (..., len(rows), 2), broadcast against the realization's leading
+    axes: unit covectors on an extra leading axis give the moves."""
+    model, n = real.model, real.n
+    rows, h = np.asarray(rows), np.asarray(h)
+    i, j = np.triu_indices(n, 1)
+    iij = np.ascontiguousarray(real.edges[..., i, j])  # (..., pairs)
+    deg = _prefix_degrees(real.edges)[..., rows]  # (..., n, k)
+    nbr = deg[..., i, :] - 2 * iij[..., None]  # (..., pairs, k)
+    nbr += deg[..., j, :]
+    moves = nbr * h[..., None, :, 1]
+    del nbr  # at most two (..., pairs, k) arrays are live at once
+    moves += (rows - 2) * h[..., None, :, 0]
+    moves *= j[:, None] + 1 <= rows  # vertex j joins by row k
+    # made contiguous, a stack sums each trial's pairs pairwise, as one trial does
+    out = np.ascontiguousarray(moves.sum(axis=-1))
+    out *= 2 * iij - 1
+    out /= n**2
+    return out, np.where(iij == 1, 1.0 - model.p, model.p) / _binom2(n)
 
 
-def regression_residuals(real: GraphRealization, funcs: Sequence[CylinderFunctional]) -> np.ndarray:
+def regression_residual(real: GraphRealization, funcs: Sequence[CylinderFunctional]) -> np.ndarray:
     """(len(funcs), ...) residuals |Df(Y)[Y] - 2 E^Y Df(Y)[(Y-Y') Lambda_n]|
     of a realization or a stack of them, one row per functional.
 
-    The conditional expectation is enumerated exactly over the C(n,2)
-    edges and the two resample outcomes weighted (1-p, p), which sum the
-    jump I_ij - new to I_ij - p; edge (i, j), i < j, moves (T, V)(t_a) by
-    that jump times (m_a - 2, D_i + D_j - 2 I_ij)/n^2 once j <= m_a (D:
-    prefix degrees, built once at every row some functional reads)."""
-    model, n = real.model, real.n
-    lead = real.values.shape[:-2]
-    lam = lambda_matrix(model)
-    i, j = np.triu_indices(n, 1)
-    iij = real.edges[..., i, j]  # (..., pairs)
-    # sorted as a set: np.unique imports numpy.ma (about 16 ms) on first use
-    read = np.array(sorted({k for f in funcs for k in f.rows(n).tolist()}), dtype=np.intp)
-    table = _prefix_degrees(real.edges)[..., read]  # (..., n, rows read)
+    Df(Y)[v Lambda_n] = sum_a v(t_a) . (Lambda_n g_a) over f's cuts a, so
+    the conditional expectation is the sum of ``pair_moves`` with the
+    covectors Lambda_n g_a, weighted by the pairs' probabilities: exact
+    given the realization, so the residual is roundoff only."""
+    n, lead, lam = real.n, real.values.shape[:-2], lambda_matrix(real.model)
 
-    # one call per functional, so its (..., pairs, cuts) arrays are freed
-    # before the next functional's are built
+    # one call per functional, so its (..., pairs) arrays are freed before
+    # the next functional's are built
     def residual(f: CylinderFunctional) -> np.ndarray:
         cuts = f.rows(n)
         x = real.values[..., cuts, :].reshape(lead + (-1,))
         grads = f.grad_stacked(x)
-        # Df(Y)[v Lambda_n] = v . (Lambda_n g_a) at each cut a
-        g_lam = grads.reshape(lead + (f.k, 2)) @ lam.T
-        deg = table[..., np.searchsorted(read, cuts)]  # (..., n, k)
-        nbr = deg[..., i, :] - 2 * iij[..., None]  # (..., pairs, k)
-        nbr += deg[..., j, :]
-        moves = nbr * g_lam[..., None, :, 1]
-        del nbr  # at most two (..., pairs, k) arrays are live at once
-        moves += (cuts - 2) * g_lam[..., None, :, 0]
-        moves *= j[:, None] + 1 <= cuts  # vertex j joins by cut a
-        # fancy indexing leaves the pair axis strided in a stack; made
-        # contiguous, each trial's terms are summed pairwise, as for one trial
-        total = np.ascontiguousarray((iij - model.p) * moves.sum(axis=-1)).sum(axis=-1)
-        total /= n**2 * _binom2(n)
-        return np.abs(np.einsum("...a,...a->...", grads, x) - 2.0 * total)
+        moves, prob = pair_moves(real, cuts, grads.reshape(lead + (f.k, 2)) @ lam.T)
+        moves *= prob
+        return np.abs(np.einsum("...a,...a->...", grads, x) - 2.0 * moves.sum(axis=-1))
 
-    out = np.empty((len(funcs),) + lead)
-    for row, f in enumerate(funcs):
-        out[row] = residual(f)
-    return out
-
-
-def regression_residual(real: GraphRealization, f: CylinderFunctional) -> float:
-    """The residual of ``regression_residuals`` for one realization and one
-    functional."""
-    return float(regression_residuals(real, [f])[0])
+    return np.array([residual(f) for f in funcs]).reshape((len(funcs),) + lead)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,8 @@ def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["graph", "array"])
 def test_verify_regression_trial_blocks(tmp_path, capsys, monkeypatch, kind):
-    # blocks of trials draw what the per-trial samplers draw, and a smaller
-    # budget (more blocks) gives the same residuals
+    # blocks of trials draw what one stack of all the trials draws, and a
+    # smaller budget (more blocks) gives the same residuals
     mod = gr if kind == "graph" else comb
     model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
     argv = ["verify-regression", "--model", model, "--trials", "23", "--seed", "4"]
@@ -113,16 +113,11 @@ def test_verify_regression_trial_blocks(tmp_path, capsys, monkeypatch, kind):
     assert abs(report["values"][0]["value"] - whole) <= 1e-15
     assert [len(b.values) for b in blocks] == [5, 5, 5, 5, 3]
     monkeypatch.undo()
-    single = gr.sample_graph if kind == "graph" else comb.sample_y
-    trial = 0
-    for block in blocks:
-        for t in range(len(block.values)):
-            real = single(block.model, mc.SeedSpec(4, (trial,)).rng())
-            assert np.array_equal(real.values, block.values[t])
-            assert np.array_equal(real.edges if kind == "graph" else real.x,
-                                  block.edges[t] if kind == "graph" else block.x[t])
-            trial += 1
-    assert trial == 23
+    stack = mod.sample_trials(blocks[0].model, [mc.SeedSpec(4, (t,)).rng() for t in range(23)])
+    assert np.array_equal(stack.values, np.concatenate([b.values for b in blocks]))
+    field = "edges" if kind == "graph" else "x"
+    assert np.array_equal(getattr(stack, field),
+                          np.concatenate([getattr(b, field) for b in blocks]))
 
 
 @pytest.mark.parametrize("kind", ["graph", "array"])
@@ -244,14 +239,14 @@ def test_verify_regression_nan_residual_fails(tmp_path, capsys, monkeypatch, kin
     # a NaN in the middle block of three must reach the check, not be
     # folded away by a max that skips it
     mod = gr if kind == "graph" else comb
-    residuals, calls = mod.regression_residuals, []
+    residuals, calls = mod.regression_residual, []
 
     def nan_in_second_block(real, funcs):
         calls.append(1)
         out = residuals(real, funcs)
         return np.full_like(out, np.nan) if len(calls) == 2 else out
 
-    monkeypatch.setattr(mod, "regression_residuals", nan_in_second_block)
+    monkeypatch.setattr(mod, "regression_residual", nan_in_second_block)
     monkeypatch.setattr(cli, "REGRESSION_TERMS", 5 * 12**2 * 2)  # 5 trials per block
     model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
     code, out = run(capsys, ["verify-regression", "--model", model, "--trials", "15"])

@@ -20,32 +20,30 @@ from steinpaths.combinatorial import (
     _five_index_sum_factorized,
     _five_index_sum_naive,
     _half_binomial,
-    apply_swap,
+    _path_from_diag,
     assumption_diagnostic,
     bound_beta3,
     bound_prelimit_distance,
     bound_prelimit_distance_report,
     constant_entry,
-    cov_d,
     cov_d_grid,
     double_center,
     eps3_values,
     gaussian_entry,
+    pair_moves,
     pair_norm_stats,
     rademacher_entry,
     regression_residual,
-    regression_residuals,
     s_n_squared,
     sample_dn_values,
-    sample_pair,
     sample_trials,
-    sample_y,
     sample_y_values,
     sample_zhat_values,
     two_point_entry,
     zhat_cov,
     zhat_cov_matrix,
 )
+from steinpaths import combinatorial as comb
 from steinpaths.functionals import certified_library, linear_cylinder, sin_cylinder
 from steinpaths.mc import SeedSpec, from_values, mc_run_vector
 
@@ -177,10 +175,10 @@ def test_double_center_fixes_means():
 
 def test_sample_y_endpoint_and_breakpoints():
     model = ArrayModel.iid_gaussian(4)
-    real = sample_y(model, rng_for(3))
-    picks = real.x[np.arange(4), real.pi]
-    assert real.values.shape == (5, 1) and real.values[0, 0] == 0.0
-    assert real.values[-1, 0] == pytest.approx(picks.sum() / model.s_n)
+    real = sample_trials(model, [rng_for(3)])
+    picks = real.x[0, np.arange(4), real.pi[0]]
+    assert real.values.shape == (1, 5, 1) and real.values[0, 0, 0] == 0.0
+    assert real.values[0, -1, 0] == pytest.approx(picks.sum() / model.s_n)
 
 
 def test_sample_y_unit_variance_at_one():
@@ -190,46 +188,88 @@ def test_sample_y_unit_variance_at_one():
     assert abs(est.mean - 1.0) < 4 * est.stderr
 
 
-def test_pair_sup_norm_bound():
-    model = ArrayModel.iid_gaussian(5)
-    rng = rng_for(5)
-    for _ in range(50):
-        y, y_prime, (i, j) = sample_pair(model, rng)
-        diff = y.values - y_prime.values
-        lhs = float(np.abs(diff).max())
-        s = model.s_n
-        bound = (
-            2.0
-            / s
-            * (
-                abs(y.x[i - 1, y.pi[i - 1]])
-                + abs(y.x[j - 1, y.pi[j - 1]])
-                + abs(y.x[i - 1, y.pi[j - 1]])
-                + abs(y.x[j - 1, y.pi[i - 1]])
-            )
+def _entries_3x3():
+    # heterogeneous laws: Gaussian with a mean, shifted Rademacher,
+    # two-point, constant, and constant-zero entries
+    return ArrayModel.from_json_dict({"type": "array", "n": 3, "entries": [
+        {"i": 1, "j": 1, "dist": "gaussian", "mean": 1.0, "var": 2.0},
+        {"i": 1, "j": 2, "dist": "rademacher-shifted", "mean": -1.0, "scale": 0.5},
+        {"i": 2, "j": 1, "dist": "two-point", "x1": 0.0, "p1": 0.5, "x2": -2.0},
+        {"i": 2, "j": 2, "dist": "constant", "value": 1.0},
+        {"i": 3, "j": 3, "dist": "gaussian", "var": 1.0},
+    ]})
+
+
+@pytest.mark.parametrize("name", ["deterministic", "iid-gaussian", "entries"])
+def test_pair_moves_match_recomputation(name):
+    # every ordered pair's move at every grid row is Y minus the path of
+    # the swapped permutation, recomputed from scratch; each pair has
+    # probability 1/(n(n-1))
+    model = {"deterministic": det3(), "iid-gaussian": ArrayModel.iid_gaussian(5),
+             "entries": _entries_3x3()}[name]
+    n, trials = model.n, 4
+    real = sample_trials(model, [SeedSpec(94, (t,)).rng() for t in range(trials)])
+    moves, prob = pair_moves(real, np.arange(n + 1), np.eye(n + 1).reshape(n + 1, 1, n + 1, 1))
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    assert moves.shape == (n + 1, trials, i.size) and prob.shape == (trials, i.size)
+    assert (prob == 1 / (n * (n - 1))).all()
+    # a contraction with random covectors at rows in any order, repeated
+    rows = [n, 1, n, n // 2]
+    h = SeedSpec(95).rng().standard_normal((trials, len(rows), 1))
+    contracted, _ = pair_moves(real, rows, h)
+    pairs = np.arange(i.size)
+    for t in range(trials):
+        pi = np.repeat(real.pi[t][None], i.size, axis=0)
+        pi[pairs, i], pi[pairs, j] = real.pi[t, j], real.pi[t, i]
+        x = np.broadcast_to(real.x[t], pi.shape + (n,))
+        diff = real.values[t] - _path_from_diag(model, x, pi)  # (pairs, n+1, 1)
+        assert np.allclose(moves[:, t].T, diff[..., 0], rtol=0, atol=1e-15)
+        assert np.allclose(contracted[t], np.einsum("pa,a->p", diff[:, rows, 0], h[t, :, 0]),
+                           rtol=0, atol=1e-14)
+
+
+def test_pair_sup_norm_bound(draw_pairs):
+    model, n = ArrayModel.iid_gaussian(5), 5
+    real, y, y_prime, pick = draw_pairs(comb, model, rng_for(5), 50, np.arange(n + 1))
+    i, j = (a[pick] for a in np.nonzero(~np.eye(n, dtype=bool)))
+    x, pi, t = real.x, real.pi, np.arange(50)
+    lhs = np.abs(y - y_prime).max(axis=(1, 2))
+    bound = (
+        2.0
+        / model.s_n
+        * (
+            abs(x[t, i, pi[t, i]])
+            + abs(x[t, j, pi[t, j]])
+            + abs(x[t, i, pi[t, j]])
+            + abs(x[t, j, pi[t, i]])
         )
-        assert lhs <= bound + 1e-12
+    )
+    assert lhs.shape == (50,) and (lhs <= bound + 1e-12).all()
 
 
 def test_pair_swap_twice_restores():
-    model = det3()
-    y, y_prime, (i, j) = sample_pair(model, rng_for(6))
-    back = apply_swap(y_prime, i, j)
-    assert np.array_equal(back.pi, y.pi)
-    assert np.allclose(back.values, y.values)
+    # at Y', which swaps pi(i) and pi(j), the same pair swaps them back:
+    # the kernel gives the opposite move, and Y' minus it is Y
+    model, n = det3(), 3
+    real = sample_trials(model, [rng_for(6)])
+    unit = np.eye(n + 1).reshape(n + 1, 1, n + 1, 1)
+    moves, _ = pair_moves(real, np.arange(n + 1), unit)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    pairs = np.arange(i.size)
+    pi = np.repeat(real.pi, i.size, axis=0)
+    pi[pairs, i], pi[pairs, j] = real.pi[0, j], real.pi[0, i]
+    y_prime = real.values[0] - moves[:, 0].T[..., None]  # (pairs, n+1, 1)
+    swapped = CombinatorialRealization(model, np.repeat(real.x, i.size, axis=0), pi, y_prime)
+    back, _ = pair_moves(swapped, np.arange(n + 1), unit)
+    assert np.array_equal(back[:, pairs, pairs], -moves[:, 0])
+    assert np.allclose(y_prime - back[:, pairs, pairs].T[..., None], real.values[0], atol=1e-15)
 
 
-def test_pair_exchangeable_ks():
+def test_pair_exchangeable_ks(draw_pairs):
     model = ArrayModel.iid_gaussian(4)
-    rng = rng_for(7)
     n_samp = 20000
-    a = np.empty(n_samp)
-    b = np.empty(n_samp)
-    for s in range(n_samp // 1000):
-        for t in range(1000):
-            y, y_prime, _ = sample_pair(model, rng)
-            a[s * 1000 + t] = y.values[-1, 0]
-            b[s * 1000 + t] = y_prime.values[-1, 0]
+    _, y, y_prime, _ = draw_pairs(comb, model, rng_for(7), n_samp, [model.n])
+    a, b = y[:, 0, 0], y_prime[:, 0, 0]
     # two-sample KS statistic below the alpha=0.001 critical value
     grid = np.sort(np.concatenate([a, b]))
     fa = np.searchsorted(np.sort(a), grid, side="right") / n_samp
@@ -242,29 +282,28 @@ def test_pair_exchangeable_ks():
 
 
 def test_regression_residual_deterministic_linear():
-    real = sample_y(det3(), rng_for(8))
+    real = sample_trials(det3(), [rng_for(8)])
     f = linear_cylinder([1], [1], None, dim=1)
-    assert regression_residual(real, f) < 1e-12
+    assert regression_residual(real, [f])[0, 0] < 1e-12
 
 
 def test_regression_residual_constant_functional():
-    real = sample_y(det3(), rng_for(9))
+    real = sample_trials(det3(), [rng_for(9)])
     f = linear_cylinder([1], [1], [0.0], dim=1)
-    assert regression_residual(real, f) == 0.0
+    assert regression_residual(real, [f])[0, 0] == 0.0
 
 
 def test_regression_residual_gaussian_sin():
     model = ArrayModel.iid_gaussian(6)
     f = sin_cylinder(1, 1, dim=1)
-    for k in range(5):
-        real = sample_y(model, SeedSpec(91, (k,)).rng())
-        assert regression_residual(real, f) < 1e-10
+    stack = sample_trials(model, [SeedSpec(91, (k,)).rng() for k in range(5)])
+    assert (regression_residual(stack, [f]) < 1e-10).all()
 
 
 @pytest.mark.parametrize("name", ["iid-gaussian", "deterministic", "mixed-5x5"])
 def test_stacked_trials_match_single_trials(name):
-    # stacked draws are the per-trial draws bit for bit, and each trial's
-    # batched residual is its one-trial residual
+    # stacked draws are the one-generator draws bit for bit, and each
+    # trial's batched residual is its one-trial residual
     model = {
         "iid-gaussian": ArrayModel.iid_gaussian(5),
         "deterministic": ArrayModel.deterministic(centered_5x5()),
@@ -273,17 +312,16 @@ def test_stacked_trials_match_single_trials(name):
     funcs = certified_library(1)
     stack = sample_trials(model, [SeedSpec(92, (t,)).rng() for t in range(6)])
     assert stack.x.shape == (6, 5, 5) and stack.values.shape == (6, 6, 1)
-    batched = regression_residuals(stack, funcs)
+    batched = regression_residual(stack, funcs)
     assert batched.shape == (len(funcs), 6)
     assert batched.max() < 1e-14
     for t in range(6):
-        real = sample_y(model, SeedSpec(92, (t,)).rng())
-        assert np.array_equal(real.x, stack.x[t]) and np.array_equal(real.pi, stack.pi[t])
-        assert np.array_equal(real.values, stack.values[t])
-        for a, f in enumerate(funcs):
-            assert abs(regression_residual(real, f) - batched[a, t]) <= 1e-15
+        real = sample_trials(model, [SeedSpec(92, (t,)).rng()])
+        assert np.array_equal(real.x[0], stack.x[t]) and np.array_equal(real.pi[0], stack.pi[t])
+        assert np.array_equal(real.values[0], stack.values[t])
+        assert np.abs(regression_residual(real, funcs)[:, 0] - batched[:, t]).max() <= 1e-15
     one = CombinatorialRealization(model, stack.x[:1], stack.pi[:1], stack.values[:1])
-    assert np.array_equal(regression_residuals(one, funcs)[:, 0], batched[:, 0])
+    assert np.array_equal(regression_residual(one, funcs)[:, 0], batched[:, 0])
 
 
 def centered_5x5():
@@ -351,7 +389,7 @@ def test_dn_values_leave_numpy_ma_unimported():
 
 def test_cov_d_grid_sums_the_index_boxes():
     # each entry is the box sum of one Zhat covariance matrix over s_n^2,
-    # bit for bit as the one-pair form cov_d
+    # bit for bit as the one-pair call
     for model in (det3(), _mixed_5x5(), ArrayModel.iid_rademacher(6)):
         n = model.n
         zc, s2 = zhat_cov_matrix(model), s_n_squared(model)
@@ -361,7 +399,7 @@ def test_cov_d_grid_sums_the_index_boxes():
         for a, s in enumerate(ss):
             for b, t in enumerate(ts):
                 box = float(zc[: int(n * s), : int(n * t)].sum()) / s2
-                assert grid[a, b] == box == cov_d(model, s, t)
+                assert grid[a, b] == box == cov_d_grid(model, [s], [t])[0, 0]
     assert cov_d_grid(det3(), [], [F(1)]).shape == (0, 1)
 
 
@@ -371,22 +409,18 @@ def test_dn_grid_covariance_matches_closed_form():
     s, t = F(1, 3), F(1)
     prod = vals[:, 1] * vals[:, 3]
     est = from_values(prod)
-    assert abs(est.mean - cov_d(model, s, t)) < 4 * est.stderr
+    assert abs(est.mean - cov_d_grid(model, [s], [t])[0, 0]) < 4 * est.stderr
 
 
 # -- epsilon statistics ------------------------------------------------------
 
 
-def test_pair_norm_stats_match_object_layer():
+def test_pair_norm_stats_match_object_layer(draw_pairs):
     model = ArrayModel.iid_gaussian(4)
     fast = from_values(pair_norm_stats(model, rng_for(15), 4000))
-    slow_vals = []
-    rng = rng_for(16)
-    for _ in range(4000):
-        y, y_prime, _ = sample_pair(model, rng)
-        diff = np.abs(y.values - y_prime.values).max()
-        slow_vals.append((model.n - 1) / 4.0 * diff**3)
-    slow = from_values(np.array(slow_vals))
+    _, y, y_prime, _ = draw_pairs(comb, model, rng_for(16), 4000, np.arange(model.n + 1))
+    diff = np.abs(y - y_prime).max(axis=(1, 2))
+    slow = from_values((model.n - 1) / 4.0 * diff**3)
     tol = 5 * math.hypot(fast.stderr, slow.stderr)
     assert abs(fast.mean - slow.mean) < tol
 
@@ -675,7 +709,7 @@ def test_y_and_prelimit_share_covariance():
     vals = sample_y_values(model, rng_for(30), 2 * 10**5)
     for ks, kt in [(1, 3), (2, 2), (1, 2)]:
         est = from_values(vals[:, ks] * vals[:, kt])
-        closed = cov_d(model, F(ks, 3), F(kt, 3))
+        closed = cov_d_grid(model, [F(ks, 3)], [F(kt, 3)])[0, 0]
         assert abs(est.mean - closed) < 4 * est.stderr
 
 
@@ -689,7 +723,7 @@ def test_deterministic_means_match_exact_enumeration():
     perms = np.array(list(itertools.permutations(range(n))))
     y = np.cumsum(model.c[np.arange(n), perms], axis=1)[:, np.array(cuts) - 1] / model.s_n
     exact_y = np.concatenate([np.cos(y).mean(axis=0), np.sin(y).mean(axis=0)])
-    var_d = np.array([cov_d(model, F(k, n), F(k, n)) for k in cuts])
+    var_d = np.array([cov_d_grid(model, [F(k, n)], [F(k, n)])[0, 0] for k in cuts])
     assert np.allclose((y**2).mean(axis=0), var_d, rtol=1e-12, atol=0)
     exact_d = np.concatenate([np.exp(-var_d / 2), np.zeros(len(cuts))])
 
@@ -781,7 +815,7 @@ def _assert_cov_at_cuts(model, vals, cuts, label):
     for a, ka in enumerate(cuts):
         for b, kb in enumerate(cuts):
             est = from_values(vals[:, a] * vals[:, b])
-            closed = cov_d(model, F(ka, n), F(kb, n))
+            closed = cov_d_grid(model, [F(ka, n)], [F(kb, n)])[0, 0]
             assert abs(est.mean - closed) < 4 * est.stderr + 1e-12, (label, ka, kb)
 
 

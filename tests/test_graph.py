@@ -23,6 +23,7 @@ from steinpaths.graph import (
     _bm,
     _bytes,
     _expected_cuts,
+    _path_from_edges,
     _tv_cut_values,
     bernoulli,
     bound_continuous,
@@ -38,17 +39,13 @@ from steinpaths.graph import (
     cov_tv_exact,
     d2_block_discrepancy,
     lambda_matrix,
-    moments_tv,
     moments_tv_exact,
+    pair_moves,
     pair_norm_stats,
     prelimit_cov,
     regression_residual,
-    regression_residuals,
-    resample_edge,
     sample_coupled_values,
     sample_dn_values,
-    sample_graph,
-    sample_pair,
     sample_trials,
     sample_y_values,
     var_v_exact,
@@ -122,7 +119,7 @@ def test_model_validation():
 
 
 def test_moments_frozen_values():
-    et, ev = moments_tv(GraphModel(4, 0.5), F(1))
+    et, ev = map(float, moments_tv_exact(GraphModel(4, 0.5), F(1)))
     assert (et, ev) == (0.375, 0.1875)
 
 
@@ -135,7 +132,7 @@ def test_moments_small_cut_zero_twostars():
 def test_moments_match_enumeration():
     model = GraphModel(4, 0.3)
     et_ref, ev_ref, *_ = enumerate_tv_moments(4, 0.3)
-    et, ev = moments_tv(model, F(1))
+    et, ev = map(float, moments_tv_exact(model, F(1)))
     assert et == pytest.approx(et_ref, rel=1e-12)
     assert ev == pytest.approx(ev_ref, rel=1e-12)
 
@@ -221,7 +218,7 @@ def test_y_law_matches_enumeration_at_every_cut():
     n, p, rows, size = 5, 0.3, [3, 4, 5], 10**5
     model = GraphModel(n, p)
     mean, cov = enumerate_y_rows(n, p, rows)
-    centre = mean - np.ravel([moments_tv(model, F(k, n)) for k in rows])  # E Y
+    centre = mean - np.array([moments_tv_exact(model, F(k, n)) for k in rows], float).ravel()  # E Y
     vals = sample_y_values(model, rng_for(93), size, rows).reshape(size, -1)
     for a in range(2 * len(rows)):
         est = from_values(vals[:, a])
@@ -245,7 +242,7 @@ def test_y_two_star_counts_do_not_wrap_at_large_n():
         deg = edges.sum(axis=2)
         t_raw = (n - 2) * deg.sum(axis=1) // 2 / n**2
         v_raw = (deg * (deg - 1) // 2).sum(axis=1) / n**2
-        et, ev = moments_tv(model, F(1))
+        et, ev = map(float, moments_tv_exact(model, F(1)))
         assert np.allclose(vals[:, 0, 0] + et, t_raw, rtol=1e-12, atol=0)
         assert np.allclose(vals[:, 0, 1] + ev, v_raw, rtol=1e-12, atol=0)
 
@@ -389,53 +386,93 @@ def test_bytes_match_rng_bytes():
 def test_sampler_prefix_counts_match_brute_force():
     for n, p in [(7, 0.4), (3, 0.5), (40, 0.9)]:
         model = GraphModel(n, p)
-        real = sample_graph(model, rng_for(4))
+        real = sample_trials(model, [rng_for(4)])
+        edges, values = real.edges[0], real.values[0]
         raw, et, ev = [], [], []
         for m in range(n + 1):
-            sub = real.edges[:m, :m]
+            sub = edges[:m, :m]
             t_raw = (m - 2) * sub[np.triu_indices(m, 1)].sum() / n**2
             deg = sub.sum(axis=1)
             v_raw = sum(int(d) * (int(d) - 1) // 2 for d in deg) / n**2
             raw.append([t_raw, v_raw])
-            et.append(t_raw - moments_tv(model, F(m, n))[0])
-            ev.append(v_raw - moments_tv(model, F(m, n))[1])
+            e_t, e_v = moments_tv_exact(model, F(m, n))
+            et.append(t_raw - float(e_t))
+            ev.append(v_raw - float(e_v))
         # the same integer counts and one division each: equal bit for bit
-        assert np.array_equal(_tv_cut_values(model, real.edges), raw)
-        assert np.allclose(real.values[:, 0], et, atol=1e-12)
-        assert np.allclose(real.values[:, 1], ev, atol=1e-12)
+        assert np.array_equal(_tv_cut_values(model, edges), raw)
+        assert np.allclose(values[:, 0], et, atol=1e-12)
+        assert np.allclose(values[:, 1], ev, atol=1e-12)
 
 
 # -- exchangeable pair --------------------------------------------------------
 
 
+@pytest.mark.parametrize("p", [0.2, 0.5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_pair_moves_match_recomputation(n, p):
+    # every pair's move at every grid row is Y minus the path of the flipped
+    # adjacency, recomputed from scratch; a present edge flips with
+    # probability (1-p)/C(n,2), an absent one with p/C(n,2)
+    model, trials, e = GraphModel(n, p), 4, 2 * (n + 1)
+    real = sample_trials(model, [SeedSpec(74, (n, t)).rng() for t in range(trials)])
+    moves, prob = pair_moves(real, np.arange(n + 1), np.eye(e).reshape(e, 1, n + 1, 2))
+    i, j = np.triu_indices(n, 1)
+    assert moves.shape == (e, trials, i.size) and prob.shape == (trials, i.size)
+    # a contraction with random covectors at rows in any order, repeated
+    rows = [n, 1, n, n // 2]
+    h = SeedSpec(75, (n,)).rng().standard_normal((trials, len(rows), 2))
+    contracted, _ = pair_moves(real, rows, h)
+    c2 = math.comb(n, 2)
+    for t in range(trials):
+        flipped, pairs = np.repeat(real.edges[t][None], i.size, axis=0), np.arange(i.size)
+        flipped[pairs, i, j] = flipped[pairs, j, i] = 1 - real.edges[t, i, j]
+        diff = real.values[t] - _path_from_edges(model, flipped)  # (pairs, n+1, 2)
+        assert np.allclose(moves[:, t].T.reshape(diff.shape), diff, rtol=0, atol=1e-15)
+        assert np.allclose(contracted[t], np.einsum("pad,ad->p", diff[:, rows], h[t]),
+                           rtol=0, atol=1e-14)
+        present = real.edges[t, i, j] == 1
+        assert np.array_equal(prob[t], np.where(present, (1 - p) / c2, p / c2))
+
+
 def test_pair_same_value_identity():
-    model = GraphModel(5, 0.4)
-    real = sample_graph(model, rng_for(5))
-    same = resample_edge(real, 1, 2, real.edges[0, 1])
-    assert np.array_equal(same.edges, real.edges)
-    assert np.allclose(same.values, real.values)
+    # the resample that keeps its edge moves nothing: it recomputes Y bit
+    # for bit.  With its mass the kernel's flips choose every edge with
+    # 1/C(n,2), and their weighted sum is E^Y[Y - Y'] over both outcomes
+    model, n = GraphModel(5, 0.4), 5
+    real = sample_trials(model, [rng_for(5)])
+    edges, values = real.edges[0], real.values[0]
+    assert np.array_equal(_path_from_edges(model, edges), values)
+    moves, prob = pair_moves(real, np.arange(n + 1), np.eye(12).reshape(12, 1, n + 1, 2))
+    i, j = np.triu_indices(n, 1)
+    c2 = math.comb(n, 2)
+    keep = np.where(edges[i, j] == 1, model.p, 1 - model.p) / c2
+    assert np.allclose(prob[0] + keep, 1 / c2, rtol=1e-15, atol=0)
+    mean = np.zeros((n + 1, 2))
+    for e in range(i.size):
+        for new, w in ((1, model.p), (0, 1 - model.p)):
+            resampled = edges.copy()
+            resampled[i[e], j[e]] = resampled[j[e], i[e]] = new
+            mean += w / c2 * (values - _path_from_edges(model, resampled))
+    assert np.allclose((moves[:, 0] * prob[0]).sum(axis=-1).reshape(n + 1, 2), mean,
+                       rtol=0, atol=1e-15)
 
 
-def test_pair_sup_norm_bound():
+def test_pair_sup_norm_bound(draw_pairs):
     model = GraphModel(6, 0.5)
-    rng = rng_for(6)
     bound = math.sqrt((model.n - 2) ** 2 + 4 * (model.n - 2) ** 2) / model.n**2
-    for _ in range(100):
-        y, y_prime, _ = sample_pair(model, rng)
-        gap = np.linalg.norm(y.values - y_prime.values, axis=1).max()
-        assert gap <= bound + 1e-12
+    _, y, y_prime, _ = draw_pairs(graph, model, rng_for(6), 100, np.arange(model.n + 1))
+    gap = np.linalg.norm(y - y_prime, axis=-1).max(axis=-1)
+    assert gap.shape == (100,) and (gap <= bound + 1e-12).all()
 
 
-def test_pair_exchangeable_ks():
+def test_pair_exchangeable_ks(draw_pairs):
     model = GraphModel(5, 0.3)
-    rng = rng_for(7)
     n_samp = 20000
-    a = np.empty(n_samp)
-    b = np.empty(n_samp)
-    for s in range(n_samp):
-        y, y_prime, _ = sample_pair(model, rng)
-        a[s] = y.values[-1, 1]
-        b[s] = y_prime.values[-1, 1]
+    _, y, y_prime, _ = draw_pairs(graph, model, rng_for(7), n_samp, [model.n])
+    # Y' = Y - move sits off the atoms of V(1) by roundoff; the two-star
+    # counts n^2 (V + E V) put both on the same integer atoms
+    ev = float(moments_tv_exact(model, F(1))[1])
+    a, b = (np.rint(model.n**2 * (v[:, 0, 1] + ev)) for v in (y, y_prime))
     grid = np.sort(np.concatenate([a, b]))
     fa = np.searchsorted(np.sort(a), grid, side="right") / n_samp
     fb = np.searchsorted(np.sort(b), grid, side="right") / n_samp
@@ -462,15 +499,14 @@ def test_lambda_upper_triangular():
 def test_regression_residual_linear_n3():
     model = GraphModel(3, 0.5)
     f = linear_cylinder([1, 2], [F(1), F(1)], None, dim=2)
-    for k in range(5):
-        real = sample_graph(model, SeedSpec(71, (k,)).rng())
-        assert regression_residual(real, f) < 1e-12
+    stack = sample_trials(model, [SeedSpec(71, (k,)).rng() for k in range(5)])
+    assert (regression_residual(stack, [f]) < 1e-12).all()
 
 
 def test_regression_residual_constant():
-    real = sample_graph(GraphModel(4, 0.3), rng_for(8))
+    real = sample_trials(GraphModel(4, 0.3), [rng_for(8)])
     f = linear_cylinder([1], [F(1)], [0.0], dim=2)
-    assert regression_residual(real, f) == 0.0
+    assert regression_residual(real, [f])[0, 0] == 0.0
 
 
 def test_regression_residual_nonlinear_n6():
@@ -481,29 +517,27 @@ def test_regression_residual_nonlinear_n6():
         tanh_product([1, 2], [F(1, 2), F(1)], dim=2),
         linear_cylinder([1, 2], [F(1, 2), F(1)], [0.5, -2.0], dim=2),
     ]
-    for k, f in enumerate(funcs):
-        real = sample_graph(model, SeedSpec(72, (k,)).rng())
-        assert regression_residual(real, f) < 1e-10
+    stack = sample_trials(model, [SeedSpec(72, (k,)).rng() for k in range(len(funcs))])
+    assert (regression_residual(stack, funcs) < 1e-10).all()
 
 
 @pytest.mark.parametrize("n", [3, 6, 12, 64])
 def test_stacked_trials_match_single_trials(n):
-    # stacked draws are the per-trial draws bit for bit, and each trial's
-    # batched residual is its one-trial residual
+    # stacked draws are the one-generator draws bit for bit, and each
+    # trial's batched residual is its one-trial residual
     model, funcs = GraphModel(n, 0.3), certified_library(2)
     stack = sample_trials(model, [SeedSpec(73, (t,)).rng() for t in range(6)])
     assert stack.edges.shape == (6, n, n) and stack.values.shape == (6, n + 1, 2)
-    batched = regression_residuals(stack, funcs)
+    batched = regression_residual(stack, funcs)
     assert batched.shape == (len(funcs), 6)
     assert batched.max() < 1e-14
     for t in range(6):
-        real = sample_graph(model, SeedSpec(73, (t,)).rng())
-        assert np.array_equal(real.edges, stack.edges[t])
-        assert np.array_equal(real.values, stack.values[t])
-        for a, f in enumerate(funcs):
-            assert abs(regression_residual(real, f) - batched[a, t]) <= 1e-15
+        real = sample_trials(model, [SeedSpec(73, (t,)).rng()])
+        assert np.array_equal(real.edges[0], stack.edges[t])
+        assert np.array_equal(real.values[0], stack.values[t])
+        assert np.abs(regression_residual(real, funcs)[:, 0] - batched[:, t]).max() <= 1e-15
     one = GraphRealization(model, stack.edges[:1], stack.values[:1])
-    assert np.array_equal(regression_residuals(one, funcs)[:, 0], batched[:, 0])
+    assert np.array_equal(regression_residual(one, funcs)[:, 0], batched[:, 0])
 
 
 # -- pre-limit covariance -----------------------------------------------------
@@ -831,19 +865,15 @@ def test_coupling_frozen_bound_value():
 # -- epsilon_1 statistic ------------------------------------------------------
 
 
-def test_pair_norm_stats_match_object_layer():
+def test_pair_norm_stats_match_object_layer(draw_pairs):
     model = GraphModel(5, 0.4)
     fast = from_values(pair_norm_stats(model, rng_for(17), 4000))
     lam = lambda_matrix(model)
-    slow_vals = []
-    rng = rng_for(18)
-    for _ in range(4000):
-        y, y_prime, _ = sample_pair(model, rng)
-        diff = y.values - y_prime.values
-        sup = np.linalg.norm(diff, axis=1).max()
-        sup_l = np.linalg.norm(diff @ lam, axis=1).max()
-        slow_vals.append(sup_l * sup**2)
-    slow = from_values(np.array(slow_vals))
+    _, y, y_prime, _ = draw_pairs(graph, model, rng_for(18), 4000, np.arange(model.n + 1))
+    diff = y - y_prime
+    sup = np.linalg.norm(diff, axis=-1).max(axis=-1)
+    sup_l = np.linalg.norm(diff @ lam, axis=-1).max(axis=-1)
+    slow = from_values(sup_l * sup**2)
     tol = 5 * math.hypot(fast.stderr, slow.stderr)
     assert abs(fast.mean - slow.mean) < tol
 

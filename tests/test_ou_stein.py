@@ -6,11 +6,7 @@ import pytest
 
 from steinpaths import combinatorial as comb
 from steinpaths import graph as gr
-from steinpaths.combinatorial import (
-    ArrayModel,
-    double_center,
-    sample_pair as comb_sample_pair,
-)
+from steinpaths.combinatorial import ArrayModel, double_center
 from steinpaths.functionals import (
     CylinderFunctional,
     cos_cylinder,
@@ -56,20 +52,18 @@ def step_argument(g, jumps):
 
 
 def sup_norm(values):
-    """Sup norm of a grid path from its (n+1, dim) values."""
-    return float(np.linalg.norm(values, axis=-1).max())
+    """Sup norms of grid paths from their (..., n+1, dim) values."""
+    return np.linalg.norm(values, axis=-1).max(axis=-1)
 
 
-def epsilon1_pairs(pair_sampler, lambda_action, gnorm, samples, rng):
-    """(|g|/6) E ||(Y-Y') Lambda|| ||Y-Y'||^2, one object-layer pair at a
-    time: the pair's two (n+1, dim) grid arrays share one grid, so Y - Y'
-    is their difference."""
-    vals = np.empty(samples)
-    for s in range(samples):
-        y, y_prime = pair_sampler(rng)
-        diff = y - y_prime
-        vals[s] = sup_norm(lambda_action(diff)) * sup_norm(diff) ** 2
-    return from_values(gnorm / 6.0 * vals)
+def epsilon1_pairs(draw_pairs, model, lam, gnorm, samples, rng):
+    """(|g|/6) E ||(Y-Y') Lambda|| ||Y-Y'||^2 over `samples` pairs from the
+    family's kernel: each pair's two (n+1, dim) grid arrays share one
+    grid, so Y - Y' is their difference."""
+    mod = gr if isinstance(model, GraphModel) else comb
+    _, y, y_prime, _ = draw_pairs(mod, model, rng, samples, np.arange(model.n + 1))
+    diff = y - y_prime
+    return from_values(gnorm / 6.0 * sup_norm(diff @ lam) * sup_norm(diff) ** 2)
 
 
 @pytest.mark.parametrize("model", [
@@ -341,28 +335,16 @@ def test_stein_selfconsistency_small_n():
     assert report["gap"] <= report["tolerance"]
 
 
-def test_epsilon1_generic_zero_lambda():
+def test_epsilon1_generic_zero_lambda(draw_pairs):
     model = ArrayModel.deterministic()
-    rng = SeedSpec(66).rng()
-
-    def pair_sampler(r):
-        y, y_prime, _ = comb_sample_pair(model, r)
-        return y.values, y_prime.values
-
-    est = epsilon1_pairs(pair_sampler, np.zeros_like, 1.0, 200, rng)
+    est = epsilon1_pairs(draw_pairs, model, np.zeros((1, 1)), 1.0, 200, SeedSpec(66).rng())
     assert est.mean == 0.0
 
 
-def test_epsilon1_generic_matches_fast_combinatorial():
+def test_epsilon1_generic_matches_fast_combinatorial(draw_pairs):
     model = ArrayModel.iid_gaussian(4)
-    lam = (model.n - 1) / 4.0
-    rng = SeedSpec(67).rng()
-
-    def pair_sampler(r):
-        y, y_prime, _ = comb_sample_pair(model, r)
-        return y.values, y_prime.values
-
-    slow = epsilon1_pairs(pair_sampler, lambda values: lam * values, 6.0, 3000, rng)
+    lam = np.array([[(model.n - 1) / 4.0]])
+    slow = epsilon1_pairs(draw_pairs, model, lam, 6.0, 3000, SeedSpec(67).rng())
     fast = epsilon1_combinatorial(model, 6.0, 3000, SeedSpec(68))
     tol = 5 * math.hypot(slow.stderr, fast.stderr)
     assert abs(slow.mean - fast.mean) < tol
@@ -406,38 +388,23 @@ def test_epsilon3_rejects_unknown_model():
         epsilon3_estimate(object(), sin_cylinder(1, 1, dim=1), 10, SeedSpec(83))
 
 
-def test_epsilon1_generic_matches_fast_graph():
-    from steinpaths.graph import GraphModel, apply_lambda_values, sample_pair
-
+def test_epsilon1_generic_matches_fast_graph(draw_pairs):
     model = GraphModel(4, 0.4)
-    rng = SeedSpec(84).rng()
-
-    def pair_sampler(r):
-        y, y_prime, _ = sample_pair(model, r)
-        return y.values, y_prime.values
-
-    def lam_action(values):
-        return apply_lambda_values(model, values)
-
-    slow = epsilon1_pairs(pair_sampler, lam_action, 6.0, 2500, rng)
+    lam = gr.lambda_matrix(model)
+    slow = epsilon1_pairs(draw_pairs, model, lam, 6.0, 2500, SeedSpec(84).rng())
     fast = epsilon1_graph(model, 6.0, 2500, SeedSpec(85))
     tol = 5 * math.hypot(slow.stderr, fast.stderr)
     assert abs(slow.mean - fast.mean) < tol
 
 
-def test_pair_swap_statistic_exchangeable():
+def test_pair_swap_statistic_exchangeable(draw_pairs):
     # an order-sensitive statistic of the pair has the same law under the
     # component swap: s(Y, Y') vs s(Y', Y)
     model = ArrayModel.iid_gaussian(4)
-    rng = SeedSpec(86).rng()
-    fwd, rev = [], []
-    for _ in range(10**4):
-        y, y_prime, _ = comb_sample_pair(model, rng)
-        a = float(y.values[-1, 0])
-        b = float(y_prime.values[-1, 0])
-        fwd.append(a - 0.5 * abs(b))
-        rev.append(b - 0.5 * abs(a))
-    ef, er = from_values(np.array(fwd)), from_values(np.array(rev))
+    _, y, y_prime, _ = draw_pairs(comb, model, SeedSpec(86).rng(), 10**4, [model.n])
+    a, b = y[:, 0, 0], y_prime[:, 0, 0]
+    fwd, rev = a - 0.5 * np.abs(b), b - 0.5 * np.abs(a)
+    ef, er = from_values(fwd), from_values(rev)
     assert abs(ef.mean - er.mean) < 5 * math.hypot(ef.stderr, er.stderr)
     ks_grid = np.sort(np.concatenate([fwd, rev]))
     fa = np.searchsorted(np.sort(fwd), ks_grid, side="right") / len(fwd)
