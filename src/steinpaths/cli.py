@@ -39,6 +39,7 @@ F = Fraction
 USAGE_ERROR, CHECK_FAILURE = 2, 1
 PRODUCT_BYTES = 1 << 20  # bytes of product columns per Monte Carlo chunk, at most
 REGRESSION_TERMS = 1 << 20  # verify-regression's trials x n^2 x (most times) per block
+COVARIANCE_ENTRIES = 1 << 20  # verify-covariance's (grid x dim)^2 stacked covariance entries
 # options left out of a report's parameters: the seed has its own field,
 # the functionals are recorded by their labels, and the rest do not change
 # a report's contents
@@ -50,9 +51,9 @@ class UsageError(ValueError):
 
 
 def _load_model(path: str):
-    """Returns ("graph", GraphModel) or ("array", ArrayModel).  A path that
-    cannot be read, or a file that is not a JSON model object, lacks a field
-    or has a non-integer n, is a usage error."""
+    """Returns (graph, GraphModel) or (combinatorial, ArrayModel), as
+    ou_stein.family pairs them.  A path that cannot be read, or a file that is
+    not a JSON model object, lacks a field or has a non-integer n, is a usage error."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -64,9 +65,9 @@ def _load_model(path: str):
         if kind is None:
             kind = "graph" if set(d) >= {"n", "p"} else "array"
         if kind == "graph":
-            return "graph", gr.GraphModel.from_json_dict(d)
+            return gr, gr.GraphModel.from_json_dict(d)
         if kind == "array":
-            return "array", comb.ArrayModel.from_json_dict(d)
+            return comb, comb.ArrayModel.from_json_dict(d)
         raise ValueError("unknown model type %r" % kind)
     except OSError as exc:
         raise UsageError("model file %s: %s" % (path, exc.strerror or exc)) from exc
@@ -76,19 +77,13 @@ def _load_model(path: str):
         raise UsageError("model file %s: %s" % (path, exc)) from exc
 
 
-def _functionals(specs, kind):
-    dim = 2 if kind == "graph" else 1
-    return [parse_functional(s, dim) for s in specs] if specs else certified_library(dim)
-
-
-def _gap_sampler(kind, model, g):
+def _gap_sampler(fam, model, g):
     """Chunk samplers for g(Y_n) and g(D_n), drawing only the grid rows g
-    reads; D_n is drawn by the model's TargetLaw."""
+    reads: Y_n by the family module fam, D_n by the model's TargetLaw."""
     cuts, law = g.rows(model.n), ou.TargetLaw(model)
-    mod = gr if kind == "graph" else comb
 
     def y_fn(rng, size):
-        return g.value_stacked(mod.sample_y_values(model, rng, size, cuts).reshape(size, -1))
+        return g.value_stacked(fam.sample_y_values(model, rng, size, cuts).reshape(size, -1))
 
     def d_fn(rng, size):
         return g.value_stacked(law.sample_at(rng, size, g.times))
@@ -100,11 +95,11 @@ def _gap_sampler(kind, model, g):
 # subcommands
 
 
-def _gap_estimates(args, kind, model, funcs, report):
+def _gap_estimates(args, fam, model, funcs, report):
     """Adds E[g(Y)] and E[g(D)] for each functional; returns the pairs."""
     seed, pairs = SeedSpec(args.seed), []
     for idx, g in enumerate(funcs):
-        y_fn, d_fn = _gap_sampler(kind, model, g)
+        y_fn, d_fn = _gap_sampler(fam, model, g)
         est_y = mc_run(y_fn, args.samples, seed.child(2 * idx), workers=args.workers)
         est_d = mc_run(d_fn, args.samples, seed.child(2 * idx + 1), workers=args.workers)
         report.add_estimate("E[g(Y)] %s" % g.label, est_y)
@@ -113,11 +108,11 @@ def _gap_estimates(args, kind, model, funcs, report):
     return pairs
 
 
-def cmd_simulate(args, kind, model, funcs, report):
-    _gap_estimates(args, kind, model, funcs, report)
+def cmd_simulate(args, fam, model, funcs, report):
+    _gap_estimates(args, fam, model, funcs, report)
 
 
-def cmd_verify_regression(args, kind, model, funcs, report):
+def cmd_verify_regression(args, fam, model, funcs, report):
     terms = model.n**2 * max(g.k for g in funcs)
     if terms > REGRESSION_TERMS:
         raise UsageError(
@@ -125,7 +120,6 @@ def cmd_verify_regression(args, kind, model, funcs, report):
             "over the budget of %d (use a smaller model or fewer times)"
             % (terms, REGRESSION_TERMS)
         )
-    mod = gr if kind == "graph" else comb
     # a block's (trials, pairs, cuts) arrays are no larger than one trial's
     # at the budget
     block = max(1, REGRESSION_TERMS // terms)
@@ -134,7 +128,7 @@ def cmd_verify_regression(args, kind, model, funcs, report):
         # a generator: each trial's stream is freed once drawn
         rngs = (SeedSpec(args.seed, (t,)).rng()
                 for t in range(b * block, min((b + 1) * block, args.trials)))
-        return float(mod.regression_residual(mod.sample_trials(model, rngs), funcs).max())
+        return float(fam.regression_residual(fam.sample_trials(model, rngs), funcs).max())
     # block maxima come back in block order, so the fold is the serial one;
     # np.max keeps a NaN, which fails the check and is no report value
     blocks = mc._run_tasks(block_max, -(-args.trials // block), args.workers)
@@ -206,25 +200,31 @@ def _graph_identities(model, times, cov, vacuous, args, report):
     report.add_check("prelimit_grid_psd", eig_min >= -1e-9, -1e-9, "min eig %.3e" % eig_min)
 
 
-def cmd_verify_covariance(args, kind, model, funcs, report):
+def cmd_verify_covariance(args, fam, model, funcs, report):
     """The family's own checks, then, for both families, dn_grid_cov_mc:
     D_n's products at the --grid times against TargetLaw's covariance.
     --grid 0 reads time 0 alone, where D_n and its covariance vanish, so
     the checks on that degenerate grid are vacuous.  A single sample has no
-    standard error to judge a product by, so --samples 1 is a usage error."""
+    standard error to judge a product by, so --samples 1 is a usage error, as
+    is a --grid whose stacked covariance exceeds COVARIANCE_ENTRIES."""
     if args.samples == 1:
         raise UsageError("--samples 1 gives no standard error; use 0 to skip "
                          "the Monte Carlo checks, or at least 2")
+    entries = (args.grid * fam.DIM) ** 2
+    if entries > COVARIANCE_ENTRIES:
+        raise UsageError("verify-covariance --grid %d stacks (grid x dim)^2 = %d covariance "
+                         "entries, over the budget of %d (use a smaller --grid)"
+                         % (args.grid, entries, COVARIANCE_ENTRIES))
     law = ou.TargetLaw(model)
     times = [F(k, args.grid) for k in range(1, args.grid + 1)] or [F(0)]
     cov = law.cov_matrix(times)
     vacuous = "" if cov.any() else " (degenerate grid, vacuous)"
-    if kind == "graph":
+    if fam is gr:
         _graph_identities(model, times, cov, vacuous, args, report)
     if args.samples == 0:
         return
     samples = " over %d samples" % args.samples
-    if kind == "array":
+    if fam is comb:
         # Zhat in units of 2^e, the least power of two above s_n: exact, so
         # no |z| changes, and its products' squared deviations stay finite
         # at any entry scale (unscaled, they overflow from entries near 1e76)
@@ -237,16 +237,14 @@ def cmd_verify_covariance(args, kind, model, funcs, report):
                    cov, args, SeedSpec(args.seed, (2,)))
 
 
-def cmd_distance(args, kind, model, funcs, report):
+def cmd_distance(args, fam, model, funcs, report):
     # every norm is certified before anything is drawn
-    norm_class = "M2" if kind == "graph" else "M1"
-    gnorms = [norm_upper_bound(g, norm_class).value for g in funcs]
-    pairs = _gap_estimates(args, kind, model, funcs, report)
+    gnorms = [norm_upper_bound(g, fam.NORM_CLASS).value for g in funcs]
+    pairs = _gap_estimates(args, fam, model, funcs, report)
     for g, gnorm, (est_y, est_d) in zip(funcs, gnorms, pairs):
         gap = abs(est_y.mean - est_d.mean)
         ci = mc.Z95 * math.hypot(est_y.stderr, est_d.stderr)
-        bound = (gr.bound_prelimit(model.n, gnorm) if kind == "graph"
-                 else comb.bound_prelimit_distance(model, gnorm))
+        bound = fam.bound_prelimit(model, gnorm)
         report.add_value("gap %s" % g.label, gap)
         report.add_bound("bound %s" % g.label, bound)
         report.add_check(
@@ -257,7 +255,7 @@ def cmd_distance(args, kind, model, funcs, report):
         )
 
 
-def cmd_coupling(args, kind, model, funcs, report):
+def cmd_coupling(args, fam, model, funcs, report):
     rep = gr.coupling_distance(
         gr.GraphModel(args.n, args.p), args.samples, SeedSpec(args.seed),
         workers=args.workers,
@@ -275,12 +273,12 @@ def cmd_coupling(args, kind, model, funcs, report):
     report.parameters.update(rep)  # refine, chunk and the derived diagnostics
 
 
-def cmd_bound(args, kind, model, funcs, report):
+def cmd_bound(args, fam, model, funcs, report):
     """Adds every closed-form bound at --gnorm; a --gnorm so large that a
     bound overflows is a usage error, raised before the report is emitted."""
-    if kind == "graph":
+    if fam is gr:
         bounds = {
-            "prelimit_12g_over_n": gr.bound_prelimit(model.n, args.gnorm),
+            "prelimit_12g_over_n": gr.bound_prelimit(model, args.gnorm),
             "continuous_sqrt_log": gr.bound_continuous(model.n, args.gnorm),
         }
         for name, val in gr.coupling_bounds(model.n).items():
@@ -297,7 +295,7 @@ def cmd_bound(args, kind, model, funcs, report):
         report.add_bound(key, val)
 
 
-def cmd_stein_identity(args, kind, model, funcs, report):
+def cmd_stein_identity(args, fam, model, funcs, report):
     law = ou.TargetLaw(model)
     for idx, g in enumerate(funcs):
         est = ou.stein_identity_residual(
@@ -427,13 +425,14 @@ def _run(args) -> int:
     if args.out:
         _probe_out(args.out)
     options = vars(args)
-    kind = model = funcs = None
+    fam = model = funcs = None
     parameters = {k: v for k, v in options.items() if k not in NOT_PARAMETERS}
     if "model" in options:
-        kind, model = _load_model(args.model)
-        parameters["kind"] = kind
+        fam, model = _load_model(args.model)
+        parameters["kind"] = fam.KIND
     if "functional" in options:
-        funcs = _functionals(args.functional, kind)
+        funcs = ([parse_functional(s, fam.DIM) for s in args.functional]
+                 or certified_library(fam.DIM))
         parameters["functionals"] = [g.label for g in funcs]
     # a report that draws names its bit generator, so that a run under
     # another generator cannot pass for a rerun; bound draws nothing
@@ -441,7 +440,7 @@ def _run(args) -> int:
     report = RunReport(command=args.command, parameters=parameters, seed=args.seed,
                        version="steinpaths-%s" % __version__, bit_generator=bits)
     try:
-        args.fn(args, kind, model, funcs, report)
+        args.fn(args, fam, model, funcs, report)
     except mc.McError as exc:
         report.add_check("finite_samples", False, "finite", str(exc))
     text = report.to_csv() if args.format == "csv" else report.to_json()

@@ -34,9 +34,12 @@ import numpy as np
 
 from .functionals import CylinderFunctional
 from .mc import MEMORY_BUDGET
-from .paths import as_time, grid_rows
+from .paths import as_time, grid_rows, time_rows
 
 __all__ = [
+    "KIND",
+    "DIM",
+    "NORM_CLASS",
     "ModelError",
     "DegenerateModelError",
     "EntrySpec",
@@ -54,18 +57,20 @@ __all__ = [
     "regression_residual",
     "zhat_cov",
     "zhat_cov_matrix",
-    "cov_d_grid",
+    "prelimit_cov",
     "sample_y_values",
     "sample_zhat_values",
     "sample_dn_values",
     "pair_norm_stats",
     "eps3_values",
-    "bound_prelimit_distance",
+    "bound_prelimit",
     "bound_prelimit_distance_report",
     "bound_beta3",
     "assumption_diagnostic",
     "MEMORY_BUDGET",
 ]
+
+KIND, DIM, NORM_CLASS = "array", 1, "M1"  # report kind, path dimension, norm class of |g|
 
 _FAM_CONSTANT, _FAM_GAUSSIAN, _FAM_RADEMACHER, _FAM_TWO_POINT = range(4)
 
@@ -572,14 +577,15 @@ def zhat_cov_matrix(model: ArrayModel) -> np.ndarray:
     return out
 
 
-def cov_d_grid(model: ArrayModel, ss: Sequence, ts: Sequence) -> np.ndarray:
-    """(len(ss), len(ts)) closed-form Cov(D_n(s), D_n(t)) = sum of Zhat
-    covariances over the index box, divided by s_n^2, from one covariance
-    matrix."""
+def prelimit_cov(model: ArrayModel, times: Sequence) -> np.ndarray:
+    """(k, k) closed-form Cov(D_n(s), D_n(t)) over the times: one Zhat covariance
+    matrix summed over the index box of their rows floor(n t), over s_n^2; each
+    pair of distinct rows is summed once and gathered to their times."""
+    rows, at = np.unique(time_rows(model.n, [as_time(t) for t in times]), return_inverse=True)
     zc = zhat_cov_matrix(model)
-    rows = [[int(model.n * as_time(t)) for t in times] for times in (ss, ts)]
-    sums = [[float(zc[:ks, :kt].sum()) for kt in rows[1]] for ks in rows[0]]
-    return np.array(sums, dtype=float).reshape(len(ss), len(ts)) / s_n_squared(model)
+    sums = [[float(zc[:ks, :kt].sum()) for kt in rows] for ks in rows]
+    sums = np.array(sums, dtype=float).reshape(rows.size, rows.size)
+    return sums[np.ix_(at, at)] / s_n_squared(model)
 
 
 def _block_sums(
@@ -895,10 +901,10 @@ def bound_prelimit_distance_report(model: ArrayModel, gnorm_m1: float) -> dict:
     }
 
 
-def bound_prelimit_distance(model: ArrayModel, gnorm_m1: float) -> float:
+def bound_prelimit(model: ArrayModel, gnorm: float) -> float:
     """Pre-limit distance bound: five-index sum + 2|g|/sqrt(n) + final
-    variance term."""
-    return bound_prelimit_distance_report(model, gnorm_m1)["total"]
+    variance term, |g| the M1 norm."""
+    return bound_prelimit_distance_report(model, gnorm)["total"]
 
 
 def bound_beta3(

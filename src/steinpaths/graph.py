@@ -42,9 +42,12 @@ import numpy as np
 
 from .functionals import CylinderFunctional
 from .mc import MEMORY_BUDGET, SeedSpec, mc_run_vector
-from .paths import as_time, grid_rows
+from .paths import as_time, grid_rows, time_rows
 
 __all__ = [
+    "KIND",
+    "DIM",
+    "NORM_CLASS",
     "GraphModelError",
     "GraphModel",
     "moments_tv_exact",
@@ -62,7 +65,6 @@ __all__ = [
     "cov_d2d2_table",
     "brownian_side_cov",
     "d2_block_discrepancy",
-    "PrelimitCovariance",
     "prelimit_cov",
     "bernoulli",
     "sample_y_values",
@@ -73,10 +75,13 @@ __all__ = [
     "sample_coupled_values",
     "coupling_distance",
     "pair_norm_stats",
+    "eps3_values",
     "bound_prelimit",
     "bound_continuous",
     "coupling_bounds",
 ]
+
+KIND, DIM, NORM_CLASS = "graph", 2, "M2"  # report kind, path dimension, norm class of |g|
 
 
 class GraphModelError(ValueError):
@@ -172,11 +177,12 @@ def _expected_cuts(model: GraphModel) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class GraphRealization:
-    """Edge indicators plus the centered (edge, two-star) grid values; with
-    a leading trial axis on both arrays it holds a stack of realizations."""
+    """Edge indicators, their prefix degrees and the centered (edge, two-star)
+    grid values; with a leading trial axis on each array it holds a stack."""
 
     model: GraphModel
     edges: np.ndarray  # (..., n, n) symmetric 0/1, zero diagonal
+    degrees: np.ndarray  # (..., n, n+1): _prefix_degrees(edges)
     values: np.ndarray  # (..., n+1, 2): Y_n(k/n) for k = 0..n
 
     @property
@@ -185,27 +191,23 @@ class GraphRealization:
 
 
 def _prefix_degrees(edges: np.ndarray) -> np.ndarray:
-    """(..., n, n+1) table: entry [v, m] counts v's neighbours among vertices
-    < m."""
+    """(..., n, n+1) table of adjacency matrices: entry [v, m] counts v's
+    neighbours among vertices < m if v < m, and is 0 once v >= m."""
     out = np.zeros(edges.shape[:-1] + (edges.shape[-1] + 1,), dtype=np.int64)
     np.cumsum(edges, axis=-1, out=out[..., 1:])
-    return out
+    return np.triu(out, 1)  # keeps the vertices v < m
 
 
-def _tv_cut_values(model: GraphModel, edges: np.ndarray) -> np.ndarray:
-    """(..., n+1, 2) raw (T, V) values at grid cuts from adjacency matrices;
-    at cut m each vertex v < m centres C(deg[v, m], 2) two-stars."""
+def _path_from_degrees(model: GraphModel, deg: np.ndarray) -> np.ndarray:
+    """(..., n+1, 2) centered (T, V) values at the grid rows k = 0..n from
+    prefix-degree tables; at cut m each vertex v < m centres C(deg[v, m], 2)
+    two-stars."""
     n = model.n
-    deg = _prefix_degrees(edges)
-    deg *= np.arange(n)[:, None] < np.arange(n + 1)  # keep vertices v < m
-    s = deg.sum(axis=-2) // 2
-    w = (deg * (deg - 1)).sum(axis=-2) // 2
-    return np.stack([(np.arange(n + 1) - 2) * s / n**2, w / n**2], axis=-1)
-
-
-def _path_from_edges(model: GraphModel, edges: np.ndarray) -> np.ndarray:
-    """(..., n+1, 2) centered (T, V) values at the grid rows k = 0..n."""
-    return _tv_cut_values(model, edges) - np.stack(_expected_cuts(model), axis=1)
+    s = deg.sum(axis=-2)
+    # sum d(d-1) = sum d^2 - sum d, exact in integers and with no table-sized temporary
+    w = (np.einsum("...vm,...vm->...m", deg, deg) - s) // 2
+    raw = np.stack([(np.arange(n + 1) - 2) * (s // 2) / n**2, w / n**2], axis=-1)
+    return raw - np.stack(_expected_cuts(model), axis=1)
 
 
 def sample_trials(model: GraphModel, rngs: Iterable[np.random.Generator]) -> GraphRealization:
@@ -216,7 +218,8 @@ def sample_trials(model: GraphModel, rngs: Iterable[np.random.Generator]) -> Gra
     upper = np.stack([rng.random((n, n)) < model.p for rng in rngs])
     edges = np.triu(upper, 1)
     edges = (edges | edges.swapaxes(-1, -2)).astype(int)
-    return GraphRealization(model, edges, _path_from_edges(model, edges))
+    deg = _prefix_degrees(edges)
+    return GraphRealization(model, edges, deg, _path_from_degrees(model, deg))
 
 
 def lambda_matrix(model: GraphModel) -> np.ndarray:
@@ -241,15 +244,17 @@ def pair_moves(real: GraphRealization, rows, h) -> tuple[np.ndarray, np.ndarray]
     rows, h = np.asarray(rows), np.asarray(h)
     i, j = np.triu_indices(n, 1)
     iij = np.ascontiguousarray(real.edges[..., i, j])  # (..., pairs)
-    deg = _prefix_degrees(real.edges)[..., rows]  # (..., n, k)
-    nbr = deg[..., i, :] - 2 * iij[..., None]  # (..., pairs, k)
+    deg = real.degrees[..., rows]  # (..., n, k)
+    nbr = deg[..., i, :]  # (..., pairs, k)
     nbr += deg[..., j, :]
+    nbr -= 2 * iij[..., None]
     moves = nbr * h[..., None, :, 1]
     del nbr  # at most two (..., pairs, k) arrays are live at once
     moves += (rows - 2) * h[..., None, :, 0]
     moves *= j[:, None] + 1 <= rows  # vertex j joins by row k
     # made contiguous, a stack sums each trial's pairs pairwise, as one trial does
     out = np.ascontiguousarray(moves.sum(axis=-1))
+    del moves  # freed before the sign's temporary is made
     out *= 2 * iij - 1
     out /= n**2
     return out, np.where(iij == 1, 1.0 - model.p, model.p) / _binom2(n)
@@ -362,34 +367,17 @@ def brownian_side_cov(n: int, p: float, t, u) -> np.ndarray:
     return np.array([[c11, c12], [c12, c22]])
 
 
-@dataclass(frozen=True)
-class PrelimitCovariance:
-    """Closed-form grid covariance evaluators for D_n = (D1, D2)."""
-
-    model: GraphModel
-
-    def block(self, t, u) -> np.ndarray:
-        n, p = self.model.n, self.model.p
-        return np.array(
-            [
-                [cov_d1d1(n, p, t, u), cov_d1d2(n, p, t, u)],
-                [cov_d1d2(n, p, u, t), cov_d2d2(n, p, t, u)],
-            ]
-        )
-
-    def grid(self, times: Sequence) -> np.ndarray:
-        """(2L, 2L) covariance of (D1(t_1), D2(t_1), ..., D2(t_L))."""
-        ts = [as_time(t) for t in times]
-        L = len(ts)
-        out = np.zeros((2 * L, 2 * L))
-        for i, t in enumerate(ts):
-            for j, u in enumerate(ts):
-                out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = self.block(t, u)
-        return out
-
-
-def prelimit_cov(model: GraphModel) -> PrelimitCovariance:
-    return PrelimitCovariance(model)
+def prelimit_cov(model: GraphModel, times: Sequence) -> np.ndarray:
+    """(2k, 2k) closed-form covariance of (D1(t_1), D2(t_1), ..., D2(t_k)).
+    The closed forms read a time only through its row floor(n t), so each pair
+    of distinct rows is evaluated once and its 2 x 2 block gathered to their times."""
+    n, p = model.n, model.p
+    rows, at = np.unique(time_rows(n, [as_time(t) for t in times]), return_inverse=True)
+    ts = [Fraction(int(k), n) for k in rows]
+    blocks = np.array([[[[cov_d1d1(n, p, t, u), cov_d1d2(n, p, t, u)],
+                         [cov_d1d2(n, p, u, t), cov_d2d2(n, p, t, u)]] for u in ts]
+                       for t in ts]).reshape(rows.size, rows.size, 2, 2)
+    return blocks[at][:, at].swapaxes(1, 2).reshape(2 * at.size, 2 * at.size)
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +810,14 @@ def pair_norm_stats(model: GraphModel, rng: np.random.Generator, size: int) -> n
     return flip * np.linalg.norm(ab @ lam, axis=1) * np.linalg.norm(ab, axis=1) ** 2
 
 
-def bound_prelimit(n: int, gnorm_m2: float) -> float:
-    """Distance bound to the pre-limit: 12 |g| / n."""
-    if n < 3:
-        raise GraphModelError("need n >= 3")
-    return 12.0 * gnorm_m2 / n
+def eps3_values(model: GraphModel, f, rng, size: int) -> np.ndarray:
+    """Draws of the regression remainder R_f: zeros, as R = 0 for the graph pair."""
+    return np.zeros(size)
+
+
+def bound_prelimit(model: GraphModel, gnorm: float) -> float:
+    """Distance bound to the pre-limit: 12 |g| / n, |g| the M2 norm."""
+    return 12.0 * gnorm / model.n
 
 
 def bound_continuous(n: int, gnorm_m2: float) -> float:

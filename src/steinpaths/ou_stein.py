@@ -40,6 +40,7 @@ from .mc import McEstimate, SeedSpec, from_values, mc_run, mc_run_vector
 from .paths import time_rows
 
 __all__ = [
+    "family",
     "TargetLaw",
     "mehler_apply",
     "mehler_two_step",
@@ -52,6 +53,16 @@ __all__ = [
     "epsilon1_graph",
     "epsilon3_estimate",
 ]
+
+
+def family(model):
+    """The family module of a model: ``graph`` for a ``GraphModel`` and
+    ``combinatorial`` for an ``ArrayModel``, with one contract (see README)."""
+    if isinstance(model, gr.GraphModel):
+        return gr
+    if isinstance(model, comb.ArrayModel):
+        return comb
+    raise TypeError("unsupported model type %r" % type(model).__name__)
 
 
 @dataclass(frozen=True)
@@ -71,15 +82,12 @@ class TargetLaw:
     ) -> np.ndarray:
         """(size, k*dim) draws of D at the given times, stacked as a
         cylinder functional reads them."""
-        family = gr if isinstance(self.model, gr.GraphModel) else comb
         rows = time_rows(self.n, times)
-        return family.sample_dn_values(self.model, rng, size, rows).reshape(size, -1)
+        return family(self.model).sample_dn_values(self.model, rng, size, rows).reshape(size, -1)
 
     def cov_matrix(self, times: Sequence[Fraction]) -> np.ndarray:
         """(k*dim, k*dim) covariance of the stacked evaluations."""
-        if isinstance(self.model, gr.GraphModel):
-            return gr.prelimit_cov(self.model).grid(times)
-        return comb.cov_d_grid(self.model, times, times)
+        return family(self.model).prelimit_cov(self.model, times)
 
     def mean_g(
         self, g: CylinderFunctional, samples: int, seed: SeedSpec, workers: int = 1
@@ -371,34 +379,27 @@ def stein_selfconsistency(
 # epsilon estimators for the abstract bound
 
 
-def _epsilon1(pair_norm_stats, model, gnorm: float, samples: int, seed: SeedSpec) -> McEstimate:
-    """(|g|/6) E ||(Y-Y') Lambda_n|| ||Y-Y'||^2 from a family's pair statistic."""
-    return mc_run(lambda rng, size: gnorm / 6.0 * pair_norm_stats(model, rng, size),
-                  samples, seed)
+def _epsilon1(model, gnorm: float, samples: int, seed: SeedSpec) -> McEstimate:
+    """(|g|/6) E ||(Y-Y') Lambda_n|| ||Y-Y'||^2 from the family's pair statistic."""
+    stats = family(model).pair_norm_stats
+    return mc_run(lambda rng, size: gnorm / 6.0 * stats(model, rng, size), samples, seed)
 
 
 def epsilon1_combinatorial(
     model: comb.ArrayModel, gnorm: float, samples: int, seed: SeedSpec
 ) -> McEstimate:
-    return _epsilon1(comb.pair_norm_stats, model, gnorm, samples, seed)
+    return _epsilon1(model, gnorm, samples, seed)
 
 
 def epsilon1_graph(
     model: gr.GraphModel, gnorm: float, samples: int, seed: SeedSpec
 ) -> McEstimate:
-    return _epsilon1(gr.pair_norm_stats, model, gnorm, samples, seed)
+    return _epsilon1(model, gnorm, samples, seed)
 
 
 def epsilon3_estimate(model, f: CylinderFunctional, samples: int, seed: SeedSpec) -> McEstimate:
-    """E R_f.  Zero identically for the graph pair; for the array model,
-    the tower property turns the conditional means into plain draws of
-    (1/(n s_n)) sum_ij Df(Y)[X_{i,pi(j)} 1_[i/n,1]]."""
-    if isinstance(model, gr.GraphModel):
-        return McEstimate(count=samples, mean=0.0, m2=0.0)
-    if isinstance(model, comb.ArrayModel):
-        return mc_run(
-            lambda rng, size: comb.eps3_values(model, f, rng, size),
-            samples,
-            seed,
-        )
-    raise TypeError("unsupported model type %r" % type(model).__name__)
+    """E R_f from the family's draws of R_f: zeros for the graph pair; for
+    the array model, the tower property turns the conditional means into
+    plain draws of (1/(n s_n)) sum_ij Df(Y)[X_{i,pi(j)} 1_[i/n,1]]."""
+    draws = family(model).eps3_values
+    return mc_run(lambda rng, size: draws(model, f, rng, size), samples, seed)

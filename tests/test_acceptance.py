@@ -86,12 +86,11 @@ def test_criterion_2_covariance_identities():
             )
     # cov_tv vs the pre-limit block at (t,t): the edge and cross entries
     model = gr.GraphModel(7, 0.3)
-    pc = gr.prelimit_cov(model)
+    cov = gr.prelimit_cov(model, [F(k, 7) for k in range(1, 8)])
     worst_abs = 0.0
     for k in range(1, 8):
-        t = F(k, 7)
-        ctv = gr.cov_tv(model, t)
-        block = pc.block(t, t)
+        ctv = gr.cov_tv(model, F(k, 7))
+        block = cov[2 * k - 2 : 2 * k, 2 * k - 2 : 2 * k]
         worst_abs = max(
             worst_abs,
             abs(ctv[0, 0] - block[0, 0]),
@@ -118,9 +117,9 @@ def test_criterion_2_covariance_identities():
 )
 def test_criterion_2_covariance_identities_vv_entry():
     model = gr.GraphModel(7, 0.3)
-    pc = gr.prelimit_cov(model)
+    cov = gr.prelimit_cov(model, [F(k, 7) for k in range(1, 8)])
     worst = max(
-        abs(float(gr.cov_tv(model, F(k, 7))[1, 1]) - pc.block(F(k, 7), F(k, 7))[1, 1])
+        abs(float(gr.cov_tv(model, F(k, 7))[1, 1]) - cov[2 * k - 1, 2 * k - 1])
         for k in range(1, 8)
     )
     announce("2 covariance-identities (VV entry)", worst <= 1e-12, "abs %.2e" % worst)
@@ -130,8 +129,8 @@ def test_criterion_2_covariance_identities_vv_entry():
 def test_criterion_3_sampler_fidelity():
     t0 = time.monotonic()
     model = gr.GraphModel(6, 0.3)
-    pc = gr.prelimit_cov(model)
     grid = [F(1, 4), F(1, 2), F(3, 4), F(1)]
+    cov = gr.prelimit_cov(model, grid)
     cuts = [int(6 * t) for t in grid]
     vals = np.concatenate(
         [
@@ -140,11 +139,10 @@ def test_criterion_3_sampler_fidelity():
         ]
     )
     worst_z = 0.0
-    for (t, kt), (u, ku) in itertools.product(zip(grid, cuts), repeat=2):
-        block = pc.block(t, u)
+    for (a, kt), (b, ku) in itertools.product(enumerate(cuts), repeat=2):
         for i, j in itertools.product(range(2), repeat=2):
             est = from_values(vals[:, kt, i] * vals[:, ku, j])
-            gap = abs(est.mean - block[i, j])
+            gap = abs(est.mean - cov[2 * a + i, 2 * b + j])
             assert gap <= 5 * est.stderr + 1e-15
             if est.stderr > 0:
                 worst_z = max(worst_z, gap / est.stderr)
@@ -238,7 +236,7 @@ def test_criterion_4_combinatorial_prelimit():
 
 
 def test_criterion_5_bound_instantiations():
-    b61 = gr.bound_prelimit(100, 1.0)
+    b61 = gr.bound_prelimit(gr.GraphModel(100, 0.3), 1.0)
     b62 = gr.bound_continuous(100, 1.0)
     lam = gr.lambda_matrix(gr.GraphModel(3, 0.5))
     ok = (
@@ -284,12 +282,12 @@ def test_criterion_6_bound_validity_desk_scale():
         ]
         for idx, g in enumerate(funcs):
             gnorm = norm_upper_bound(g, "M2").value
-            y_fn, d_fn = cli._gap_sampler("graph", model, g)
+            y_fn, d_fn = cli._gap_sampler(ou.family(model), model, g)
             ey = mc_run(y_fn, samples, SeedSpec(8, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(8, (n, idx, 1)))
             gap = abs(ey.mean - ed.mean)
             ci = 1.96 * math.hypot(ey.stderr, ed.stderr)
-            bound = gr.bound_prelimit(n, gnorm)
+            bound = gr.bound_prelimit(model, gnorm)
             assert gap - ci <= bound, (n, g.label, gap, bound)
             details.append(gap / bound)
     for n in (8, 16, 32):
@@ -301,12 +299,12 @@ def test_criterion_6_bound_validity_desk_scale():
         ]
         for idx, g in enumerate(funcs):
             gnorm = norm_upper_bound(g, "M1").value
-            y_fn, d_fn = cli._gap_sampler("array", model, g)
+            y_fn, d_fn = cli._gap_sampler(ou.family(model), model, g)
             ey = mc_run(y_fn, samples, SeedSpec(9, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(9, (n, idx, 1)))
             gap = abs(ey.mean - ed.mean)
             ci = 1.96 * math.hypot(ey.stderr, ed.stderr)
-            bound = comb.bound_prelimit_distance(model, gnorm)
+            bound = comb.bound_prelimit(model, gnorm)
             assert gap - ci <= bound, (n, g.label, gap, bound)
             details.append(gap / bound)
     elapsed = time.monotonic() - t0

@@ -93,8 +93,8 @@ def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
 def test_verify_regression_trial_blocks(tmp_path, capsys, monkeypatch, kind):
     # blocks of trials draw what one stack of all the trials draws, and a
     # smaller budget (more blocks) gives the same residuals
-    mod = gr if kind == "graph" else comb
     model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    mod = ou.family(cli._load_model(model)[1])
     argv = ["verify-regression", "--model", model, "--trials", "23", "--seed", "4"]
     code, out = run(capsys, argv)
     assert code == 0
@@ -238,7 +238,8 @@ def test_verify_regression_at_n64(tmp_path, capsys, payload):
 def test_verify_regression_nan_residual_fails(tmp_path, capsys, monkeypatch, kind):
     # a NaN in the middle block of three must reach the check, not be
     # folded away by a max that skips it
-    mod = gr if kind == "graph" else comb
+    model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    mod = ou.family(cli._load_model(model)[1])
     residuals, calls = mod.regression_residual, []
 
     def nan_in_second_block(real, funcs):
@@ -248,7 +249,6 @@ def test_verify_regression_nan_residual_fails(tmp_path, capsys, monkeypatch, kin
 
     monkeypatch.setattr(mod, "regression_residual", nan_in_second_block)
     monkeypatch.setattr(cli, "REGRESSION_TERMS", 5 * 12**2 * 2)  # 5 trials per block
-    model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
     code, out = run(capsys, ["verify-regression", "--model", model, "--trials", "15"])
     assert len(calls) == 3
     assert code == 1
@@ -451,6 +451,32 @@ def test_verify_covariance_one_sample_is_usage_error(tmp_path, capsys, monkeypat
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and draws == []
     assert err.startswith("usage error: --samples 1 ")
+
+
+@pytest.mark.parametrize("kind, widest", [("graph", 512), ("array", 1024)])
+def test_verify_covariance_grid_budget(tmp_path, capsys, monkeypatch, kind, widest):
+    # the stacked covariance holds (grid x dim)^2 entries: the widest grid
+    # within the budget runs, and the next one is refused, naming the count,
+    # before a covariance is formed or anything drawn
+    assert cli.COVARIANCE_ENTRIES == 1 << 20
+    model = graph_model(tmp_path, 12, 0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    argv = ["verify-covariance", "--model", model, "--samples", "0", "--grid"]
+    code, out = run(capsys, argv + [str(widest)])
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    # the graph's VV entry fails by design; every other check passes
+    assert code == (1 if kind == "graph" else 0)
+    assert [name for name, ok in checks.items() if not ok] == (
+        ["cov_tv_vs_prelimit_VV"] if kind == "graph" else [])
+    calls = []
+    monkeypatch.setattr(ou.TargetLaw, "cov_matrix", lambda *a: calls.append(a))
+    monkeypatch.setattr(ou.TargetLaw, "sample_at", lambda *a: calls.append(a))
+    code = main(argv + [str(widest + 1)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and calls == []
+    entries = (2 * (widest + 1) if kind == "graph" else widest + 1) ** 2
+    assert err.startswith("usage error: verify-covariance --grid %d stacks (grid x dim)^2 = "
+                          "%d covariance entries, over the budget of %d"
+                          % (widest + 1, entries, 1 << 20))
 
 
 @pytest.mark.parametrize("command", ["simulate", "distance", "coupling"])

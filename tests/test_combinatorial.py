@@ -23,15 +23,15 @@ from steinpaths.combinatorial import (
     _path_from_diag,
     assumption_diagnostic,
     bound_beta3,
-    bound_prelimit_distance,
+    bound_prelimit,
     bound_prelimit_distance_report,
     constant_entry,
-    cov_d_grid,
     double_center,
     eps3_values,
     gaussian_entry,
     pair_moves,
     pair_norm_stats,
+    prelimit_cov,
     rademacher_entry,
     regression_residual,
     s_n_squared,
@@ -369,14 +369,18 @@ def test_dn_mean_zero_and_breakpoints():
 
 def test_dn_values_leave_numpy_ma_unimported():
     # np.unique without a return_* flag imports numpy.ma, 10-15 ms in a
-    # fresh process; the D_n sampler finds its distinct rows without it
+    # fresh process; the D_n sampler and the closed-form covariance find
+    # their distinct rows without it
     code = (
         "import sys, numpy as np\n"
+        "from fractions import Fraction\n"
         "from steinpaths import combinatorial as comb\n"
         "model = comb.ArrayModel.iid_gaussian(6)\n"
         "for cuts in ([0, 4, 2, 4, 6], [], [0]):\n"
         "    vals = comb.sample_dn_values(model, np.random.default_rng(0), 3, cuts)\n"
         "    assert vals.shape == (3, len(cuts))\n"
+        "    times = [Fraction(k, 6) for k in cuts]\n"
+        "    assert comb.prelimit_cov(model, times).shape == (len(cuts),) * 2\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -387,20 +391,22 @@ def test_dn_values_leave_numpy_ma_unimported():
     assert out.stdout == "False\n"
 
 
-def test_cov_d_grid_sums_the_index_boxes():
+def test_prelimit_cov_sums_the_index_boxes():
     # each entry is the box sum of one Zhat covariance matrix over s_n^2,
-    # bit for bit as the one-pair call
+    # bit for bit as the one-pair call, also on a grid finer than the
+    # model's, whose times share rows and are gathered from one box sum
     for model in (det3(), _mixed_5x5(), ArrayModel.iid_rademacher(6)):
         n = model.n
         zc, s2 = zhat_cov_matrix(model), s_n_squared(model)
-        ss, ts = [F(1, 3), F(1, 2), F(1)], [F(0), F(2, 3), F(1)]
-        grid = cov_d_grid(model, ss, ts)
-        assert grid.shape == (3, 3)
-        for a, s in enumerate(ss):
-            for b, t in enumerate(ts):
-                box = float(zc[: int(n * s), : int(n * t)].sum()) / s2
-                assert grid[a, b] == box == cov_d_grid(model, [s], [t])[0, 0]
-    assert cov_d_grid(det3(), [], [F(1)]).shape == (0, 1)
+        for times in ([F(1, 3), F(0), F(1, 2), F(2, 3), F(1), F(1, 3)],
+                      [F(k, 4 * n + 1) for k in range(4 * n + 2)]):
+            grid = prelimit_cov(model, times)
+            assert grid.shape == (len(times), len(times))
+            for a, s in enumerate(times):
+                for b, t in enumerate(times):
+                    box = float(zc[: int(n * s), : int(n * t)].sum()) / s2
+                    assert grid[a, b] == box == prelimit_cov(model, [s, t])[0, 1]
+    assert prelimit_cov(det3(), []).shape == (0, 0)
 
 
 def test_dn_grid_covariance_matches_closed_form():
@@ -409,7 +415,7 @@ def test_dn_grid_covariance_matches_closed_form():
     s, t = F(1, 3), F(1)
     prod = vals[:, 1] * vals[:, 3]
     est = from_values(prod)
-    assert abs(est.mean - cov_d_grid(model, [s], [t])[0, 0]) < 4 * est.stderr
+    assert abs(est.mean - prelimit_cov(model, [s, t])[0, 1]) < 4 * est.stderr
 
 
 # -- epsilon statistics ------------------------------------------------------
@@ -453,7 +459,7 @@ def test_bound_factorized_equals_naive():
 
 
 def test_bound_zero_gnorm():
-    assert bound_prelimit_distance(det3(), 0.0) == 0.0
+    assert bound_prelimit(det3(), 0.0) == 0.0
 
 
 def test_bound_iid_normal_matches_independent_formula():
@@ -467,7 +473,7 @@ def test_bound_iid_normal_matches_independent_formula():
         + 2.0 / math.sqrt(n)
         + 4.0 / 3.0
     )
-    assert bound_prelimit_distance(model, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert bound_prelimit(model, 1.0) == pytest.approx(expected, rel=1e-12)
     assert _five_index_sum_naive(model) == pytest.approx(
         _five_index_sum_factorized(model), rel=1e-9
     )
@@ -477,8 +483,8 @@ def test_bound_row_permutation_invariance():
     model = _random_moment_model(5, 3)
     perm = [3, 0, 4, 1, 2]
     permuted = ArrayModel(model.table, model.index[perm])
-    assert bound_prelimit_distance(model, 1.0) == pytest.approx(
-        bound_prelimit_distance(permuted, 1.0), rel=1e-12
+    assert bound_prelimit(model, 1.0) == pytest.approx(
+        bound_prelimit(permuted, 1.0), rel=1e-12
     )
 
 
@@ -709,7 +715,7 @@ def test_y_and_prelimit_share_covariance():
     vals = sample_y_values(model, rng_for(30), 2 * 10**5)
     for ks, kt in [(1, 3), (2, 2), (1, 2)]:
         est = from_values(vals[:, ks] * vals[:, kt])
-        closed = cov_d_grid(model, [F(ks, 3)], [F(kt, 3)])[0, 0]
+        closed = prelimit_cov(model, [F(ks, 3), F(kt, 3)])[0, 1]
         assert abs(est.mean - closed) < 4 * est.stderr
 
 
@@ -723,7 +729,7 @@ def test_deterministic_means_match_exact_enumeration():
     perms = np.array(list(itertools.permutations(range(n))))
     y = np.cumsum(model.c[np.arange(n), perms], axis=1)[:, np.array(cuts) - 1] / model.s_n
     exact_y = np.concatenate([np.cos(y).mean(axis=0), np.sin(y).mean(axis=0)])
-    var_d = np.array([cov_d_grid(model, [F(k, n)], [F(k, n)])[0, 0] for k in cuts])
+    var_d = np.diag(prelimit_cov(model, [F(k, n) for k in cuts]))
     assert np.allclose((y**2).mean(axis=0), var_d, rtol=1e-12, atol=0)
     exact_d = np.concatenate([np.exp(-var_d / 2), np.zeros(len(cuts))])
 
@@ -812,11 +818,11 @@ def _mixed_5x5():
 
 def _assert_cov_at_cuts(model, vals, cuts, label):
     n = model.n
+    closed = prelimit_cov(model, [F(k, n) for k in cuts])
     for a, ka in enumerate(cuts):
         for b, kb in enumerate(cuts):
             est = from_values(vals[:, a] * vals[:, b])
-            closed = cov_d_grid(model, [F(ka, n)], [F(kb, n)])[0, 0]
-            assert abs(est.mean - closed) < 4 * est.stderr + 1e-12, (label, ka, kb)
+            assert abs(est.mean - closed[a, b]) < 4 * est.stderr + 1e-12, (label, ka, kb)
 
 
 def test_cut_aware_dn_covariance_matches_closed_form():

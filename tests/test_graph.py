@@ -23,8 +23,8 @@ from steinpaths.graph import (
     _bm,
     _bytes,
     _expected_cuts,
-    _path_from_edges,
-    _tv_cut_values,
+    _path_from_degrees,
+    _prefix_degrees,
     bernoulli,
     bound_continuous,
     bound_prelimit,
@@ -56,6 +56,11 @@ from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, mc
 from steinpaths.paths import grid_rows
 
 F = Fraction
+
+
+def block(model, t, u):
+    """The 2 x 2 pre-limit covariance block Cov(D_n(t), D_n(u))."""
+    return prelimit_cov(model, [t, u])[:2, 2:]
 
 
 def rng_for(label: int):
@@ -389,6 +394,9 @@ def test_sampler_prefix_counts_match_brute_force():
         real = sample_trials(model, [rng_for(4)])
         edges, values = real.edges[0], real.values[0]
         raw, et, ev = [], [], []
+        # the realization's degree table: v's neighbours below m, for v < m
+        prefix = [[edges[v, :m].sum() if v < m else 0 for m in range(n + 1)] for v in range(n)]
+        assert np.array_equal(real.degrees[0], prefix)
         for m in range(n + 1):
             sub = edges[:m, :m]
             t_raw = (m - 2) * sub[np.triu_indices(m, 1)].sum() / n**2
@@ -398,8 +406,9 @@ def test_sampler_prefix_counts_match_brute_force():
             e_t, e_v = moments_tv_exact(model, F(m, n))
             et.append(t_raw - float(e_t))
             ev.append(v_raw - float(e_v))
-        # the same integer counts and one division each: equal bit for bit
-        assert np.array_equal(_tv_cut_values(model, edges), raw)
+        # the same integer counts, one division each and one centering
+        # subtraction: equal bit for bit
+        assert np.array_equal(values, np.array(raw) - np.stack(_expected_cuts(model), axis=1))
         assert np.allclose(values[:, 0], et, atol=1e-12)
         assert np.allclose(values[:, 1], ev, atol=1e-12)
 
@@ -426,7 +435,7 @@ def test_pair_moves_match_recomputation(n, p):
     for t in range(trials):
         flipped, pairs = np.repeat(real.edges[t][None], i.size, axis=0), np.arange(i.size)
         flipped[pairs, i, j] = flipped[pairs, j, i] = 1 - real.edges[t, i, j]
-        diff = real.values[t] - _path_from_edges(model, flipped)  # (pairs, n+1, 2)
+        diff = real.values[t] - _path_from_degrees(model, _prefix_degrees(flipped))
         assert np.allclose(moves[:, t].T.reshape(diff.shape), diff, rtol=0, atol=1e-15)
         assert np.allclose(contracted[t], np.einsum("pad,ad->p", diff[:, rows], h[t]),
                            rtol=0, atol=1e-14)
@@ -441,7 +450,7 @@ def test_pair_same_value_identity():
     model, n = GraphModel(5, 0.4), 5
     real = sample_trials(model, [rng_for(5)])
     edges, values = real.edges[0], real.values[0]
-    assert np.array_equal(_path_from_edges(model, edges), values)
+    assert np.array_equal(_path_from_degrees(model, _prefix_degrees(edges)), values)
     moves, prob = pair_moves(real, np.arange(n + 1), np.eye(12).reshape(12, 1, n + 1, 2))
     i, j = np.triu_indices(n, 1)
     c2 = math.comb(n, 2)
@@ -452,7 +461,7 @@ def test_pair_same_value_identity():
         for new, w in ((1, model.p), (0, 1 - model.p)):
             resampled = edges.copy()
             resampled[i[e], j[e]] = resampled[j[e], i[e]] = new
-            mean += w / c2 * (values - _path_from_edges(model, resampled))
+            mean += w / c2 * (values - _path_from_degrees(model, _prefix_degrees(resampled)))
     assert np.allclose((moves[:, 0] * prob[0]).sum(axis=-1).reshape(n + 1, 2), mean,
                        rtol=0, atol=1e-15)
 
@@ -536,7 +545,7 @@ def test_stacked_trials_match_single_trials(n):
         assert np.array_equal(real.edges[0], stack.edges[t])
         assert np.array_equal(real.values[0], stack.values[t])
         assert np.abs(regression_residual(real, funcs)[:, 0] - batched[:, t]).max() <= 1e-15
-    one = GraphRealization(model, stack.edges[:1], stack.values[:1])
+    one = GraphRealization(model, stack.edges[:1], stack.degrees[:1], stack.values[:1])
     assert np.array_equal(regression_residual(one, funcs)[:, 0], batched[:, 0])
 
 
@@ -544,20 +553,18 @@ def test_stacked_trials_match_single_trials(n):
 
 
 def test_prelimit_zero_when_cut_below_two():
-    pc = prelimit_cov(GraphModel(7, 0.3))
-    assert np.all(pc.block(F(1, 7), F(1)) == 0.0)  # floor(7 * 1/7) = 1
+    assert np.all(block(GraphModel(7, 0.3), F(1, 7), F(1)) == 0.0)  # floor(7 * 1/7) = 1
 
 
 def test_prelimit_d1d1_matches_cov_tv_entry():
-    pc = prelimit_cov(GraphModel(4, 0.5))
-    assert pc.block(F(1), F(1))[0, 0] == pytest.approx(0.0234375, abs=0)
-    assert pc.block(F(1), F(1))[0, 0] == cov_tv(GraphModel(4, 0.5), F(1))[0, 0]
+    model = GraphModel(4, 0.5)
+    assert block(model, F(1), F(1))[0, 0] == pytest.approx(0.0234375, abs=0)
+    assert block(model, F(1), F(1))[0, 0] == cov_tv(model, F(1))[0, 0]
 
 
 def test_prelimit_d1d2_matches_cov_tv_entry():
     model = GraphModel(6, 0.3)
-    pc = prelimit_cov(model)
-    assert pc.block(F(1), F(1))[0, 1] == pytest.approx(
+    assert block(model, F(1), F(1))[0, 1] == pytest.approx(
         cov_tv(model, F(1))[0, 1], rel=1e-12
     )
 
@@ -594,11 +601,25 @@ def test_d2_table_discrepancy_is_analytic():
 
 
 def test_prelimit_grid_psd():
-    pc = prelimit_cov(GraphModel(6, 0.3))
-    grid = pc.grid([F(k, 6) for k in range(1, 7)])
+    grid = prelimit_cov(GraphModel(6, 0.3), [F(k, 6) for k in range(1, 7)])
     evals = np.linalg.eigvalsh(grid)
     assert evals.min() >= -1e-10
     assert np.allclose(grid, grid.T)
+
+
+def test_prelimit_cov_gathers_the_pair_blocks():
+    # on a grid finer than the model's, whose times share rows, each 2 x 2
+    # block is the closed forms at its own pair of times, bit for bit
+    n, p = 6, 0.3
+    times = [F(k, 4 * n + 1) for k in range(4 * n + 2)] + [F(1, 2), F(0)]
+    cov = prelimit_cov(GraphModel(n, p), times)
+    assert cov.shape == (2 * len(times),) * 2
+    for a, t in enumerate(times):
+        for b, u in enumerate(times):
+            want = [[cov_d1d1(n, p, t, u), cov_d1d2(n, p, t, u)],
+                    [cov_d1d2(n, p, u, t), cov_d2d2(n, p, t, u)]]
+            assert np.array_equal(cov[2 * a : 2 * a + 2, 2 * b : 2 * b + 2], want)
+    assert prelimit_cov(GraphModel(n, p), []).shape == (0, 0)
 
 
 def test_direct_oracle_grid_cov_matches_table_forms():
@@ -627,16 +648,14 @@ def test_dn_sampler_zero_below_cut_two():
 
 def test_dn_sampler_covariance_matches_closed_form():
     model = GraphModel(6, 0.3)
-    pc = prelimit_cov(model)
     vals = sample_dn_values(model, rng_for(12), 10**5)
     cuts = [2, 4, 6]
     for k1 in cuts:
         for k2 in cuts:
-            t, u = F(k1, 6), F(k2, 6)
-            block = pc.block(t, u)
+            cov = block(model, F(k1, 6), F(k2, 6))
             for i, j in itertools.product(range(2), repeat=2):
                 est = from_values(vals[:, k1, i] * vals[:, k2, j])
-                assert abs(est.mean - block[i, j]) <= 5 * est.stderr + 1e-15
+                assert abs(est.mean - cov[i, j]) <= 5 * est.stderr + 1e-15
 
 
 # -- continuous limit ---------------------------------------------------------
@@ -668,11 +687,10 @@ def test_z_cross_covariance_matches_coefficients():
 def test_coupled_sampler_zn_law_matches_dn():
     model = GraphModel(6, 0.3)
     zn, _, _ = sample_coupled_values(model, rng_for(16), 4 * 10**4)
-    pc = prelimit_cov(model)
     for k, coord in [(4, 0), (6, 1), (6, 0)]:
         est = from_values(zn[:, k, coord] ** 2)
         t = F(k, 6)
-        expected = pc.block(t, t)[coord, coord]
+        expected = block(model, t, t)[coord, coord]
         assert abs(est.mean - expected) < 5 * est.stderr
 
 
@@ -924,11 +942,11 @@ def test_pair_norm_stats_moment_bound():
 
 
 def test_bound_prelimit_values():
-    assert bound_prelimit(100, 1.0) == pytest.approx(0.12)
-    assert bound_prelimit(12, 2.0) == pytest.approx(2.0)
-    assert bound_prelimit(7, 0.0) == 0.0
-    with pytest.raises(GraphModelError):
-        bound_prelimit(2, 1.0)
+    assert bound_prelimit(GraphModel(100, 0.3), 1.0) == pytest.approx(0.12)
+    assert bound_prelimit(GraphModel(12, 0.3), 2.0) == pytest.approx(2.0)
+    assert bound_prelimit(GraphModel(7, 0.3), 0.0) == 0.0
+    with pytest.raises(GraphModelError):  # the model is where n >= 3 is enforced
+        GraphModel(2, 0.3)
 
 
 def test_bound_continuous_values():
@@ -957,17 +975,16 @@ def test_cut_dn_matches_closed_form_and_full_grid():
     # are not the full call's rows; their law is the closed form, at
     # unsorted and repeated cuts, and asking for every row is the full draw
     model = GraphModel(8, 0.3)
-    pc = prelimit_cov(model)
     cuts = [5, 0, 3, 5, 1]
+    cov = prelimit_cov(model, [F(k, 8) for k in cuts])
     vals = sample_dn_values(model, rng_for(91), 10**5, cuts)
     assert vals.shape == (10**5, 5, 2)
     assert np.array_equal(vals[:, 0], vals[:, 3])
-    for a, k1 in enumerate(cuts):
-        for b, k2 in enumerate(cuts):
-            block = pc.block(F(k1, 8), F(k2, 8))
+    for a in range(len(cuts)):
+        for b in range(len(cuts)):
             for i, j in itertools.product(range(2), repeat=2):
                 est = from_values(vals[:, a, i] * vals[:, b, j])
-                assert abs(est.mean - block[i, j]) <= 5 * est.stderr + 1e-15
+                assert abs(est.mean - cov[2 * a + i, 2 * b + j]) <= 5 * est.stderr + 1e-15
     full = sample_dn_values(model, rng_for(92), 500)
     assert np.array_equal(sample_dn_values(model, rng_for(92), 500, list(range(9))), full)
     # the full-grid draw is one normal per motion and row 1..n, as it always

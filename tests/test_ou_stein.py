@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -17,12 +18,13 @@ from steinpaths.functionals import (
     validate_derivatives,
 )
 from steinpaths.graph import GraphModel
-from steinpaths.mc import SeedSpec, from_values
+from steinpaths.mc import McEstimate, SeedSpec, from_values
 from steinpaths.ou_stein import (
     TargetLaw,
     epsilon1_combinatorial,
     epsilon1_graph,
     epsilon3_estimate,
+    family,
     generator_apply,
     make_phi_cylinder,
     mehler_apply,
@@ -60,8 +62,7 @@ def epsilon1_pairs(draw_pairs, model, lam, gnorm, samples, rng):
     """(|g|/6) E ||(Y-Y') Lambda|| ||Y-Y'||^2 over `samples` pairs from the
     family's kernel: each pair's two (n+1, dim) grid arrays share one
     grid, so Y - Y' is their difference."""
-    mod = gr if isinstance(model, GraphModel) else comb
-    _, y, y_prime, _ = draw_pairs(mod, model, rng, samples, np.arange(model.n + 1))
+    _, y, y_prime, _ = draw_pairs(family(model), model, rng, samples, np.arange(model.n + 1))
     diff = y - y_prime
     return from_values(gnorm / 6.0 * sup_norm(diff @ lam) * sup_norm(diff) ** 2)
 
@@ -83,14 +84,13 @@ def test_target_law_is_the_family_functions(model):
     law = TargetLaw(model)
     times = [F(1, 3), F(1, 2), F(1)]
     rows = time_rows(model.n, times)
-    family = gr if isinstance(model, GraphModel) else comb
+    fam = family(model)
     assert law.n == model.n
     got = law.sample_at(SeedSpec(70).rng(), 9, times)
-    want = family.sample_dn_values(model, SeedSpec(70).rng(), 9, rows)
-    assert got.shape == (9, want[0].size)
+    want = fam.sample_dn_values(model, SeedSpec(70).rng(), 9, rows)
+    assert got.shape == (9, want[0].size) == (9, len(times) * fam.DIM)
     assert got.tobytes() == want.reshape(9, -1).tobytes()
-    want_cov = (gr.prelimit_cov(model).grid(times) if family is gr
-                else comb.cov_d_grid(model, times, times))
+    want_cov = fam.prelimit_cov(model, times)
     cov = law.cov_matrix(times)
     assert cov.shape == want_cov.shape and cov.tobytes() == want_cov.tobytes()
 
@@ -373,7 +373,7 @@ def test_epsilon1_combinatorial_moment_bound():
 
 def test_epsilon3_graph_exact_zero():
     est = epsilon3_estimate(GraphModel(6, 0.3), sin_cylinder(1, 1, dim=2), 100, SeedSpec(81))
-    assert est.mean == 0.0 and est.m2 == 0.0
+    assert est == McEstimate(100, 0.0, 0.0)
 
 
 def test_epsilon3_combinatorial_doob_bound():
@@ -383,9 +383,35 @@ def test_epsilon3_combinatorial_doob_bound():
     assert abs(est.mean) - 3 * est.stderr <= 2.0 / math.sqrt(model.n)
 
 
-def test_epsilon3_rejects_unknown_model():
-    with pytest.raises(TypeError):
-        epsilon3_estimate(object(), sin_cylinder(1, 1, dim=1), 10, SeedSpec(83))
+# the contract both family modules export: constants, then functions
+CONTRACT = ("KIND", "DIM", "NORM_CLASS", "sample_y_values", "sample_dn_values",
+            "sample_trials", "pair_moves", "regression_residual", "pair_norm_stats",
+            "prelimit_cov", "bound_prelimit", "eps3_values")
+
+
+def test_family_contract():
+    # family maps each model type to its module, which exports every
+    # contract name with the other module's parameter names; any other
+    # type is refused, also where the epsilon estimators read the family
+    assert family(GraphModel(6, 0.3)) is gr
+    assert family(ArrayModel.iid_gaussian(4)) is comb
+    for name in CONTRACT:
+        assert name in gr.__all__ and name in comb.__all__, name
+        graph_item, array_item = getattr(gr, name), getattr(comb, name)
+        if name.isupper():
+            assert type(graph_item) is type(array_item), name
+            continue
+        assert (list(inspect.signature(graph_item).parameters)
+                == list(inspect.signature(array_item).parameters)), name
+    assert (gr.KIND, gr.DIM, gr.NORM_CLASS) == ("graph", 2, "M2")
+    assert (comb.KIND, comb.DIM, comb.NORM_CLASS) == ("array", 1, "M1")
+    for other in (object(), None, "graph", gr):
+        with pytest.raises(TypeError):
+            family(other)
+        with pytest.raises(TypeError):
+            epsilon3_estimate(other, sin_cylinder(1, 1, dim=1), 10, SeedSpec(83))
+        with pytest.raises(TypeError):
+            TargetLaw(other).cov_matrix([F(1)])
 
 
 def test_epsilon1_generic_matches_fast_graph(draw_pairs):
