@@ -610,6 +610,10 @@ def _block_sums(
     one row (b = 1) this is the entrywise computation, with one uniform per
     two-point entry.  Per-run variates are laid out runs outer, samples
     inner, as in the Y and eps3 samplers.
+
+    When the r runs are fewer than n and every row up to e_last is flat
+    (ArrayModel._flat_row) with no two-point part and mean 0, the blocks
+    come from _wishart_block_sums instead, at O(r^2) variates a sample.
     """
     n = model.n
     if not ends.size:
@@ -617,6 +621,13 @@ def _block_sums(
     m = int(ends[-1])
     first, b, block_first = _runs(model._run_start[:m], ends)
     r = first.size
+    # r = n (the full grid, sample_zhat_values) stays entrywise: it is the
+    # reference the law tests compare cut calls against, and keeps its bits
+    if r < n and model._flat_row[:m].all() and not (
+            model._gc[:m, 0].any() or model._lo[:m, 0].any() or model._hi[:m, 0].any()):
+        out = _wishart_block_sums(rng, size, n, b, model._gvar[first, 0], block_first)
+        out /= math.sqrt(n - 1)
+        return out
     multi = np.flatnonzero(b > 1)
     b3 = b[:, None, None]
     # per-run entry laws: views of the model's arrays when every run is one
@@ -672,6 +683,53 @@ def _block_sums(
     for lo, hi in _blocks(size, r, n):
         out[lo:hi] = draw(hi - lo)
     out /= math.sqrt(n - 1)
+    return out
+
+
+def _wishart_block_sums(
+    rng: np.random.Generator, size: int, n: int, b: np.ndarray, var: np.ndarray,
+    block_first: np.ndarray,
+) -> np.ndarray:
+    """(size, len(block_first)) block sums of sqrt(n-1) Zhat, as _block_sums
+    draws them, for r = len(b) < n runs of b_R flat rows with per-run
+    variance var_R and zero means, blocks starting at runs block_first.
+
+    The run sums U_Rl = sqrt(b_R) E_Rl have columns E_l iid N(0, I - beta
+    beta^T), beta_R = sqrt(b_R/n), and run R adds N(0, var_R (||E_R||^2 +
+    chi^2_{n(b_R-1)})).  The ||E_R||^2 are the diagonal of a
+    Wishart_r(I - beta beta^T, n) matrix: the squared norms of the rows of
+    M T, with M = I - c beta beta^T the symmetric root of I - beta beta^T
+    (c = (1 - sqrt(1 - m/n))/(m/n), m = sum b) and T the lower-triangular
+    Bartlett factor, T_kk^2 ~ chi^2_{n-k+1} and T_kj ~ N(0, 1) for k > j.
+    Per sub-block of samples the draws are T's r(r-1)/2 normals (row k,
+    then column j < k, outer), its r diagonal chi-squares (rows outer), one
+    chi-square per run of b > 1 (runs outer) and one normal per block
+    (blocks outer), each with samples inner: O(r^2) variates a sample.
+    """
+    r = b.size
+    beta = np.sqrt(b / n)
+    c = 1.0 / (1.0 + math.sqrt(1.0 - b.sum() / n))  # the form above, without cancellation
+    rows, cols = np.tril_indices(r, -1)
+    diag = np.arange(r)
+    multi = np.flatnonzero(b > 1)
+    out = np.empty((size, block_first.size))
+    for lo, hi in _blocks(size, r, r):
+        s = hi - lo
+        t = np.zeros((r, r, s))
+        t[rows, cols] = rng.standard_normal((rows.size, s))
+        t[diag, diag] = np.sqrt(rng.chisquare((n - diag)[:, None], (r, s)))
+        # ||T_R - c beta_R w||^2 expanded, w = beta^T T: no second (r, r, s) plane
+        w = (beta @ t.reshape(r, -1)).reshape(r, s)
+        norm = np.einsum("rjs,rjs->rs", t, t)
+        norm -= (2.0 * c * beta)[:, None] * np.einsum("rjs,js->rs", t, w)
+        norm += ((c * beta) ** 2)[:, None] * np.einsum("js,js->s", w, w)
+        np.maximum(norm, 0.0, out=norm)  # rounding can leave a norm near 0 below it
+        if multi.size:
+            norm[multi] += rng.chisquare(n * (b[multi, None] - 1), (multi.size, s))
+        norm *= var[:, None]
+        if r > block_first.size:
+            norm = np.add.reduceat(norm, block_first, axis=0)
+        out[lo:hi] = (np.sqrt(norm) * rng.standard_normal((block_first.size, s))).T
     return out
 
 
@@ -776,16 +834,23 @@ def eps3_values(
     part needs two normals per row: one for the pick X_{i,pi(i)} and one
     for the rest of the row sum, N(rowsum(c)_i - c_{i,pi(i)},
     rowsum(sigma^2)_i - sigma^2_{i,pi(i)}).  The two-point part is drawn
-    entry by entry.
+    entry by entry.  When every row up to m is flat (ArrayModel._flat_row)
+    no pi is drawn: a flat row's columns are iid and pi is independent of
+    them, so its (pick, row sum) has the same joint law with the pick read
+    in column 0.
     """
     n, s = model.n, model.s_n
     rows, m = grid_rows(n, f.rows(n))
+    flat = model._flat_row[:m].all()
     row_c = model._gc[:m].sum(axis=1)[:, None]
     row_var = model._gvar[:m].sum(axis=1)[:, None]
     out = np.empty(size)
     for lo, hi in _blocks(size, m, n):
         b = hi - lo
-        pi = np.argsort(rng.random((b, n)), axis=1)[:, :m].T
+        if flat:
+            pi = np.zeros((m, b), dtype=np.intp)
+        else:
+            pi = np.argsort(rng.random((b, n)), axis=1)[:, :m].T
         idx = (np.arange(m)[:, None], pi)
         picks = model._gc[idx]
         row_sums = np.repeat(row_c, b, axis=1)

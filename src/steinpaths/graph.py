@@ -32,6 +32,7 @@ t B(t^2); coupling Z_n to Z shares those two motions on a merged clock.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -227,6 +228,14 @@ def lambda_matrix(model: GraphModel) -> np.ndarray:
     return n * (n - 1) / 8.0 * np.array([[2.0, 2.0 * p], [0.0, 1.0]])
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per n; read-only, as callers share it."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def pair_moves(real: GraphRealization, rows, h) -> tuple[np.ndarray, np.ndarray]:
     """Every exchangeable pair (Y, Y') of a realization or a stack of them:
     the (..., pairs) values sum_a h[..., a, :] . (Y - Y')(rows[a]/n), and
@@ -242,7 +251,7 @@ def pair_moves(real: GraphRealization, rows, h) -> tuple[np.ndarray, np.ndarray]
     axes: unit covectors on an extra leading axis give the moves."""
     model, n = real.model, real.n
     rows, h = np.asarray(rows), np.asarray(h)
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_pairs(n)
     iij = np.ascontiguousarray(real.edges[..., i, j])  # (..., pairs)
     deg = real.degrees[..., rows]  # (..., n, k)
     nbr = deg[..., i, :]  # (..., pairs, k)

@@ -987,7 +987,9 @@ def test_dn_sampler_peak_memory_within_budget():
     # one CHUNK of full-grid D_n draws at n = 128; drawn all at once, the
     # (4096, n, n) planes would take several hundred MB each.  Also n = 256
     # on the full grid, one cut of an iid model (one run, so one plane row
-    # per sample covers many samples) and an all-singleton-run model.
+    # per sample covers many samples) and an all-singleton-run model; and
+    # n = 256 at every second row, whose 128 runs take the Wishart kernel's
+    # (128, 128, block) Bartlett planes.
     het = _heterogeneous(64)
     assert het._run_start.all()
     cases = [
@@ -995,6 +997,7 @@ def test_dn_sampler_peak_memory_within_budget():
         (ArrayModel.iid_gaussian(256), 512, None, (512, 257)),
         (ArrayModel.iid_rademacher(128), 8192, [64], (8192, 1)),
         (het, 4096, [0, 20, 64], (4096, 3)),
+        (ArrayModel.iid_gaussian(256), 4096, list(range(2, 257, 2)), (4096, 128)),
     ]
     for idx, (model, size, cuts, shape) in enumerate(cases):
         tracemalloc.start()
@@ -1005,6 +1008,78 @@ def test_dn_sampler_peak_memory_within_budget():
             tracemalloc.stop()
         assert vals.shape == shape
         assert peak <= MEMORY_BUDGET, (idx, peak)
+
+
+# -- flat centred Gaussian rows: run variances from a Wishart diagonal ---------
+
+
+def _gauss_then_rademacher(n=16):
+    # an "entries" model of flat rows: centred Gaussian rows whose variance
+    # changes every 4 rows, then Rademacher rows from row n - 3 on
+    entries = [
+        {"i": i, "j": j, "dist": "gaussian", "var": 0.5 + (i - 1) // 4}
+        if i <= n - 4 else
+        {"i": i, "j": j, "dist": "rademacher-shifted", "scale": 1.5}
+        for i in range(1, n + 1) for j in range(1, n + 1)
+    ]
+    return ArrayModel.from_json_dict({"n": n, "entries": entries})
+
+
+def test_wishart_runs_exact_cos_transform():
+    # several runs drawn jointly from one Bartlett factor: each cut's value
+    # and each increment (the rows j+1..k of an iid model have the law of
+    # the rows 1..k-j) against the exact transform, so a wrong Bartlett
+    # degree of freedom or a wrong root of I - beta beta^T fails here
+    a = 2.5
+    label = 160
+    for n, k in ((6, 4), (6, 6), (8, 8), (9, 7)):
+        model = ArrayModel.iid_gaussian(n)
+        for cuts in ([1, 2, k], [k // 2, k]):
+            vals = sample_dn_values(model, rng_for(label), 10**5, cuts)
+            label += 1
+            columns = [(c, vals[:, col]) for col, c in enumerate(cuts)]
+            columns += [(k - c, vals[:, -1] - vals[:, col]) for col, c in enumerate(cuts[:-1])]
+            for rows, x in columns:
+                est = from_values(np.cos(a * x))
+                exact = _cos_dn_exact(model, rows, a)
+                assert abs(est.mean - exact) < 5 * est.stderr, (n, cuts, rows)
+
+
+def test_wishart_runs_covariance_with_rows_past_the_cut():
+    # run variances 0.5, 1.5, 2.5 and Rademacher rows past m = 12: cuts that
+    # keep and that split the Gaussian runs
+    model = _gauss_then_rademacher()
+    for idx, cuts in enumerate([[4, 8, 12], [1, 3, 6, 11], [10]]):
+        vals = sample_dn_values(model, rng_for(170 + idx), 10**5, cuts)
+        _assert_cov_at_cuts(model, vals, cuts, cuts)
+
+
+def test_wishart_kernel_dispatch(monkeypatch):
+    # taken when the rows up to the last cut are flat, centred and Gaussian
+    # and the runs are fewer than n; every other call keeps the run kernel
+    calls = []
+    kernel = comb._wishart_block_sums
+
+    def spy(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(comb, "_wishart_block_sums", spy)
+    mixed = _gauss_then_rademacher()
+    taken = [(ArrayModel.iid_gaussian(8), [1, 2, 8]), (ArrayModel.iid_gaussian(8), [7]),
+             (mixed, [4, 8, 12]), (mixed, list(range(1, 13)))]
+    kept = [(ArrayModel.iid_rademacher(8), [2, 4]), (_mixed_5x5(), [2, 4]), (det3(), [1]),
+            (ArrayModel.iid_gaussian(8), None), (ArrayModel.iid_gaussian(8), list(range(1, 9))),
+            (mixed, [4, 16])]
+    for model, cuts in taken:
+        sample_dn_values(model, rng_for(175), 7, cuts)
+        assert calls == [7], cuts
+        calls.clear()
+    for model, cuts in kept:
+        sample_dn_values(model, rng_for(175), 7, cuts)
+        assert calls == [], (model.n, cuts)
+    sample_zhat_values(ArrayModel.iid_gaussian(8), rng_for(175), 7)
+    assert calls == []
 
 
 # -- flat rows: Y run sums without pi, and popcount counts --------------------

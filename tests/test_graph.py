@@ -427,6 +427,10 @@ def test_pair_moves_match_recomputation(n, p):
     moves, prob = pair_moves(real, np.arange(n + 1), np.eye(e).reshape(e, 1, n + 1, 2))
     i, j = np.triu_indices(n, 1)
     assert moves.shape == (e, trials, i.size) and prob.shape == (trials, i.size)
+    # the kernel builds its pair indices once per n and shares them read-only
+    pairs = graph._upper_pairs(n)
+    assert pairs[0] is graph._upper_pairs(n)[0] and np.array_equal(pairs, (i, j))
+    assert not (pairs[0].flags.writeable or pairs[1].flags.writeable)
     # a contraction with random covectors at rows in any order, repeated
     rows = [n, 1, n, n // 2]
     h = SeedSpec(75, (n,)).rng().standard_normal((trials, len(rows), 2))
