@@ -168,9 +168,9 @@ def _product_check(report, name, note, sample, cov, args, seed):
 
 def _graph_identities(model, times, cov, vacuous, args, report):
     """Adds the graph's closed-form checks: each covariance block of the
-    Brownian construction against its closed form, the rank-one cov_tv
+    Brownian construction against its closed form, and the rank-one cov_tv
     against the diagonal blocks of cov, the pre-limit's covariance at
-    times, and cov's positive semidefiniteness."""
+    times."""
     rng = SeedSpec(args.seed, (0,)).rng()
     # each closed-form block against the Brownian construction's entry
     blocks = {"edge_block_identity": (gr.cov_d1d1, 0, 0),
@@ -196,13 +196,11 @@ def _graph_identities(model, times, cov, vacuous, args, report):
         report.add_check("cov_tv_vs_prelimit_%s" % lab, gap <= 1e-12, 1e-12,
                          "max abs diff %.3e%s" % (gap, vacuous))
 
-    eig_min = float(np.linalg.eigvalsh(cov).min())
-    report.add_check("prelimit_grid_psd", eig_min >= -1e-9, -1e-9, "min eig %.3e" % eig_min)
-
 
 def cmd_verify_covariance(args, fam, model, funcs, report):
-    """The family's own checks, then, for both families, dn_grid_cov_mc:
-    D_n's products at the --grid times against TargetLaw's covariance.
+    """The family's own checks, then, for both families, prelimit_grid_psd
+    (TargetLaw's covariance at the --grid times has no eigenvalue below
+    -1e-9) and dn_grid_cov_mc: D_n's products at those times against it.
     --grid 0 reads time 0 alone, where D_n and its covariance vanish, so
     the checks on that degenerate grid are vacuous.  A single sample has no
     standard error to judge a product by, so --samples 1 is a usage error, as
@@ -221,6 +219,8 @@ def cmd_verify_covariance(args, fam, model, funcs, report):
     vacuous = "" if cov.any() else " (degenerate grid, vacuous)"
     if fam is gr:
         _graph_identities(model, times, cov, vacuous, args, report)
+    eig_min = float(np.linalg.eigvalsh(cov).min())
+    report.add_check("prelimit_grid_psd", eig_min >= -1e-9, -1e-9, "min eig %.3e" % eig_min)
     if args.samples == 0:
         return
     samples = " over %d samples" % args.samples

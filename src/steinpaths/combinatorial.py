@@ -577,15 +577,33 @@ def zhat_cov_matrix(model: ArrayModel) -> np.ndarray:
     return out
 
 
+def _box_sums(c: np.ndarray, d: np.ndarray, w: float, rows: np.ndarray) -> np.ndarray:
+    """(r, r) sums over the index boxes i <= k_s, j <= k_t, at r sorted
+    distinct rows k, of the matrix w c_i.c_j + 1[i = j] d_i (c_i row i of
+    c): w C_{k_s}.C_{k_t} + D_{min(k_s, k_t)}, from the prefix row sums
+    C_k = sum_{i <= k} c_i and the cumulative diagonal D_k = sum_{i <= k} d_i.
+    O(mn + r^2 n), m = max(rows).  Each dot product is one pairwise sum over
+    the columns, so a box's value does not depend on the other rows."""
+    m = int(rows[-1]) if rows.size else 0
+    prefix = np.zeros((m + 1, c.shape[1]))
+    np.cumsum(c[:m], axis=0, out=prefix[1:])
+    diag = np.zeros(m + 1)
+    np.cumsum(d[:m], out=diag[1:])
+    at = prefix[rows]
+    dots = np.array([(row * at).sum(axis=1) for row in at]).reshape(rows.size, rows.size)
+    return w * dots + diag[np.minimum.outer(rows, rows)]
+
+
 def prelimit_cov(model: ArrayModel, times: Sequence) -> np.ndarray:
-    """(k, k) closed-form Cov(D_n(s), D_n(t)) over the times: one Zhat covariance
-    matrix summed over the index box of their rows floor(n t), over s_n^2; each
-    pair of distinct rows is summed once and gathered to their times."""
-    rows, at = np.unique(time_rows(model.n, [as_time(t) for t in times]), return_inverse=True)
-    zc = zhat_cov_matrix(model)
-    sums = [[float(zc[:ks, :kt].sum()) for kt in rows] for ks in rows]
-    sums = np.array(sums, dtype=float).reshape(rows.size, rows.size)
-    return sums[np.ix_(at, at)] / s_n_squared(model)
+    """(k, k) closed-form Cov(D_n(s), D_n(t)) over the times: the Zhat
+    covariance matrix summed over the index box of their rows floor(n t),
+    over s_n^2.  Off its diagonal that matrix is -c_i.c_j / (n(n-1)), so
+    _box_sums gives each pair of distinct rows once, and they are gathered
+    to the times."""
+    n, c = model.n, model.c
+    rows, at = np.unique(time_rows(n, [as_time(t) for t in times]), return_inverse=True)
+    d = model.abs2.sum(axis=1) / n + (c * c).sum(axis=1) / (n * (n - 1))
+    return _box_sums(c, d, -1.0 / (n * (n - 1)), rows)[np.ix_(at, at)] / s_n_squared(model)
 
 
 def _block_sums(
@@ -837,7 +855,7 @@ def eps3_values(
     entry by entry.  When every row up to m is flat (ArrayModel._flat_row)
     no pi is drawn: a flat row's columns are iid and pi is independent of
     them, so its (pick, row sum) has the same joint law with the pick read
-    in column 0.
+    in column 0, and the law arrays are read there as (m, 1) columns.
     """
     n, s = model.n, model.s_n
     rows, m = grid_rows(n, f.rows(n))
@@ -848,21 +866,22 @@ def eps3_values(
     for lo, hi in _blocks(size, m, n):
         b = hi - lo
         if flat:
-            pi = np.zeros((m, b), dtype=np.intp)
+            pi = np.zeros((m, 1), dtype=np.intp)
         else:
             pi = np.argsort(rng.random((b, n)), axis=1)[:, :m].T
         idx = (np.arange(m)[:, None], pi)
-        picks = model._gc[idx]
+        picks = model._gc[idx]  # (m, 1) or (m, b), as pi
         row_sums = np.repeat(row_c, b, axis=1)
         if model._has_gauss:
             pick_gauss = model._gsd[idx] * rng.standard_normal((m, b))
             rest_sd = np.sqrt(np.maximum(row_var - model._gvar[idx], 0.0))
-            picks += pick_gauss
+            picks = picks + pick_gauss
             row_sums += pick_gauss + rest_sd * rng.standard_normal((m, b))
         if model._has_discrete:
             x = _two_point(model, rng, (m, b, n), np.s_[:m, None])
-            picks += np.take_along_axis(x, pi[:, :, None], axis=2)[:, :, 0]
+            picks = picks + np.take_along_axis(x, pi[:, :, None], axis=2)[:, :, 0]
             row_sums += x.sum(axis=2)
+        picks = np.broadcast_to(picks, (m, b))
         grads = f.grad_stacked(_at_rows(picks.T, rows, s))  # (b, k); dim 1
         prefix = _at_rows(row_sums.T, rows, 1.0)
         out[lo:hi] = np.einsum("sk,sk->s", grads, prefix) / (n * s)
@@ -1001,30 +1020,14 @@ def assumption_diagnostic(model: ArrayModel, grid: Sequence) -> list[dict]:
     lhs1(t,u) = (1/(s^2 (n-1))) sum_{i<=floor(nt), j<=floor(nu), k}
                     E[X_ik X_jk] (delta_ij - 1/n)
     lhs2(t,u) = (1/s^2) sum_{i<=floor(nt), j<=floor(nu), l} E[X_il X_jl]
+    lhs1 is prelimit_cov; lhs2's matrix is c_i.c_j off the diagonal and
+    |c_i|^2 + sum_l sigma_il^2 on it, so its box sums are _box_sums'.
     """
-    n = model.n
-    s2 = s_n_squared(model)
     times = [as_time(t) for t in grid]
-    b2_prefix = np.concatenate([[0.0], np.cumsum(model.abs2.sum(axis=1))])
-    c_prefix = np.concatenate(
-        [np.zeros((1, n)), np.cumsum(model.c, axis=0)], axis=0
-    )
-    c2_prefix = np.concatenate([[0.0], np.cumsum((model.c**2).sum(axis=1))])
-    rows = []
-    for t in times:
-        for u in times:
-            kt, ku = int(n * t), int(n * u)
-            km = min(kt, ku)
-            cross = float(c_prefix[kt] @ c_prefix[ku])  # includes i = j
-            off_diag = cross - c2_prefix[km]
-            lhs1 = (b2_prefix[km] * (1.0 - 1.0 / n) - off_diag / n) / (s2 * (n - 1))
-            lhs2 = (b2_prefix[km] + off_diag) / s2
-            rows.append(
-                {
-                    "t": str(t),
-                    "u": str(u),
-                    "assumption1": lhs1,
-                    "assumption2": lhs2,
-                }
-            )
-    return rows
+    lhs1 = prelimit_cov(model, times)
+    rows, at = np.unique(time_rows(model.n, times), return_inverse=True)
+    lhs2 = _box_sums(model.c, model.sigma2.sum(axis=1), 1.0, rows)[np.ix_(at, at)]
+    lhs2 /= s_n_squared(model)
+    return [{"t": str(t), "u": str(u), "assumption1": float(lhs1[a, b]),
+             "assumption2": float(lhs2[a, b])}
+            for a, t in enumerate(times) for b, u in enumerate(times)]

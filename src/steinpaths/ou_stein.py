@@ -385,16 +385,8 @@ def _epsilon1(model, gnorm: float, samples: int, seed: SeedSpec) -> McEstimate:
     return mc_run(lambda rng, size: gnorm / 6.0 * stats(model, rng, size), samples, seed)
 
 
-def epsilon1_combinatorial(
-    model: comb.ArrayModel, gnorm: float, samples: int, seed: SeedSpec
-) -> McEstimate:
-    return _epsilon1(model, gnorm, samples, seed)
-
-
-def epsilon1_graph(
-    model: gr.GraphModel, gnorm: float, samples: int, seed: SeedSpec
-) -> McEstimate:
-    return _epsilon1(model, gnorm, samples, seed)
+# the model picks its family, so one function serves both names
+epsilon1_combinatorial = epsilon1_graph = _epsilon1
 
 
 def epsilon3_estimate(model, f: CylinderFunctional, samples: int, seed: SeedSpec) -> McEstimate:

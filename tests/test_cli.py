@@ -218,7 +218,8 @@ def test_verify_covariance_at_large_entry_scale(tmp_path, capsys, payload):
                              write_model(tmp_path, "big.json", payload), "--grid", "3"])
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert list(checks) == ["zhat_cov_mc", "dn_grid_cov_mc"]
+    assert list(checks) == ["prelimit_grid_psd", "zhat_cov_mc", "dn_grid_cov_mc"]
+    assert checks.pop("prelimit_grid_psd")["pass"]
     assert all(c["pass"] and c["detail"].endswith(" over 20000 samples")
                for c in checks.values()), checks
 
@@ -360,6 +361,20 @@ def test_graph_dn_grid_cov_mc_fails_an_inflated_sampler(tmp_path, capsys, monkey
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1 and not checks["dn_grid_cov_mc"]["pass"], checks["dn_grid_cov_mc"]
     assert checks["twostar_block_identity"]["pass"]
+
+
+def test_verify_covariance_array_psd_check_at_zero_samples(tmp_path, capsys, monkeypatch):
+    # an array run that draws nothing still checks its closed-form
+    # covariance: it passes, and a covariance negated fails
+    argv = ["verify-covariance", "--model", iid_model(tmp_path, 8), "--samples", "0"]
+    code, out = run(capsys, argv)
+    checks = json.loads(out)["checks"]
+    assert code == 0 and [c["name"] for c in checks] == ["prelimit_grid_psd"]
+    assert checks[0]["pass"]
+    cov = comb.prelimit_cov
+    monkeypatch.setattr(comb, "prelimit_cov", lambda model, times: -cov(model, times))
+    code, out = run(capsys, argv)
+    assert code == 1 and not json.loads(out)["checks"][0]["pass"]
 
 
 def test_verify_covariance_degenerate_grid(tmp_path, capsys):
@@ -977,7 +992,7 @@ def test_non_finite_sample_fails_a_check(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 1 and "Traceback" not in err
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert list(checks) == ["finite_samples"]
+    assert list(checks) == ["prelimit_grid_psd", "finite_samples"]
     assert not checks["finite_samples"]["pass"]
     assert checks["finite_samples"]["detail"] == "non-finite sample in chunk 0"
 

@@ -46,6 +46,7 @@ from steinpaths.combinatorial import (
 from steinpaths import combinatorial as comb
 from steinpaths.functionals import certified_library, linear_cylinder, sin_cylinder
 from steinpaths.mc import SeedSpec, from_values, mc_run_vector
+from steinpaths.paths import grid_rows
 
 F = Fraction
 
@@ -392,9 +393,11 @@ def test_dn_values_leave_numpy_ma_unimported():
 
 
 def test_prelimit_cov_sums_the_index_boxes():
-    # each entry is the box sum of one Zhat covariance matrix over s_n^2,
-    # bit for bit as the one-pair call, also on a grid finer than the
-    # model's, whose times share rows and are gathered from one box sum
+    # each entry is the box sum of one Zhat covariance matrix over s_n^2:
+    # bit for bit on a zero-mean model, within rel 1e-13 on the others,
+    # whose prefix sums add in another order than the box's; and bit for
+    # bit as the one-pair call, also on a grid finer than the model's,
+    # whose times share rows and are gathered from one kernel value
     for model in (det3(), _mixed_5x5(), ArrayModel.iid_rademacher(6)):
         n = model.n
         zc, s2 = zhat_cov_matrix(model), s_n_squared(model)
@@ -405,8 +408,45 @@ def test_prelimit_cov_sums_the_index_boxes():
             for a, s in enumerate(times):
                 for b, t in enumerate(times):
                     box = float(zc[: int(n * s), : int(n * t)].sum()) / s2
-                    assert grid[a, b] == box == prelimit_cov(model, [s, t])[0, 1]
+                    assert grid[a, b] == prelimit_cov(model, [s, t])[0, 1]
+                    if model.c.any():
+                        assert grid[a, b] == pytest.approx(box, rel=1e-13, abs=0.0)
+                    else:
+                        assert grid[a, b] == box
     assert prelimit_cov(det3(), []).shape == (0, 0)
+
+
+def _box_sum_oracle(model, times):
+    """The (k, k) pre-limit covariance summed box by box from the Zhat
+    covariance matrix: O(k^2 n^2), the reference for the prefix sums."""
+    n, zc = model.n, zhat_cov_matrix(model)
+    sums = [[float(zc[: int(n * s), : int(n * t)].sum()) for t in times] for s in times]
+    return np.array(sums).reshape(len(times), len(times)) / s_n_squared(model)
+
+
+def test_prefix_sum_kernel_matches_the_box_sums():
+    # every row of the model and two off-grid times, on models with nonzero
+    # means (a double-centred random 64 x 64 array among them) within rel
+    # 1e-13, and exactly on the iid presets, whose means vanish
+    c64 = double_center(SeedSpec(95).rng().standard_normal((64, 64)))
+    cases = [(det3(), False), (_mixed_5x5(), False), (ArrayModel.deterministic(c64), False),
+             (ArrayModel.iid_gaussian(16), True), (ArrayModel.iid_rademacher(16), True)]
+    for model, exact in cases:
+        n = model.n
+        times = [F(k, n) for k in range(n + 1)] + [F(1, 3), F(5, 7)]
+        cov, box = prelimit_cov(model, times), _box_sum_oracle(model, times)
+        if exact:
+            assert (cov == box).all(), n
+        else:
+            assert cov == pytest.approx(box, rel=1e-13, abs=0.0), n
+
+
+def test_assumption1_is_the_prelimit_covariance():
+    times = [F(0), F(1, 3), F(1, 2), F(1), F(1, 3)]
+    for model in (det3(), _mixed_5x5(), ArrayModel.iid_rademacher(6)):
+        rows = assumption_diagnostic(model, times)
+        cov = prelimit_cov(model, times)
+        assert [r["assumption1"] for r in rows] == cov.ravel().tolist()
 
 
 def test_dn_grid_covariance_matches_closed_form():
@@ -1023,6 +1063,50 @@ def _gauss_then_rademacher(n=16):
         for i in range(1, n + 1) for j in range(1, n + 1)
     ]
     return ArrayModel.from_json_dict({"n": n, "entries": entries})
+
+
+def _eps3_gathered(model, f, rng, size):
+    """eps3_values on flat rows as it read the law arrays before they were
+    read as (m, 1) columns: gathered into (m, block) planes through an
+    index whose pick is column 0.  The reference for that path's bits."""
+    n, s = model.n, model.s_n
+    rows, m = grid_rows(n, f.rows(n))
+    assert model._flat_row[:m].all()
+    row_c = model._gc[:m].sum(axis=1)[:, None]
+    row_var = model._gvar[:m].sum(axis=1)[:, None]
+    out = np.empty(size)
+    for lo, hi in comb._blocks(size, m, n):
+        b = hi - lo
+        pi = np.zeros((m, b), dtype=np.intp)
+        idx = (np.arange(m)[:, None], pi)
+        picks = model._gc[idx]
+        row_sums = np.repeat(row_c, b, axis=1)
+        if model._has_gauss:
+            pick_gauss = model._gsd[idx] * rng.standard_normal((m, b))
+            rest_sd = np.sqrt(np.maximum(row_var - model._gvar[idx], 0.0))
+            picks += pick_gauss
+            row_sums += pick_gauss + rest_sd * rng.standard_normal((m, b))
+        if model._has_discrete:
+            x = comb._two_point(model, rng, (m, b, n), np.s_[:m, None])
+            picks += np.take_along_axis(x, pi[:, :, None], axis=2)[:, :, 0]
+            row_sums += x.sum(axis=2)
+        grads = f.grad_stacked(comb._at_rows(picks.T, rows, s))
+        prefix = comb._at_rows(row_sums.T, rows, 1.0)
+        out[lo:hi] = np.einsum("sk,sk->s", grads, prefix) / (n * s)
+    return out
+
+
+def test_eps3_flat_rows_match_the_gathered_law_planes():
+    # Gaussian, Rademacher, both in one model, and skewed two-point rows;
+    # the 16 x 16 model at a size of several sub-blocks
+    funcs = [sin_cylinder(1, 1, dim=1), linear_cylinder([1], [F(1, 2)], None, dim=1)]
+    cases = [(ArrayModel.iid_gaussian(8), 300), (ArrayModel.iid_rademacher(8), 300),
+             (_gauss_then_rademacher(), 5000), (_skewed_flat_rows(8), 300)]
+    for idx, (model, size) in enumerate(cases):
+        for f in funcs:
+            new = eps3_values(model, f, SeedSpec(96, (idx,)).rng(), size)
+            old = _eps3_gathered(model, f, SeedSpec(96, (idx,)).rng(), size)
+            assert new.tobytes() == old.tobytes(), (idx, f.label)
 
 
 def test_wishart_runs_exact_cos_transform():
