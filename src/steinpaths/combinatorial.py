@@ -583,14 +583,17 @@ def _box_sums(c: np.ndarray, d: np.ndarray, w: float, rows: np.ndarray) -> np.nd
     c): w C_{k_s}.C_{k_t} + D_{min(k_s, k_t)}, from the prefix row sums
     C_k = sum_{i <= k} c_i and the cumulative diagonal D_k = sum_{i <= k} d_i.
     O(mn + r^2 n), m = max(rows).  Each dot product is one pairwise sum over
-    the columns, so a box's value does not depend on the other rows."""
+    the columns, so a box's value does not depend on the other rows; it is
+    formed once, for k_t >= k_s, and mirrored."""
     m = int(rows[-1]) if rows.size else 0
     prefix = np.zeros((m + 1, c.shape[1]))
     np.cumsum(c[:m], axis=0, out=prefix[1:])
     diag = np.zeros(m + 1)
     np.cumsum(d[:m], out=diag[1:])
     at = prefix[rows]
-    dots = np.array([(row * at).sum(axis=1) for row in at]).reshape(rows.size, rows.size)
+    dots = np.empty((rows.size, rows.size))
+    for i, row in enumerate(at):
+        dots[i, i:] = dots[i:, i] = (row * at[i:]).sum(axis=1)
     return w * dots + diag[np.minimum.outer(rows, rows)]
 
 
@@ -629,9 +632,9 @@ def _block_sums(
     two-point entry.  Per-run variates are laid out runs outer, samples
     inner, as in the Y and eps3 samplers.
 
-    When the r runs are fewer than n and every row up to e_last is flat
-    (ArrayModel._flat_row) with no two-point part and mean 0, the blocks
-    come from _wishart_block_sums instead, at O(r^2) variates a sample.
+    When every row up to e_last is flat (ArrayModel._flat_row) with no
+    two-point part and mean 0, the blocks come from _wishart_block_sums
+    instead, at O(r^2) variates a sample for the r <= n runs.
     """
     n = model.n
     if not ends.size:
@@ -639,9 +642,7 @@ def _block_sums(
     m = int(ends[-1])
     first, b, block_first = _runs(model._run_start[:m], ends)
     r = first.size
-    # r = n (the full grid, sample_zhat_values) stays entrywise: it is the
-    # reference the law tests compare cut calls against, and keeps its bits
-    if r < n and model._flat_row[:m].all() and not (
+    if model._flat_row[:m].all() and not (
             model._gc[:m, 0].any() or model._lo[:m, 0].any() or model._hi[:m, 0].any()):
         out = _wishart_block_sums(rng, size, n, b, model._gvar[first, 0], block_first)
         out /= math.sqrt(n - 1)
@@ -709,7 +710,7 @@ def _wishart_block_sums(
     block_first: np.ndarray,
 ) -> np.ndarray:
     """(size, len(block_first)) block sums of sqrt(n-1) Zhat, as _block_sums
-    draws them, for r = len(b) < n runs of b_R flat rows with per-run
+    draws them, for r = len(b) <= n runs of b_R flat rows with per-run
     variance var_R and zero means, blocks starting at runs block_first.
 
     The run sums U_Rl = sqrt(b_R) E_Rl have columns E_l iid N(0, I - beta
@@ -717,8 +718,9 @@ def _wishart_block_sums(
     chi^2_{n(b_R-1)})).  The ||E_R||^2 are the diagonal of a
     Wishart_r(I - beta beta^T, n) matrix: the squared norms of the rows of
     M T, with M = I - c beta beta^T the symmetric root of I - beta beta^T
-    (c = (1 - sqrt(1 - m/n))/(m/n), m = sum b) and T the lower-triangular
-    Bartlett factor, T_kk^2 ~ chi^2_{n-k+1} and T_kj ~ N(0, 1) for k > j.
+    (c = (1 - sqrt(1 - m/n))/(m/n), m = sum b; at r = n, c = 1 and M is
+    the centring projection) and T the lower-triangular Bartlett factor,
+    T_kk^2 ~ chi^2_{n-k+1} and T_kj ~ N(0, 1) for k > j.
     Per sub-block of samples the draws are T's r(r-1)/2 normals (row k,
     then column j < k, outer), its r diagonal chi-squares (rows outer), one
     chi-square per run of b > 1 (runs outer) and one normal per block
@@ -727,14 +729,14 @@ def _wishart_block_sums(
     r = b.size
     beta = np.sqrt(b / n)
     c = 1.0 / (1.0 + math.sqrt(1.0 - b.sum() / n))  # the form above, without cancellation
-    rows, cols = np.tril_indices(r, -1)
     diag = np.arange(r)
     multi = np.flatnonzero(b > 1)
     out = np.empty((size, block_first.size))
     for lo, hi in _blocks(size, r, r):
         s = hi - lo
         t = np.zeros((r, r, s))
-        t[rows, cols] = rng.standard_normal((rows.size, s))
+        for k in range(1, r):
+            rng.standard_normal(out=t[k, :k])
         t[diag, diag] = np.sqrt(rng.chisquare((n - diag)[:, None], (r, s)))
         # ||T_R - c beta_R w||^2 expanded, w = beta^T T: no second (r, r, s) plane
         w = (beta @ t.reshape(r, -1)).reshape(r, s)
@@ -862,6 +864,13 @@ def eps3_values(
     flat = model._flat_row[:m].all()
     row_c = model._gc[:m].sum(axis=1)[:, None]
     row_var = model._gvar[:m].sum(axis=1)[:, None]
+
+    def prefix_at_rows(x: np.ndarray) -> np.ndarray:
+        """(block, k) sums of the (m, block) rows x below the functional's rows."""
+        grid = np.zeros((m + 1, x.shape[1]))
+        np.cumsum(x, axis=0, out=grid[1:])
+        return grid[rows].T
+
     out = np.empty(size)
     for lo, hi in _blocks(size, m, n):
         b = hi - lo
@@ -881,10 +890,8 @@ def eps3_values(
             x = _two_point(model, rng, (m, b, n), np.s_[:m, None])
             picks = picks + np.take_along_axis(x, pi[:, :, None], axis=2)[:, :, 0]
             row_sums += x.sum(axis=2)
-        picks = np.broadcast_to(picks, (m, b))
-        grads = f.grad_stacked(_at_rows(picks.T, rows, s))  # (b, k); dim 1
-        prefix = _at_rows(row_sums.T, rows, 1.0)
-        out[lo:hi] = np.einsum("sk,sk->s", grads, prefix) / (n * s)
+        grads = f.grad_stacked(prefix_at_rows(np.broadcast_to(picks, (m, b))) / s)  # dim 1
+        out[lo:hi] = np.einsum("sk,sk->s", grads, prefix_at_rows(row_sums)) / (n * s)
     return out
 
 

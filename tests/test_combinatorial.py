@@ -1139,8 +1139,9 @@ def test_wishart_runs_covariance_with_rows_past_the_cut():
 
 
 def test_wishart_kernel_dispatch(monkeypatch):
-    # taken when the rows up to the last cut are flat, centred and Gaussian
-    # and the runs are fewer than n; every other call keeps the run kernel
+    # taken when the rows up to the last cut are flat, centred and Gaussian,
+    # the full grid and sample_zhat_values (r = n) included; every other
+    # call keeps the run kernel
     calls = []
     kernel = comb._wishart_block_sums
 
@@ -1151,19 +1152,104 @@ def test_wishart_kernel_dispatch(monkeypatch):
     monkeypatch.setattr(comb, "_wishart_block_sums", spy)
     mixed = _gauss_then_rademacher()
     taken = [(ArrayModel.iid_gaussian(8), [1, 2, 8]), (ArrayModel.iid_gaussian(8), [7]),
-             (mixed, [4, 8, 12]), (mixed, list(range(1, 13)))]
+             (mixed, [4, 8, 12]), (mixed, list(range(1, 13))),
+             (ArrayModel.iid_gaussian(8), None), (ArrayModel.iid_gaussian(8), list(range(1, 9)))]
     kept = [(ArrayModel.iid_rademacher(8), [2, 4]), (_mixed_5x5(), [2, 4]), (det3(), [1]),
-            (ArrayModel.iid_gaussian(8), None), (ArrayModel.iid_gaussian(8), list(range(1, 9))),
             (mixed, [4, 16])]
     for model, cuts in taken:
         sample_dn_values(model, rng_for(175), 7, cuts)
         assert calls == [7], cuts
         calls.clear()
+    sample_zhat_values(ArrayModel.iid_gaussian(8), rng_for(175), 7)
+    assert calls == [7]
+    calls.clear()
     for model, cuts in kept:
         sample_dn_values(model, rng_for(175), 7, cuts)
         assert calls == [], (model.n, cuts)
-    sample_zhat_values(ArrayModel.iid_gaussian(8), rng_for(175), 7)
-    assert calls == []
+
+
+def test_wishart_full_grid_exact_cos_transform():
+    # r = n: every row and every increment of the full grid against the
+    # exact transform, so a kernel that draws the squared run norms
+    # independently with their marginal law, or with n Bartlett degrees of
+    # freedom on every row, fails here
+    label = 180
+    for n, a in ((3, 2.0), (6, 2.5), (8, 2.5)):
+        model = ArrayModel.iid_gaussian(n)
+        vals = sample_dn_values(model, rng_for(label), 10**5)
+        label += 1
+        for j, k in itertools.combinations(range(n + 1), 2):
+            est = from_values(np.cos(a * (vals[:, k] - vals[:, j])))
+            exact = _cos_dn_exact(model, k - j, a)
+            assert abs(est.mean - exact) < 5 * est.stderr, (n, j, k)
+
+
+def _gauss_runs(n=12):
+    # an "entries" model of flat, centred Gaussian rows whose variance
+    # changes every 4 rows
+    entries = [{"i": i, "j": j, "dist": "gaussian", "var": 0.5 + (i - 1) // 4}
+               for i in range(1, n + 1) for j in range(1, n + 1)]
+    return ArrayModel.from_json_dict({"n": n, "entries": entries})
+
+
+def test_wishart_full_grid_covariance_with_unequal_run_variances():
+    # r = n with three row variances: the full grid, and the Zhat draws
+    # summed to every row
+    model = _gauss_runs()
+    n, cuts = model.n, list(range(model.n + 1))
+    grid = sample_dn_values(model, rng_for(185), 10**5)
+    _assert_cov_at_cuts(model, grid, cuts, "full grid")
+    zhat = sample_zhat_values(model, rng_for(186), 10**5)
+    rows = np.zeros((zhat.shape[0], n + 1))
+    rows[:, 1:] = np.cumsum(zhat, axis=1) / model.s_n
+    _assert_cov_at_cuts(model, rows, cuts, "zhat")
+
+
+def _wishart_scatter(rng, size, n, b, var, block_first):
+    """_wishart_block_sums as it drew T's normals before each row was drawn
+    in place: one (r(r-1)/2, block) draw scattered below the diagonal.  The
+    reference for the bits of r < n calls."""
+    r = b.size
+    beta = np.sqrt(b / n)
+    c = 1.0 / (1.0 + math.sqrt(1.0 - b.sum() / n))
+    rows, cols = np.tril_indices(r, -1)
+    diag = np.arange(r)
+    multi = np.flatnonzero(b > 1)
+    out = np.empty((size, block_first.size))
+    for lo, hi in comb._blocks(size, r, r):
+        s = hi - lo
+        t = np.zeros((r, r, s))
+        t[rows, cols] = rng.standard_normal((rows.size, s))
+        t[diag, diag] = np.sqrt(rng.chisquare((n - diag)[:, None], (r, s)))
+        w = (beta @ t.reshape(r, -1)).reshape(r, s)
+        norm = np.einsum("rjs,rjs->rs", t, t)
+        norm -= (2.0 * c * beta)[:, None] * np.einsum("rjs,js->rs", t, w)
+        norm += ((c * beta) ** 2)[:, None] * np.einsum("js,js->s", w, w)
+        np.maximum(norm, 0.0, out=norm)
+        if multi.size:
+            norm[multi] += rng.chisquare(n * (b[multi, None] - 1), (multi.size, s))
+        norm *= var[:, None]
+        if r > block_first.size:
+            norm = np.add.reduceat(norm, block_first, axis=0)
+        out[lo:hi] = (np.sqrt(norm) * rng.standard_normal((block_first.size, s))).T
+    return out
+
+
+def test_wishart_rows_drawn_in_place_match_the_scatter():
+    # r < n runs, with and without runs of b > 1 and blocks of several
+    # runs, at sizes of several sub-blocks
+    cases = [
+        (8, [1, 1, 6], [0.5, 1.0, 2.0], [0, 2], 120000),
+        (32, [1] * 30, [1.0] * 30, list(range(30)), 2000),
+        (32, [4] * 7, [0.5 + k for k in range(7)], [0, 3, 4], 30000),
+        (16, [2, 3, 1, 5], [2.0, 1.0, 3.0, 0.5], [0, 1, 2, 3], 70000),
+    ]
+    for idx, (n, b, var, block_first, size) in enumerate(cases):
+        b, var, block_first = np.array(b), np.array(var), np.array(block_first)
+        assert b.size < n and len(comb._blocks(size, b.size, b.size)) > 1
+        new = comb._wishart_block_sums(SeedSpec(97, (idx,)).rng(), size, n, b, var, block_first)
+        old = _wishart_scatter(SeedSpec(97, (idx,)).rng(), size, n, b, var, block_first)
+        assert new.tobytes() == old.tobytes(), idx
 
 
 # -- flat rows: Y run sums without pi, and popcount counts --------------------
