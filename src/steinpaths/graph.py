@@ -60,6 +60,7 @@ __all__ = [
     "lambda_matrix",
     "pair_moves",
     "regression_residual",
+    "row_cov",
     "cov_d1d1",
     "cov_d1d2",
     "cov_d2d2",
@@ -296,56 +297,54 @@ def regression_residual(real: GraphRealization, funcs: Sequence[CylinderFunction
 # pre-limit covariance closed forms
 
 
-def _mm(n: int, t, u) -> tuple[int, int, int, int]:
-    mt = int(n * as_time(t))
-    mu = int(n * as_time(u))
-    return mt, mu, min(mt, mu), max(mt, mu)
+# x**k element by element as Python raises a scalar: an int exactly, then
+# rounded once to float, and a float by the C library's pow, which numpy's
+# vector power (x*x at k = 2) does not match to the last bit for every x
+_pow = np.vectorize(pow, otypes=[float])
 
 
-def cov_d1d1(n: int, p: float, t, u) -> float:
-    mt, mu, m, _ = _mm(n, t, u)
-    return (mt - 2) * (mu - 2) * m * (m - 1) * p * (1 - p) / (2.0 * n**4)
+def row_cov(n, p, mt, mu, d2: str = "brownian") -> np.ndarray:
+    """(..., 2, 2) closed-form blocks [[D1D1, D1D2], [D2D1, D2D2]] of
+    Cov(D_n(t), D_n(u)) at the rows mt = floor(n t) and mu = floor(n u),
+    for broadcastable arrays of n, p, mt and mu.  d2 picks the D2D2 form:
+    "brownian", the sampler's law; "table", the four-term display from the
+    Gaussian-family covariance table; or "gap", their analytic difference.
+
+    Values are float64 in the operation order of the forms on Python ints.
+    An integer product is exact below 2^53 (an int64 one would overflow
+    from n near 55,000); + 0.0 gives its zero a Python int's sign."""
+    mt, mu = np.asarray(mt, dtype=float), np.asarray(mu, dtype=float)
+    n4, n5, p2, p3, q = _pow(n, 4), _pow(n, 5), _pow(p, 2), _pow(p, 3), 1 - p
+    m, mx = np.minimum(mt, mu), np.maximum(mt, mu)
+    ab, mm1 = (mt - 2) * (mu - 2), m * (m - 1)
+    abm = ab * mm1 + 0.0  # read alone as D1D1 and D1D2; in a D2D2 sum a zero's sign is lost
+    d11 = abm * p * q / (2.0 * n4)
+    d12 = abm * p2 * q / n4  # D2D1 too: (mu-2)(mt-2) is the same product
+    if d2 == "brownian":
+        c = 2.0 * p3 * q
+        d22 = c * ab * mm1 / n4 + abm / n5 + p2 * _pow(q, 2) * m * mm1 / (2.0 * n4) + c * mm1 / n4
+    elif d2 == "table":
+        mm2 = mm1 * np.maximum(m - 2, 0)
+        d22 = (abm / n5 + abm * p3 * q / n4 + mm2 * p2 * (1 - p2) / (2.0 * n4)
+               + mm2 * (mx - 3) * p3 * q / n4)
+    elif d2 == "gap":
+        d22 = (1 + p) * m * (m - 1) * p2 * q / n4
+    else:
+        raise ValueError("d2 must be brownian, table or gap, got %r" % d2)
+    d11, d12, d22 = np.broadcast_arrays(d11, d12, d22)
+    return np.stack([np.stack([d11, d12], -1), np.stack([d12, d22], -1)], -2)
 
 
-def cov_d1d2(n: int, p: float, t, u) -> float:
-    mt, mu, m, _ = _mm(n, t, u)
-    return (mt - 2) * (mu - 2) * m * (m - 1) * p**2 * (1 - p) / float(n**4)
+def _view(i: int, j: int, d2: str = "brownian"):
+    """Entry [i, j] of row_cov at the rows of two times t, u, as a float."""
+    def cov(n: int, p: float, t, u) -> float:
+        return float(row_cov(n, p, *time_rows(n, [as_time(t), as_time(u)]), d2)[i, j])
+    return cov
 
 
-def cov_d2d2(n: int, p: float, t, u) -> float:
-    """The D2 block of the Brownian representation (the combined
-    closed form); matches the sampler's law exactly."""
-    mt, mu, m, _ = _mm(n, t, u)
-    ab = (mt - 2) * (mu - 2)
-    mm1 = m * (m - 1)
-    return (
-        2.0 * p**3 * (1 - p) * ab * mm1 / n**4
-        + ab * mm1 / float(n**5)
-        + p**2 * (1 - p) ** 2 * m * mm1 / (2.0 * n**4)
-        + 2.0 * p**3 * (1 - p) * mm1 / n**4
-    )
-
-
-def cov_d2d2_table(n: int, p: float, t, u) -> float:
-    """The D2 block assembled from the Gaussian-family covariance table
-    (pair resolution of the Z^(2,1)/Z^(2,2) sums): four-term display."""
-    mt, mu, m, mx = _mm(n, t, u)
-    ab = (mt - 2) * (mu - 2)
-    mm1 = m * (m - 1)
-    mm2 = max(m - 2, 0)
-    return (
-        ab * mm1 / float(n**5)
-        + ab * mm1 * p**3 * (1 - p) / n**4
-        + mm1 * mm2 * p**2 * (1 - p**2) / (2.0 * n**4)
-        + mm1 * mm2 * (mx - 3) * p**3 * (1 - p) / n**4
-    )
-
-
-def d2_block_discrepancy(n: int, p: float, t, u) -> float:
-    """Analytic gap cov_d2d2 - cov_d2d2_table = (1+p) m(m-1) p^2(1-p)/n^4
-    (plus nothing else); kept as a visible diagnostic."""
-    _, _, m, _ = _mm(n, t, u)
-    return (1 + p) * m * (m - 1) * p**2 * (1 - p) / n**4
+# D1D1, D1D2 and the D2D2 forms at two times: the sampler's, the table's and their gap
+cov_d1d1, cov_d1d2, cov_d2d2 = _view(0, 0), _view(0, 1), _view(1, 1)
+cov_d2d2_table, d2_block_discrepancy = _view(1, 1, "table"), _view(1, 1, "gap")
 
 
 def z_coefficients(p: float) -> tuple[float, float, float, float]:
@@ -357,12 +356,15 @@ def z_coefficients(p: float) -> tuple[float, float, float, float]:
     return a1, a2, b1, b2
 
 
-def brownian_side_cov(n: int, p: float, t, u) -> np.ndarray:
-    """2x2 grid covariance computed from the five-motion construction
-    coefficient by coefficient (independent of the closed forms above)."""
-    mt, mu, m, _ = _mm(n, t, u)
-    a1, a2, b1, b2 = z_coefficients(p)
-    at, au = (mt - 2) / n**2, (mu - 2) / n**2
+def brownian_side_cov(n, p, mt, mu) -> np.ndarray:
+    """(..., 2, 2) grid covariance at the rows mt, mu, for broadcastable
+    arrays of n, p, mt and mu, computed from the five-motion construction
+    coefficient by coefficient (independent of row_cov's closed forms)."""
+    mt, mu = np.asarray(mt, dtype=float), np.asarray(mu, dtype=float)
+    m = np.minimum(mt, mu)
+    a1, a2, b1, b2 = np.vectorize(z_coefficients, otypes=[float] * 4)(p)
+    n2, n4 = _pow(n, 2), _pow(n, 4)
+    at, au = (mt - 2) / n2, (mu - 2) / n2
     tau = m * (m - 1)  # min of the B1/B2/B3/B5 clocks
     nu = m * m * (m - 1)  # min of the B4 clock
     c11 = at * au * (a1 * a1 + a2 * a2) * tau
@@ -370,22 +372,20 @@ def brownian_side_cov(n: int, p: float, t, u) -> np.ndarray:
     c22 = (
         at * au * (b1 * b1 + b2 * b2) * tau
         + at * au * tau / n
-        + (p * (1 - p)) ** 2 / (2.0 * n**4) * nu
-        + 2 * p**3 * (1 - p) / n**4 * tau
+        + _pow(p * (1 - p), 2) / (2.0 * n4) * nu
+        + 2 * _pow(p, 3) * (1 - p) / n4 * tau
     )
-    return np.array([[c11, c12], [c12, c22]])
+    c11, c12, c22 = np.broadcast_arrays(c11, c12, c22)
+    return np.stack([np.stack([c11, c12], -1), np.stack([c12, c22], -1)], -2)
 
 
 def prelimit_cov(model: GraphModel, times: Sequence) -> np.ndarray:
     """(2k, 2k) closed-form covariance of (D1(t_1), D2(t_1), ..., D2(t_k)).
-    The closed forms read a time only through its row floor(n t), so each pair
-    of distinct rows is evaluated once and its 2 x 2 block gathered to their times."""
-    n, p = model.n, model.p
-    rows, at = np.unique(time_rows(n, [as_time(t) for t in times]), return_inverse=True)
-    ts = [Fraction(int(k), n) for k in rows]
-    blocks = np.array([[[[cov_d1d1(n, p, t, u), cov_d1d2(n, p, t, u)],
-                         [cov_d1d2(n, p, u, t), cov_d2d2(n, p, t, u)]] for u in ts]
-                       for t in ts]).reshape(rows.size, rows.size, 2, 2)
+    The closed forms read a time only through its row floor(n t), so
+    row_cov evaluates them once on the grid of distinct rows, and each
+    2 x 2 block is gathered to its pair of times."""
+    rows, at = np.unique(time_rows(model.n, [as_time(t) for t in times]), return_inverse=True)
+    blocks = row_cov(model.n, model.p, rows[:, None], rows)
     return blocks[at][:, at].swapaxes(1, 2).reshape(2 * at.size, 2 * at.size)
 
 
@@ -606,6 +606,8 @@ class DirectGaussianOracle:
 
 
 REFINE = 8  # cells of Z's grid j/(REFINE n) per step of Z_n's grid k/n
+# the largest n whose coupled sample, (8 REFINE + 9) n + 5 floats, fits MEMORY_BUDGET / 8
+COUPLING_MAX_N = (MEMORY_BUDGET // 64 - 5) // (8 * REFINE + 9)
 
 
 def _rows(plane: np.ndarray, size: int, width: int) -> np.ndarray:
@@ -728,20 +730,24 @@ def coupling_distance(
     and reduces their planes straight to six per-sample statistics.  The
     chunk size depends on n only: a chunk's whole working set,
     its five motions and its statistic planes, fits in an eighth of
-    ``MEMORY_BUDGET``, so memory is bounded at any n and sample count.
+    ``MEMORY_BUDGET``, so memory is bounded at any sample count; an n past
+    COUPLING_MAX_N, where one sample would not fit, is refused.
     Each worker thread draws its chunks into four planes of chunk * width
     values that it allocates once; they are freed when the call returns.
     """
     n = model.n
-    draw, _, width = _coupled_sampler(model)
-    cut = np.arange(1, REFINE * n + 1) // REFINE  # floor(n * j/(REFINE n))
     # per sample: W1, W2, A and B on the merged clock of (REFINE+1) n times
     # (k(k-1) is no square for k >= 2), three step motions and two Z_n planes
     # of n+1 values, and two Z planes and two difference planes of REFINE n.
     # Z and the differences reuse the merged-clock planes, so this
     # over-counts; it stays, as every report depends on the chunk size
     floats = 4 * (REFINE + 1) * n + 5 * (n + 1) + 4 * REFINE * n
-    chunk = max(1, MEMORY_BUDGET // 8 // (8 * floats))
+    if n > COUPLING_MAX_N:  # refused before the merged clock is built
+        raise GraphModelError("coupling at n = %d exceeds its memory budget in one sample; "
+                              "n is at most %d" % (n, COUPLING_MAX_N))
+    chunk = MEMORY_BUDGET // 8 // (8 * floats)
+    draw, _, width = _coupled_sampler(model)
+    cut = np.arange(1, REFINE * n + 1) // REFINE  # floor(n * j/(REFINE n))
     local = threading.local()
 
     def stats(rng, size):

@@ -75,7 +75,7 @@ def test_criterion_2_covariance_identities():
         p = float(rng.uniform(0.05, 0.95))
         t = F(int(rng.integers(0, 101)), 100)
         u = F(int(rng.integers(0, 101)), 100)
-        b = gr.brownian_side_cov(n, p, t, u)
+        b = gr.brownian_side_cov(n, p, int(n * t), int(n * u))  # at the rows of t, u
         for closed, brow in (
             (gr.cov_d1d1(n, p, t, u), b[0, 0]),
             (gr.cov_d1d2(n, p, t, u), b[0, 1]),

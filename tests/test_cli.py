@@ -263,9 +263,10 @@ def test_verify_regression_nan_residual_fails(tmp_path, capsys, monkeypatch, kin
 def test_verify_covariance_nan_relative_difference_fails(tmp_path, capsys, monkeypatch):
     side_cov = gr.brownian_side_cov
 
-    def nan_edge_entry(n, p, t, u):
-        b = np.array(side_cov(n, p, t, u), dtype=float)
-        b[0, 0] = np.nan
+    def nan_edge_entry(n, p, mt, mu):
+        # at the second of the 64 points: a fold that keeps only a first NaN passes
+        b = side_cov(n, p, mt, mu)
+        b[1, 0, 0] = np.nan
         return b
 
     monkeypatch.setattr(gr, "brownian_side_cov", nan_edge_entry)
@@ -276,6 +277,26 @@ def test_verify_covariance_nan_relative_difference_fails(tmp_path, capsys, monke
     assert not checks["edge_block_identity"]["pass"]
     assert checks["edge_block_identity"]["detail"] == "max rel diff nan"
     assert checks["cross_block_identity"]["pass"]
+
+
+def test_verify_covariance_nan_cov_tv_past_the_first_time_fails(tmp_path, capsys, monkeypatch):
+    # a NaN at t = 1, the last of the 8 grid times, must reach the TT check
+    cov_tv = gr.cov_tv
+
+    def nan_at_one(model, t):
+        c = cov_tv(model, t)
+        if t == 1:
+            c[0, 0] = np.nan
+        return c
+
+    monkeypatch.setattr(gr, "cov_tv", nan_at_one)
+    code, out = run(capsys, ["verify-covariance", "--model", graph_model(tmp_path, 12, 0.3),
+                             "--samples", "0"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["cov_tv_vs_prelimit_TT"]["pass"]
+    assert checks["cov_tv_vs_prelimit_TT"]["detail"] == "max abs diff nan"
+    assert checks["cov_tv_vs_prelimit_TV"]["pass"]
 
 
 @pytest.mark.parametrize("kind", ["graph", "array"])
@@ -530,6 +551,24 @@ def test_coupling_bounds(tmp_path, capsys):
     assert ests["sup_z_sq"] <= 5.0
 
 
+@pytest.mark.parametrize("n, refused", [(gr.COUPLING_MAX_N, False), (gr.COUPLING_MAX_N + 1, True)])
+def test_coupling_refuses_an_n_past_the_one_sample_budget(capsys, monkeypatch, n, refused):
+    # one coupled sample holds 73 n + 5 floats; past n = 7181 it exceeds an
+    # eighth of the memory budget, so such an n is a usage error, raised
+    # before the merged clock is built
+    assert gr.COUPLING_MAX_N == 7181 and mc.MEMORY_BUDGET == 1 << 25
+    built, build = [], gr._coupled_sampler
+    monkeypatch.setattr(gr, "_coupled_sampler", lambda model: built.append(model.n) or build(model))
+    code = main(["coupling", "--n", str(n), "--p", "0.3", "--samples", "2"])
+    out, err = capsys.readouterr()
+    if refused:
+        assert code == 2 and out == "" and built == []
+        assert err.startswith("usage error: ") and "n is at most 7181" in err
+    else:
+        assert code == 0 and built == [n]
+        assert json.loads(out)["parameters"]["chunk"] == 1
+
+
 def test_coupling_estimates_decrease(tmp_path, capsys):
     vals = []
     for n in (16, 256):
@@ -689,6 +728,20 @@ def test_tol_only_on_verify_commands(tmp_path, capsys):
                              "--tol", "1e-3"])
     assert code == 0
     assert json.loads(out)["parameters"]["tol"] == 1e-3
+
+
+@pytest.mark.parametrize("command", ["verify-covariance", "verify-regression"])
+def test_negative_tol_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    # a tolerance is a largest accepted difference, so it is at least 0;
+    # 0 asks for exact agreement, and an exact residual meets it
+    model = iid_model(tmp_path, 4)
+    extra = ["--samples", "0"] if command == "verify-covariance" else ["--trials", "1"]
+    assert main([command, "--model", model, "--tol", "-1"] + extra) == 2
+    assert "--tol: must be at least 0.0, got -1" in capsys.readouterr().err
+    monkeypatch.setattr(comb, "regression_residual",
+                        lambda real, funcs: np.zeros((len(funcs), len(real.values))))
+    code, out = run(capsys, [command, "--model", model, "--tol", "0"] + extra)
+    assert code == 0 and json.loads(out)["parameters"]["tol"] == 0
 
 
 def test_report_values_round_trip(tmp_path, capsys):

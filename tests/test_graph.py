@@ -44,6 +44,7 @@ from steinpaths.graph import (
     pair_norm_stats,
     prelimit_cov,
     regression_residual,
+    row_cov,
     sample_coupled_values,
     sample_dn_values,
     sample_trials,
@@ -577,7 +578,7 @@ def test_d2_closed_form_matches_brownian_side():
     # both sides of the pre-limit covariance identity at a spot value and
     # on random tuples
     got = cov_d2d2(7, 0.3, F(37, 100), F(81, 100))
-    brow = brownian_side_cov(7, 0.3, F(37, 100), F(81, 100))[1, 1]
+    brow = brownian_side_cov(7, 0.3, 7 * 37 // 100, 7 * 81 // 100)[1, 1]
     assert got == pytest.approx(brow, abs=1e-15)
     rng = rng_for(9)
     for _ in range(64):
@@ -585,7 +586,7 @@ def test_d2_closed_form_matches_brownian_side():
         p = float(rng.uniform(0.05, 0.95))
         t = F(int(rng.integers(0, 101)), 100)
         u = F(int(rng.integers(0, 101)), 100)
-        b = brownian_side_cov(n, p, t, u)
+        b = brownian_side_cov(n, p, int(n * t), int(n * u))  # at the rows of t, u
         assert cov_d1d1(n, p, t, u) == pytest.approx(b[0, 0], rel=1e-10, abs=1e-18)
         assert cov_d1d2(n, p, t, u) == pytest.approx(b[0, 1], rel=1e-10, abs=1e-18)
         assert cov_d2d2(n, p, t, u) == pytest.approx(b[1, 1], rel=1e-10, abs=1e-18)
@@ -624,6 +625,83 @@ def test_prelimit_cov_gathers_the_pair_blocks():
                     [cov_d1d2(n, p, u, t), cov_d2d2(n, p, t, u)]]
             assert np.array_equal(cov[2 * a : 2 * a + 2, 2 * b : 2 * b + 2], want)
     assert prelimit_cov(GraphModel(n, p), []).shape == (0, 0)
+
+
+def _int_forms(n, p, mt, mu):
+    """The closed forms at rows mt, mu on Python ints, each integer product
+    exact before its one rounding: D1D1, D1D2, D2D1, D2D2, the table's
+    D2D2 and the analytic gap between the two D2D2 forms."""
+    m, mx = min(mt, mu), max(mt, mu)
+    ab, mm1, mm2 = (mt - 2) * (mu - 2), m * (m - 1), max(m - 2, 0)
+    return (
+        (mt - 2) * (mu - 2) * m * (m - 1) * p * (1 - p) / (2.0 * n**4),
+        (mt - 2) * (mu - 2) * m * (m - 1) * p**2 * (1 - p) / float(n**4),
+        (mu - 2) * (mt - 2) * m * (m - 1) * p**2 * (1 - p) / float(n**4),
+        2.0 * p**3 * (1 - p) * ab * mm1 / n**4 + ab * mm1 / float(n**5)
+        + p**2 * (1 - p) ** 2 * m * mm1 / (2.0 * n**4) + 2.0 * p**3 * (1 - p) * mm1 / n**4,
+        ab * mm1 / float(n**5) + ab * mm1 * p**3 * (1 - p) / n**4
+        + mm1 * mm2 * p**2 * (1 - p**2) / (2.0 * n**4)
+        + mm1 * mm2 * (mx - 3) * p**3 * (1 - p) / n**4,
+        (1 + p) * m * (m - 1) * p**2 * (1 - p) / n**4,
+    )
+
+
+def _kernel_forms(n, p, mt, mu):
+    """row_cov's values in _int_forms' order, as (6, ...) stacked."""
+    block = row_cov(n, p, mt, mu)
+    return np.stack([block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1],
+                     row_cov(n, p, mt, mu, d2="table")[..., 1, 1],
+                     row_cov(n, p, mt, mu, d2="gap")[..., 1, 1]])
+
+
+@pytest.mark.parametrize("n", [3, 6, 64])
+def test_row_cov_is_the_int_forms_bit_for_bit(n):
+    # every pair of rows, at a vector of p and at one scalar p; numpy's
+    # vector p**3 differs from Python's in the last bit at 0.051, and both
+    # p**2 and p**3 do at 0.245642; tobytes also tells -0.0 from 0.0
+    ps = np.array([0.3, 0.051, 0.77, 0.245642])
+    rows = np.arange(n + 1)
+    got = _kernel_forms(n, ps[:, None, None], rows[:, None], rows)
+    want = np.array([[[_int_forms(n, p, a, b) for b in range(n + 1)] for a in range(n + 1)]
+                     for p in ps.tolist()])
+    assert got.tobytes() == np.moveaxis(want, -1, 0).tobytes()
+    assert _kernel_forms(n, 0.3, rows[:, None], rows).tobytes() == got[:, 0].tobytes()
+
+
+def test_row_cov_at_n_one_million_has_no_int64_overflow():
+    # (mt-2)(mu-2) m(m-1) is near 1e24 here, past int64; the kernel's float
+    # products round a few times where the ints round once
+    n = 10**6
+    rows = np.array([0, 1, 2, 3, 4, 1000, 55_000, n // 2, n - 3, n - 1, n])
+    got = _kernel_forms(n, 0.3, rows[:, None], rows)
+    want = np.moveaxis(np.array([[_int_forms(n, 0.3, a, b) for b in rows.tolist()]
+                                 for a in rows.tolist()]), -1, 0)
+    assert np.all(np.isfinite(got)) and np.all((got == 0) == (want == 0))
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_brownian_side_cov_on_arrays_is_its_scalar_calls():
+    rng = rng_for(12)
+    n = rng.integers(3, 40, 16)
+    p = rng.uniform(0.05, 0.95, 16)
+    mt, mu = (n * rng.integers(0, 101, 16)) // 100, (n * rng.integers(0, 101, 16)) // 100
+    stacked = brownian_side_cov(n, p, mt, mu)
+    assert stacked.shape == (16, 2, 2)
+    for a in range(16):
+        one = brownian_side_cov(int(n[a]), float(p[a]), int(mt[a]), int(mu[a]))
+        assert one.tobytes() == stacked[a].tobytes()
+
+
+def test_prelimit_cov_reads_each_time_once(monkeypatch):
+    # n = 512 at 512 times: each time becomes a row once, at the boundary,
+    # and no pair of rows goes back through a Fraction time
+    calls = []
+    as_time = graph.as_time
+    monkeypatch.setattr(graph, "as_time", lambda t: calls.append(t) or as_time(t))
+    times = [F(k, 512) for k in range(1, 513)]
+    cov = prelimit_cov(GraphModel(512, 0.3), times)
+    assert cov.shape == (1024, 1024)
+    assert len(calls) <= len(times)
 
 
 def test_direct_oracle_grid_cov_matches_table_forms():
