@@ -11,6 +11,7 @@ functionals, builds the report and emits it; a `cmd_*` only adds entries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,10 +41,14 @@ USAGE_ERROR, CHECK_FAILURE = 2, 1
 PRODUCT_BYTES = 1 << 20  # bytes of product columns per Monte Carlo chunk, at most
 REGRESSION_TERMS = 1 << 20  # verify-regression's trials x n^2 x (most times) per block
 COVARIANCE_ENTRIES = 1 << 20  # verify-covariance's (grid x dim)^2 stacked covariance entries
+# verify-covariance's --tol default.  argparse stores a default as this very
+# object and parses a given --tol to a new float, so `args.tol is
+# COVARIANCE_TOL` tells an unset --tol from one given, even at this value
+COVARIANCE_TOL = 1e-10
 # options left out of a report's parameters: the seed has its own field,
 # the functionals are recorded by their labels, and the rest do not change
 # a report's contents
-NOT_PARAMETERS = frozenset({"command", "fn", "seed", "workers", "out", "format", "functional"})
+NOT_PARAMETERS = frozenset({"command", "seed", "workers", "out", "format", "functional"})
 
 
 class UsageError(ValueError):
@@ -199,10 +204,17 @@ def cmd_verify_covariance(args, fam, model, funcs, report):
     --grid 0 reads time 0 alone, where D_n and its covariance vanish, so
     the checks on that degenerate grid are vacuous.  A single sample has no
     standard error to judge a product by, so --samples 1 is a usage error, as
-    is a --grid whose stacked covariance exceeds COVARIANCE_ENTRIES."""
+    is a --grid whose stacked covariance exceeds COVARIANCE_ENTRIES.  --tol
+    is read by a graph's block identities and, above 0 samples, by the
+    Monte Carlo checks' constant columns; an array run at --samples 0 reads
+    it nowhere, so a --tol given there is a usage error."""
     if args.samples == 1:
         raise UsageError("--samples 1 gives no standard error; use 0 to skip "
                          "the Monte Carlo checks, or at least 2")
+    if fam is comb and args.samples == 0 and args.tol is not COVARIANCE_TOL:
+        raise UsageError("--tol is read by no check of an array model at --samples 0: "
+                         "prelimit_grid_psd has the fixed bound -1e-9 (omit --tol, "
+                         "or draw at least 2 samples)")
     entries = (args.grid * fam.DIM) ** 2
     if entries > COVARIANCE_ENTRIES:
         raise UsageError("verify-covariance --grid %d stacks (grid x dim)^2 = %d covariance "
@@ -354,42 +366,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="estimate E g under both processes")
     common(p, samples=10000)
     p.add_argument("--functional", action="append", default=[])
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify-regression", help="enumerated regression identity")
     common(p)
     p.add_argument("--functional", action="append", default=[])
     p.add_argument("--trials", type=_at_least(1), default=5)
     p.add_argument("--tol", type=_at_least(0.0, float), default=1e-9)
-    p.set_defaults(fn=cmd_verify_regression)
 
     p = sub.add_parser("verify-covariance", help="covariance identities and MC")
     common(p, samples=20000, fewest=0)
     p.add_argument("--grid", type=_at_least(0), default=8)
-    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-10)
-    p.set_defaults(fn=cmd_verify_covariance)
+    p.add_argument("--tol", type=_at_least(0.0, float), default=COVARIANCE_TOL)
 
     p = sub.add_parser("distance", help="Monte Carlo distance vs closed-form bound")
     common(p, samples=100000)
     p.add_argument("--functional", action="append", default=[])
-    p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("coupling", help="coupled step/continuous moments")
     common(p, model=False, samples=10000)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.set_defaults(fn=cmd_coupling)
 
     p = sub.add_parser("bound", help="closed-form bound values")
     common(p, draws=False)
     p.add_argument("--gnorm", type=_at_least(0.0, float), default=1.0)
-    p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("stein-identity", help="stationarity of the generator")
     common(p, samples=100000)
     p.add_argument("--functional", action="append", default=[])
     p.add_argument("--scale", type=_at_least(-math.inf, float), default=1.0)
-    p.set_defaults(fn=cmd_stein_identity)
     return parser
 
 
@@ -429,12 +434,18 @@ def _run(args) -> int:
                  or certified_library(fam.DIM))
         parameters["functionals"] = [g.label for g in funcs]
     # a report that draws names its bit generator, so that a run under
-    # another generator cannot pass for a rerun; bound draws nothing
-    bits = None if args.fn is cmd_bound else type(SeedSpec(0).rng().bit_generator).__name__
+    # another generator cannot pass for a rerun; bound draws nothing.  The
+    # lookup also imports numpy.random here, on the main thread: imported
+    # first by a worker thread, it leaves its allocations in that thread's
+    # malloc arena and raises the peak RSS of a run with --workers 2
+    bits = None if args.command == "bound" else mc.bit_generator().__name__
     report = RunReport(command=args.command, parameters=parameters, seed=args.seed,
                        version="steinpaths-%s" % __version__, bit_generator=bits)
+    # looked up at each call, not bound into the shared parser, so that a
+    # cmd_* replaced after the parser is built is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.fn(args, fam, model, funcs, report)
+        command(args, fam, model, funcs, report)
     except mc.McError as exc:
         report.add_check("finite_samples", False, "finite", str(exc))
     text = report.to_csv() if args.format == "csv" else report.to_json()
@@ -449,10 +460,18 @@ def _run(args) -> int:
     return 0 if report.all_pass else CHECK_FAILURE
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` parses with: built by build_parser on the first
+    call, not at import, and shared by every later call in the process.
+    It holds no per-call state: commands are dispatched by name in `_run`,
+    and the `--functional` lists are copied by argparse before appending."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -27,6 +27,7 @@ __all__ = [
     "SeedSpec",
     "mc_run",
     "mc_run_vector",
+    "bit_generator",
     "CHUNK",
     "MEMORY_BUDGET",
 ]
@@ -101,17 +102,25 @@ def from_values(xs) -> McEstimate:
     return McEstimate(int(xs.size), float(mean), float(np.sum((xs - mean) ** 2)))
 
 
+def bit_generator() -> type:
+    """The numpy bit generator class that SeedSpec.rng builds: SFC64.
+    Looked up at each call, not bound at import, because numpy imports
+    numpy.random lazily: binding it here would add that import (about
+    7 ms) to every process's start-up."""
+    return np.random.SFC64
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Root seed plus a stream path of task indices.
 
-    ``rng`` is the one place a bit generator is built: SFC64, seeded by
-    ``SeedSequence(root, spawn_key=path)``.  Distinct paths give
-    statistically independent streams (SeedSequence hashes the spawn key
-    into the whole state); the same (root, path) reproduces the identical
-    sample sequence.  No stream is advanced or jumped, so no counter-based
-    generator is needed; SFC64 draws normals and uniforms faster than
-    Philox.
+    ``rng`` is the one place a bit generator is built: bit_generator()
+    (SFC64), seeded by ``SeedSequence(root, spawn_key=path)``.  Distinct
+    paths give statistically independent streams (SeedSequence hashes the
+    spawn key into the whole state); the same (root, path) reproduces the
+    identical sample sequence.  No stream is advanced or jumped, so no
+    counter-based generator is needed; SFC64 draws normals and uniforms
+    faster than Philox.
     """
 
     root: int
@@ -122,7 +131,7 @@ class SeedSpec:
 
     def rng(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.root, spawn_key=self.path)
-        return np.random.Generator(np.random.SFC64(ss))
+        return np.random.Generator(bit_generator()(ss))
 
 
 def _run_tasks(task, n_tasks: int, workers: int) -> Iterator:

@@ -11,6 +11,7 @@ from steinpaths import combinatorial as comb
 from steinpaths import graph as gr
 from steinpaths import ou_stein as ou
 from steinpaths.cli import main
+from steinpaths.functionals import certified_library
 from steinpaths.mc import from_values
 from steinpaths.reporting import RunReport, canonical_json
 
@@ -730,12 +731,37 @@ def test_tol_only_on_verify_commands(tmp_path, capsys):
     assert json.loads(out)["parameters"]["tol"] == 1e-3
 
 
+def test_tol_that_no_check_reads_is_usage_error(tmp_path, capsys, monkeypatch):
+    # an array run at --samples 0 has one check, prelimit_grid_psd, whose
+    # bound is fixed: a --tol given there is refused before anything is
+    # computed, even at the default's value; a run that reads it takes it
+    array, graph = iid_model(tmp_path, 4), graph_model(tmp_path, 8, 0.3)
+    calls = []
+    monkeypatch.setattr(ou, "TargetLaw", lambda model: calls.append(model))
+    for tol in ("0", "1e-10", "1e300"):
+        assert main(["verify-covariance", "--model", array, "--samples", "0", "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert err == ("usage error: --tol is read by no check of an array model at "
+                       "--samples 0: prelimit_grid_psd has the fixed bound -1e-9 (omit "
+                       "--tol, or draw at least 2 samples)\n")
+    monkeypatch.undo()
+    code, out = run(capsys, ["verify-covariance", "--model", array, "--samples", "0"])
+    assert code == 0 and json.loads(out)["parameters"]["tol"] == 1e-10
+    for argv in (["--model", array, "--samples", "100"],  # the Monte Carlo checks
+                 ["--model", graph, "--samples", "0"]):  # the block identities
+        code, out = run(capsys, ["verify-covariance", "--tol", "1e300"] + argv)
+        assert code in (0, 1) and json.loads(out)["parameters"]["tol"] == 1e300
+
+
 @pytest.mark.parametrize("command", ["verify-covariance", "verify-regression"])
 def test_negative_tol_is_usage_error(tmp_path, capsys, monkeypatch, command):
     # a tolerance is a largest accepted difference, so it is at least 0;
-    # 0 asks for exact agreement, and an exact residual meets it
+    # 0 asks for exact agreement, and an exact residual meets it: at --grid 0
+    # D_n's one product column is exactly 0, as is its target
     model = iid_model(tmp_path, 4)
-    extra = ["--samples", "0"] if command == "verify-covariance" else ["--trials", "1"]
+    extra = (["--samples", "100", "--grid", "0"] if command == "verify-covariance"
+             else ["--trials", "1"])
     assert main([command, "--model", model, "--tol", "-1"] + extra) == 2
     assert "--tol: must be at least 0.0, got -1" in capsys.readouterr().err
     monkeypatch.setattr(comb, "regression_residual",
@@ -823,6 +849,69 @@ def test_report_names_its_bit_generator(tmp_path, capsys):
     assert "SFC64" not in text
     _, out = run(capsys, ["bound", "--model", model])
     assert "bit_generator" not in json.loads(out)
+
+
+@pytest.fixture
+def unbuilt_parser():
+    # main builds its parser once per process; a test that counts or
+    # patches the builds starts from none and leaves none behind
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch, unbuilt_parser):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    model = graph_model(tmp_path, 8, 0.3)
+    codes = [main(argv) for argv in (["bound", "--model", model],
+                                     ["simulate", "--model", model, "--samples", "1"],
+                                     ["bound", "--help"],
+                                     ["bound", "--model", model])]
+    assert codes == [0, 2, 0, 0] and len(builds) == 1
+
+
+def test_shared_parser_runs_like_a_fresh_one(tmp_path, capsys, unbuilt_parser):
+    # one process's sequence of commands gives each the exit code, stdout and
+    # stderr that a freshly built parser gives it; simulate without
+    # --functional after a run with one still takes the default library
+    model = graph_model(tmp_path, 8, 0.3)
+    sequence = [
+        ["simulate", "--model", model, "--samples", "500", "--functional", "sin:coord=1,t=1"],
+        ["simulate", "--model", model, "--samples", "500"],
+        ["distance", "--model", model, "--samples", "1"],
+        ["--help"],
+        ["distance", "--model", model, "--samples", "500", "--format", "csv"],
+        ["bound", "--model", model],
+        ["verify-covariance", "--model", model, "--samples", "500", "--grid", "2"],
+        ["coupling", "--n", "8", "--p", "0.3", "--samples", "500"],
+        ["simulate", "--model", model, "--samples", "500"],
+    ]
+
+    def results(fresh):
+        out = []
+        for argv in sequence:
+            if fresh:
+                cli._parser.cache_clear()
+            out.append((main(argv), *capsys.readouterr()))
+        return out
+
+    shared = results(fresh=False)
+    assert shared == results(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 1, 0, 0]
+    library = [g.label for g in certified_library(2)]
+    assert json.loads(shared[1][1])["parameters"]["functionals"] == library
+    assert shared[-1] == shared[1]
+
+
+def test_command_patched_after_the_parser_is_built_runs(tmp_path, capsys, monkeypatch):
+    model = graph_model(tmp_path, 8, 0.3)
+    assert run(capsys, ["bound", "--model", model])[0] == 0  # the parser is built
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bound", lambda args, *rest: seen.append(args.command))
+    code, out = run(capsys, ["bound", "--model", model])
+    assert code == 0 and seen == ["bound"] and json.loads(out)["bounds"] == []
 
 
 def test_canonical_json_float_round_trip():

@@ -9,6 +9,7 @@ from steinpaths.mc import (
     McError,
     McEstimate,
     SeedSpec,
+    bit_generator,
     ci95,
     from_values,
     mc_run,
@@ -118,6 +119,7 @@ def test_seedspec_reproducible():
 def test_seedspec_engine_is_sfc64_keyed_by_spawn_path(root, path):
     rng = SeedSpec(root, path).rng()
     assert type(rng.bit_generator) is np.random.SFC64
+    assert type(rng.bit_generator) is bit_generator()  # the class a report names
     ref = np.random.Generator(
         np.random.SFC64(np.random.SeedSequence(root, spawn_key=path)))
     assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
