@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -337,8 +338,20 @@ def _at_least(low, kind=int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (its subparsers are of its class too) that reads a
+    negative number in exponent form, `--scale -1e3`, as a value: argparse
+    reads a token that starts with `-` as an option unless it matches its
+    negative-number pattern, which holds `-5` and `-.5` but not `-1e3`.
+    No option string here looks like a negative number, so none is hidden."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steinpaths",
         description="simulate and verify exchangeable-pair Gaussian "
         "approximations of step processes",

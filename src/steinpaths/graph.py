@@ -393,12 +393,31 @@ def prelimit_cov(model: GraphModel, times: Sequence) -> np.ndarray:
 # samplers
 
 
-def _bm(rng: np.random.Generator, size: int, times: np.ndarray) -> np.ndarray:
-    """(size, len(times)) Brownian motion at the increasing times."""
-    d = np.diff(np.concatenate([[0.0], times]))
-    steps = rng.standard_normal((size, times.size))
-    steps *= np.sqrt(d)
-    return np.cumsum(steps, axis=1, out=steps)
+# below this many clocks a prefix sum is one add per clock, each over every
+# motion and sample at once; from it on, one cumsum along the clocks is faster
+_COLUMN_ADDS = 12
+
+
+def _step_sd(clocks: np.ndarray) -> np.ndarray:
+    """(..., 1, k) standard deviations of the Brownian increments from 0 to
+    each of the increasing clocks (..., k), to scale a _motions plane."""
+    return np.sqrt(np.diff(clocks, prepend=0.0))[..., None, :]
+
+
+def _motions(rng: np.random.Generator, size: int, sd: np.ndarray) -> np.ndarray:
+    """(motions, size, k) independent Brownian motions, motion i read at
+    the clocks whose increments have the standard deviations sd[i, 0]
+    (from _step_sd).  One normal call fills the plane, motion by motion and
+    sample by sample, so motion i takes the normals that its own
+    (size, k) draw would take after those of motions 0..i-1.  The steps
+    are scaled and prefix-summed in place, left to right, as cumsum sums."""
+    w = rng.standard_normal((sd.shape[0], size, sd.shape[-1]))
+    w *= sd
+    if w.shape[-1] < _COLUMN_ADDS:
+        for c in range(1, w.shape[-1]):
+            w[..., c] += w[..., c - 1]
+        return w
+    return np.cumsum(w, axis=-1, out=w)
 
 
 def _bytes(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -409,6 +428,19 @@ def _bytes(rng: np.random.Generator, count: int) -> np.ndarray:
     also ends where rng.bytes leaves it."""
     words = rng.bit_generator.random_raw(-(-count // 8))
     return words.astype("<u8", copy=False).view(np.uint8)[:count]
+
+
+def _byte_rule(p: float) -> tuple[int, float, bool]:
+    """(j, rate, fill) of ``bernoulli``'s rule for Bernoulli(p): a byte u
+    gives u < j when fill is True and u <= j when it is False, and the
+    correction then sets (fill) or clears (not fill) a Bernoulli(rate)
+    subset; rate 0 is no correction."""
+    q = 256.0 * p
+    j = math.floor(q)
+    if q == j:
+        return j, 0.0, True
+    set_rate, clear_rate = (q - j) / (256 - j), (j + 1 - q) / (j + 1)
+    return (j, set_rate, True) if set_rate <= clear_rate else (j, clear_rate, False)
 
 
 def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
@@ -426,18 +458,48 @@ def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     """
     count = math.prod(shape)
     u = _bytes(rng, count).reshape(shape)
-    q = 256.0 * p
-    j = math.floor(q)
-    if q == j:
-        return u < j
-    set_rate, clear_rate = (q - j) / (256 - j), (j + 1 - q) / (j + 1)
-    if set_rate <= clear_rate:
-        out, rate, fill = u < j, set_rate, True
-    else:
-        out, rate, fill = u <= j, clear_rate, False
-    picks = rng.choice(count, rng.binomial(count, rate), replace=False, shuffle=False)
-    out.reshape(-1)[picks] = fill
+    j, rate, fill = _byte_rule(p)
+    out = np.less(u, j) if fill else np.less_equal(u, j)
+    if rate:
+        picks = rng.choice(count, rng.binomial(count, rate), replace=False, shuffle=False)
+        out.reshape(-1)[picks] = fill
     return out
+
+
+Y_GROUP = 1 << 24  # edge indicators per correction group of sample_y_values
+
+
+def _correction_groups(n: int, size: int) -> list[tuple[int, int]]:
+    """Vertex ranges [lo, hi) of sample_y_values' correction groups:
+    vertices 1..n-1 in order, each group closed before the vertex whose
+    (k, size) block would take it past Y_GROUP indicators.  A group holds
+    at least one vertex, so a block that alone passes the budget is a
+    group of its own."""
+    groups, lo, total = [], 1, 0
+    for k in range(1, n):
+        if total and total + k * size > Y_GROUP:
+            groups.append((lo, k))
+            lo, total = k, 0
+        total += k * size
+    groups.append((lo, n))
+    return groups
+
+
+def _correction(rng: np.random.Generator, lo: int, hi: int, size: int, rate: float):
+    """(picks, bounds): one group's correction, K ~ Binomial(N, rate)
+    distinct uniform positions of the N indicators of the (k, size) blocks
+    of vertices lo..hi-1 laid end to end, sorted, and each made relative to
+    its own block; vertex lo + i takes picks[bounds[i]:bounds[i + 1]]."""
+    ks = np.arange(lo, hi + 1)
+    starts = size * (ks * (ks - 1) // 2 - lo * (lo - 1) // 2)
+    if not rate:
+        return starts[:0], [0] * ks.size
+    total = int(starts[-1])
+    picks = rng.choice(total, rng.binomial(total, rate), replace=False, shuffle=False)
+    picks.sort()
+    bounds = np.searchsorted(picks, starts)
+    picks -= np.repeat(starts[:-1], np.diff(bounds))
+    return picks, bounds.tolist()
 
 
 def sample_y_values(
@@ -446,28 +508,44 @@ def sample_y_values(
     """(size, len(cuts), 2) centered values of Y_n at t = k/n for k in cuts
     (default: every k = 0..n).
 
-    Vertex k joins with a (k, size) block of indicators from ``bernoulli``,
-    added to the degrees of vertices < k; its own degree is the block's
-    column sum.  Degrees are held vertex-major, (vertex, sample), in the
-    smallest integer dtype that holds n - 1.  The edge and two-star counts
-    are formed only at the distinct rows r read, as sum(d) / 2 and
-    (sum(d^2) - sum(d)) / 2 over the first r degrees, both exact.  A sample
-    costs m(m-1)/2 random bytes for m = max(cuts) plus O(r) per row read,
-    and its rows equal the full call's rows at the same seed.
+    Vertex k joins with a (k, size) block of Bernoulli(p) indicators by
+    ``bernoulli``'s rule, added to the degrees of vertices < k; its own
+    degree is the block's column sum.  The bytes are drawn vertex by vertex
+    and compared in place, but the sparse correction is drawn once per
+    group of consecutive vertices (``_correction_groups``, fixed by n and
+    size alone), before the group's bytes: its K positions over the
+    group's blocks are sorted once and sliced per vertex.  Degrees are
+    held vertex-major, (vertex, sample), in the smallest integer dtype
+    that holds n - 1.  The edge and two-star counts are formed only at the
+    distinct rows r read, as sum(d) / 2 and (sum(d^2) - sum(d)) / 2 over
+    the first r degrees, both exact.  A sample costs m(m-1)/2 random bytes
+    for m = max(cuts) plus O(r) per row read.  A cut call draws the whole
+    group of its last vertex, so its rows equal the full call's rows at the
+    same seed.
     """
     n, p = model.n, model.p
     rows, m = grid_rows(n, cuts)
     reads, pos = np.unique(rows, return_inverse=True)
     dt = np.min_scalar_type(n - 1)
     deg = np.zeros((m, size), dtype=dt)
+    j, rate, fill = _byte_rule(p)
+    compare = np.less if fill else np.less_equal
+    groups, hi = iter(_correction_groups(n, size)), 1
     et, ev = _expected_cuts(model)
     out = np.empty((size, reads.size, 2))
     joined = 1  # vertices 0..joined-1 are in the graph
     for i, r in enumerate(reads):
         for k in range(joined, r):
-            block = bernoulli(rng, p, (k, size)).view(np.uint8)
+            if k == hi:
+                lo, hi = next(groups)
+                picks, bounds = _correction(rng, lo, hi, size, rate)
+            u = _bytes(rng, k * size)
+            block = compare(u, j, out=u.view(bool))  # over the bytes, in place
+            block[picks[bounds[k - lo] : bounds[k - lo + 1]]] = fill
+            block = block.view(np.uint8).reshape(k, size)
             deg[:k] += block
             np.add.reduce(block, axis=0, dtype=dt, out=deg[k])
+            del u, block  # freed before the next bytes are drawn, which reuse the memory
         joined = max(joined, r)
         d = deg[:r]
         s = np.add.reduce(d, axis=0, dtype=np.int64)
@@ -487,7 +565,8 @@ def sample_dn_values(
     Each motion is drawn only at the clocks of the sorted, distinct rows
     k >= 1 in cuts, from independent increments between consecutive
     clocks (row 0 sits at clock 0 and takes no draw), so a call costs 5
-    normals per sample per distinct row.  The law at the rows is exact,
+    normals per sample per distinct row, drawn by one normal call into a
+    (5, size, rows) plane (``_motions``).  The law at the rows is exact,
     but a cut call's values are not the full call's rows at the same seed.
     With every row 1..n present (``cuts=None`` or ``range(n+1)``) the
     increments are the unit steps of the clocks and the values are those
@@ -496,24 +575,26 @@ def sample_dn_values(
     n, p = model.n, model.p
     rows, _ = grid_rows(n, cuts)
     ks, pos = np.unique(rows, return_inverse=True)
-    drawn = ks[ks > 0]
+    pad = int(ks[0] == 0)  # row 0 sits at clock 0, where every motion is 0
+    drawn = ks[pad:]
     a1, a2, b1, b2 = z_coefficients(p)
     tau = (drawn * (drawn - 1)).astype(float)
-    nu = drawn * tau
-    pad = np.zeros((size, ks.size - drawn.size))
-    w1, w2, w3, w4, w5 = (
-        np.concatenate([pad, _bm(rng, size, clock)], axis=1)
-        for clock in (tau, tau, tau, nu, tau)
-    )
-    shift = (ks - 2.0) / n**2
     out = np.empty((size, ks.size, 2))
-    out[:, :, 0] = shift * (a1 * w1 + a2 * w2)
-    out[:, :, 1] = (
-        shift * (b1 * w1 + b2 * w2)
-        + shift / math.sqrt(n) * w3
-        + p * (1 - p) / (math.sqrt(2.0) * n**2) * w4
-        + math.sqrt(2 * p**3 * (1 - p)) / n**2 * w5
-    )
+
+    def assemble(part, k, w):
+        shift = (k - 2.0) / n**2
+        part[..., 0] = shift * (a1 * w[0] + a2 * w[1])
+        part[..., 1] = (
+            shift * (b1 * w[0] + b2 * w[1])
+            + shift / math.sqrt(n) * w[2]
+            + p * (1 - p) / (math.sqrt(2.0) * n**2) * w[3]
+            + math.sqrt(2 * p**3 * (1 - p)) / n**2 * w[4]
+        )
+
+    clocks = np.stack([tau, tau, tau, drawn * tau, tau])  # W1..W5, one normal call
+    assemble(out[:, pad:], drawn, _motions(rng, size, _step_sd(clocks)))
+    if pad:
+        assemble(out[:, :pad], ks[:pad], np.zeros((5, 1, pad)))
     return out if cuts is None else out[:, pos]
 
 
@@ -637,11 +718,13 @@ def _coupled_sampler(model: GraphModel):
     tau_idx, sq_idx = idx[: n + 1], idx[n + 1 :]
     grid = js / float(REFINE * n)
     shared = merged / float((REFINE * n) ** 2)
-    step_sd = np.sqrt(np.diff(np.concatenate([[0.0], shared])))  # as _bm scales its steps
+    step_sd = _step_sd(shared)[0]  # as _motions scales its steps
     tau_t, nu_t = tau[1:] / float(n * n), (ks * tau)[1:] / float(n**3)
+    step_sds = _step_sd(np.stack([tau_t, nu_t, tau_t]))  # W3, W4, W5 at rows 1..n
     shift = (ks - 2.0) / n
-    scale3, scale4 = shift / math.sqrt(n), p * (1 - p) / math.sqrt(2.0 * n)
-    scale5 = math.sqrt(2 * p**3 * (1 - p)) / n
+    # the scales of W3, W4 and W5 in Z_n2, row by row
+    scales = np.stack([shift / math.sqrt(n), np.full(n + 1, p * (1 - p) / math.sqrt(2.0 * n)),
+                       np.full(n + 1, math.sqrt(2 * p**3 * (1 - p)) / n)])
     width = merged.size
 
     def draw(rng: np.random.Generator, size: int, planes):
@@ -650,10 +733,7 @@ def _coupled_sampler(model: GraphModel):
             rng.standard_normal(out=w)
             w *= step_sd
             np.cumsum(w, axis=1, out=w)
-        pad = np.zeros((size, 1))
-        w3, w4, w5 = (
-            np.concatenate([pad, _bm(rng, size, times)], axis=1) for times in (tau_t, nu_t, tau_t)
-        )
+        steps = _motions(rng, size, step_sds)
         # A = a1 W1 + a2 W2 and B = b1 W1 + b2 W2, each once on the merged clock
         np.multiply(w1, a1, out=a)
         a += np.multiply(w2, a2, out=tmp)
@@ -663,10 +743,11 @@ def _coupled_sampler(model: GraphModel):
         zn1 *= shift
         zn2 = np.take(b, tau_idx, axis=1)
         zn2 *= shift
-        # Z_n2's four terms, summed left to right
-        zn2 += scale3 * w3
-        zn2 += scale4 * w4
-        zn2 += scale5 * w5
+        # Z_n2's four terms, summed left to right; row 0 is clock 0, where
+        # the step motions are 0
+        for scale, w in zip(scales, steps):
+            zn2[:, 1:] += scale[1:] * w
+            zn2[:, 0] += scale[0] * 0.0
         # Z into the planes of W2 and of the temporary, both read by now
         z1 = np.take(a, sq_idx, axis=1, out=_rows(planes[1], size, grid.size), mode="clip")
         z1 *= grid

@@ -1217,6 +1217,27 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypatch, arg
     assert code == 2 and out == "" and calls == []
 
 
+def test_negative_scale_in_exponent_form_is_a_value(tmp_path, capsys):
+    # argparse read "-1e3" after a space as an option ("expected one
+    # argument"); it is a value, as in --scale=-1e3 and as -2.5 always was
+    model = graph_model(tmp_path, 12, 0.3)
+    base = ["stein-identity", "--model", model, "--samples", "4096", "--functional",
+            "sin:coord=1,t=1"]
+    outs = {}
+    for spelling in (["--scale", "-1e3"], ["--scale=-1e3"], ["--scale", "-1000"],
+                     ["--scale", "-2.5"], ["--scale=-2.5"], ["--scale", "-25E-1"]):
+        code, out = run(capsys, base + spelling)
+        assert code in (0, 1) and out, spelling
+        outs[" ".join(spelling)] = out
+    assert outs["--scale -1e3"] == outs["--scale=-1e3"] == outs["--scale -1000"]
+    assert outs["--scale -2.5"] == outs["--scale=-2.5"] == outs["--scale -25E-1"]
+    assert json.loads(outs["--scale -1e3"])["parameters"]["scale"] == -1000.0
+    for bad in (["--scale", "-x"], ["--scale", "nan"], ["--scale", "-inf"], ["--scale", "-1e"],
+                ["--scale", "-1e999"], ["--scale"]):
+        code, out = run(capsys, base + bad)
+        assert code == 2 and out == "", bad
+
+
 def test_benchmark_values_stay_accepted():
     parser = cli.build_parser()
     for argv in (

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -20,8 +21,8 @@ from steinpaths.graph import (
     GraphModel,
     GraphModelError,
     GraphRealization,
-    _bm,
     _bytes,
+    _correction_groups,
     _expected_cuts,
     _path_from_degrees,
     _prefix_degrees,
@@ -240,11 +241,9 @@ def test_y_two_star_counts_do_not_wrap_at_large_n():
     for n, p in [(181, 0.95), (200, 0.9)]:
         model, size = GraphModel(n, p), 4
         vals = sample_y_values(model, rng_for(95), size, [n])
-        replay = rng_for(95)
         edges = np.zeros((size, n, n), dtype=np.int64)
-        for k in range(1, n):
-            block = bernoulli(replay, p, (k, size)).T
-            edges[:, k, :k] = edges[:, :k, k] = block
+        for k, block in y_edge_blocks(model, rng_for(95), size, n):
+            edges[:, k, :k] = edges[:, :k, k] = block.T
         deg = edges.sum(axis=2)
         t_raw = (n - 2) * deg.sum(axis=1) // 2 / n**2
         v_raw = (deg * (deg - 1) // 2).sum(axis=1) / n**2
@@ -253,12 +252,47 @@ def test_y_two_star_counts_do_not_wrap_at_large_n():
         assert np.allclose(vals[:, 0, 1] + ev, v_raw, rtol=1e-12, atol=0)
 
 
+def y_edge_blocks(model, rng, size, m):
+    """Yields (k, block) for k = 1..m-1: vertex k's (k, size) uint8 edge
+    indicators to the vertices < k, in the draw order of ``sample_y_values``.
+    The vertices are cut into groups in order, each group closed before the
+    vertex that would take it past graph.Y_GROUP indicators (but holding at
+    least one vertex).  A group first draws K ~ Binomial(N, rate) and K
+    distinct positions among its N indicators, its blocks laid end to end;
+    then each vertex draws its raw bytes, compares them as ``bernoulli``
+    does, and sets or clears the positions that fall in its block."""
+    n, p = model.n, model.p
+    q = 256 * p
+    j = math.floor(q)
+    set_rate, clear_rate = (q - j) / (256 - j), (j + 1 - q) / (j + 1)
+    fill = set_rate <= clear_rate  # p = 0.5 sets at rate 0: no correction
+    rate = 0.0 if q == j else min(set_rate, clear_rate)
+    lo = 1
+    while lo < m:
+        hi, total = lo, 0
+        while hi < n and (total == 0 or total + hi * size <= graph.Y_GROUP):
+            total, hi = total + hi * size, hi + 1
+        picks = np.zeros(0, dtype=np.int64)
+        if rate:
+            picks = rng.choice(total, rng.binomial(total, rate), replace=False, shuffle=False)
+        start = 0
+        for k in range(lo, min(hi, m)):
+            u = rng.bit_generator.random_raw(-(-k * size // 8)).astype("<u8").view(np.uint8)
+            block = u[: k * size] < j if fill else u[: k * size] <= j
+            mine = picks[(picks >= start) & (picks < start + k * size)]
+            block[mine - start] = fill
+            yield k, block.view(np.uint8).reshape(k, size)
+            start += k * size
+        lo = hi
+
+
 def y_incremental_reference(model, rng, size, cuts=None):
     """Graph Y by the incremental vertex loop: at every vertex k the
     two-star count grows by C(e_k, 2) plus the degrees of k's new
     neighbours (an einsum over int32 degrees), and both counts are written
-    at every row.  It takes the same draws as ``sample_y_values``."""
-    n, p = model.n, model.p
+    at every row.  It takes the same draws as ``sample_y_values``, through
+    ``y_edge_blocks``."""
+    n = model.n
     rows, m = grid_rows(n, cuts)
     out = np.zeros((size, m + 1, 2))
     s = np.zeros(size, dtype=np.int64)
@@ -267,8 +301,7 @@ def y_incremental_reference(model, rng, size, cuts=None):
     # sum over `span` rows; each partial sum goes into w (int64) on its own
     deg = np.zeros((m, size), dtype=np.int32)
     span = (2**31 - 1) // (n - 1)
-    for k in range(1, m):
-        block = bernoulli(rng, p, (k, size)).view(np.uint8)
+    for k, block in y_edge_blocks(model, rng, size, m):
         e_k = block.sum(axis=0, dtype=np.int64)
         w += e_k * (e_k - 1) // 2
         held = deg[:k]
@@ -326,6 +359,102 @@ def test_y_peak_memory_within_incremental_loop(n, cuts):
     model = GraphModel(n, 0.3)
     reference = traced_peak(y_incremental_reference, model, rng_for(97), 4096, cuts)
     assert traced_peak(sample_y_values, model, rng_for(97), 4096, cuts) <= reference
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its choice and binomial calls."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.calls = collections.Counter()
+
+    def choice(self, *args, **kwargs):
+        self.calls["choice"] += 1
+        return super().choice(*args, **kwargs)
+
+    def binomial(self, *args, **kwargs):
+        self.calls["binomial"] += 1
+        return super().binomial(*args, **kwargs)
+
+
+@pytest.mark.parametrize("p, groups", [(0.3, 1), (0.5, 0)])
+def test_y_draws_one_correction_per_group(p, groups):
+    # n = 64, 4096 samples, cut [64]: the 63 vertex blocks hold 8,257,536
+    # indicators, one group, so one K and one position draw (one per vertex
+    # before); p = 0.5 is 128/256 exactly and draws no correction
+    model = GraphModel(64, p)
+    assert _correction_groups(64, 4096) == [(1, 64)]
+    rng = CountingGenerator(rng_for(99).bit_generator)
+    vals = sample_y_values(model, rng, 4096, [64])
+    assert rng.calls == collections.Counter({"choice": groups, "binomial": groups})
+    assert np.array_equal(vals, sample_y_values(model, rng_for(99), 4096, [64]))
+
+
+def test_correction_groups_cover_the_vertices_within_the_budget():
+    for n, size in [(3, 1), (64, 4096), (200, 1000), (700, 4096), (5000, 4096)]:
+        groups = _correction_groups(n, size)
+        assert groups[0][0] == 1 and groups[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+        for lo, hi in groups:
+            held = size * sum(range(lo, hi))
+            assert hi > lo and (held <= graph.Y_GROUP or hi == lo + 1)
+        # each group is closed only when its next vertex would not fit
+        for (lo, hi), _ in zip(groups, groups[1:]):
+            assert size * sum(range(lo, hi + 1)) > graph.Y_GROUP
+    # from vertex 4097 on, a (k, 4096) block alone passes 2^24 indicators
+    assert _correction_groups(5000, 4096)[-903:] == [(k, k + 1) for k in range(4097, 5000)]
+
+
+@pytest.mark.parametrize("p", [0.002, 0.1, 0.3, 0.5, 0.999])
+def test_y_law_on_every_correction_path(p):
+    # 0.002 takes every 1 from the correction, 0.1 sets, 0.3 and 0.999
+    # clear, 0.5 draws no correction; 2^17 samples in one call span 19
+    # correction groups.  Means at rows 32 and 64 are 0, the edge variance
+    # and the cross entry are cov_tv_exact's and the two-star variance is
+    # var_v_exact's, each within 5 stderr
+    model, size = GraphModel(64, p), 2**17
+    assert len(_correction_groups(64, size)) == 19
+    vals = sample_y_values(model, rng_for(100), size, [32, 64])
+    for row, k in enumerate((32, 64)):
+        t = F(k, 64)
+        cov = cov_tv_exact(model, t)
+        want = {(0, 0): cov[0][0], (0, 1): cov[0][1], (1, 1): var_v_exact(model, t)}
+        for c in (0, 1):
+            est = from_values(vals[:, row, c])
+            assert abs(est.mean) <= 5 * est.stderr
+        for (a, b), exact in want.items():
+            est = from_values(vals[:, row, a] * vals[:, row, b])
+            assert abs(est.mean - float(exact)) <= 5 * est.stderr
+
+
+@pytest.mark.parametrize("p", [0.002, 0.3, 0.5, 0.999])
+def test_y_matches_reference_across_many_correction_groups(p, monkeypatch):
+    # a budget of 300 indicators cuts n = 40 into many groups (vertices
+    # past the budget alone); full and cut calls match the reference, and
+    # a cut call that stops inside a group repeats the full call's rows
+    monkeypatch.setattr(graph, "Y_GROUP", 300)
+    model = GraphModel(40, p)
+    for size in (1, 33):
+        groups = _correction_groups(40, size)
+        assert len(groups) >= 3
+        full = sample_y_values(model, rng_for(101), size)
+        assert np.array_equal(full, y_incremental_reference(model, rng_for(101), size))
+        # row hi - 1 reads vertices up to hi - 2, inside the group [lo, hi)
+        inside = [hi - 1 for lo, hi in groups if hi - lo > 1]
+        assert len(inside) > 1
+        for cuts in (inside, [inside[-1]], [30, 7], [40]):
+            cut = sample_y_values(model, rng_for(101), size, cuts)
+            assert np.array_equal(cut, full[:, cuts])
+
+
+def test_y_cut_inside_a_correction_group_repeats_full_rows():
+    # at the default budget n = 200 with 1000 samples is two groups,
+    # [1, 183) and [183, 200); rows 100 and 190 end inside them
+    model, size = GraphModel(200, 0.3), 1000
+    assert _correction_groups(200, size) == [(1, 183), (183, 200)]
+    full = sample_y_values(model, rng_for(102), size)
+    for cuts in ([100], [190], [190, 100, 5]):
+        assert np.array_equal(sample_y_values(model, rng_for(102), size, cuts), full[:, cuts])
 
 
 def _state(rng):
@@ -776,6 +905,38 @@ def test_coupled_sampler_zn_law_matches_dn():
         assert abs(est.mean - expected) < 5 * est.stderr
 
 
+def _bm(rng, size, times):
+    """(size, len(times)) Brownian motion at the increasing times from its
+    own normal call: the steps scaled by the roots of the time increments
+    and summed left to right, as one motion was drawn before the motions
+    shared one normal call."""
+    d = np.diff(np.concatenate([[0.0], times]))
+    steps = rng.standard_normal((size, times.size))
+    steps *= np.sqrt(d)
+    return np.cumsum(steps, axis=1, out=steps)
+
+
+@pytest.mark.parametrize("cuts", [[0], [5], [0, 9, 3], list(range(2, 20)), None])
+def test_dn_one_normal_call_is_five_motion_draws(cuts):
+    # the five motions from one normal call are the five _bm draws in turn,
+    # bit for bit (signed zeros too), on both prefix-sum paths (fewer and
+    # more clocks than graph._COLUMN_ADDS) and with row 0 or without it
+    n, p, size = 24, 0.3, 37
+    vals = sample_dn_values(GraphModel(n, p), rng_for(98), size, cuts)
+    ks, at = np.unique(grid_rows(n, cuts)[0], return_inverse=True)
+    drawn = ks[ks > 0]
+    tau = (drawn * (drawn - 1)).astype(float)
+    rng, pad = rng_for(98), np.zeros((size, ks.size - drawn.size))
+    w1, w2, w3, w4, w5 = (np.concatenate([pad, _bm(rng, size, c)], axis=1)
+                          for c in (tau, tau, tau, drawn * tau, tau))
+    a1, a2, b1, b2 = z_coefficients(p)
+    shift = (ks - 2.0) / n**2
+    d2 = (shift * (b1 * w1 + b2 * w2) + shift / math.sqrt(n) * w3
+          + p * (1 - p) / (math.sqrt(2.0) * n**2) * w4 + math.sqrt(2 * p**3 * (1 - p)) / n**2 * w5)
+    ref = np.stack([shift * (a1 * w1 + a2 * w2), d2], axis=-1)
+    assert vals.tobytes() == (ref if cuts is None else ref[:, at]).tobytes()
+
+
 def test_coupled_sampler_assembles_its_motions_bitwise():
     # reference: the five motions drawn in order from the same stream, read
     # at each clock and combined term by term, Z_n2's terms added left to right
@@ -795,7 +956,7 @@ def test_coupled_sampler_assembles_its_motions_bitwise():
     zn2 = (shift * (b1 * t1 + b2 * t2) + shift / math.sqrt(n) * w3
            + p * (1 - p) / math.sqrt(2.0 * n) * w4 + math.sqrt(2 * p**3 * (1 - p)) / n * w5)
     assert np.array_equal(zn[:, :, 0], shift * (a1 * t1 + a2 * t2))
-    assert np.array_equal(zn[:, :, 1], zn2)
+    assert zn[:, :, 1].tobytes() == zn2.tobytes()  # signed zeros at row 0 too
     assert np.array_equal(z[:, :, 0], grid * (a1 * s1 + a2 * s2))
     assert np.array_equal(z[:, :, 1], grid * (b1 * s1 + b2 * s2))
 
