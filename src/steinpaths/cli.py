@@ -247,7 +247,7 @@ def cmd_verify_covariance(args, fam, model, funcs, report):
 
 def cmd_distance(args, fam, model, funcs, report):
     # every norm is certified before anything is drawn
-    gnorms = [norm_upper_bound(g, fam.NORM_CLASS).value for g in funcs]
+    gnorms = [norm_upper_bound(g, fam.NORM_CLASS) for g in funcs]
     pairs = _gap_estimates(args, fam, model, funcs, report)
     for g, gnorm, (est_y, est_d) in zip(funcs, gnorms, pairs):
         gap = abs(est_y.mean - est_d.mean)

@@ -1029,6 +1029,9 @@ def assumption_diagnostic(model: ArrayModel, grid: Sequence) -> list[dict]:
     lhs2(t,u) = (1/s^2) sum_{i<=floor(nt), j<=floor(nu), l} E[X_il X_jl]
     lhs1 is prelimit_cov; lhs2's matrix is c_i.c_j off the diagonal and
     |c_i|^2 + sum_l sigma_il^2 on it, so its box sums are _box_sums'.
+    assumption2 is not normalized: on the iid presets it equals
+    n min(t, u) (16, 32 and 64 at n = 64, t = u = 1/4, 1/2 and 1), so it
+    grows with n where assumption1 stays min(t, u).
     """
     times = [as_time(t) for t in grid]
     lhs1 = prelimit_cov(model, times)

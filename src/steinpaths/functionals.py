@@ -11,11 +11,12 @@ with x the stacked vector (w(t_1), ..., w(t_k)), shape (k*p,).  That vector,
 optionally with leading batch axes, is the one argument every evaluation
 takes: a grid path's rows ``rows(n)``, flattened, or a target's draws.
 
-Built-in bases (sine, cosine, tanh products, linear evaluations) carry
-hand-certified sup constants, from which sound upper bounds for the
-weighted functional norms are assembled.  The bounds are conservative by
-design: every distance bound downstream is monotone increasing in the
-norm, so an upper bound preserves validity.
+Built-in bases carry hand-certified sup constants, from which sound upper
+bounds for the weighted functional norms are assembled.  Sine, cosine and
+linear evaluations are one linear form f(x . a), certified by one rule
+from a and the sups of f's derivatives; tanh products are the other base.
+The bounds are conservative by design: every distance bound downstream is
+monotone increasing in the norm, so an upper bound preserves validity.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "FunctionalError",
     "UnsupportedFunctionalError",
     "NormCertificate",
-    "NormBound",
     "CylinderFunctional",
     "norm_upper_bound",
     "sin_cylinder",
@@ -74,12 +74,6 @@ class NormCertificate:
     grad_block_sups: tuple
     hess_block_sups: tuple
     hess_lipschitz: float
-
-
-@dataclass(frozen=True)
-class NormBound:
-    norm_class: str  # "M0" | "M1" | "M2" | "M"
-    value: float
 
 
 class CylinderFunctional:
@@ -137,7 +131,7 @@ class CylinderFunctional:
         return "CylinderFunctional(%s, dim=%d, k=%d)" % (self.label, self.dim, self.k)
 
 
-def norm_upper_bound(g: CylinderFunctional, norm_class: str) -> NormBound:
+def norm_upper_bound(g: CylinderFunctional, norm_class: str) -> float:
     """Sound upper bound for the functional norm of the given class.
 
     All four classes share the derivative terms
@@ -169,36 +163,30 @@ def norm_upper_bound(g: CylinderFunctional, norm_class: str) -> NormBound:
     deriv = float(np.sum(cert.grad_block_sups))
     hess = float(np.sum(cert.hess_block_sups))
     lip = g.k ** 1.5 * cert.hess_lipschitz
-    return NormBound(norm_class, float(value_term) + deriv + hess + lip)
+    return float(value_term) + deriv + hess + lip
 
 
 # ---------------------------------------------------------------------------
 # built-in bases
 
 
-class _TrigBase:
-    """phi(x) = f(x[idx]) for f = sin or cos, given as fns = (f, f', f'')."""
+class _LinearFormBase:
+    """phi(x) = f(x . a) for a weight vector a, given fns = (f, f', f'')."""
 
-    def __init__(self, fns: tuple, idx: int, n_args: int, certificate: NormCertificate):
+    def __init__(self, a: np.ndarray, fns: tuple, certificate: NormCertificate):
+        self.a = a
         self.fn, self.dfn, self.d2fn = fns
-        self.idx = idx
-        self.n_args = n_args
         self.certificate = certificate
 
     def value(self, x):
-        return self.fn(np.asarray(x)[..., self.idx])
+        return self.fn(np.asarray(x) @ self.a)
 
     def grad(self, x):
-        x = np.asarray(x)
-        out = np.zeros_like(x)
-        out[..., self.idx] = self.dfn(x[..., self.idx])
-        return out
+        return self.dfn(np.asarray(x) @ self.a)[..., None] * self.a
 
     def hess(self, x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape + (self.n_args,))
-        out[..., self.idx, self.idx] = self.d2fn(x[..., self.idx])
-        return out
+        # scale a before the outer product: a a^T alone overflows at large a
+        return (self.d2fn(np.asarray(x) @ self.a)[..., None] * self.a)[..., None] * self.a
 
 
 class _TanhProdBase:
@@ -246,39 +234,30 @@ class _TanhProdBase:
         return out
 
 
-class _LinearBase:
-    """phi(x) = sum_f weights[f] * x[f]."""
-
-    def __init__(self, weights: np.ndarray, certificate: NormCertificate):
-        self.weights = np.asarray(weights, dtype=float)
-        self.n_args = self.weights.size
-        self.certificate = certificate
-
-    def value(self, x):
-        return np.asarray(x) @ self.weights
-
-    def grad(self, x):
-        x = np.asarray(x)
-        return np.broadcast_to(self.weights, x.shape).copy()
-
-    def hess(self, x):
-        x = np.asarray(x)
-        return np.zeros(x.shape + (self.n_args,))
-
-
 # ---------------------------------------------------------------------------
 # factories
 
 
-# sin or cos at one time: the function and its first three derivatives
-# are bounded by 1
-_TRIG_CERTIFICATE = NormCertificate(
-    sup_abs=1.0,
-    sup_abs_over_cubic=1.0,
-    grad_block_sups=(1.0,),
-    hess_block_sups=((1.0,),),
-    hess_lipschitz=1.0,
-)
+def _linear_form(label: str, times: Sequence, dim: int, a: np.ndarray, fns: tuple,
+                 sups: tuple) -> CylinderFunctional:
+    """g = f(x . a) on the stacked argument x at `times`, fns = (f, f', f'').
+
+    sups = (sup|f|, the cubic-weighted sup, sup|f'|, sup|f''|, sup|f'''|)
+    certify g by one rule: block b's gradient by sup|f'| |a_b|, H_bc by
+    sup|f''| |a_b| |a_c| and the Hessian's Lipschitz constant by
+    sup|f'''| |a|^3.  A zero derivative sup gives exactly 0.0, never the
+    0 * inf of a norm that overflows.
+    """
+    sup_abs, sup_cubic, d1, d2, d3 = sups
+    norms = [float(np.linalg.norm(b)) for b in a.reshape(len(times), dim)]
+    return CylinderFunctional(dim, times, _LinearFormBase(a, fns, NormCertificate(
+        sup_abs=sup_abs,
+        sup_abs_over_cubic=sup_cubic,
+        grad_block_sups=tuple(d1 * nb for nb in norms),
+        hess_block_sups=tuple(tuple(0.0 if d2 == 0 else d2 * nb * nc for nc in norms)
+                              for nb in norms),
+        hess_lipschitz=0.0 if d3 == 0 else d3 * float(np.linalg.norm(a)) ** 3,
+    )), label)
 
 
 def _coord_index(coord: int, dim: int) -> int:
@@ -290,8 +269,9 @@ def _coord_index(coord: int, dim: int) -> int:
 
 def _trig_cylinder(name: str, fns: tuple, coord: int, t, dim: int) -> CylinderFunctional:
     t = as_time(t)
-    base = _TrigBase(fns, _coord_index(coord, dim), dim, _TRIG_CERTIFICATE)
-    return CylinderFunctional(dim, [t], base, label="%s:coord=%d,t=%s" % (name, coord, t))
+    a = np.eye(dim)[_coord_index(coord, dim)]
+    # sin, cos and their first three derivatives are bounded by 1
+    return _linear_form("%s:coord=%d,t=%s" % (name, coord, t), [t], dim, a, fns, (1.0,) * 5)
 
 
 def sin_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
@@ -366,19 +346,11 @@ def linear_cylinder(
         label += ",w=" + ",".join(repr(wt).removesuffix(".0") for wt in weights)
     if len(weights) != len(indices):
         raise FunctionalError("coords and weights must pair up")
-    k = len(uniq_times)
-    wvec = np.zeros(k * dim)
+    wvec = np.zeros(len(uniq_times) * dim)
     for i, wt in zip(indices, weights):
         wvec[i] += wt
-    blocks = wvec.reshape(k, dim)
-    base = _LinearBase(wvec, NormCertificate(
-        sup_abs=None,
-        sup_abs_over_cubic=_LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec))),
-        grad_block_sups=tuple(float(np.linalg.norm(b)) for b in blocks),
-        hess_block_sups=tuple(tuple(0.0 for _ in range(k)) for _ in range(k)),
-        hess_lipschitz=0.0,
-    ))
-    return CylinderFunctional(dim, uniq_times, base, label=label)
+    return _linear_form(label, uniq_times, dim, wvec, (lambda u: u, np.ones_like, np.zeros_like),
+                        (None, _LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec))), 1.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +387,20 @@ def _parse_kv(body: str, alias: dict) -> dict:
     return out
 
 
+def _finite_float(v: str) -> float:
+    x = float(v)
+    if not np.isfinite(x):
+        raise ValueError("%r is not finite" % v)
+    return x
+
+
 def parse_functional(spec: str, dim: int) -> CylinderFunctional:
     """Parse a functional mini-language spec (see FUNCTIONAL_SPEC_HELP).
 
     A field the functional does not take, a second value of a sin or cos
-    field and a value that does not parse (or a time outside [0,1]) are
-    each a FunctionalError that names the field."""
+    field and a value that does not parse (or a time outside [0,1], or a
+    weight that is not finite) are each a FunctionalError that names the
+    field."""
     if ":" not in spec:
         raise FunctionalError("functional spec needs 'name:args', got %r" % spec)
     name, body = spec.split(":", 1)
@@ -445,7 +425,7 @@ def parse_functional(spec: str, dim: int) -> CylinderFunctional:
     if name == "tanhprod":
         return tanh_product(field("coords", int), field("t", as_time), dim)
     if name == "lin":
-        weights = field("w", float) if "w" in kv else None
+        weights = field("w", _finite_float) if "w" in kv else None
         return linear_cylinder(field("coords", int), field("t", as_time), weights, dim)
     (coord,), (t,) = field("coord", int), field("t", as_time)
     return (sin_cylinder if name == "sin" else cos_cylinder)(coord, t, dim)

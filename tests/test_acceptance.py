@@ -281,7 +281,7 @@ def test_criterion_6_bound_validity_desk_scale():
             tanh_product([1, 2], [F(1, 2), F(1)], dim=2),
         ]
         for idx, g in enumerate(funcs):
-            gnorm = norm_upper_bound(g, "M2").value
+            gnorm = norm_upper_bound(g, "M2")
             y_fn, d_fn = cli._gap_sampler(ou.family(model), model, g)
             ey = mc_run(y_fn, samples, SeedSpec(8, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(8, (n, idx, 1)))
@@ -298,7 +298,7 @@ def test_criterion_6_bound_validity_desk_scale():
             tanh_product([1, 1], [F(1, 2), F(1)], dim=1),
         ]
         for idx, g in enumerate(funcs):
-            gnorm = norm_upper_bound(g, "M1").value
+            gnorm = norm_upper_bound(g, "M1")
             y_fn, d_fn = cli._gap_sampler(ou.family(model), model, g)
             ey = mc_run(y_fn, samples, SeedSpec(9, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(9, (n, idx, 1)))

@@ -992,11 +992,15 @@ def test_coordinate_outside_model_is_usage_error(tmp_path, capsys, graph_draws, 
     ("tanhprod:coords=1,t=1,w=2", "'w'"),
     ("sin:coord=1,t=1,t=1/2", "'t'"),
     ("lin:coord=1,coords=2,t=1,1", "'coords'"),
+    ("lin:coords=1,t=1/12,w=nan", "'w'"),
+    ("lin:coords=1,t=1/12,w=inf", "'w'"),
+    ("lin:coords=1,2,t=1,1,w=1,-1e400", "'w'"),
 ])
 def test_malformed_or_ignored_spec_field_is_usage_error(tmp_path, capsys, graph_draws, spec,
                                                         field):
-    # a value that does not parse, a field the functional does not take and
-    # a second value of a single-valued field are refused before any draw
+    # a value that does not parse or is not finite, a field the functional
+    # does not take and a second value of a single-valued field are refused
+    # before any draw
     code = main(["simulate", "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
                  "--functional", spec])
     out, err = capsys.readouterr()
