@@ -172,50 +172,27 @@ def _product_check(report, name, note, sample, cov, args, seed):
     report.add_check(name, worst_z <= 5.0, "5 stderr", "max |z| %.2f%s" % (worst_z, note))
 
 
-def _graph_identities(model, times, cov, vacuous, args, report):
-    """Adds the graph's closed-form checks: each covariance block of the
-    Brownian construction against its closed form at 64 random points,
-    and the rank-one cov_tv against the diagonal blocks of cov, the
-    pre-limit's covariance at times.  np.max keeps a NaN, which fails."""
-    rng = SeedSpec(args.seed, (0,)).rng()
-    # each point's n, p, 100 t and 100 u, drawn point after point
-    points = [(int(rng.integers(3, 40)), float(rng.uniform(0.05, 0.95)),
-               int(rng.integers(0, 101)), int(rng.integers(0, 101))) for _ in range(64)]
-    nn, pp, kt, ku = map(np.array, zip(*points))
-    rows = nn * kt // 100, nn * ku // 100  # floor(n t) at t = k/100
-    x, y = gr.row_cov(nn, pp, *rows), gr.brownian_side_cov(nn, pp, *rows)
-    rel = np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-30)
-    for name, (i, j) in {"edge_block_identity": (0, 0), "cross_block_identity": (0, 1),
-                         "twostar_block_identity": (1, 1)}.items():
-        worst = float(np.max(rel[:, i, j]))
-        report.add_check(name, worst <= args.tol, args.tol, "max rel diff %.3e" % worst)
-
-    tv = np.array([gr.cov_tv(model, t) for t in times]).transpose(1, 2, 0)  # (2, 2, times)
-    gaps = np.abs(tv - np.diagonal(cov.reshape(len(times), 2, len(times), 2), axis1=0, axis2=2))
-    for (i, j), lab in {(0, 0): "TT", (0, 1): "TV", (1, 1): "VV"}.items():
-        gap = float(np.max(gaps[i, j]))
-        report.add_check("cov_tv_vs_prelimit_%s" % lab, gap <= 1e-12, 1e-12,
-                         "max abs diff %.3e%s" % (gap, vacuous))
-
-
 def cmd_verify_covariance(args, fam, model, funcs, report):
-    """The family's own checks, then, for both families, prelimit_grid_psd
+    """The family's covariance_identities, then prelimit_grid_psd
     (TargetLaw's covariance at the --grid times has no eigenvalue below
-    -1e-9) and dn_grid_cov_mc: D_n's products at those times against it.
-    --grid 0 reads time 0 alone, where D_n and its covariance vanish, so
-    the checks on that degenerate grid are vacuous.  A single sample has no
-    standard error to judge a product by, so --samples 1 is a usage error, as
-    is a --grid whose stacked covariance exceeds COVARIANCE_ENTRIES.  --tol
-    is read by a graph's block identities and, above 0 samples, by the
-    Monte Carlo checks' constant columns; an array run at --samples 0 reads
-    it nowhere, so a --tol given there is a usage error."""
+    -1e-9), then the Monte Carlo checks: the family's increment_cov_check,
+    if it has one, and dn_grid_cov_mc, D_n's products at those times
+    against that covariance.  --grid 0 reads time 0 alone, where D_n and
+    its covariance vanish, so the checks on that degenerate grid are
+    vacuous.  A single sample has no standard error to judge a product by,
+    so --samples 1 is a usage error, as is a --grid whose stacked
+    covariance exceeds COVARIANCE_ENTRIES.  --tol is read by the family's
+    TOL_IDENTITIES and, above 0 samples, by the Monte Carlo checks'
+    constant columns; a --tol given where it is read nowhere is a usage
+    error."""
     if args.samples == 1:
         raise UsageError("--samples 1 gives no standard error; use 0 to skip "
                          "the Monte Carlo checks, or at least 2")
-    if fam is comb and args.samples == 0 and args.tol is not COVARIANCE_TOL:
-        raise UsageError("--tol is read by no check of an array model at --samples 0: "
+    if not fam.TOL_IDENTITIES and args.samples == 0 and args.tol is not COVARIANCE_TOL:
+        raise UsageError("--tol is read by no check of %s %s model at --samples 0: "
                          "prelimit_grid_psd has the fixed bound -1e-9 (omit --tol, "
-                         "or draw at least 2 samples)")
+                         "or draw at least 2 samples)"
+                         % ("an" if fam.KIND[0] in "aeiou" else "a", fam.KIND))
     entries = (args.grid * fam.DIM) ** 2
     if entries > COVARIANCE_ENTRIES:
         raise UsageError("verify-covariance --grid %d stacks (grid x dim)^2 = %d covariance "
@@ -225,21 +202,18 @@ def cmd_verify_covariance(args, fam, model, funcs, report):
     times = [F(k, args.grid) for k in range(1, args.grid + 1)] or [F(0)]
     cov = law.cov_matrix(times)
     vacuous = "" if cov.any() else " (degenerate grid, vacuous)"
-    if fam is gr:
-        _graph_identities(model, times, cov, vacuous, args, report)
+    for check in fam.covariance_identities(model, times, cov, vacuous, args.tol,
+                                           SeedSpec(args.seed, (0,))):
+        report.add_check(*check)
     eig_min = float(np.linalg.eigvalsh(cov).min())
     report.add_check("prelimit_grid_psd", eig_min >= -1e-9, -1e-9, "min eig %.3e" % eig_min)
     if args.samples == 0:
         return
     samples = " over %d samples" % args.samples
-    if fam is comb:
-        # Zhat in units of 2^e, the least power of two above s_n: exact, so
-        # no |z| changes, and its products' squared deviations stay finite
-        # at any entry scale (unscaled, they overflow from entries near 1e76)
-        unit = math.ldexp(1.0, -math.frexp(model.s_n)[1])
-        _product_check(report, "zhat_cov_mc", samples,
-                       lambda rng, size: unit * comb.sample_zhat_values(model, rng, size),
-                       comb.zhat_cov_matrix(model) * (unit * unit), args, SeedSpec(args.seed, (1,)))
+    increments = fam.increment_cov_check(model)
+    if increments is not None:
+        name, sample, target = increments
+        _product_check(report, name, samples, sample, target, args, SeedSpec(args.seed, (1,)))
     _product_check(report, "dn_grid_cov_mc", vacuous or samples,
                    lambda rng, size: law.sample_at(rng, size, times),
                    cov, args, SeedSpec(args.seed, (2,)))
@@ -284,18 +258,7 @@ def cmd_coupling(args, fam, model, funcs, report):
 def cmd_bound(args, fam, model, funcs, report):
     """Adds every closed-form bound at --gnorm; a --gnorm so large that a
     bound overflows is a usage error, raised before the report is emitted."""
-    if fam is gr:
-        bounds = {
-            "prelimit_12g_over_n": gr.bound_prelimit(model, args.gnorm),
-            "continuous_sqrt_log": gr.bound_continuous(model.n, args.gnorm),
-        }
-        for name, val in gr.coupling_bounds(model.n).items():
-            bounds["coupling_%s" % name] = val
-    else:
-        bounds = dict(comb.bound_prelimit_distance_report(model, args.gnorm))
-        bounds["simplified_beta3"] = comb.bound_beta3(
-            model.n, model.s_n, float(model.abs3.max()), model.c,
-            float(model.sigma2.sum()), args.gnorm)
+    bounds = fam.bound_table(model, args.gnorm)
     overflow = [key for key, val in bounds.items() if not math.isfinite(val)]
     if overflow:
         raise UsageError("--gnorm %r overflows the bounds %s" % (args.gnorm, ", ".join(overflow)))

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .functionals import CylinderFunctional
-from .mc import MEMORY_BUDGET
+from .mc import MEMORY_BUDGET, SeedSpec
 from .paths import as_time, grid_rows, time_rows
 
 __all__ = [
@@ -58,6 +58,9 @@ __all__ = [
     "zhat_cov",
     "zhat_cov_matrix",
     "prelimit_cov",
+    "TOL_IDENTITIES",
+    "covariance_identities",
+    "increment_cov_check",
     "sample_y_values",
     "sample_zhat_values",
     "sample_dn_values",
@@ -66,11 +69,13 @@ __all__ = [
     "bound_prelimit",
     "bound_prelimit_distance_report",
     "bound_beta3",
+    "bound_table",
     "assumption_diagnostic",
     "MEMORY_BUDGET",
 ]
 
 KIND, DIM, NORM_CLASS = "array", 1, "M1"  # report kind, path dimension, norm class of |g|
+TOL_IDENTITIES = ()  # the array has no closed-form covariance identity
 
 _FAM_CONSTANT, _FAM_GAUSSIAN, _FAM_RADEMACHER, _FAM_TWO_POINT = range(4)
 
@@ -758,6 +763,23 @@ def sample_zhat_values(model: ArrayModel, rng: np.random.Generator, size: int) -
     return _block_sums(model, rng, size, np.arange(1, model.n + 1))
 
 
+def covariance_identities(model: ArrayModel, times: Sequence, cov: np.ndarray, note: str,
+                          tol: float, seed: SeedSpec) -> list[tuple]:
+    """verify-covariance's closed-form checks: none for the array."""
+    return []
+
+
+def increment_cov_check(model: ArrayModel) -> tuple:
+    """verify-covariance's Monte Carlo check of the increments, as (name,
+    sample, cov): zhat_cov_mc, Zhat's draws against zhat_cov_matrix.  Zhat
+    is in units of 2^e, the least power of two above s_n: exact, so no |z|
+    changes, and its products' squared deviations stay finite at any entry
+    scale (unscaled, they overflow from entries near 1e76)."""
+    unit = math.ldexp(1.0, -math.frexp(model.s_n)[1])
+    return ("zhat_cov_mc", lambda rng, size: unit * sample_zhat_values(model, rng, size),
+            zhat_cov_matrix(model) * (unit * unit))
+
+
 def sample_dn_values(
     model: ArrayModel, rng: np.random.Generator, size: int, cuts=None
 ) -> np.ndarray:
@@ -1018,6 +1040,16 @@ def bound_beta3(
         + 2.0 / math.sqrt(n)
         + 4.0 * sigma_sq_total / (3.0 * n * s_n**2)
     )
+
+
+def bound_table(model: ArrayModel, gnorm: float) -> dict:
+    """bound's named bounds at |g| = gnorm, in report order: every term of
+    bound_prelimit_distance_report, then bound_beta3 at the model's largest
+    third absolute moment."""
+    table = bound_prelimit_distance_report(model, gnorm)
+    table["simplified_beta3"] = bound_beta3(
+        model.n, model.s_n, float(model.abs3.max()), model.c, float(model.sigma2.sum()), gnorm)
+    return table
 
 
 def assumption_diagnostic(model: ArrayModel, grid: Sequence) -> list[dict]:

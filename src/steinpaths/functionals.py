@@ -21,6 +21,7 @@ monotone increasing in the norm, so an upper bound preserves validity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -245,18 +246,21 @@ def _linear_form(label: str, times: Sequence, dim: int, a: np.ndarray, fns: tupl
     sups = (sup|f|, the cubic-weighted sup, sup|f'|, sup|f''|, sup|f'''|)
     certify g by one rule: block b's gradient by sup|f'| |a_b|, H_bc by
     sup|f''| |a_b| |a_c| and the Hessian's Lipschitz constant by
-    sup|f'''| |a|^3.  A zero derivative sup gives exactly 0.0, never the
-    0 * inf of a norm that overflows.
+    sup|f'''| |a|^3.  Each norm is math.hypot's, which scales its terms,
+    so it is finite wherever its value is: |(1e300, -1e300)| is
+    sqrt(2) 1e300, where a sum of squares overflows from 1.3e154.  A zero
+    derivative sup gives exactly 0.0, never the 0 * inf of a product of
+    norms that overflows.
     """
     sup_abs, sup_cubic, d1, d2, d3 = sups
-    norms = [float(np.linalg.norm(b)) for b in a.reshape(len(times), dim)]
+    norms = [math.hypot(*b) for b in a.reshape(len(times), dim)]
     return CylinderFunctional(dim, times, _LinearFormBase(a, fns, NormCertificate(
         sup_abs=sup_abs,
         sup_abs_over_cubic=sup_cubic,
         grad_block_sups=tuple(d1 * nb for nb in norms),
         hess_block_sups=tuple(tuple(0.0 if d2 == 0 else d2 * nb * nc for nc in norms)
                               for nb in norms),
-        hess_lipschitz=0.0 if d3 == 0 else d3 * float(np.linalg.norm(a)) ** 3,
+        hess_lipschitz=0.0 if d3 == 0 else d3 * math.hypot(*a) ** 3,
     )), label)
 
 

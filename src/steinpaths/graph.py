@@ -68,6 +68,9 @@ __all__ = [
     "brownian_side_cov",
     "d2_block_discrepancy",
     "prelimit_cov",
+    "TOL_IDENTITIES",
+    "covariance_identities",
+    "increment_cov_check",
     "bernoulli",
     "sample_y_values",
     "sample_dn_values",
@@ -80,10 +83,14 @@ __all__ = [
     "eps3_values",
     "bound_prelimit",
     "bound_continuous",
+    "bound_table",
     "coupling_bounds",
 ]
 
 KIND, DIM, NORM_CLASS = "graph", 2, "M2"  # report kind, path dimension, norm class of |g|
+# the covariance_identities checks that compare at verify-covariance's --tol
+TOL_IDENTITIES = ("edge_block_identity", "cross_block_identity", "twostar_block_identity",
+                  "twostar_variance_identity")
 
 
 class GraphModelError(ValueError):
@@ -387,6 +394,63 @@ def prelimit_cov(model: GraphModel, times: Sequence) -> np.ndarray:
     rows, at = np.unique(time_rows(model.n, [as_time(t) for t in times]), return_inverse=True)
     blocks = row_cov(model.n, model.p, rows[:, None], rows)
     return blocks[at][:, at].swapaxes(1, 2).reshape(2 * at.size, 2 * at.size)
+
+
+def _rel_diff(x, y) -> np.ndarray:
+    """|x - y| relative to the larger of |x| and |y|; 0 where both are 0."""
+    return np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-30)
+
+
+def _var_v_excess(model: GraphModel, t) -> Fraction:
+    """The pre-limit's D2 variance at t minus var_v_exact, exactly:
+    m(m-1)[(m-2)^2/n + p^2(1-p^2)]/n^4, m = floor(n t)."""
+    n = model.n
+    m = int(n * as_time(t))
+    p = Fraction(model.p)
+    return m * (m - 1) * (Fraction((m - 2) ** 2, n) + p**2 * (1 - p**2)) / n**4
+
+
+def covariance_identities(model: GraphModel, times: Sequence, cov: np.ndarray, note: str,
+                          tol: float, seed: SeedSpec) -> list[tuple]:
+    """verify-covariance's closed-form checks, as (name, pass, bound,
+    detail): each covariance block of the Brownian construction against
+    its closed form at 64 random points drawn from seed; the rank-one
+    cov_tv against the diagonal blocks of cov, the pre-limit's covariance
+    at times; and twostar_variance_identity, the D2 variances on cov's
+    diagonal against var_v_exact plus _var_v_excess.  note ends the details
+    of the checks that read cov.  np.max keeps a NaN, which fails."""
+    rng = seed.rng()
+    # each point's n, p, 100 t and 100 u, drawn point after point
+    points = [(int(rng.integers(3, 40)), float(rng.uniform(0.05, 0.95)),
+               int(rng.integers(0, 101)), int(rng.integers(0, 101))) for _ in range(64)]
+    nn, pp, kt, ku = map(np.array, zip(*points))
+    rows = nn * kt // 100, nn * ku // 100  # floor(n t) at t = k/100
+    rel = _rel_diff(row_cov(nn, pp, *rows), brownian_side_cov(nn, pp, *rows))
+    checks = []
+    for name, (i, j) in {"edge_block_identity": (0, 0), "cross_block_identity": (0, 1),
+                         "twostar_block_identity": (1, 1)}.items():
+        worst = float(np.max(rel[:, i, j]))
+        checks.append((name, worst <= tol, tol, "max rel diff %.3e" % worst))
+
+    # (2, 2, times): the covariance blocks of cov at equal times
+    diag = np.diagonal(cov.reshape(len(times), 2, len(times), 2), axis1=0, axis2=2)
+    gaps = np.abs(np.array([cov_tv(model, t) for t in times]).transpose(1, 2, 0) - diag)
+    for (i, j), lab in {(0, 0): "TT", (0, 1): "TV", (1, 1): "VV"}.items():
+        gap = float(np.max(gaps[i, j]))
+        checks.append(("cov_tv_vs_prelimit_%s" % lab, gap <= 1e-12, 1e-12,
+                       "max abs diff %.3e%s" % (gap, note)))
+
+    exact = [float(var_v_exact(model, t) + _var_v_excess(model, t)) for t in times]
+    worst = float(np.max(_rel_diff(diag[1, 1], np.array(exact))))
+    checks.append(("twostar_variance_identity", worst <= tol, tol,
+                   "max rel diff %.3e%s" % (worst, note)))
+    return checks
+
+
+def increment_cov_check(model: GraphModel) -> None:
+    """verify-covariance's Monte Carlo check of the increments: none for
+    the graph, whose D_n is checked by dn_grid_cov_mc alone."""
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -922,3 +986,15 @@ def bound_continuous(n: int, gnorm_m2: float) -> float:
     if n < 3:
         raise GraphModelError("need n >= 3")
     return gnorm_m2 * (913.0 * math.sqrt(math.log(n)) + 112.0) / math.sqrt(n)
+
+
+def bound_table(model: GraphModel, gnorm: float) -> dict:
+    """bound's named bounds at |g| = gnorm, in report order: the pre-limit
+    and continuous-limit distance bounds, then the coupling bounds."""
+    table = {
+        "prelimit_12g_over_n": bound_prelimit(model, gnorm),
+        "continuous_sqrt_log": bound_continuous(model.n, gnorm),
+    }
+    for name, val in coupling_bounds(model.n).items():
+        table["coupling_%s" % name] = val
+    return table

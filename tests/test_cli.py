@@ -343,7 +343,8 @@ def test_verify_covariance_graph_identities(tmp_path, capsys):
     report = json.loads(out)
     checks = {c["name"]: c for c in report["checks"]}
     for name in (
-        "edge_block_identity", "cross_block_identity", "twostar_block_identity"
+        "edge_block_identity", "cross_block_identity", "twostar_block_identity",
+        "twostar_variance_identity",
     ):
         assert checks[name]["pass"], checks[name]
     for name in ("cov_tv_vs_prelimit_TT", "cov_tv_vs_prelimit_TV"):
@@ -355,6 +356,46 @@ def test_verify_covariance_graph_identities(tmp_path, capsys):
     # the command reports that honestly
     assert not checks["cov_tv_vs_prelimit_VV"]["pass"]
     assert code == 1
+
+
+@pytest.mark.parametrize("n, p, grid", [(12, 0.3, 8), (64, 0.9, 12), (7, 0.05, 7)])
+def test_twostar_variance_identity_fails_an_inflated_vv(tmp_path, capsys, monkeypatch,
+                                                        n, p, grid):
+    # the pre-limit's two-star variance is var_v_exact plus its excess to
+    # roundoff; the VV entries scaled by 1 + 1e-9 fail at the default --tol
+    argv = ["verify-covariance", "--model", graph_model(tmp_path, n, p), "--samples", "0",
+            "--grid", str(grid)]
+    code, out = run(capsys, argv)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["twostar_variance_identity"]["pass"], checks["twostar_variance_identity"]
+    assert code == 1 and [c for c in checks if not checks[c]["pass"]] == [
+        "cov_tv_vs_prelimit_VV"]
+    cov = gr.prelimit_cov
+
+    def inflated_vv(model, times):
+        c = cov(model, times)
+        vv = np.arange(1, len(c), 2)
+        c[vv, vv] *= 1 + 1e-9
+        return c
+
+    monkeypatch.setattr(gr, "prelimit_cov", inflated_vv)
+    code, out = run(capsys, argv)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1 and not checks["twostar_variance_identity"]["pass"]
+    worst = float(checks["twostar_variance_identity"]["detail"].split()[-1])
+    assert worst == pytest.approx(1e-9, rel=1e-3)
+    assert checks["twostar_block_identity"]["pass"]
+
+
+def test_tol_identities_are_the_checks_read_at_tol(tmp_path, capsys):
+    # the graph's TOL_IDENTITIES name exactly its checks that compare at
+    # --tol at --samples 0; the array names none, so there it refuses --tol
+    model = graph_model(tmp_path, 8, 0.3)
+    code, out = run(capsys, ["verify-covariance", "--model", model, "--samples", "0",
+                             "--grid", "4", "--tol", "1e-7"])
+    at_tol = [c["name"] for c in json.loads(out)["checks"] if c["tolerance"] == 1e-7]
+    assert code == 1 and at_tol == list(gr.TOL_IDENTITIES)
+    assert comb.TOL_IDENTITIES == ()
 
 
 def test_graph_dn_grid_cov_mc_passes_and_is_worker_independent(tmp_path, capsys):

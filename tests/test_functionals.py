@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -202,13 +203,14 @@ TRIG = NormCertificate(1.0, 1.0, (1.0,), ((1.0,),), 1.0)
         None, 1.8519678939628992, (3.5,), ((0.0,),), 0.0)),
     ("lin:coords=2,1,2,t=1/4,1/4,1,w=-0.1,0.3,-7", 2, NormCertificate(
         None, 3.9155892615215584, (0.31622776601683794, 7.0), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
-    # a weight norm that overflows leaves the Hessian terms exactly 0.0
+    # weights whose squares overflow certify their finite block norms, and
+    # the Hessian terms, 0 times an overflowing product, stay exactly 0.0
     ("lin:coords=1,t=1,w=1e300", 1, NormCertificate(
-        None, 5.2913368398939974e+299, (np.inf,), ((0.0,),), 0.0)),
+        None, 5.2913368398939974e+299, (1e300,), ((0.0,),), 0.0)),
     ("lin:coords=1,2,t=1/2,1/2,w=1e300,-1e300", 2, NormCertificate(
-        None, 1.0582673679787995e+300, (np.inf,), ((0.0,),), 0.0)),
+        None, 1.0582673679787995e+300, (math.sqrt(2) * 1e300,), ((0.0,),), 0.0)),
     ("lin:coords=1,1,t=1/2,1,w=1e300,1e300", 1, NormCertificate(
-        None, 1.0582673679787995e+300, (np.inf, np.inf), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
+        None, 1.0582673679787995e+300, (1e300, 1e300), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
 ])
 def test_linear_form_certificate_and_derivatives(spec, dim, cert):
     # sin, cos and lin are f(x . a): the derivatives validate and the

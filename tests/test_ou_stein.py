@@ -1,6 +1,8 @@
 import inspect
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,26 +385,35 @@ def test_epsilon3_combinatorial_doob_bound():
     assert abs(est.mean) - 3 * est.stderr <= 2.0 / math.sqrt(model.n)
 
 
-# the contract both family modules export: constants, then functions
-CONTRACT = ("KIND", "DIM", "NORM_CLASS", "sample_y_values", "sample_dn_values",
-            "sample_trials", "pair_moves", "regression_residual", "pair_norm_stats",
-            "prelimit_cov", "bound_prelimit", "eps3_values")
+def readme_contract():
+    """name -> parameter names (None for a constant) of every entry in
+    README's family-contract list, the bullets after "The contract:"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    bullets = text.split("The contract:\n", 1)[1].split("\n\n", 1)[0]
+    entries = {name: None for name in re.findall(r"`([A-Z][A-Z_]+)`", bullets)}
+    for name, params in re.findall(r"`(\w+)\(([^)]*)\)`", bullets):
+        entries[name] = params.split(", ")
+    return entries
 
 
 def test_family_contract():
-    # family maps each model type to its module, which exports every
-    # contract name with the other module's parameter names; any other
+    # family maps each model type to its module, which exports every name
+    # of README's contract list with the parameters listed there; any other
     # type is refused, also where the epsilon estimators read the family
     assert family(GraphModel(6, 0.3)) is gr
     assert family(ArrayModel.iid_gaussian(4)) is comb
-    for name in CONTRACT:
+    contract = readme_contract()
+    assert {"KIND", "DIM", "NORM_CLASS", "TOL_IDENTITIES", "bound_table",
+            "covariance_identities", "increment_cov_check"} <= set(contract)
+    assert len(contract) == 16, sorted(contract)
+    for name, params in contract.items():
         assert name in gr.__all__ and name in comb.__all__, name
         graph_item, array_item = getattr(gr, name), getattr(comb, name)
-        if name.isupper():
+        if params is None:
             assert type(graph_item) is type(array_item), name
             continue
-        assert (list(inspect.signature(graph_item).parameters)
-                == list(inspect.signature(array_item).parameters)), name
+        assert list(inspect.signature(graph_item).parameters) == params, name
+        assert list(inspect.signature(array_item).parameters) == params, name
     assert (gr.KIND, gr.DIM, gr.NORM_CLASS) == ("graph", 2, "M2")
     assert (comb.KIND, comb.DIM, comb.NORM_CLASS) == ("array", 1, "M1")
     for other in (object(), None, "graph", gr):
