@@ -221,7 +221,7 @@ def cmd_verify_covariance(args, fam, model, funcs, report):
 
 def cmd_distance(args, fam, model, funcs, report):
     # every norm is certified before anything is drawn
-    gnorms = [norm_upper_bound(g, fam.NORM_CLASS) for g in funcs]
+    gnorms = [norm_upper_bound(g) for g in funcs]
     pairs = _gap_estimates(args, fam, model, funcs, report)
     for g, gnorm, (est_y, est_d) in zip(funcs, gnorms, pairs):
         gap = abs(est_y.mean - est_d.mean)
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "%s draws nothing" % p.prog.split()[-1])
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--seed", type=int, default=0, help=no_effect)
+        p.add_argument("--seed", type=_at_least(0), default=0, help=no_effect)
         p.add_argument("--workers", type=_at_least(1), default=1, help=no_effect)
         p.add_argument("--out", default=None, help="write the report here")
         p.add_argument("--format", choices=("json", "csv"), default="json")

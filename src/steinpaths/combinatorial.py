@@ -17,15 +17,15 @@ an independent array copy and iid standard normals; its covariance is
     E Zhat_i Zhat_j = -(1/(n(n-1))) sum_k c_ik c_jk      (i != j).
 
 The distance bound evaluator implements the five-index moment sum
-(factorized to O(n^2) aggregates, with the naive O(n^5) loop kept as an
-oracle) plus the 2/sqrt(n) remainder term and a final variance term; a
-third-moment variant of the final term is reported alongside.
+(factorized to O(n^2) aggregates; the naive O(n^5) loop that pins it is
+the tests' oracle in tests/oracles.py) plus the 2/sqrt(n) remainder term
+and a final variance term; a third-moment variant of the final term is
+reported alongside.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,7 +39,6 @@ from .paths import as_time, grid_rows, time_rows
 __all__ = [
     "KIND",
     "DIM",
-    "NORM_CLASS",
     "ModelError",
     "DegenerateModelError",
     "EntrySpec",
@@ -55,7 +54,6 @@ __all__ = [
     "sample_trials",
     "pair_moves",
     "regression_residual",
-    "zhat_cov",
     "zhat_cov_matrix",
     "prelimit_cov",
     "TOL_IDENTITIES",
@@ -70,11 +68,10 @@ __all__ = [
     "bound_prelimit_distance_report",
     "bound_beta3",
     "bound_table",
-    "assumption_diagnostic",
     "MEMORY_BUDGET",
 ]
 
-KIND, DIM, NORM_CLASS = "array", 1, "M1"  # report kind, path dimension, norm class of |g|
+KIND, DIM = "array", 1  # report kind, path dimension
 TOL_IDENTITIES = ()  # the array has no closed-form covariance identity
 
 _FAM_CONSTANT, _FAM_GAUSSIAN, _FAM_RADEMACHER, _FAM_TWO_POINT = range(4)
@@ -565,16 +562,6 @@ def regression_residual(
     return np.array([residual(f) for f in funcs]).reshape((len(funcs),) + lead)
 
 
-def zhat_cov(model: ArrayModel, i: int, j: int) -> float:
-    """Closed-form Cov(Zhat_i, Zhat_j); i, j are 1-based."""
-    n = model.n
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ModelError("indices outside 1..n")
-    if i == j:
-        return float(model.abs2[i - 1].sum()) / n
-    return -float((model.c[i - 1] * model.c[j - 1]).sum()) / (n * (n - 1))
-
-
 def zhat_cov_matrix(model: ArrayModel) -> np.ndarray:
     n = model.n
     out = -(model.c @ model.c.T) / (n * (n - 1))
@@ -962,32 +949,6 @@ def _five_index_sum_factorized(model: ArrayModel) -> float:
     return total
 
 
-def _five_index_sum_naive(model: ArrayModel) -> float:
-    """Literal five nested loops over the ten summand families; oracle only."""
-    n = model.n
-    a, b, m = model.abs1, model.abs2, model.abs3
-    absc = np.abs(model.c)
-    q = absc @ absc.T  # Q_ij = sum_r |c_ir||c_jr|
-    b_row = b.sum(axis=1)
-    total = 0.0
-    for i, j, k, l, u in itertools.product(range(n), repeat=5):
-        total += (
-            3.0 * m[i, k]
-            + 5.0 * a[i, k] * b[i, l]
-            + 7.0 * b[i, k] * a[j, l]
-            + 5.0 * b[i, k] * a[j, k]
-            + 16.0 * a[i, k] * a[i, l] * a[j, l]
-            + 2.0 * a[i, u] * a[i, k] * a[i, l]
-            + 4.0 * a[i, u] * a[i, l] * a[j, k]
-            + 6.0 * a[u, k] * a[i, k] * a[j, l]
-            + 2.0 * a[u, k] * a[i, k] * a[j, k]
-            + (1.0 / n)
-            * (2.0 * a[i, k] + 2.0 * a[j, l] + 2.0 * a[u, k] + 2.0 * a[u, l])
-            * (b_row[i] + q[i, j])
-        )
-    return total
-
-
 def bound_prelimit_distance_report(model: ArrayModel, gnorm_m1: float) -> dict:
     """All terms of the pre-limit distance bound, scaled by gnorm_m1.
 
@@ -1050,26 +1011,3 @@ def bound_table(model: ArrayModel, gnorm: float) -> dict:
     table["simplified_beta3"] = bound_beta3(
         model.n, model.s_n, float(model.abs3.max()), model.c, float(model.sigma2.sum()), gnorm)
     return table
-
-
-def assumption_diagnostic(model: ArrayModel, grid: Sequence) -> list[dict]:
-    """Finite-n left-hand sides of the two continuous-limit conditions on
-    a (t, u) grid; diagnostic only, no pass/fail.
-
-    lhs1(t,u) = (1/(s^2 (n-1))) sum_{i<=floor(nt), j<=floor(nu), k}
-                    E[X_ik X_jk] (delta_ij - 1/n)
-    lhs2(t,u) = (1/s^2) sum_{i<=floor(nt), j<=floor(nu), l} E[X_il X_jl]
-    lhs1 is prelimit_cov; lhs2's matrix is c_i.c_j off the diagonal and
-    |c_i|^2 + sum_l sigma_il^2 on it, so its box sums are _box_sums'.
-    assumption2 is not normalized: on the iid presets it equals
-    n min(t, u) (16, 32 and 64 at n = 64, t = u = 1/4, 1/2 and 1), so it
-    grows with n where assumption1 stays min(t, u).
-    """
-    times = [as_time(t) for t in grid]
-    lhs1 = prelimit_cov(model, times)
-    rows, at = np.unique(time_rows(model.n, times), return_inverse=True)
-    lhs2 = _box_sums(model.c, model.sigma2.sum(axis=1), 1.0, rows)[np.ix_(at, at)]
-    lhs2 /= s_n_squared(model)
-    return [{"t": str(t), "u": str(u), "assumption1": float(lhs1[a, b]),
-             "assumption2": float(lhs2[a, b])}
-            for a, t in enumerate(times) for b, u in enumerate(times)]

@@ -43,7 +43,6 @@ __all__ = [
     "parse_functional",
     "certified_library",
     "FUNCTIONAL_SPEC_HELP",
-    "validate_derivatives",
 ]
 
 # max over r >= 0 of r/(1+r^3), attained at r = 2^(-1/3)
@@ -55,14 +54,13 @@ class FunctionalError(ValueError):
 
 
 class UnsupportedFunctionalError(FunctionalError):
-    """Functional lacks the certified sup bounds needed for a norm class."""
+    """Functional lacks the certified sup bounds that norm_upper_bound needs."""
 
 
 @dataclass(frozen=True)
 class NormCertificate:
     """Hand-certified sup constants for a cylinder base.
 
-    sup_abs            -- sup |phi|, or None if phi is unbounded
     sup_abs_over_cubic -- a bound for sup |phi(x)| / (1 + max_a |x_a|^3)
     grad_block_sups    -- per time block a, a bound for sup |grad_a phi|_2
     hess_block_sups    -- (k,k) bounds for sup of the operator norm of H_ab
@@ -70,8 +68,7 @@ class NormCertificate:
                           operator norm w.r.t. Euclidean distance on R^(k*p)
     """
 
-    sup_abs: float | None
-    sup_abs_over_cubic: float | None
+    sup_abs_over_cubic: float
     grad_block_sups: tuple
     hess_block_sups: tuple
     hess_lipschitz: float
@@ -132,39 +129,28 @@ class CylinderFunctional:
         return "CylinderFunctional(%s, dim=%d, k=%d)" % (self.label, self.dim, self.k)
 
 
-def norm_upper_bound(g: CylinderFunctional, norm_class: str) -> float:
-    """Sound upper bound for the functional norm of the given class.
+def norm_upper_bound(g: CylinderFunctional) -> float:
+    """Sound upper bound for |g| in each of the paper's norms M, M1 and M2:
 
-    All four classes share the derivative terms
-
-        sum_a sup|grad_a phi|_2  +  sum_{a,b} sup||H_ab||_op  +  k^(3/2) L_H,
+        sup|phi|/(1+||w||^3)  +  sum_a sup|grad_a phi|_2
+            +  sum_{a,b} sup||H_ab||_op  +  k^(3/2) L_H,
 
     where the last term dominates the Hessian-Lipschitz quotient: for
     |delta| the Euclidean length of the stacked perturbation,
     |delta| <= sqrt(k) ||h|| and the quadratic form loses another factor
-    k from the stacked unit direction.  The zeroth-order term is sup|phi|
-    for M0 and the certified sup of |phi|/(1+||w||^3) otherwise; the
-    (1+||w||)-type weights in M1/M2/M are dropped (bounds stay sound).
+    k from the stacked unit direction.  The (1+||w||)-type weights that
+    tell M1, M2 and M apart are dropped (bounds stay sound), so one bound
+    serves all three.  A functional without a certificate is refused.
     """
     cert = g.certificate()
     if cert is None:
         raise UnsupportedFunctionalError(
             "%s has no certified sup bounds" % g.label
         )
-    if norm_class not in ("M0", "M1", "M2", "M"):
-        raise FunctionalError("unknown norm class %r" % norm_class)
-    if norm_class == "M0":
-        value_term = cert.sup_abs
-    else:
-        value_term = cert.sup_abs_over_cubic
-    if value_term is None:
-        raise UnsupportedFunctionalError(
-            "%s lacks the sup bound required for %s" % (g.label, norm_class)
-        )
     deriv = float(np.sum(cert.grad_block_sups))
     hess = float(np.sum(cert.hess_block_sups))
     lip = g.k ** 1.5 * cert.hess_lipschitz
-    return float(value_term) + deriv + hess + lip
+    return float(cert.sup_abs_over_cubic) + deriv + hess + lip
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +229,7 @@ def _linear_form(label: str, times: Sequence, dim: int, a: np.ndarray, fns: tupl
                  sups: tuple) -> CylinderFunctional:
     """g = f(x . a) on the stacked argument x at `times`, fns = (f, f', f'').
 
-    sups = (sup|f|, the cubic-weighted sup, sup|f'|, sup|f''|, sup|f'''|)
+    sups = (the cubic-weighted sup, sup|f'|, sup|f''|, sup|f'''|)
     certify g by one rule: block b's gradient by sup|f'| |a_b|, H_bc by
     sup|f''| |a_b| |a_c| and the Hessian's Lipschitz constant by
     sup|f'''| |a|^3.  Each norm is math.hypot's, which scales its terms,
@@ -252,10 +238,9 @@ def _linear_form(label: str, times: Sequence, dim: int, a: np.ndarray, fns: tupl
     derivative sup gives exactly 0.0, never the 0 * inf of a product of
     norms that overflows.
     """
-    sup_abs, sup_cubic, d1, d2, d3 = sups
+    sup_cubic, d1, d2, d3 = sups
     norms = [math.hypot(*b) for b in a.reshape(len(times), dim)]
     return CylinderFunctional(dim, times, _LinearFormBase(a, fns, NormCertificate(
-        sup_abs=sup_abs,
         sup_abs_over_cubic=sup_cubic,
         grad_block_sups=tuple(d1 * nb for nb in norms),
         hess_block_sups=tuple(tuple(0.0 if d2 == 0 else d2 * nb * nc for nc in norms)
@@ -275,7 +260,7 @@ def _trig_cylinder(name: str, fns: tuple, coord: int, t, dim: int) -> CylinderFu
     t = as_time(t)
     a = np.eye(dim)[_coord_index(coord, dim)]
     # sin, cos and their first three derivatives are bounded by 1
-    return _linear_form("%s:coord=%d,t=%s" % (name, coord, t), [t], dim, a, fns, (1.0,) * 5)
+    return _linear_form("%s:coord=%d,t=%s" % (name, coord, t), [t], dim, a, fns, (1.0,) * 4)
 
 
 def sin_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
@@ -323,7 +308,6 @@ def tanh_product(coords: Sequence[int], times: Sequence, dim: int = 1) -> Cylind
         tuple(np.sqrt(ca * cb) for cb in counts) for ca in counts
     )
     base = _TanhProdBase(tuple(indices), k * dim, NormCertificate(
-        sup_abs=1.0,
         sup_abs_over_cubic=1.0,
         grad_block_sups=grad,
         hess_block_sups=hess,
@@ -337,8 +321,9 @@ def linear_cylinder(
 ) -> CylinderFunctional:
     """g(w) = sum_m weights[m] * w^(coords[m])(times[m]).
 
-    Unbounded, so M0 is unsupported; the cubic-weighted sup uses
-    |g(w)| <= (sum|weights|) ||w|| and max_r r/(1+r^3) = 2^(2/3)/3.
+    The cubic-weighted sup uses |g(w)| <= (sum|weights|) ||w|| and
+    max_r r/(1+r^3) = 2^(2/3)/3.  The weights of one site add up, and a
+    sum that is not finite is a FunctionalError that names field 'w'.
     """
     label, uniq_times, indices = _sites("lin", coords, times, dim)
     if weights is None:
@@ -351,10 +336,14 @@ def linear_cylinder(
     if len(weights) != len(indices):
         raise FunctionalError("coords and weights must pair up")
     wvec = np.zeros(len(uniq_times) * dim)
-    for i, wt in zip(indices, weights):
-        wvec[i] += wt
+    with np.errstate(over="ignore"):
+        for i, wt in zip(indices, weights):
+            wvec[i] += wt
+    if not np.isfinite(wvec).all():
+        raise FunctionalError("%s: field 'w': the weights at one site do not sum to a "
+                              "finite value" % label)
     return _linear_form(label, uniq_times, dim, wvec, (lambda u: u, np.ones_like, np.zeros_like),
-                        (None, _LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec))), 1.0, 0.0, 0.0))
+                        (_LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec))), 1.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +392,8 @@ def parse_functional(spec: str, dim: int) -> CylinderFunctional:
 
     A field the functional does not take, a second value of a sin or cos
     field and a value that does not parse (or a time outside [0,1], or a
-    weight that is not finite) are each a FunctionalError that names the
-    field."""
+    weight, or the sum of a lin site's weights, that is not finite) are
+    each a FunctionalError that names the field."""
     if ":" not in spec:
         raise FunctionalError("functional spec needs 'name:args', got %r" % spec)
     name, body = spec.split(":", 1)
@@ -446,39 +435,3 @@ def certified_library(dim: int) -> list[CylinderFunctional]:
         linear_cylinder([1], [1], None, dim),
     ]
 
-
-# ---------------------------------------------------------------------------
-# derivative validation (the CylinderFunctional type invariants)
-
-
-def validate_derivatives(
-    g: CylinderFunctional,
-    rng: np.random.Generator,
-    trials: int = 20,
-    grad_rtol: float = 1e-6,
-    hess_rtol: float = 1e-5,
-) -> None:
-    """Check the supplied gradient/Hessian against finite differences.
-
-    Raises FunctionalError on disagreement; also enforces H_ab = H_ba^T
-    via the symmetry of the full stacked Hessian.
-    """
-    n = g.n_args
-    h = 1e-5
-    for _ in range(trials):
-        x = rng.standard_normal(n)
-        grad = g.base.grad(x)
-        hess = g.base.hess(x)
-        if not np.allclose(hess, np.swapaxes(hess, -1, -2), atol=1e-12):
-            raise FunctionalError("%s: Hessian not symmetric" % g.label)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            fd_g = (g.base.value(x + e) - g.base.value(x - e)) / (2 * h)
-            if abs(fd_g - grad[i]) > grad_rtol * max(1.0, abs(grad[i])):
-                raise FunctionalError(
-                    "%s: gradient[%d] %.3e vs FD %.3e" % (g.label, i, grad[i], fd_g)
-                )
-            fd_H = (g.base.grad(x + e) - g.base.grad(x - e)) / (2 * h)
-            if np.max(np.abs(fd_H - hess[i])) > hess_rtol * max(1.0, np.max(np.abs(hess[i]))):
-                raise FunctionalError("%s: Hessian row %d off" % (g.label, i))

@@ -22,8 +22,8 @@ grid covariance is available in closed form:
 
 with a = floor(nt)-2, b = floor(nu)-2, m = floor(n(t^u)).  The Gaussian
 family behind the D2 block can also be assembled index by index from the
-covariance table (``cov_d2d2_table`` and the direct small-n oracle); the
-two D2 forms differ by exactly (1+p) m(m-1) p^2(1-p)/n^4, which is kept
+covariance table (``cov_d2d2_table``, and the direct small-n oracle in
+tests/oracles.py); the two D2 forms differ by exactly (1+p) m(m-1) p^2(1-p)/n^4, which is kept
 visible as a diagnostic rather than hidden in either evaluator.
 
 The continuous limit Z = (Z1, Z2) uses the same B1, B2 through
@@ -48,10 +48,8 @@ from .paths import as_time, grid_rows, time_rows
 __all__ = [
     "KIND",
     "DIM",
-    "NORM_CLASS",
     "GraphModelError",
     "GraphModel",
-    "moments_tv_exact",
     "cov_tv",
     "cov_tv_exact",
     "var_v_exact",
@@ -74,7 +72,6 @@ __all__ = [
     "bernoulli",
     "sample_y_values",
     "sample_dn_values",
-    "DirectGaussianOracle",
     "z_coefficients",
     "REFINE",
     "sample_coupled_values",
@@ -87,7 +84,7 @@ __all__ = [
     "coupling_bounds",
 ]
 
-KIND, DIM, NORM_CLASS = "graph", 2, "M2"  # report kind, path dimension, norm class of |g|
+KIND, DIM = "graph", 2  # report kind, path dimension
 # the covariance_identities checks that compare at verify-covariance's --tol
 TOL_IDENTITIES = ("edge_block_identity", "cross_block_identity", "twostar_block_identity",
                   "twostar_variance_identity")
@@ -126,16 +123,6 @@ def _binom2(m: int) -> int:
 
 def _binom3(m: int) -> int:
     return m * (m - 1) * (m - 2) // 6 if m >= 3 else 0
-
-
-def moments_tv_exact(model: GraphModel, t) -> tuple[Fraction, Fraction]:
-    """Exact (E T_n(t), E V_n(t)) in rational arithmetic."""
-    n = model.n
-    m = int(n * as_time(t))
-    p = Fraction(model.p)
-    et = Fraction(m - 2, 1) * _binom2(m) * p / n**2
-    ev = 3 * _binom3(m) * p**2 / Fraction(n**2)
-    return et, ev
 
 
 def cov_tv_exact(model: GraphModel, t) -> list[list[Fraction]]:
@@ -660,90 +647,6 @@ def sample_dn_values(
     if pad:
         assemble(out[:, :pad], ks[:pad], np.zeros((5, 1, pad)))
     return out if cuts is None else out[:, pos]
-
-
-class DirectGaussianOracle:
-    """Small-n sampler of the pre-limit from the covariance table itself.
-
-    Enumerates the Gaussian family (pair variables for the edge and
-    mixed parts, triple variables for the two-star part), assembles the
-    grid covariance entry by entry from the covariance table (unlisted pairs
-    uncorrelated), and samples through a symmetric PSD square root.
-    """
-
-    MAX_N = 6
-
-    def __init__(self, model: GraphModel):
-        if model.n > self.MAX_N:
-            raise GraphModelError(
-                "direct oracle enumerates n^3 variables; use n <= %d" % self.MAX_N
-            )
-        self.model = model
-        n, p = model.n, model.p
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        triples = [
-            (i, j, k)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            for k in range(1, n + 1)
-            if i != j and j != k and i != k
-        ]
-        self.pairs, self.triples = pairs, triples
-        n_z1 = n_z21 = len(pairs)
-        n_z22 = len(triples)
-        dim = n_z1 + n_z21 + n_z22
-        cov = np.zeros((dim, dim))
-        c_z1 = p * (1 - p) / (2.0 * n**4)
-        c_z1_z21 = p**2 * (1 - p) / (4.0 * n**4)
-        c_z22_z1 = 3.0 * p**2 * (1 - p) / (4.0 * n**4)
-        c_z22_z21 = p**3 * (1 - p) / (2.0 * n**4)
-        c_z22_diag = p**2 * (1 - p**2) / (2.0 * n**4)
-        c_z22_share = p**3 * (1 - p) / n**4
-        c_z21 = 1.0 / n**5
-        pa = {pr: idx for idx, pr in enumerate(pairs)}
-        for idx, pr in enumerate(pairs):
-            cov[idx, idx] = c_z1
-            cov[idx, n_z1 + idx] = cov[n_z1 + idx, idx] = c_z1_z21
-            cov[n_z1 + idx, n_z1 + idx] = c_z21
-        for tdx, (i, j, k) in enumerate(triples):
-            row = n_z1 + n_z21 + tdx
-            pdx = pa[(i, j)]
-            cov[row, pdx] = cov[pdx, row] = c_z22_z1
-            cov[row, n_z1 + pdx] = cov[n_z1 + pdx, row] = c_z22_z21
-            for sdx, (r, s, t_) in enumerate(triples):
-                if (r, s) != (i, j):
-                    continue
-                col = n_z1 + n_z21 + sdx
-                cov[row, col] = c_z22_diag if k == t_ else c_z22_share
-        self._family_cov = cov
-        # linear map from the family to the grid variables (D1(k), D2(k))
-        rows = []
-        for k in range(n + 1):
-            wt = np.zeros(dim)
-            for idx, (i, j) in enumerate(pairs):
-                if i <= k and j <= k:
-                    wt[idx] = k - 2
-            rows.append(wt)
-            wv = np.zeros(dim)
-            for idx, (i, j) in enumerate(pairs):
-                if i <= k and j <= k:
-                    wv[n_z1 + idx] = k - 2
-            for tdx, (i, j, k_) in enumerate(triples):
-                if i <= k and j <= k and k_ <= k:
-                    wv[n_z1 + n_z21 + tdx] = 1.0
-            rows.append(wv)
-        self._map = np.array(rows)  # (2(n+1), dim)
-        self.grid_cov = self._map @ cov @ self._map.T
-        evals, evecs = np.linalg.eigh(self.grid_cov)
-        if evals.min() < -1e-10:
-            raise GraphModelError("table covariance not PSD: %g" % evals.min())
-        self._sqrt = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
-
-    def sample_values(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """(size, n+1, 2) grid values with the table-exact law."""
-        z = rng.standard_normal((size, self._sqrt.shape[1]))
-        flat = z @ self._sqrt.T
-        return flat.reshape(size, self.model.n + 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from steinpaths.functionals import (
 )
 from steinpaths.mc import SeedSpec, from_values, mc_run
 
+from oracles import DirectGaussianOracle, _five_index_sum_naive, zhat_cov
+
 F = Fraction
 
 
@@ -153,7 +155,7 @@ def test_criterion_3_sampler_fidelity():
     worst_oracle_z = 0.0
     for n, n_samp in ((4, 10000), (5, 10000)):
         small = gr.GraphModel(n, 0.3)
-        oracle = gr.DirectGaussianOracle(small)
+        oracle = DirectGaussianOracle(small)
         a = gr.sample_dn_values(small, SeedSpec(5, (n, 0)).rng(), n_samp)
         b = oracle.sample_values(SeedSpec(5, (n, 1)).rng(), n_samp)
         for k in range(2, n + 1):
@@ -193,7 +195,7 @@ def test_criterion_3_sampler_fidelity():
 )
 def test_criterion_3_oracle_twostar_diagonal():
     small = gr.GraphModel(5, 0.3)
-    oracle = gr.DirectGaussianOracle(small)
+    oracle = DirectGaussianOracle(small)
     a = gr.sample_dn_values(small, SeedSpec(5, (5, 0)).rng(), 10000)
     b = oracle.sample_values(SeedSpec(5, (5, 1)).rng(), 10000)
     worst = 0.0
@@ -226,7 +228,7 @@ def test_criterion_4_combinatorial_prelimit():
             gap = abs(est.mean - zc[i, j])
             assert gap <= 4 * est.stderr
             worst_z = max(worst_z, gap / est.stderr)
-    exact = comb.zhat_cov(comb.ArrayModel.deterministic(), 1, 2)
+    exact = zhat_cov(comb.ArrayModel.deterministic(), 1, 2)
     announce(
         "4 combinatorial-prelimit",
         True,
@@ -255,7 +257,7 @@ def test_criterion_5_bound_instantiations():
         ]
         model = comb.ArrayModel.from_entries(grid)
         fast = comb._five_index_sum_factorized(model)
-        slow = comb._five_index_sum_naive(model)
+        slow = _five_index_sum_naive(model)
         worst_rel = max(worst_rel, abs(fast - slow) / slow)
     ok = ok and worst_rel <= 1e-12
     announce(
@@ -281,7 +283,7 @@ def test_criterion_6_bound_validity_desk_scale():
             tanh_product([1, 2], [F(1, 2), F(1)], dim=2),
         ]
         for idx, g in enumerate(funcs):
-            gnorm = norm_upper_bound(g, "M2")
+            gnorm = norm_upper_bound(g)
             y_fn, d_fn = cli._gap_sampler(ou.family(model), model, g)
             ey = mc_run(y_fn, samples, SeedSpec(8, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(8, (n, idx, 1)))
@@ -298,7 +300,7 @@ def test_criterion_6_bound_validity_desk_scale():
             tanh_product([1, 1], [F(1, 2), F(1)], dim=1),
         ]
         for idx, g in enumerate(funcs):
-            gnorm = norm_upper_bound(g, "M1")
+            gnorm = norm_upper_bound(g)
             y_fn, d_fn = cli._gap_sampler(ou.family(model), model, g)
             ey = mc_run(y_fn, samples, SeedSpec(9, (n, idx, 0)))
             ed = mc_run(d_fn, samples, SeedSpec(9, (n, idx, 1)))

@@ -1036,6 +1036,7 @@ def test_coordinate_outside_model_is_usage_error(tmp_path, capsys, graph_draws, 
     ("lin:coords=1,t=1/12,w=nan", "'w'"),
     ("lin:coords=1,t=1/12,w=inf", "'w'"),
     ("lin:coords=1,2,t=1,1,w=1,-1e400", "'w'"),
+    ("lin:coords=1,1,t=1,1,w=1e308,1e308", "'w'"),
 ])
 def test_malformed_or_ignored_spec_field_is_usage_error(tmp_path, capsys, graph_draws, spec,
                                                         field):
@@ -1251,6 +1252,13 @@ def test_report_parameters_are_the_options(tmp_path, capsys):
     ["stein-identity", "--model", "@array", "--scale", "inf"],
     ["verify-regression", "--model", "@graph", "--tol", "nan"],
     ["verify-covariance", "--model", "@array", "--tol", "inf"],
+    ["simulate", "--model", "@graph", "--seed", "-1"],
+    ["verify-regression", "--model", "@array", "--seed", "-1"],
+    ["verify-covariance", "--model", "@graph", "--seed", "-1"],
+    ["distance", "--model", "@array", "--seed", "-1"],
+    ["coupling", "--n", "8", "--p", "0.3", "--seed", "-1"],
+    ["bound", "--model", "@graph", "--seed", "-1"],
+    ["stein-identity", "--model", "@array", "--seed", "-1"],
 ])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     # rejected while parsing: no model is loaded and nothing is drawn

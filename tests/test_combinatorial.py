@@ -18,10 +18,8 @@ from steinpaths.combinatorial import (
     DegenerateModelError,
     ModelError,
     _five_index_sum_factorized,
-    _five_index_sum_naive,
     _half_binomial,
     _path_from_diag,
-    assumption_diagnostic,
     bound_beta3,
     bound_prelimit,
     bound_prelimit_distance_report,
@@ -40,13 +38,14 @@ from steinpaths.combinatorial import (
     sample_y_values,
     sample_zhat_values,
     two_point_entry,
-    zhat_cov,
     zhat_cov_matrix,
 )
 from steinpaths import combinatorial as comb
 from steinpaths.functionals import certified_library, linear_cylinder, sin_cylinder
 from steinpaths.mc import SeedSpec, from_values, mc_run_vector
 from steinpaths.paths import grid_rows
+
+from oracles import _five_index_sum_naive, zhat_cov
 
 F = Fraction
 
@@ -441,14 +440,6 @@ def test_prefix_sum_kernel_matches_the_box_sums():
             assert cov == pytest.approx(box, rel=1e-13, abs=0.0), n
 
 
-def test_assumption1_is_the_prelimit_covariance():
-    times = [F(0), F(1, 3), F(1, 2), F(1), F(1, 3)]
-    for model in (det3(), _mixed_5x5(), ArrayModel.iid_rademacher(6)):
-        rows = assumption_diagnostic(model, times)
-        cov = prelimit_cov(model, times)
-        assert [r["assumption1"] for r in rows] == cov.ravel().tolist()
-
-
 def test_dn_grid_covariance_matches_closed_form():
     model = det3()
     vals = sample_dn_values(model, rng_for(14), 10**5)
@@ -558,53 +549,6 @@ def test_bound_beta3_linear_in_gnorm():
     one = bound_beta3(20, 4.0, 1.0, np.zeros((20, 20)), 100.0, 1.0)
     two = bound_beta3(20, 4.0, 1.0, np.zeros((20, 20)), 100.0, 2.0)
     assert two == pytest.approx(2 * one, rel=1e-14)
-
-
-# -- diagnostics -------------------------------------------------------------
-
-
-def test_assumption_diagnostic_iid():
-    model = ArrayModel.iid_gaussian(4)
-    rows = assumption_diagnostic(model, [F(0), F(1, 2), F(1)])
-    table = {(r["t"], r["u"]): r for r in rows}
-    assert table[("1", "1")]["assumption1"] == pytest.approx(1.0)
-    assert table[("0", "1")]["assumption1"] == 0.0
-    assert table[("0", "1")]["assumption2"] == 0.0
-    for t, u in [("1/2", "1"), ("0", "1/2")]:
-        assert table[(t, u)]["assumption1"] == pytest.approx(
-            table[(u, t)]["assumption1"]
-        )
-        assert table[(t, u)]["assumption2"] == pytest.approx(
-            table[(u, t)]["assumption2"]
-        )
-
-
-def test_assumption_diagnostic_matches_direct_sum():
-    model = det3()
-    n = 3
-    rows = assumption_diagnostic(model, [F(1, 3), F(1)])
-    table = {(r["t"], r["u"]): r for r in rows}
-    b2 = model.abs2
-    c = model.c
-    s2 = s_n_squared(model)
-    for t, u in [(F(1, 3), F(1)), (F(1), F(1))]:
-        kt, ku = int(3 * t), int(3 * u)
-        # delta_ij - 1/n multiplies E[X_ik X_jk]; diagonal uses second moments
-        lhs1 = sum(
-            (b2[i, k] * (1 - 1 / n) if i == j else -c[i, k] * c[j, k] / n)
-            for i in range(kt)
-            for j in range(ku)
-            for k in range(n)
-        ) / (s2 * (n - 1))
-        lhs2 = sum(
-            (b2[i, l] if i == j else c[i, l] * c[j, l])
-            for i in range(kt)
-            for j in range(ku)
-            for l in range(n)
-        ) / s2
-        row = table[(str(t), str(u))]
-        assert row["assumption1"] == pytest.approx(lhs1, rel=1e-12)
-        assert row["assumption2"] == pytest.approx(lhs2, rel=1e-12)
 
 
 # -- json loading ------------------------------------------------------------

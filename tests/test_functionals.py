@@ -14,12 +14,13 @@ from steinpaths.functionals import (
     parse_functional,
     sin_cylinder,
     tanh_product,
-    validate_derivatives,
 )
 from steinpaths import ou_stein as ou
 from steinpaths.graph import GraphModel
 from steinpaths.mc import SeedSpec
 from steinpaths.paths import PiecewiseConstantPath, grid_path
+
+from oracles import validate_derivatives
 
 F = Fraction
 GRID = 40  # random step paths jump on the 1/40 grid
@@ -187,7 +188,7 @@ def test_supplied_derivatives_validate():
         validate_derivatives(g, rng)
 
 
-TRIG = NormCertificate(1.0, 1.0, (1.0,), ((1.0,),), 1.0)
+TRIG = NormCertificate(1.0, (1.0,), ((1.0,),), 1.0)
 
 
 @pytest.mark.parametrize("spec, dim, cert", [
@@ -198,19 +199,19 @@ TRIG = NormCertificate(1.0, 1.0, (1.0,), ((1.0,),), 1.0)
     ("cos:coord=1,t=1", 2, TRIG),
     ("cos:coord=2,t=1/3", 2, TRIG),
     ("lin:coords=1,2,1,t=1/2,1,1/2,w=0.5,-3,2", 2, NormCertificate(
-        None, 2.9102352619416987, (2.5, 3.0), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
+        2.9102352619416987, (2.5, 3.0), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
     ("lin:coords=1,1,t=1,1,w=-1,-2.5", 1, NormCertificate(
-        None, 1.8519678939628992, (3.5,), ((0.0,),), 0.0)),
+        1.8519678939628992, (3.5,), ((0.0,),), 0.0)),
     ("lin:coords=2,1,2,t=1/4,1/4,1,w=-0.1,0.3,-7", 2, NormCertificate(
-        None, 3.9155892615215584, (0.31622776601683794, 7.0), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
+        3.9155892615215584, (0.31622776601683794, 7.0), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
     # weights whose squares overflow certify their finite block norms, and
     # the Hessian terms, 0 times an overflowing product, stay exactly 0.0
     ("lin:coords=1,t=1,w=1e300", 1, NormCertificate(
-        None, 5.2913368398939974e+299, (1e300,), ((0.0,),), 0.0)),
+        5.2913368398939974e+299, (1e300,), ((0.0,),), 0.0)),
     ("lin:coords=1,2,t=1/2,1/2,w=1e300,-1e300", 2, NormCertificate(
-        None, 1.0582673679787995e+300, (math.sqrt(2) * 1e300,), ((0.0,),), 0.0)),
+        1.0582673679787995e+300, (math.sqrt(2) * 1e300,), ((0.0,),), 0.0)),
     ("lin:coords=1,1,t=1/2,1,w=1e300,1e300", 1, NormCertificate(
-        None, 1.0582673679787995e+300, (1e300, 1e300), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
+        1.0582673679787995e+300, (1e300, 1e300), ((0.0, 0.0), (0.0, 0.0)), 0.0)),
 ])
 def test_linear_form_certificate_and_derivatives(spec, dim, cert):
     # sin, cos and lin are f(x . a): the derivatives validate and the
@@ -221,26 +222,12 @@ def test_linear_form_certificate_and_derivatives(spec, dim, cert):
     if spec.startswith("lin"):
         x = np.random.default_rng(7).standard_normal((5, g.n_args))
         assert np.all(g.hess_stacked(x) == 0.0)
-        assert not np.isnan(norm_upper_bound(g, "M1"))
+        assert not np.isnan(norm_upper_bound(g))
 
 
 def test_norm_bound_zero_functional():
     g = linear_cylinder([1], [1], [0.0], dim=1)
-    for cls in ("M1", "M2", "M"):
-        assert norm_upper_bound(g, cls) == 0.0
-
-
-def test_norm_bound_sin_m0_is_four():
-    # sup|sin| + sup|cos| + sup|sin| + Lipschitz(sin'') = 1+1+1+1
-    g = sin_cylinder(1, 1, dim=1)
-    assert norm_upper_bound(g, "M0") == pytest.approx(4.0)
-
-
-def test_norm_bound_linear_m0_unsupported():
-    g = linear_cylinder([1], [1], None, dim=1)
-    with pytest.raises(UnsupportedFunctionalError):
-        norm_upper_bound(g, "M0")
-    assert norm_upper_bound(g, "M1") > 0
+    assert norm_upper_bound(g) == 0.0
 
 
 def test_norm_bound_numeric_unsupported():
@@ -248,12 +235,7 @@ def test_norm_bound_numeric_unsupported():
     law = ou.TargetLaw(GraphModel(4, 0.3))
     g = ou.make_phi_cylinder(sin_cylinder(1, 1, dim=2), law, 16, 64, SeedSpec(0))
     with pytest.raises(UnsupportedFunctionalError):
-        norm_upper_bound(g, "M1")
-
-
-def test_norm_bound_unknown_class():
-    with pytest.raises(FunctionalError):
-        norm_upper_bound(sin_cylinder(1, 1, 1), "M3")
+        norm_upper_bound(g)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -268,7 +250,7 @@ def test_norm_bound_randomized_soundness(dim):
         grad_bound = float(np.sum(cert.grad_block_sups))
         hess_bound = float(np.sum(cert.hess_block_sups))
         lip_bound = g.k**1.5 * cert.hess_lipschitz
-        bound_m1 = norm_upper_bound(g, "M1")
+        bound_m1 = norm_upper_bound(g)
         w, h1, h2 = (random_steps(rng, n_trials, dim) for _ in range(3))
         x, y1, y2 = (stacked(g, steps) for steps in (w, h1, h2))
         nw, n1, n2 = (sup_norm(steps) for steps in (w, h1, h2))
@@ -367,4 +349,4 @@ def test_certified_library_has_five_certified(    ):
         lib = certified_library(dim)
         assert len(lib) >= 5
         for g in lib:
-            assert norm_upper_bound(g, "M1") < np.inf
+            assert norm_upper_bound(g) < np.inf

@@ -17,7 +17,6 @@ from steinpaths.functionals import (
     tanh_product,
 )
 from steinpaths.graph import (
-    DirectGaussianOracle,
     GraphModel,
     GraphModelError,
     GraphRealization,
@@ -40,7 +39,6 @@ from steinpaths.graph import (
     cov_tv_exact,
     d2_block_discrepancy,
     lambda_matrix,
-    moments_tv_exact,
     pair_moves,
     pair_norm_stats,
     prelimit_cov,
@@ -56,6 +54,8 @@ from steinpaths.graph import (
 from steinpaths.functionals import certified_library
 from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, mc_run_vector, merge
 from steinpaths.paths import grid_rows
+
+from oracles import DirectGaussianOracle, moments_tv_exact
 
 F = Fraction
 

@@ -17,7 +17,6 @@ from steinpaths.functionals import (
     parse_functional,
     sin_cylinder,
     tanh_product,
-    validate_derivatives,
 )
 from steinpaths.graph import GraphModel
 from steinpaths.mc import McEstimate, SeedSpec, from_values
@@ -36,6 +35,8 @@ from steinpaths.ou_stein import (
     stein_selfconsistency,
 )
 from steinpaths.paths import time_rows
+
+from oracles import validate_derivatives
 
 F = Fraction
 
@@ -403,9 +404,9 @@ def test_family_contract():
     assert family(GraphModel(6, 0.3)) is gr
     assert family(ArrayModel.iid_gaussian(4)) is comb
     contract = readme_contract()
-    assert {"KIND", "DIM", "NORM_CLASS", "TOL_IDENTITIES", "bound_table",
+    assert {"KIND", "DIM", "TOL_IDENTITIES", "bound_table",
             "covariance_identities", "increment_cov_check"} <= set(contract)
-    assert len(contract) == 16, sorted(contract)
+    assert len(contract) == 15, sorted(contract)
     for name, params in contract.items():
         assert name in gr.__all__ and name in comb.__all__, name
         graph_item, array_item = getattr(gr, name), getattr(comb, name)
@@ -414,8 +415,8 @@ def test_family_contract():
             continue
         assert list(inspect.signature(graph_item).parameters) == params, name
         assert list(inspect.signature(array_item).parameters) == params, name
-    assert (gr.KIND, gr.DIM, gr.NORM_CLASS) == ("graph", 2, "M2")
-    assert (comb.KIND, comb.DIM, comb.NORM_CLASS) == ("array", 1, "M1")
+    assert (gr.KIND, gr.DIM) == ("graph", 2)
+    assert (comb.KIND, comb.DIM) == ("array", 1)
     for other in (object(), None, "graph", gr):
         with pytest.raises(TypeError):
             family(other)
