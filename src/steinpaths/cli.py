@@ -220,13 +220,19 @@ def cmd_verify_covariance(args, fam, model, funcs, report):
 
 
 def cmd_distance(args, fam, model, funcs, report):
-    # every norm is certified before anything is drawn
+    """Checks each functional's gap against the family's pre-limit bound at
+    its certified norm.  Every norm and bound is computed before anything
+    is drawn: a bound that overflows is a usage error that names its
+    functional, raised before the report is emitted."""
     gnorms = [norm_upper_bound(g) for g in funcs]
+    bounds = [fam.bound_prelimit(model, gnorm) for gnorm in gnorms]
+    for g, gnorm, bound in zip(funcs, gnorms, bounds):
+        if not math.isfinite(bound):
+            raise UsageError("the distance bound of %s overflows (|g| <= %r)" % (g.label, gnorm))
     pairs = _gap_estimates(args, fam, model, funcs, report)
-    for g, gnorm, (est_y, est_d) in zip(funcs, gnorms, pairs):
+    for g, gnorm, bound, (est_y, est_d) in zip(funcs, gnorms, bounds, pairs):
         gap = abs(est_y.mean - est_d.mean)
         ci = mc.Z95 * math.hypot(est_y.stderr, est_d.stderr)
-        bound = fam.bound_prelimit(model, gnorm)
         report.add_value("gap %s" % g.label, gap)
         report.add_bound("bound %s" % g.label, bound)
         report.add_check(

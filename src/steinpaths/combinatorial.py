@@ -836,7 +836,8 @@ def pair_norm_stats(model: ArrayModel, rng: np.random.Generator, size: int) -> n
     (pi(I), pi(J)) uniform ordered distinct pairs, Y-Y' jumps by
     u = X_{I pi(I)} - X_{I pi(J)} at I/n and v = X_{J pi(J)} - X_{J pi(I)}
     at J/n, so the sup norm is max(|first jump alone|, |u+v|)/s_n.  Each
-    pair is drawn as graph.pair_norm_stats draws its vertices.
+    ordered pair is a uniform index below n and a uniform index below n - 1
+    that steps past the first.
     """
     n = model.n
     i_, j_, k_, l_ = (rng.integers(0, n - shift, size) for shift in (0, 1, 0, 1))

@@ -342,8 +342,10 @@ def linear_cylinder(
     if not np.isfinite(wvec).all():
         raise FunctionalError("%s: field 'w': the weights at one site do not sum to a "
                               "finite value" % label)
+    with np.errstate(over="ignore"):  # a sum past the float range is an inf sup
+        sup = _LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec)))
     return _linear_form(label, uniq_times, dim, wvec, (lambda u: u, np.ones_like, np.zeros_like),
-                        (_LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec))), 1.0, 0.0, 0.0))
+                        (sup, 1.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -502,19 +502,19 @@ def bernoulli(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     correction then sets to 1 an independent Bernoulli((q-j)/(256-j))
     subset of the first, or clears a Bernoulli((j+1-q)/(j+1)) subset of
     the second, whichever rate is smaller; it is at most 1/257.  The
-    subset is K ~ Binomial(count, rate) distinct uniform positions, so it
-    costs O(K) and never scans the bytes.  The law is Bernoulli(p) to
-    double precision; when q == j nothing beyond the bytes is drawn.  The
-    raw words are drawn first, then K, then the positions.
+    subset is ``_correction``'s K ~ Binomial(count, rate) distinct uniform
+    positions, so it costs O(K) and never scans the bytes.  The law is
+    Bernoulli(p) to double precision; when q == j nothing beyond the bytes
+    is drawn.  K and the positions are drawn first, then the raw words:
+    the call is a one-block group of sample_y_values' rule.
     """
     count = math.prod(shape)
-    u = _bytes(rng, count).reshape(shape)
     j, rate, fill = _byte_rule(p)
+    picks, _ = _correction(rng, [count], rate)
+    u = _bytes(rng, count)
     out = np.less(u, j) if fill else np.less_equal(u, j)
-    if rate:
-        picks = rng.choice(count, rng.binomial(count, rate), replace=False, shuffle=False)
-        out.reshape(-1)[picks] = fill
-    return out
+    out[picks] = fill
+    return out.reshape(shape)
 
 
 Y_GROUP = 1 << 24  # edge indicators per correction group of sample_y_values
@@ -536,15 +536,14 @@ def _correction_groups(n: int, size: int) -> list[tuple[int, int]]:
     return groups
 
 
-def _correction(rng: np.random.Generator, lo: int, hi: int, size: int, rate: float):
-    """(picks, bounds): one group's correction, K ~ Binomial(N, rate)
-    distinct uniform positions of the N indicators of the (k, size) blocks
-    of vertices lo..hi-1 laid end to end, sorted, and each made relative to
-    its own block; vertex lo + i takes picks[bounds[i]:bounds[i + 1]]."""
-    ks = np.arange(lo, hi + 1)
-    starts = size * (ks * (ks - 1) // 2 - lo * (lo - 1) // 2)
+def _correction(rng: np.random.Generator, counts, rate: float):
+    """(picks, bounds): the correction of blocks of counts[i] indicators
+    laid end to end, K ~ Binomial(N, rate) distinct uniform positions of
+    their N = sum(counts) indicators, sorted, and each made relative to
+    its own block; block i takes picks[bounds[i]:bounds[i + 1]]."""
+    starts = np.cumsum([0, *counts])
     if not rate:
-        return starts[:0], [0] * ks.size
+        return starts[:0], [0] * starts.size
     total = int(starts[-1])
     picks = rng.choice(total, rng.binomial(total, rate), replace=False, shuffle=False)
     picks.sort()
@@ -589,7 +588,7 @@ def sample_y_values(
         for k in range(joined, r):
             if k == hi:
                 lo, hi = next(groups)
-                picks, bounds = _correction(rng, lo, hi, size, rate)
+                picks, bounds = _correction(rng, [v * size for v in range(lo, hi)], rate)
             u = _bytes(rng, k * size)
             block = compare(u, j, out=u.view(bool))  # over the bytes, in place
             block[picks[bounds[k - lo] : bounds[k - lo + 1]]] = fill
@@ -854,21 +853,15 @@ def pair_norm_stats(model: GraphModel, rng: np.random.Generator, size: int) -> n
     are delta times nonnegative sequences nondecreasing in k, and so are
     their images under the nonnegative upper-triangular Lambda_n, so both
     sups sit at k = n, where (dT, dV) = delta (a, b) with a = (n-2)/n^2 and
-    b = (neighbour total)/n^2.
+    b = (neighbour total)/n^2.  So only |delta| and the total are drawn:
+    |delta| = |old - new| ~ Bernoulli(2p(1-p)) by ``bernoulli``, then the
+    total, the 2(n-2) edges from I and J to the other vertices, which are
+    independent of the edge {I, J}, ~ Binomial(2(n-2), p).
     """
     n, p = model.n, model.p
     lam = lambda_matrix(model)
-    i = rng.integers(0, n, size)
-    j = rng.integers(0, n - 1, size)
-    j += j >= i  # (i, j) uniform over ordered pairs of distinct vertices
-    old, new = bernoulli(rng, p, (2, size))
-    flip = old != new  # |delta|, which is 0 or 1
-    edges = bernoulli(rng, p, (2, size, n))
-    rows = np.arange(size)
-    total = edges.sum(axis=(0, 2), dtype=np.int64)
-    for e in edges:  # the pair's own slots are not neighbours
-        total -= e[rows, i]
-        total -= e[rows, j]
+    flip = bernoulli(rng, 2 * p * (1 - p), (size,))
+    total = rng.binomial(2 * (n - 2), p, size)
     ab = np.stack([np.full(size, (n - 2) / n**2), total / n**2], axis=1)
     return flip * np.linalg.norm(ab @ lam, axis=1) * np.linalg.norm(ab, axis=1) ** 2
 

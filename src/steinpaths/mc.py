@@ -175,7 +175,8 @@ def mc_run_vector(
     the columns with the arithmetic of ``merge``; the result is therefore
     independent of the worker count.  Each chunk is merged as it arrives,
     so memory does not grow with the chunk count.  A non-finite sample, or
-    finite samples whose mean or m2 overflows, raise ``McError``.
+    finite samples whose mean or m2 overflows, raise ``McError``; the
+    overflow itself raises no numpy warning.
     """
     if n_samples < 1:
         raise McError("n_samples must be positive")
@@ -187,16 +188,21 @@ def mc_run_vector(
         cols = np.ascontiguousarray(xs.reshape(sizes[i], -1).T)
         if not np.all(np.isfinite(cols)):
             raise McError("non-finite sample in chunk %d" % i)
-        means = cols.mean(axis=1)
-        return means, ((cols - means[:, None]) ** 2).sum(axis=1)
+        # numpy's error state is per thread, so it is set where the chunk runs
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = cols.mean(axis=1)
+            return means, ((cols - means[:, None]) ** 2).sum(axis=1)
 
     count, mean, m2 = 0, 0.0, 0.0
     for size, (means, m2s) in zip(sizes, _run_tasks(task, len(sizes), workers)):
-        total = count + size
-        delta = means - mean
-        mean = mean + delta * (size / total)
-        m2 = m2 + m2s + delta * delta * (count * size / total)
-        count = total
+        # the error state wraps the merge alone: at one worker the loop also
+        # runs the sampler, whose own warnings stay as at any worker count
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = count + size
+            delta = means - mean
+            mean = mean + delta * (size / total)
+            m2 = m2 + m2s + delta * delta * (count * size / total)
+            count = total
     # finite samples can still overflow the moments, e.g. squared deviations
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(m2))):
         raise McError("non-finite moments over %d finite samples" % count)

@@ -655,6 +655,31 @@ def test_bound_overflowing_gnorm_is_usage_error(tmp_path, capsys, kind, gnorm, o
     assert code == 0 and len(json.loads(out)["bounds"]) >= 5
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, spec", [
+    ("array", "lin:coords=1,t=0,w=1e307"),
+    ("graph", "lin:coords=1,t=0,w=1e308"),
+    ("graph", "lin:coords=1,2,t=0,0,w=1e308,1e308"),
+])
+def test_distance_overflowing_bound_is_usage_error(tmp_path, capsys, kind, spec):
+    # at t = 0 the draws are 0 and stay finite, but the functional's bound
+    # overflows: distance refuses it before drawing (it used to end in a
+    # ReportError traceback), names the functional, and writes no --out
+    model = graph_model(tmp_path, 12, 0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    label = cli.parse_functional(spec, 2 if kind == "graph" else 1).label
+    out_file = tmp_path / "report.json"
+    code = main(["distance", "--model", model, "--samples", "100", "--functional", spec,
+                 "--out", str(out_file)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err.startswith("usage error: the distance bound of %s overflows " % label)
+    # simulate reads no bound, so the same functional runs, with nothing on stderr
+    code = main(["simulate", "--model", model, "--samples", "100", "--functional", spec])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert [e["value"] for e in json.loads(out)["estimates"]] == [0, 0]
+
+
 def test_stein_identity_command(tmp_path, capsys):
     code, out = run(
         capsys,
@@ -1185,13 +1210,15 @@ def test_non_finite_sample_fails_a_check(tmp_path, capsys, monkeypatch):
     assert checks["finite_samples"]["detail"] == "non-finite sample in chunk 0"
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["simulate", "distance", "stein-identity"])
 def test_overflowing_moments_fail_a_check(tmp_path, capsys, command):
-    # the values are finite, but their squared deviations overflow
+    # the values are finite, but their squared deviations overflow; the
+    # check reports it, and numpy warns of nothing
     code = main([command, "--model", graph_model(tmp_path, 12, 0.3), "--samples", "100",
                  "--functional", "lin:coords=1,t=1,w=1e300"])
     out, err = capsys.readouterr()
-    assert code == 1 and "Traceback" not in err
+    assert code == 1 and err == ""
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert not checks["finite_samples"]["pass"]
     assert checks["finite_samples"]["detail"] == "non-finite moments over 100 finite samples"

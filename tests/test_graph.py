@@ -476,22 +476,23 @@ def test_bernoulli_law_and_draw_order(p):
     pairs = x[:-1] & x[1:]
     var = p**2 * (1 - p**2) + 2 * (p**3 - p**4)
     assert abs(pairs.mean() - p**2) <= 5 * math.sqrt(var / pairs.size)
-    # replay: one raw byte per indicator, then K and the K positions of the
-    # correction, which sets u < j to 1 or clears u <= j, at the smaller rate
+    # replay: K and the K positions of the correction, which sets u < j to 1
+    # or clears u <= j, at the smaller rate, then one raw byte per indicator
     replay = rng_for(94)
-    u = replay.bit_generator.random_raw(size // 8).astype("<u8").view(np.uint8)
     q = 256 * p
     j = math.floor(q)
-    if q == j:  # p = 0.25, 0.5: no correction, nothing else drawn
+    if q == j:  # p = 0.25, 0.5: no correction, nothing but the bytes drawn
+        u = replay.bit_generator.random_raw(size // 8).astype("<u8").view(np.uint8)
         expect = u < j
     else:
         set_rate, clear_rate = (q - j) / (256 - j), (j + 1 - q) / (j + 1)
         assert min(set_rate, clear_rate) <= 1 / 257
         fill = set_rate <= clear_rate
-        expect = u < j if fill else u <= j
         k = replay.binomial(size, min(set_rate, clear_rate))
         picks = replay.choice(size, k, replace=False, shuffle=False)
         assert np.unique(picks).size == k
+        u = replay.bit_generator.random_raw(size // 8).astype("<u8").view(np.uint8)
+        expect = u < j if fill else u <= j
         expect[picks] = fill
         # p = 0.002 sets from all zeros; 0.3, 0.999 and 1 - 1/512 clear
         assert fill == (p == 0.002)
@@ -1139,21 +1140,27 @@ def test_pair_norm_stats_match_object_layer(draw_pairs):
     assert abs(fast.mean - slow.mean) < tol
 
 
-def _pair_norm_stats_full_path(model, rng, size):
-    """Reference: pair_norm_stats's draws, with both sups taken over the
-    whole (size, n+1, 2) difference path and its Lambda image."""
+def _pair_norm_stats_full_path(model, rng, layout, size):
+    """Reference: pair_norm_stats's draws from rng, |delta| and then the
+    neighbour total, laid out from layout as a full pair, with both sups
+    taken over the whole (size, n+1, 2) difference path and its Lambda
+    image.  layout draws the vertices I != J, the sign of delta and which
+    `total` of the 2(n-2) neighbour slots of I and J hold an edge."""
     n, p = model.n, model.p
-    i = rng.integers(0, n, size)
-    j = rng.integers(0, n - 1, size)
+    flip = bernoulli(rng, 2 * p * (1 - p), (size,))
+    total = rng.binomial(2 * (n - 2), p, size)
+    i = layout.integers(0, n, size)
+    j = layout.integers(0, n - 1, size)
     j += j >= i
     hi = np.maximum(i, j) + 1
-    old, new = bernoulli(rng, p, (2, size))
-    delta = old.astype(float) - new
-    edges = bernoulli(rng, p, (2, size, n))
-    nbr = np.add(edges[0], edges[1], dtype=float)
+    delta = flip * layout.choice([-1.0, 1.0], size)
+    # slots (I or J, v): the pair's own four rank last, so the `total`
+    # lowest ranks are uniform among the 2(n-2) neighbour slots
+    keys = layout.random((size, 2, n))
     rows = np.arange(size)
-    nbr[rows, i] = 0.0
-    nbr[rows, j] = 0.0
+    keys[rows, :, i] = keys[rows, :, j] = 2.0
+    rank = keys.reshape(size, 2 * n).argsort(axis=1).argsort(axis=1)
+    nbr = (rank < total[:, None]).reshape(size, 2, n).sum(axis=1, dtype=float)
     prefix = np.concatenate([np.zeros((size, 1)), np.cumsum(nbr, axis=1)], axis=1)
     ks = np.arange(n + 1)
     active = ks[None, :] >= hi[:, None]
@@ -1169,7 +1176,7 @@ def _pair_norm_stats_full_path(model, rng, size):
 def test_pair_norm_stats_match_full_path(n, p):
     model = GraphModel(n, p)
     fast = pair_norm_stats(model, rng_for(20), 3000)
-    slow = _pair_norm_stats_full_path(model, rng_for(20), 3000)
+    slow = _pair_norm_stats_full_path(model, rng_for(20), rng_for(21), 3000)
     assert np.mean(slow > 0) > 0.2
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
 

@@ -187,12 +187,14 @@ def test_engine_rejects_nonfinite_and_multi_column_mc_run():
         mc_run(lambda rng, size: np.zeros((size, 2)), 10, SeedSpec(14))
 
 
-def test_engine_rejects_overflowing_moments():
-    # finite samples whose mean or m2 is not finite
+@pytest.mark.filterwarnings("error")
+def test_engine_rejects_overflowing_moments(capsys):
+    # finite samples whose mean or m2 is not finite, with no numpy warning
     with pytest.raises(McError, match="non-finite moments"):
         mc_run(lambda rng, size: rng.choice([-1e300, 1e300], size), 10, SeedSpec(14))
     with pytest.raises(McError, match="non-finite moments"):
         mc_run_vector(lambda rng, size: np.full((size, 2), 1.7e308), CHUNK + 1, SeedSpec(14))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("workers", [1, 2])
