@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -492,13 +492,13 @@ class CombinatorialRealization:
 
 
 def sample_trials(
-    model: ArrayModel, rngs: Iterable[np.random.Generator]
+    model: ArrayModel, rng: np.random.Generator, count: int
 ) -> CombinatorialRealization:
-    """One (X, pi) draw per generator, stacked on a leading trial axis: X
-    entrywise, then pi uniform (Fisher-Yates), so a one-generator call
-    draws the stack's draw from that generator bit for bit."""
-    x, pi = zip(*[(_sample_full(model, rng, 1)[0], rng.permutation(model.n)) for rng in rngs])
-    x, pi = np.stack(x), np.stack(pi)
+    """count (X, pi) draws stacked on a leading trial axis: every X
+    entrywise, then every pi uniform (Fisher-Yates on each row); at
+    count = 1 pi is rng.permutation(n) bit for bit."""
+    x = _sample_full(model, rng, count)
+    pi = rng.permuted(np.tile(np.arange(model.n), (count, 1)), axis=1)
     return CombinatorialRealization(model, x, pi, _path_from_diag(model, x, pi))
 
 

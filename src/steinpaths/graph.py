@@ -37,7 +37,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -206,12 +206,12 @@ def _path_from_degrees(model: GraphModel, deg: np.ndarray) -> np.ndarray:
     return raw - np.stack(_expected_cuts(model), axis=1)
 
 
-def sample_trials(model: GraphModel, rngs: Iterable[np.random.Generator]) -> GraphRealization:
-    """One graph per generator, stacked on a leading trial axis; graph t
-    takes its n x n uniforms from the t-th generator, so a one-generator
-    call draws the stack's t-th graph bit for bit."""
+def sample_trials(model: GraphModel, rng: np.random.Generator, count: int) -> GraphRealization:
+    """count graphs stacked on a leading trial axis, from one (count, n, n)
+    uniform draw: graph t reads the t-th n x n block of uniforms, so the
+    stack is count one-graph calls on the same generator bit for bit."""
     n = model.n
-    upper = np.stack([rng.random((n, n)) < model.p for rng in rngs])
+    upper = rng.random((count, n, n)) < model.p
     edges = np.triu(upper, 1)
     edges = (edges | edges.swapaxes(-1, -2)).astype(int)
     deg = _prefix_degrees(edges)

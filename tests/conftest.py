@@ -10,7 +10,7 @@ def _draw_pairs(mod, model, rng, trials, rows):
     that keeps its edge, which moves nothing.  Returns the realizations,
     Y and Y' at the grid rows as (trials, len(rows), dim) arrays, and each
     trial's pair index."""
-    real = mod.sample_trials(model, [rng] * trials)
+    real = mod.sample_trials(model, rng, trials)
     dim, k = real.values.shape[-1], len(rows)
     moves, prob = mod.pair_moves(real, rows, np.eye(k * dim).reshape(k * dim, 1, k, dim))
     pick = (np.cumsum(prob, axis=-1) < rng.random((trials, 1))).sum(axis=-1)

@@ -48,12 +48,12 @@ def test_criterion_1_regression_exactness():
             comb.ArrayModel.deterministic(centered_matrix(n)),
             comb.ArrayModel.iid_gaussian(n),
         ):
-            real = comb.sample_trials(model, [SeedSpec(1, (n,)).rng()])
+            real = comb.sample_trials(model, SeedSpec(1, (n,)).rng(), 1)
             residuals = comb.regression_residual(real, certified_library(1))
             worst = max(worst, float(residuals.max()))
             count += residuals.size
         graph = gr.GraphModel(n, 0.35)
-        real = gr.sample_trials(graph, [SeedSpec(2, (n,)).rng()])
+        real = gr.sample_trials(graph, SeedSpec(2, (n,)).rng(), 1)
         residuals = gr.regression_residual(real, certified_library(2))
         worst = max(worst, float(residuals.max()))
         count += residuals.size

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,10 +69,9 @@ def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
     # before anything is drawn; at the budget a block holds one trial
     draws, sample_trials = [], gr.sample_trials
 
-    def spy(model, rngs):
-        rngs = list(rngs)
-        draws.append((model, rngs))
-        return sample_trials(model, rngs)
+    def spy(model, rng, count):
+        draws.append((model, count))
+        return sample_trials(model, rng, count)
 
     monkeypatch.setattr(gr, "sample_trials", spy)
     assert cli.REGRESSION_TERMS == 1024**2
@@ -87,38 +87,61 @@ def test_verify_regression_oversize_guard(tmp_path, capsys, monkeypatch):
         code = main(["verify-regression", "--model", model, "--trials", "2"] + specs)
         capsys.readouterr()
         assert code == expected, n
-    assert [(args[0].n, len(args[1])) for args in draws] == [(1024, 1)] * 2 + [(724, 1)] * 2
+    assert [(model.n, count) for model, count in draws] == [(1024, 1)] * 2 + [(724, 1)] * 2
 
 
 @pytest.mark.parametrize("kind", ["graph", "array"])
 def test_verify_regression_trial_blocks(tmp_path, capsys, monkeypatch, kind):
-    # blocks of trials draw what one stack of all the trials draws, and a
-    # smaller budget (more blocks) gives the same residuals
+    # block b draws all its trials from stream (b,) in one call: a budget
+    # of 5 trials splits 23 trials into blocks of 5, 5, 5, 5 and 3, each
+    # the one-call draw of its stream bit for bit
     model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
     mod = ou.family(cli._load_model(model)[1])
-    argv = ["verify-regression", "--model", model, "--trials", "23", "--seed", "4"]
-    code, out = run(capsys, argv)
-    assert code == 0
-    whole = json.loads(out)["values"][0]["value"]
     blocks, sample_trials = [], mod.sample_trials
 
-    def spy(model, rngs):
-        blocks.append(sample_trials(model, rngs))
+    def spy(model, rng, count):
+        blocks.append(sample_trials(model, rng, count))
         return blocks[-1]
 
     monkeypatch.setattr(mod, "sample_trials", spy)
     monkeypatch.setattr(cli, "REGRESSION_TERMS", 5 * 12**2 * 2)  # 5 trials per block
-    code, out = run(capsys, argv)
+    code, out = run(capsys, ["verify-regression", "--model", model, "--trials", "23",
+                             "--seed", "4"])
     report = json.loads(out)
     assert code == 0 and report["checks"][0]["pass"]
-    assert abs(report["values"][0]["value"] - whole) <= 1e-15
     assert [len(b.values) for b in blocks] == [5, 5, 5, 5, 3]
     monkeypatch.undo()
-    stack = mod.sample_trials(blocks[0].model, [mc.SeedSpec(4, (t,)).rng() for t in range(23)])
-    assert np.array_equal(stack.values, np.concatenate([b.values for b in blocks]))
-    field = "edges" if kind == "graph" else "x"
-    assert np.array_equal(getattr(stack, field),
-                          np.concatenate([getattr(b, field) for b in blocks]))
+    field, funcs = "edges" if kind == "graph" else "x", certified_library(mod.DIM)
+    for b, block in enumerate(blocks):
+        real = mod.sample_trials(block.model, mc.SeedSpec(4, (b,)).rng(), len(block.values))
+        assert np.array_equal(real.values, block.values), b
+        assert np.array_equal(getattr(real, field), getattr(block, field)), b
+    worst = max(float(mod.regression_residual(b, funcs).max()) for b in blocks)
+    assert report["values"][0]["value"] == worst
+
+
+@pytest.mark.parametrize("n", [12, 1024])
+def test_sample_trials_peak_memory_at_a_full_block(n):
+    # a block's one-call draw holds a few (count, n, n) float planes at
+    # once, the returned realization included: the graph its int edges and
+    # two (n+1)-column degree tables (np.triu copies the cumulative one),
+    # the array X, a draw and the sum or np.where plane, each with boolean
+    # planes on top.  With the default library a block holds 3,640 trials
+    # at n = 12 and one at n = 1024
+    count = max(1, cli.REGRESSION_TERMS // (n * n * 2))
+    assert count == {12: 3640, 1024: 1}[n]
+    models = [(gr, gr.GraphModel(n, 0.3), 3.5), (comb, comb.ArrayModel.iid_gaussian(n), 3.25),
+              (comb, comb.ArrayModel.iid_rademacher(n), 3.25)]
+    for mod, model, planes in models:
+        tracemalloc.start()
+        try:
+            real = mod.sample_trials(model, mc.SeedSpec(1, (0,)).rng(), count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(real.values) == count
+        assert peak <= planes * count * n * n * 8, (model, peak / (count * n * n * 8))
+        del real
 
 
 @pytest.mark.parametrize("kind", ["graph", "array"])

@@ -175,10 +175,38 @@ def test_double_center_fixes_means():
 
 def test_sample_y_endpoint_and_breakpoints():
     model = ArrayModel.iid_gaussian(4)
-    real = sample_trials(model, [rng_for(3)])
+    real = sample_trials(model, rng_for(3), 1)
     picks = real.x[0, np.arange(4), real.pi[0]]
     assert real.values.shape == (1, 5, 1) and real.values[0, 0, 0] == 0.0
     assert real.values[0, -1, 0] == pytest.approx(picks.sum() / model.s_n)
+
+
+def test_sample_trials_draw_order():
+    # every X first, then every pi as a row of rng.permuted; at one trial
+    # pi is rng.permutation(n) bit for bit
+    model = _entries_3x3()
+    for count in (1, 7):
+        rng, replay = rng_for(10), rng_for(10)
+        real = sample_trials(model, rng, count)
+        x = comb._sample_full(model, replay, count)
+        pi = replay.permuted(np.tile(np.arange(3), (count, 1)), axis=1)
+        assert np.array_equal(real.x, x) and np.array_equal(real.pi, pi)
+        assert rng.random() == replay.random()
+    rng, replay = rng_for(11), rng_for(11)
+    real = sample_trials(model, rng, 1)
+    comb._sample_full(model, replay, 1)
+    assert np.array_equal(real.pi[0], replay.permutation(3))
+
+
+def test_sample_trials_permutation_law():
+    # each of the 10^4 stacked permutations is uniform: P(pi(i) = j) = 1/n
+    # for every (i, j), within 5 stderr
+    n, count = 5, 10**4
+    pi = sample_trials(ArrayModel.iid_gaussian(n), rng_for(12), count).pi
+    assert (np.sort(pi, axis=1) == np.arange(n)).all()
+    freq = (pi[:, :, None] == np.arange(n)).mean(axis=0)
+    stderr = math.sqrt((1 / n) * (1 - 1 / n) / count)
+    assert np.abs(freq - 1 / n).max() <= 5 * stderr
 
 
 def test_sample_y_unit_variance_at_one():
@@ -208,7 +236,7 @@ def test_pair_moves_match_recomputation(name):
     model = {"deterministic": det3(), "iid-gaussian": ArrayModel.iid_gaussian(5),
              "entries": _entries_3x3()}[name]
     n, trials = model.n, 4
-    real = sample_trials(model, [SeedSpec(94, (t,)).rng() for t in range(trials)])
+    real = sample_trials(model, SeedSpec(94).rng(), trials)
     moves, prob = pair_moves(real, np.arange(n + 1), np.eye(n + 1).reshape(n + 1, 1, n + 1, 1))
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     assert moves.shape == (n + 1, trials, i.size) and prob.shape == (trials, i.size)
@@ -251,7 +279,7 @@ def test_pair_swap_twice_restores():
     # at Y', which swaps pi(i) and pi(j), the same pair swaps them back:
     # the kernel gives the opposite move, and Y' minus it is Y
     model, n = det3(), 3
-    real = sample_trials(model, [rng_for(6)])
+    real = sample_trials(model, rng_for(6), 1)
     unit = np.eye(n + 1).reshape(n + 1, 1, n + 1, 1)
     moves, _ = pair_moves(real, np.arange(n + 1), unit)
     i, j = np.nonzero(~np.eye(n, dtype=bool))
@@ -282,13 +310,13 @@ def test_pair_exchangeable_ks(draw_pairs):
 
 
 def test_regression_residual_deterministic_linear():
-    real = sample_trials(det3(), [rng_for(8)])
+    real = sample_trials(det3(), rng_for(8), 1)
     f = linear_cylinder([1], [1], None, dim=1)
     assert regression_residual(real, [f])[0, 0] < 1e-12
 
 
 def test_regression_residual_constant_functional():
-    real = sample_trials(det3(), [rng_for(9)])
+    real = sample_trials(det3(), rng_for(9), 1)
     f = linear_cylinder([1], [1], [0.0], dim=1)
     assert regression_residual(real, [f])[0, 0] == 0.0
 
@@ -296,30 +324,29 @@ def test_regression_residual_constant_functional():
 def test_regression_residual_gaussian_sin():
     model = ArrayModel.iid_gaussian(6)
     f = sin_cylinder(1, 1, dim=1)
-    stack = sample_trials(model, [SeedSpec(91, (k,)).rng() for k in range(5)])
+    stack = sample_trials(model, SeedSpec(91).rng(), 5)
     assert (regression_residual(stack, [f]) < 1e-10).all()
 
 
 @pytest.mark.parametrize("name", ["iid-gaussian", "deterministic", "mixed-5x5"])
 def test_stacked_trials_match_single_trials(name):
-    # stacked draws are the one-generator draws bit for bit, and each
-    # trial's batched residual is its one-trial residual
+    # each trial's batched residual is the residual of its one-trial slice
+    # of the stack
     model = {
         "iid-gaussian": ArrayModel.iid_gaussian(5),
         "deterministic": ArrayModel.deterministic(centered_5x5()),
         "mixed-5x5": _mixed_5x5(),
     }[name]
     funcs = certified_library(1)
-    stack = sample_trials(model, [SeedSpec(92, (t,)).rng() for t in range(6)])
+    stack = sample_trials(model, SeedSpec(92).rng(), 6)
     assert stack.x.shape == (6, 5, 5) and stack.values.shape == (6, 6, 1)
     batched = regression_residual(stack, funcs)
     assert batched.shape == (len(funcs), 6)
     assert batched.max() < 1e-14
     for t in range(6):
-        real = sample_trials(model, [SeedSpec(92, (t,)).rng()])
-        assert np.array_equal(real.x[0], stack.x[t]) and np.array_equal(real.pi[0], stack.pi[t])
-        assert np.array_equal(real.values[0], stack.values[t])
-        assert np.abs(regression_residual(real, funcs)[:, 0] - batched[:, t]).max() <= 1e-15
+        one = CombinatorialRealization(model, stack.x[t:t + 1], stack.pi[t:t + 1],
+                                       stack.values[t:t + 1])
+        assert np.abs(regression_residual(one, funcs)[:, 0] - batched[:, t]).max() <= 1e-15
     one = CombinatorialRealization(model, stack.x[:1], stack.pi[:1], stack.values[:1])
     assert np.array_equal(regression_residual(one, funcs)[:, 0], batched[:, 0])
 

@@ -522,7 +522,7 @@ def test_bytes_match_rng_bytes():
 def test_sampler_prefix_counts_match_brute_force():
     for n, p in [(7, 0.4), (3, 0.5), (40, 0.9)]:
         model = GraphModel(n, p)
-        real = sample_trials(model, [rng_for(4)])
+        real = sample_trials(model, rng_for(4), 1)
         edges, values = real.edges[0], real.values[0]
         raw, et, ev = [], [], []
         # the realization's degree table: v's neighbours below m, for v < m
@@ -544,6 +544,23 @@ def test_sampler_prefix_counts_match_brute_force():
         assert np.allclose(values[:, 1], ev, atol=1e-12)
 
 
+def test_sample_trials_edge_law():
+    # one (count, n, n) uniform draw for the whole stack: symmetric 0/1
+    # edges with a zero diagonal, each of the 120 x 600 upper indicators
+    # present with probability p
+    model, count = GraphModel(16, 0.3), 600
+    real = sample_trials(model, rng_for(9), count)
+    edges = real.edges
+    assert edges.shape == (count, 16, 16)
+    assert np.array_equal(edges, edges.swapaxes(-1, -2))
+    assert not np.diagonal(edges, axis1=-2, axis2=-1).any()
+    i, j = np.triu_indices(16, 1)
+    upper = edges[:, i, j]
+    assert set(np.unique(upper)) <= {0, 1} and upper.size >= 2**16
+    stderr = math.sqrt(model.p * (1 - model.p) / upper.size)
+    assert abs(upper.mean() - model.p) <= 5 * stderr
+
+
 # -- exchangeable pair --------------------------------------------------------
 
 
@@ -554,7 +571,7 @@ def test_pair_moves_match_recomputation(n, p):
     # adjacency, recomputed from scratch; a present edge flips with
     # probability (1-p)/C(n,2), an absent one with p/C(n,2)
     model, trials, e = GraphModel(n, p), 4, 2 * (n + 1)
-    real = sample_trials(model, [SeedSpec(74, (n, t)).rng() for t in range(trials)])
+    real = sample_trials(model, SeedSpec(74, (n,)).rng(), trials)
     moves, prob = pair_moves(real, np.arange(n + 1), np.eye(e).reshape(e, 1, n + 1, 2))
     i, j = np.triu_indices(n, 1)
     assert moves.shape == (e, trials, i.size) and prob.shape == (trials, i.size)
@@ -583,7 +600,7 @@ def test_pair_same_value_identity():
     # for bit.  With its mass the kernel's flips choose every edge with
     # 1/C(n,2), and their weighted sum is E^Y[Y - Y'] over both outcomes
     model, n = GraphModel(5, 0.4), 5
-    real = sample_trials(model, [rng_for(5)])
+    real = sample_trials(model, rng_for(5), 1)
     edges, values = real.edges[0], real.values[0]
     assert np.array_equal(_path_from_degrees(model, _prefix_degrees(edges)), values)
     moves, prob = pair_moves(real, np.arange(n + 1), np.eye(12).reshape(12, 1, n + 1, 2))
@@ -643,12 +660,12 @@ def test_lambda_upper_triangular():
 def test_regression_residual_linear_n3():
     model = GraphModel(3, 0.5)
     f = linear_cylinder([1, 2], [F(1), F(1)], None, dim=2)
-    stack = sample_trials(model, [SeedSpec(71, (k,)).rng() for k in range(5)])
+    stack = sample_trials(model, SeedSpec(71).rng(), 5)
     assert (regression_residual(stack, [f]) < 1e-12).all()
 
 
 def test_regression_residual_constant():
-    real = sample_trials(GraphModel(4, 0.3), [rng_for(8)])
+    real = sample_trials(GraphModel(4, 0.3), rng_for(8), 1)
     f = linear_cylinder([1], [F(1)], [0.0], dim=2)
     assert regression_residual(real, [f])[0, 0] == 0.0
 
@@ -661,25 +678,29 @@ def test_regression_residual_nonlinear_n6():
         tanh_product([1, 2], [F(1, 2), F(1)], dim=2),
         linear_cylinder([1, 2], [F(1, 2), F(1)], [0.5, -2.0], dim=2),
     ]
-    stack = sample_trials(model, [SeedSpec(72, (k,)).rng() for k in range(len(funcs))])
+    stack = sample_trials(model, SeedSpec(72).rng(), len(funcs))
     assert (regression_residual(stack, funcs) < 1e-10).all()
 
 
 @pytest.mark.parametrize("n", [3, 6, 12, 64])
 def test_stacked_trials_match_single_trials(n):
-    # stacked draws are the one-generator draws bit for bit, and each
-    # trial's batched residual is its one-trial residual
+    # a stack is its trials drawn one by one from the same generator, bit
+    # for bit, and each trial's batched residual is the residual of its
+    # one-trial slice of the stack
     model, funcs = GraphModel(n, 0.3), certified_library(2)
-    stack = sample_trials(model, [SeedSpec(73, (t,)).rng() for t in range(6)])
+    stack = sample_trials(model, SeedSpec(73).rng(), 6)
     assert stack.edges.shape == (6, n, n) and stack.values.shape == (6, n + 1, 2)
     batched = regression_residual(stack, funcs)
     assert batched.shape == (len(funcs), 6)
     assert batched.max() < 1e-14
+    rng = SeedSpec(73).rng()
     for t in range(6):
-        real = sample_trials(model, [SeedSpec(73, (t,)).rng()])
+        real = sample_trials(model, rng, 1)
         assert np.array_equal(real.edges[0], stack.edges[t])
         assert np.array_equal(real.values[0], stack.values[t])
-        assert np.abs(regression_residual(real, funcs)[:, 0] - batched[:, t]).max() <= 1e-15
+        one = GraphRealization(model, stack.edges[t:t + 1], stack.degrees[t:t + 1],
+                               stack.values[t:t + 1])
+        assert np.abs(regression_residual(one, funcs)[:, 0] - batched[:, t]).max() <= 1e-15
     one = GraphRealization(model, stack.edges[:1], stack.degrees[:1], stack.values[:1])
     assert np.array_equal(regression_residual(one, funcs)[:, 0], batched[:, 0])
 
