@@ -158,12 +158,19 @@ def norm_upper_bound(g: CylinderFunctional) -> float:
 
 
 class _LinearFormBase:
-    """phi(x) = f(x . a) for a weight vector a, given fns = (f, f', f'')."""
+    """phi(x) = f(x . a) for a weight vector a, given fns = (f, f', f'').
 
-    def __init__(self, a: np.ndarray, fns: tuple, certificate: NormCertificate):
+    kappa is the constant in E f(y + tau Z) = f(y) exp(-kappa tau^2 / 2),
+    Z standard normal, which ou_stein's closed-form Stein solution reads:
+    1 for sin and cos, 0 for lin, None for an f that has none.
+    """
+
+    def __init__(self, a: np.ndarray, fns: tuple, certificate: NormCertificate | None,
+                 kappa: float | None = None):
         self.a = a
         self.fn, self.dfn, self.d2fn = fns
         self.certificate = certificate
+        self.kappa = kappa
 
     def value(self, x):
         return self.fn(np.asarray(x) @ self.a)
@@ -226,8 +233,9 @@ class _TanhProdBase:
 
 
 def _linear_form(label: str, times: Sequence, dim: int, a: np.ndarray, fns: tuple,
-                 sups: tuple) -> CylinderFunctional:
-    """g = f(x . a) on the stacked argument x at `times`, fns = (f, f', f'').
+                 sups: tuple, kappa: float) -> CylinderFunctional:
+    """g = f(x . a) on the stacked argument x at `times`, fns = (f, f', f''),
+    with f's kappa (see _LinearFormBase).
 
     sups = (the cubic-weighted sup, sup|f'|, sup|f''|, sup|f'''|)
     certify g by one rule: block b's gradient by sup|f'| |a_b|, H_bc by
@@ -246,7 +254,7 @@ def _linear_form(label: str, times: Sequence, dim: int, a: np.ndarray, fns: tupl
         hess_block_sups=tuple(tuple(0.0 if d2 == 0 else d2 * nb * nc for nc in norms)
                               for nb in norms),
         hess_lipschitz=0.0 if d3 == 0 else d3 * math.hypot(*a) ** 3,
-    )), label)
+    ), kappa), label)
 
 
 def _coord_index(coord: int, dim: int) -> int:
@@ -260,7 +268,7 @@ def _trig_cylinder(name: str, fns: tuple, coord: int, t, dim: int) -> CylinderFu
     t = as_time(t)
     a = np.eye(dim)[_coord_index(coord, dim)]
     # sin, cos and their first three derivatives are bounded by 1
-    return _linear_form("%s:coord=%d,t=%s" % (name, coord, t), [t], dim, a, fns, (1.0,) * 4)
+    return _linear_form("%s:coord=%d,t=%s" % (name, coord, t), [t], dim, a, fns, (1.0,) * 4, 1.0)
 
 
 def sin_cylinder(coord: int, t, dim: int = 1) -> CylinderFunctional:
@@ -345,7 +353,7 @@ def linear_cylinder(
     with np.errstate(over="ignore"):  # a sum past the float range is an inf sup
         sup = _LIN_WEIGHT_SUP * float(np.sum(np.abs(wvec)))
     return _linear_form(label, uniq_times, dim, wvec, (lambda u: u, np.ones_like, np.zeros_like),
-                        (sup, 1.0, 0.0, 0.0))
+                        (sup, 1.0, 0.0, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,17 @@ Nothing in ``steinpaths`` calls these; the tests import them from here:
 * ``zhat_cov`` and ``_five_index_sum_naive`` for ``combinatorial``: one
   closed-form Zhat covariance entry and the literal five-index loop;
 * ``validate_derivatives`` for ``functionals``: a functional's gradient
-  and Hessian against finite differences.
+  and Hessian against finite differences;
+* ``stein_solution_mc`` and ``stein_equation_residual`` for ``ou_stein``:
+  Monte Carlo estimates of the Stein solution and its derivatives from
+  frozen draws of the target D, which pin ``stein_solution``'s closed form
+  where D is Gaussian, and the residual of the Stein equation itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +26,8 @@ import numpy as np
 from steinpaths.combinatorial import ArrayModel, ModelError
 from steinpaths.functionals import CylinderFunctional, FunctionalError
 from steinpaths.graph import GraphModel, GraphModelError, _binom2, _binom3
+from steinpaths.mc import McEstimate, from_values
+from steinpaths.ou_stein import _gauss_legendre_01, _generator_values
 from steinpaths.paths import as_time
 
 
@@ -197,3 +204,51 @@ def validate_derivatives(
             fd_H = (g.base.grad(x + e) - g.base.grad(x - e)) / (2 * h)
             if np.max(np.abs(fd_H - hess[i])) > hess_rtol * max(1.0, np.max(np.abs(hess[i]))):
                 raise FunctionalError("%s: Hessian row %d off" % (g.label, i))
+
+
+# ---------------------------------------------------------------------------
+# ou_stein: the Stein solution by Monte Carlo
+
+
+def stein_solution_mc(g: CylinderFunctional, x: np.ndarray,
+                      d_flat: np.ndarray) -> list[McEstimate]:
+    """Estimates of phi(g)(x), of each entry of grad phi(g)(x) and of each
+    entry of hess phi(g)(x), in that order, for phi(g) =
+    -int_0^1 E[g(v x + b D) - g(D)] dv/v with b = sqrt(1 - v^2): the
+    Stein solution against the law of D, which equals ``stein_solution``'s
+    against N(0, Sigma) where D is Gaussian.
+
+    Each row D_s of d_flat gives one draw of each entry, by the 64-node
+    rule of ``stein_solution``.  With y_q = v_q x + b_q D_s, the chain
+    rule's factor v_q cancels one 1/v_q:
+
+        phi    ~ -sum_q (w_q/v_q) [g(y_q) - g(D_s)],
+        grad   ~ -sum_q w_q grad g(y_q),
+        hess   ~ -sum_q w_q v_q hess g(y_q).
+
+    Centering with the same draw D_s keeps every summand bounded as
+    v_q -> 0, and the estimator stays unbiased by linearity.
+    """
+    nodes, weights = _gauss_legendre_01()
+    g_at_d = g.value_stacked(d_flat)
+    value, grad, hess = 0.0, 0.0, 0.0
+    for v, wt in zip(nodes, weights):
+        y = v * x + math.sqrt(1.0 - v * v) * d_flat
+        value = value - (wt / v) * (g.value_stacked(y) - g_at_d)
+        grad = grad - wt * g.grad_stacked(y)
+        hess = hess - wt * v * g.hess_stacked(y)
+    draws = np.column_stack([value, grad, hess.reshape(len(d_flat), -1)])
+    return [from_values(column) for column in draws.T]
+
+
+def stein_equation_residual(phi: CylinderFunctional, g: CylinderFunctional, x: np.ndarray,
+                            cov: np.ndarray) -> np.ndarray:
+    """|A phi - (g - E g(N))| at each row of the stacked arguments x, with
+    N ~ N(0, cov) and g a linear form f(a . x).  E g(N) = E f(sigma Z),
+    sigma^2 = a' cov a, comes from g's own values at 40 Gauss-Hermite
+    nodes, which is exact to rounding for sin, cos and lin at sigma <= 2."""
+    a = g.base.a
+    z, w = np.polynomial.hermite_e.hermegauss(40)
+    sigma = math.sqrt(float(a @ cov @ a))
+    mean = g.value_stacked(np.outer(sigma * z, a / (a @ a))) @ w / math.sqrt(2.0 * math.pi)
+    return np.abs(_generator_values(phi, x, cov) - (g.value_stacked(x) - mean))

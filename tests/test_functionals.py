@@ -17,7 +17,6 @@ from steinpaths.functionals import (
 )
 from steinpaths import ou_stein as ou
 from steinpaths.graph import GraphModel
-from steinpaths.mc import SeedSpec
 from steinpaths.paths import PiecewiseConstantPath, grid_path
 
 from oracles import validate_derivatives
@@ -105,25 +104,6 @@ def test_rows_read_grid_values_as_the_path_does():
         values = rng.standard_normal((n + 1, 2))
         stacked_rows = values[g.rows(n)].reshape(-1)
         assert np.array_equal(stacked_rows, path_argument(g, grid_path(values, n)))
-
-
-def test_eval_dim_mismatch():
-    # the operator layer takes g's stacked argument, of length k*dim, only
-    g = sin_cylinder(1, 1, dim=2)
-    law = ou.TargetLaw(GraphModel(4, 0.3))
-    seed = SeedSpec(0)
-    calls = [
-        lambda x: ou.mehler_apply(g, x, 0.5, law, 16, seed),
-        lambda x: ou.mehler_two_step(g, x, 0.5, 0.5, law, 16, seed),
-        lambda x: ou.generator_apply(g, x, law),
-        lambda x: ou.solve_phi(g, x, law, 16, 16, seed),
-        lambda x: ou.stein_selfconsistency(g, x, law, 16, 16, seed),
-    ]
-    for call in calls:
-        for bad in (np.zeros(1), np.zeros(3), np.zeros((1, 2)), 0.0):
-            with pytest.raises(FunctionalError):
-                call(bad)
-    assert ou.generator_apply(g, np.zeros(2), law) == 0.0  # sin'' = 0 at 0
 
 
 def test_dderiv_sin_at_zero():
@@ -233,7 +213,7 @@ def test_norm_bound_zero_functional():
 def test_norm_bound_numeric_unsupported():
     # the Stein solution phi(g) carries no certificate
     law = ou.TargetLaw(GraphModel(4, 0.3))
-    g = ou.make_phi_cylinder(sin_cylinder(1, 1, dim=2), law, 16, 64, SeedSpec(0))
+    g = ou.stein_solution(sin_cylinder(1, 1, dim=2), law.cov_matrix([F(1)]))
     with pytest.raises(UnsupportedFunctionalError):
         norm_upper_bound(g)
 

@@ -9,9 +9,13 @@ import pytest
 
 from steinpaths import combinatorial as comb
 from steinpaths import graph as gr
+from steinpaths import ou_stein as ou
 from steinpaths.combinatorial import ArrayModel, double_center
 from steinpaths.functionals import (
     CylinderFunctional,
+    FunctionalError,
+    UnsupportedFunctionalError,
+    _LinearFormBase,
     cos_cylinder,
     linear_cylinder,
     parse_functional,
@@ -26,17 +30,12 @@ from steinpaths.ou_stein import (
     epsilon1_graph,
     epsilon3_estimate,
     family,
-    generator_apply,
-    make_phi_cylinder,
-    mehler_apply,
-    mehler_two_step,
-    solve_phi,
     stein_identity_residual,
-    stein_selfconsistency,
+    stein_solution,
 )
 from steinpaths.paths import time_rows
 
-from oracles import validate_derivatives
+from oracles import stein_equation_residual, stein_solution_mc, validate_derivatives
 
 F = Fraction
 
@@ -54,6 +53,11 @@ def step_argument(g, jumps):
             np.zeros(g.dim))
         for t in g.times
     ])
+
+
+def generator_at(f, x, law):
+    """A f at the one stacked argument x, against the law's covariance."""
+    return float(ou._generator_values(f, x[None], law.cov_matrix(f.times))[0])
 
 
 def sup_norm(values):
@@ -111,75 +115,12 @@ def test_law_cov_matches_sampler():
                 assert abs(est.mean - cov[i, j]) <= 5 * est.stderr + 1e-12
 
 
-def test_mehler_u_zero_is_identity():
-    law = TargetLaw(det5_model())
-    g = sin_cylinder(1, 1, dim=1)
-    x = step_argument(g, {F(1, 3): [0.7], F(4, 5): [-0.2]})
-    est = mehler_apply(g, x, 0.0, law, 1000, SeedSpec(51))
-    assert est.mean == g.value_stacked(x)
-    assert est.m2 == 0.0
-
-
-class _ConstantBase:
-    """phi(x) = c: a base with no certificate."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def value(self, x):
-        return np.full(np.shape(x)[:-1], self.c)
-
-
-def test_mean_g_estimates_each_functional():
-    # both functionals carry the same label
-    law = TargetLaw(GraphModel(6, 0.3))
-    first = CylinderFunctional(2, [F(1)], _ConstantBase(0.5), "const")
-    one = CylinderFunctional(2, [F(1)], _ConstantBase(1.0), "const")
-    assert first.label == one.label
-    seed = SeedSpec(55)
-    law.mean_g(first, 4096, seed)
-    est = law.mean_g(one, 4096, seed)
-    assert est.mean == 1.0 and est.stderr == 0.0
-
-
-def test_mehler_u_large_reaches_target_mean():
-    law = TargetLaw(GraphModel(5, 0.3))
-    g = cos_cylinder(2, 1, dim=2)
-    x = step_argument(g, {F(1, 2): [0.5, -0.3]})
-    far = mehler_apply(g, x, 20.0, law, 2 * 10**4, SeedSpec(52, (0,)))
-    target = law.mean_g(g, 2 * 10**4, SeedSpec(52, (1,)))
-    tol = 4 * math.hypot(far.stderr, target.stderr)
-    assert abs(far.mean - target.mean) < tol
-
-
-def test_mehler_contraction_on_linear():
-    # T_u g(w) = e^{-u} g(w) for centered linear g
-    law = TargetLaw(det5_model())
-    g = linear_cylinder([1], [F(3, 5)], None, dim=1)
-    x = step_argument(g, {F(1, 5): [1.3]})
-    for u in (0.3, 1.0):
-        est = mehler_apply(g, x, u, law, 4 * 10**4, SeedSpec(53, (int(10 * u),)))
-        assert abs(est.mean - math.exp(-u) * g.value_stacked(x)) < 4 * est.stderr
-
-
-def test_mehler_semigroup_property():
-    # Gaussian target: two-step evaluation agrees with the single step
-    law = TargetLaw(det5_model())
-    g = tanh_product([1, 1], [F(2, 5), F(1)], dim=1)
-    x = step_argument(g, {F(1, 5): [0.8], F(3, 5): [-0.4]})
-    u, v = 0.4, 0.9
-    two = mehler_two_step(g, x, u, v, law, 6 * 10**4, SeedSpec(54, (0,)))
-    one = mehler_apply(g, x, u + v, law, 6 * 10**4, SeedSpec(54, (1,)))
-    tol = 4 * math.hypot(two.stderr, one.stderr)
-    assert abs(two.mean - one.mean) < tol
-
-
 def test_generator_linear_functional():
     law = TargetLaw(GraphModel(4, 0.5))
     f = linear_cylinder([1, 2], [F(1, 2), F(1)], [2.0, -1.0], dim=2)
     x = step_argument(f, {F(1, 4): [0.3, 0.1], F(3, 4): [-0.2, 0.5]})
     grad = f.grad_stacked(x)
-    assert generator_apply(f, x, law) == pytest.approx(-float(grad @ x), abs=1e-14)
+    assert generator_at(f, x, law) == pytest.approx(-float(grad @ x), abs=1e-14)
 
 
 def test_generator_pure_trace_at_zero_path():
@@ -188,7 +129,7 @@ def test_generator_pure_trace_at_zero_path():
     f = cos_cylinder(1, 1, dim=1)
     x = np.zeros(f.n_args)
     expected = -1.0 * float(law.cov_matrix([F(1)])[0, 0])  # H = -cos(0) = -1
-    assert generator_apply(f, x, law) == pytest.approx(expected, abs=1e-14)
+    assert generator_at(f, x, law) == pytest.approx(expected, abs=1e-14)
 
 
 def test_generator_linearity_and_constant_invariance():
@@ -199,11 +140,11 @@ def test_generator_linearity_and_constant_invariance():
     f = linear_cylinder([1, 1], [F(2, 5), F(1)], [1.0, -0.5], dim=1)
     f3 = linear_cylinder([1, 1], [F(2, 5), F(1)], [3.0, -1.5], dim=1)
     x = step_argument(f, jumps)
-    assert generator_apply(f3, x, law) == pytest.approx(
-        3.0 * generator_apply(f, x, law), rel=1e-12
+    assert generator_at(f3, x, law) == pytest.approx(
+        3.0 * generator_at(f, x, law), rel=1e-12
     )
     const = linear_cylinder([1], [F(1)], [0.0], dim=1)
-    assert generator_apply(const, step_argument(const, jumps), law) == 0.0
+    assert generator_at(const, step_argument(const, jumps), law) == 0.0
 
 
 def test_generator_matches_semigroup_derivative():
@@ -224,7 +165,7 @@ def test_generator_matches_semigroup_derivative():
     fd1 = (t_est(delta) - f0) / delta
     fd2 = (t_est(2 * delta) - f0) / (2 * delta)
     richardson = from_values(2 * fd1 - fd2)
-    gen = generator_apply(f, x, law)
+    gen = generator_at(f, x, law)
     assert abs(richardson.mean - gen) < 5 * richardson.stderr + 0.01
 
 
@@ -289,53 +230,118 @@ def test_stein_identity_pass_rate_over_reruns():
     assert passes(cos_cylinder(1, 1, dim=1), 1.1) < 48
 
 
-def test_solve_phi_constant_is_zero():
-    law = TargetLaw(ArrayModel.deterministic())
-    g = linear_cylinder([1], [1], [0.0], dim=1)
-    est, quad_err = solve_phi(g, np.zeros(1), law, inner_samples=2000, seed=SeedSpec(62))
-    assert est.mean == 0.0
-    assert quad_err == 0.0
+# the Stein solution: g12, a12 and the deterministic preset; D is Gaussian
+# on g12 and on the preset, a Gaussian mixture on a12
+STEIN_MODELS = {
+    "g12": GraphModel(12, 0.3),
+    "a12": ArrayModel.iid_gaussian(12),
+    "deterministic": ArrayModel.deterministic(),
+}
 
 
-def test_solve_phi_quadrature_refinement_within_error():
-    law = TargetLaw(ArrayModel.deterministic())
-    g = sin_cylinder(1, 1, dim=1)
-    x = step_argument(g, {F(1, 3): [0.9]})
-    est64, err64 = solve_phi(g, x, law, 64, 4096, SeedSpec(63))
-    est128, _ = solve_phi(g, x, law, 128, 4096, SeedSpec(63))
-    assert abs(est128.mean - est64.mean) <= max(err64, 1e-12)
+def linear_form_specs(dim):
+    """One sin, one cos and one two-time weighted lin spec at dimension dim."""
+    return ["sin:coord=1,t=1", "cos:coord=%d,t=1/2" % dim,
+            "lin:coords=1,%d,t=1/2,1,w=2,-0.5" % dim]
 
 
-def test_phi_cylinder_matches_solve_phi():
-    law = TargetLaw(ArrayModel.deterministic())
-    g = sin_cylinder(1, 1, dim=1)
-    x = step_argument(g, {F(1, 3): [0.9]})
-    est, _ = solve_phi(g, x, law, 64, 4096, SeedSpec(64))
-    phi_hat = make_phi_cylinder(g, law, 64, 4096, SeedSpec(64, (9,)))
-    # independent draws: agree within combined Monte Carlo resolution
-    assert phi_hat.value_stacked(x) == pytest.approx(est.mean, abs=5 * est.stderr + 1e-3)
+def stein_cases(models, kinds=("sin", "cos", "lin")):
+    return [pytest.param(models[name], spec, id="%s-%s" % (name, spec.split(":")[0]))
+            for name in models
+            for spec in linear_form_specs(family(models[name]).DIM)
+            if spec.split(":")[0] in kinds]
 
 
-@pytest.mark.parametrize("model, spec, dim", [
-    (ArrayModel.deterministic(), "sin:coord=1,t=1", 1),
-    (GraphModel(6, 0.3), "tanhprod:coords=1,2,t=1/2,1", 2),
-])
-def test_phi_cylinder_derivatives_validate(model, spec, dim):
-    # phi(g)'s gradient and Hessian are quadratures of g's; finite
-    # differences of phi(g)'s own values, on the same draws, agree with them
-    g = parse_functional(spec, dim)
-    phi_hat = make_phi_cylinder(g, TargetLaw(model), 64, 512, SeedSpec(67))
-    assert phi_hat.n_args == g.n_args and phi_hat.label == "phi(%s)" % spec
-    validate_derivatives(phi_hat, SeedSpec(68).rng(), trials=5)
+def stein_setup(model, spec):
+    """g, the covariance of its stacked evaluations and its closed-form phi."""
+    g = parse_functional(spec, family(model).DIM)
+    cov = TargetLaw(model).cov_matrix(g.times)
+    return g, cov, stein_solution(g, cov)
 
 
-def test_stein_selfconsistency_small_n():
-    law = TargetLaw(ArrayModel.deterministic())
-    g = sin_cylinder(1, 1, dim=1)
-    x = step_argument(g, {F(1, 3): [0.5], F(2, 3): [-0.3]})
-    report = stein_selfconsistency(g, x, law, seed=SeedSpec(65))
-    assert report["pass"], report
-    assert report["gap"] <= report["tolerance"]
+def stein_points(g, cov, count, seed):
+    """count points drawn from 2 N(0, cov), then one at a . x = 20, the
+    edge of the closed form's documented domain."""
+    a = g.base.a
+    x = SeedSpec(seed).rng().multivariate_normal(np.zeros(g.n_args), 4.0 * cov, size=count)
+    return np.vstack([x, 20.0 * a / (a @ a)])
+
+
+@pytest.mark.parametrize("model, spec", stein_cases(STEIN_MODELS))
+def test_stein_solution_residual_is_exact(model, spec):
+    g, cov, phi = stein_setup(model, spec)
+    assert (phi.dim, phi.times, phi.label) == (g.dim, g.times, "phi(%s)" % spec)
+    x = stein_points(g, cov, 64, 90)
+    assert abs(x[-1] @ g.base.a) == pytest.approx(20.0)
+    assert stein_equation_residual(phi, g, x, cov).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model, spec", stein_cases(STEIN_MODELS, ("sin", "cos")))
+def test_stein_solution_negative_controls(model, spec):
+    # phi solved against 1.1 Sigma, and phi with F'' negated, each miss the
+    # equation by far more than its 1e-12 bound (lin is immune to both:
+    # its phi is -a.x at any Sigma, with F'' = 0)
+    g, cov, phi = stein_setup(model, spec)
+    x = stein_points(g, cov, 64, 91)[:-1]
+    wide = stein_solution(g, 1.1 * cov)
+    base = phi.base
+    flipped = CylinderFunctional(g.dim, g.times, _LinearFormBase(
+        base.a, (base.fn, base.dfn, lambda s: -base.d2fn(s)), None), "flipped")
+    for wrong in (wide, flipped):
+        assert stein_equation_residual(wrong, g, x, cov).max() > 1e-12
+
+
+@pytest.mark.parametrize("model, spec", stein_cases(STEIN_MODELS))
+def test_stein_solution_derivatives_validate(model, spec):
+    _, _, phi = stein_setup(model, spec)
+    validate_derivatives(phi, SeedSpec(92).rng(), trials=5)
+
+
+@pytest.mark.parametrize("model, spec", stein_cases(
+    {name: STEIN_MODELS[name] for name in ("g12", "deterministic")}, ("sin", "cos")))
+def test_stein_solution_matches_monte_carlo_oracle(model, spec):
+    # where D is Gaussian, phi, grad phi and hess phi are the Monte Carlo
+    # semigroup integrals over frozen draws of D, entry by entry
+    g, cov, phi = stein_setup(model, spec)
+    d_flat = TargetLaw(model).sample_at(SeedSpec(93).rng(), 2**15, g.times)
+    for x in stein_points(g, cov, 3, 94)[:-1]:
+        want = np.concatenate([[phi.value_stacked(x)], phi.grad_stacked(x),
+                               phi.hess_stacked(x).ravel()])
+        for est, value in zip(stein_solution_mc(g, x, d_flat), want):
+            assert abs(est.mean - value) <= 5 * est.stderr
+
+
+@pytest.mark.parametrize("model, spec", stein_cases(STEIN_MODELS, ("lin",)))
+def test_stein_solution_of_lin_is_minus_lin(model, spec):
+    # for lin, f(vs) e(v) = vs, so phi = -a.x, grad phi = -a and hess phi = 0
+    g, cov, phi = stein_setup(model, spec)
+    x = stein_points(g, cov, 8, 95)
+    assert phi.value_stacked(x) == pytest.approx(-g.value_stacked(x), rel=1e-14, abs=1e-14)
+    assert phi.grad_stacked(x) == pytest.approx(-g.grad_stacked(x), rel=1e-14)
+    assert not phi.hess_stacked(x).any()
+
+
+def test_stein_solution_of_lin_at_an_overflowing_variance():
+    # sigma^2 = a' Sigma a overflows to inf, yet lin's phi stays -a.x: its
+    # kappa is 0, and 0 * inf would make every node NaN
+    g = linear_cylinder([1], [1], [1e300], dim=1)
+    phi = stein_solution(g, np.eye(1))
+    x = np.array([[0.0], [1e-300], [-2e-300]])
+    assert phi.value_stacked(x) == pytest.approx(-g.value_stacked(x), rel=1e-14)
+    assert phi.grad_stacked(x) == pytest.approx(-g.grad_stacked(x), rel=1e-14)
+
+
+def test_stein_solution_refusals():
+    law = TargetLaw(GraphModel(6, 0.3))
+    sin = sin_cylinder(1, 1, dim=2)
+    phi = stein_solution(sin, law.cov_matrix(sin.times))
+    tanh = tanh_product([1, 2], [F(1, 2), F(1)], dim=2)
+    for g in (tanh, phi):  # no closed form: not a sin, cos or lin form
+        with pytest.raises(UnsupportedFunctionalError):
+            stein_solution(g, law.cov_matrix(g.times))
+    for cov in (law.cov_matrix([F(1, 2), F(1)]), np.eye(1), np.zeros(2)):
+        with pytest.raises(FunctionalError):
+            stein_solution(sin, cov)
 
 
 def test_epsilon1_generic_zero_lambda(draw_pairs):

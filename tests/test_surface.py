@@ -3,11 +3,14 @@
 A name in a module's ``__all__`` earns its place when the program uses
 it (some ``src/`` code outside its own definition references it) or the
 benchmark reads it (a ``perfbench/*.py`` file mentions it).  Reference
-code that only tests call lives in ``tests/oracles.py`` instead.
+code that only tests call lives in ``tests/oracles.py`` instead.  A
+module's private top-level names (one leading underscore) need a reader
+too, with none kept on purpose.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,10 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 UNREAD_EXPORTS = {
     "double_center": "README's helper for users who build array models",
     "merge": "the scalar reference for the engine's vectorized merge",
-    "mehler_apply": "Stein-solution stack, reserved for the Stein-solution item",
-    "mehler_two_step": "Stein-solution stack, reserved for the Stein-solution item",
-    "solve_phi": "Stein-solution stack, reserved for the Stein-solution item",
-    "stein_selfconsistency": "Stein-solution stack, reserved for the Stein-solution item",
+    "from_values": "the scalar moments that the engine's columns match bit for bit",
+    "stein_solution": "reserved for item 2's stein-chain",
     # row_cov's two-time views, which record the table-vs-Brownian D2 gap
     # by design (graph module docstring)
     "cov_d1d1": "row_cov's two-time D1D1 view",
@@ -39,14 +40,12 @@ def _exports(tree: ast.Module) -> list:
     return []
 
 
-def _references(tree: ast.Module, name: str, skip=None) -> bool:
-    """Whether tree loads `name` or an attribute `name` outside the node skip."""
-    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
-    return any(
-        id(node) not in skipped
-        and (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
-             or isinstance(node, ast.Attribute) and node.attr == name)
-        for node in ast.walk(tree))
+def _reads(node) -> Counter:
+    """How often node loads each name, and each attribute by its name."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute))
 
 
 def _definition(tree: ast.Module, name: str):
@@ -55,15 +54,31 @@ def _definition(tree: ast.Module, name: str):
                 None)
 
 
-def unread_exports(root: Path) -> set:
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted((root / "src" / "steinpaths").glob("*.py"))}
+def _private_names(tree: ast.Module) -> list:
+    """The module's top-level names that start with one underscore: its
+    private functions, classes and assigned constants."""
+    names = [node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    targets = [target for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    names += [sub.id for target in targets for sub in ast.walk(target)
+              if isinstance(sub, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def unread_names(root: Path, names) -> set:
+    """The names that names(tree) lists in any src/ module and that neither
+    the program (outside the name's own definition) nor perfbench reads."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((root / "src" / "steinpaths").glob("*.py"))]
     bench = "\n".join(path.read_text() for path in sorted((root / "perfbench").glob("*.py")))
+    reads = sum((_reads(tree) for tree in trees), Counter())
     unread = set()
-    for module, tree in trees.items():
-        for name in _exports(tree):
-            if any(_references(other, name, _definition(other, name) if key == module else None)
-                   for key, other in trees.items()):
+    for tree in trees:
+        for name in names(tree):
+            own = _definition(tree, name)
+            if reads[name] > (_reads(own)[name] if own is not None else 0):
                 continue
             if not re.search(r"\b%s\b" % re.escape(name), bench):
                 unread.add(name)
@@ -71,4 +86,9 @@ def unread_exports(root: Path) -> set:
 
 
 def test_every_export_is_read_or_kept_on_purpose():
-    assert unread_exports(ROOT) == set(UNREAD_EXPORTS)
+    assert unread_names(ROOT, _exports) == set(UNREAD_EXPORTS)
+
+
+def test_every_private_name_is_read():
+    # a private helper that no code calls any more is a leftover
+    assert unread_names(ROOT, _private_names) == set()
