@@ -548,16 +548,18 @@ def regression_residual(
     np.cumsum(real.x.sum(axis=-1), axis=-1, out=row_prefix[..., 1:])
 
     # one call per functional, so its (..., n, n) arrays are freed before
-    # the next functional's are built
+    # the next functional's are built; a gradient past the float range
+    # gives a non-finite residual, which the check reports, on any thread
     def residual(f: CylinderFunctional) -> np.ndarray:
         cuts = f.rows(n)
         x = real.values[..., cuts, 0]
         grads = f.grad_stacked(x)
-        moves, prob = pair_moves(real, cuts, grads[..., None])
-        moves *= prob
-        df_y = np.einsum("...a,...a->...", grads, x)
-        correction = np.einsum("...a,...a->...", grads, row_prefix[..., cuts]) / (n * s)
-        return np.abs(moves.sum(axis=-1) - 2.0 / (n - 1) * (df_y - correction))
+        with np.errstate(over="ignore", invalid="ignore"):
+            moves, prob = pair_moves(real, cuts, grads[..., None])
+            moves *= prob
+            df_y = np.einsum("...a,...a->...", grads, x)
+            correction = np.einsum("...a,...a->...", grads, row_prefix[..., cuts]) / (n * s)
+            return np.abs(moves.sum(axis=-1) - 2.0 / (n - 1) * (df_y - correction))
 
     return np.array([residual(f) for f in funcs]).reshape((len(funcs),) + lead)
 

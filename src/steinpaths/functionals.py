@@ -172,15 +172,20 @@ class _LinearFormBase:
         self.certificate = certificate
         self.kappa = kappa
 
+    # an argument past the float range gives inf or nan, which the checks
+    # report; numpy's error state is per thread, so it is set where x is read
     def value(self, x):
-        return self.fn(np.asarray(x) @ self.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.fn(np.asarray(x) @ self.a)
 
     def grad(self, x):
-        return self.dfn(np.asarray(x) @ self.a)[..., None] * self.a
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.dfn(np.asarray(x) @ self.a)[..., None] * self.a
 
     def hess(self, x):
         # scale a before the outer product: a a^T alone overflows at large a
-        return (self.d2fn(np.asarray(x) @ self.a)[..., None] * self.a)[..., None] * self.a
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.d2fn(np.asarray(x) @ self.a)[..., None] * self.a)[..., None] * self.a
 
 
 class _TanhProdBase:
@@ -246,14 +251,14 @@ def _linear_form(label: str, times: Sequence, dim: int, a: np.ndarray, fns: tupl
     derivative sup gives exactly 0.0, never the 0 * inf of a product of
     norms that overflows.
     """
-    sup_cubic, d1, d2, d3 = sups
+    sup_cubic, sup1, sup2, sup3 = sups
     norms = [math.hypot(*b) for b in a.reshape(len(times), dim)]
     return CylinderFunctional(dim, times, _LinearFormBase(a, fns, NormCertificate(
         sup_abs_over_cubic=sup_cubic,
-        grad_block_sups=tuple(d1 * nb for nb in norms),
-        hess_block_sups=tuple(tuple(0.0 if d2 == 0 else d2 * nb * nc for nc in norms)
+        grad_block_sups=tuple(sup1 * nb for nb in norms),
+        hess_block_sups=tuple(tuple(0.0 if sup2 == 0 else sup2 * nb * nc for nc in norms)
                               for nb in norms),
-        hess_lipschitz=0.0 if d3 == 0 else d3 * math.hypot(*a) ** 3,
+        hess_lipschitz=0.0 if sup3 == 0 else sup3 * math.hypot(*a) ** 3,
     ), kappa), label)
 
 

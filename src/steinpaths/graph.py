@@ -22,9 +22,10 @@ grid covariance is available in closed form:
 
 with a = floor(nt)-2, b = floor(nu)-2, m = floor(n(t^u)).  The Gaussian
 family behind the D2 block can also be assembled index by index from the
-covariance table (``cov_d2d2_table``, and the direct small-n oracle in
-tests/oracles.py); the two D2 forms differ by exactly (1+p) m(m-1) p^2(1-p)/n^4, which is kept
-visible as a diagnostic rather than hidden in either evaluator.
+covariance table; that four-term form, and the direct small-n oracle
+built on it, live in tests/oracles.py.  The two D2 forms differ by
+exactly (1+p) m(m-1) p^2(1-p)/n^4, which the tests keep visible as a
+diagnostic rather than hidden in either evaluator.
 
 The continuous limit Z = (Z1, Z2) uses the same B1, B2 through
 t B(t^2); coupling Z_n to Z shares those two motions on a merged clock.
@@ -59,12 +60,7 @@ __all__ = [
     "pair_moves",
     "regression_residual",
     "row_cov",
-    "cov_d1d1",
-    "cov_d1d2",
-    "cov_d2d2",
-    "cov_d2d2_table",
     "brownian_side_cov",
-    "d2_block_discrepancy",
     "prelimit_cov",
     "TOL_IDENTITIES",
     "covariance_identities",
@@ -275,14 +271,16 @@ def regression_residual(real: GraphRealization, funcs: Sequence[CylinderFunction
     n, lead, lam = real.n, real.values.shape[:-2], lambda_matrix(real.model)
 
     # one call per functional, so its (..., pairs) arrays are freed before
-    # the next functional's are built
+    # the next functional's are built; a gradient past the float range
+    # gives a non-finite residual, which the check reports, on any thread
     def residual(f: CylinderFunctional) -> np.ndarray:
         cuts = f.rows(n)
         x = real.values[..., cuts, :].reshape(lead + (-1,))
         grads = f.grad_stacked(x)
-        moves, prob = pair_moves(real, cuts, grads.reshape(lead + (f.k, 2)) @ lam.T)
-        moves *= prob
-        return np.abs(np.einsum("...a,...a->...", grads, x) - 2.0 * moves.sum(axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            moves, prob = pair_moves(real, cuts, grads.reshape(lead + (f.k, 2)) @ lam.T)
+            moves *= prob
+            return np.abs(np.einsum("...a,...a->...", grads, x) - 2.0 * moves.sum(axis=-1))
 
     return np.array([residual(f) for f in funcs]).reshape((len(funcs),) + lead)
 
@@ -297,48 +295,25 @@ def regression_residual(real: GraphRealization, funcs: Sequence[CylinderFunction
 _pow = np.vectorize(pow, otypes=[float])
 
 
-def row_cov(n, p, mt, mu, d2: str = "brownian") -> np.ndarray:
+def row_cov(n, p, mt, mu) -> np.ndarray:
     """(..., 2, 2) closed-form blocks [[D1D1, D1D2], [D2D1, D2D2]] of
     Cov(D_n(t), D_n(u)) at the rows mt = floor(n t) and mu = floor(n u),
-    for broadcastable arrays of n, p, mt and mu.  d2 picks the D2D2 form:
-    "brownian", the sampler's law; "table", the four-term display from the
-    Gaussian-family covariance table; or "gap", their analytic difference.
+    for broadcastable arrays of n, p, mt and mu: the sampler's law.
 
     Values are float64 in the operation order of the forms on Python ints.
     An integer product is exact below 2^53 (an int64 one would overflow
     from n near 55,000); + 0.0 gives its zero a Python int's sign."""
     mt, mu = np.asarray(mt, dtype=float), np.asarray(mu, dtype=float)
     n4, n5, p2, p3, q = _pow(n, 4), _pow(n, 5), _pow(p, 2), _pow(p, 3), 1 - p
-    m, mx = np.minimum(mt, mu), np.maximum(mt, mu)
+    m = np.minimum(mt, mu)
     ab, mm1 = (mt - 2) * (mu - 2), m * (m - 1)
     abm = ab * mm1 + 0.0  # read alone as D1D1 and D1D2; in a D2D2 sum a zero's sign is lost
     d11 = abm * p * q / (2.0 * n4)
     d12 = abm * p2 * q / n4  # D2D1 too: (mu-2)(mt-2) is the same product
-    if d2 == "brownian":
-        c = 2.0 * p3 * q
-        d22 = c * ab * mm1 / n4 + abm / n5 + p2 * _pow(q, 2) * m * mm1 / (2.0 * n4) + c * mm1 / n4
-    elif d2 == "table":
-        mm2 = mm1 * np.maximum(m - 2, 0)
-        d22 = (abm / n5 + abm * p3 * q / n4 + mm2 * p2 * (1 - p2) / (2.0 * n4)
-               + mm2 * (mx - 3) * p3 * q / n4)
-    elif d2 == "gap":
-        d22 = (1 + p) * m * (m - 1) * p2 * q / n4
-    else:
-        raise ValueError("d2 must be brownian, table or gap, got %r" % d2)
+    c = 2.0 * p3 * q
+    d22 = c * ab * mm1 / n4 + abm / n5 + p2 * _pow(q, 2) * m * mm1 / (2.0 * n4) + c * mm1 / n4
     d11, d12, d22 = np.broadcast_arrays(d11, d12, d22)
     return np.stack([np.stack([d11, d12], -1), np.stack([d12, d22], -1)], -2)
-
-
-def _view(i: int, j: int, d2: str = "brownian"):
-    """Entry [i, j] of row_cov at the rows of two times t, u, as a float."""
-    def cov(n: int, p: float, t, u) -> float:
-        return float(row_cov(n, p, *time_rows(n, [as_time(t), as_time(u)]), d2)[i, j])
-    return cov
-
-
-# D1D1, D1D2 and the D2D2 forms at two times: the sampler's, the table's and their gap
-cov_d1d1, cov_d1d2, cov_d2d2 = _view(0, 0), _view(0, 1), _view(1, 1)
-cov_d2d2_table, d2_block_discrepancy = _view(1, 1, "table"), _view(1, 1, "gap")
 
 
 def z_coefficients(p: float) -> tuple[float, float, float, float]:
@@ -803,24 +778,24 @@ def coupling_distance(
         planes = local.planes
         zn1, zn2, z1, z2 = draw(rng, size, planes)
         # the differences go into the planes of B and A, which draw leaves free
-        d1 = np.take(zn1, cut, axis=1, out=_rows(planes[2], size, cut.size), mode="clip")
-        d1 -= z1
-        d2 = np.take(zn2, cut, axis=1, out=_rows(planes[0], size, cut.size), mode="clip")
-        d2 -= z2
+        dz1 = np.take(zn1, cut, axis=1, out=_rows(planes[2], size, cut.size), mode="clip")
+        dz1 -= z1
+        dz2 = np.take(zn2, cut, axis=1, out=_rows(planes[0], size, cut.size), mode="clip")
+        dz2 -= z2
         x, y = zn1[:, -1], z1[:, -1]  # correlation ingredients at t = 1
         corr = [x * y, x**2, y**2]  # taken before z1 is squared in place
         # x0^2 + x1^2 is the sum np.linalg.norm takes, and a correctly
         # rounded sqrt is monotone, so sqrt(max) is the max of the norms
-        d1 *= d1
-        d2 *= d2
-        d1 += d2
-        gap = np.sqrt(d1.max(axis=1))
+        dz1 *= dz1
+        dz2 *= dz2
+        dz1 += dz2
+        gap = np.sqrt(dz1.max(axis=1))
         z1 *= z1
         z2 *= z2
         z1 += z2
         sup_z2 = np.sqrt(z1.max(axis=1)) ** 2
         # column-major: each statistic is then summed pairwise as one
-        # contiguous run, exactly as from_values sums a 1-D array
+        # contiguous run, exactly as a 1-D array is summed
         return np.array([gap, gap**2, sup_z2, *corr]).T
 
     gap, gap2, supz2, prod, zn2, z2 = mc_run_vector(

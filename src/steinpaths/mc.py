@@ -21,9 +21,6 @@ import numpy as np
 __all__ = [
     "McError",
     "McEstimate",
-    "merge",
-    "ci95",
-    "from_values",
     "SeedSpec",
     "mc_run",
     "mc_run_vector",
@@ -67,39 +64,11 @@ class McEstimate:
         return float(np.sqrt(self.variance / self.count))
 
     def ci95(self) -> tuple[float, float]:
-        return ci95(self)
-
-
-def merge(a: McEstimate, b: McEstimate) -> McEstimate:
-    """Combine two disjoint accumulations (Chan's parallel update)."""
-    if a.count == 0:
-        return McEstimate(b.count, b.mean, b.m2)
-    if b.count == 0:
-        return McEstimate(a.count, a.mean, a.m2)
-    n = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / n)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / n)
-    return McEstimate(n, mean, m2)
-
-
-def ci95(est: McEstimate) -> tuple[float, float]:
-    """mean +/- 1.96 stderr; needs at least two samples."""
-    if est.count < 2:
-        raise McError("ci95 needs count >= 2, have %d" % est.count)
-    half = Z95 * est.stderr
-    return est.mean - half, est.mean + half
-
-
-def from_values(xs) -> McEstimate:
-    """Moments of the flattened values xs; no values give an empty estimate."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    if xs.size == 0:
-        return McEstimate()
-    if not np.all(np.isfinite(xs)):
-        raise McError("non-finite sample in batch")
-    mean = np.mean(xs)
-    return McEstimate(int(xs.size), float(mean), float(np.sum((xs - mean) ** 2)))
+        """mean +/- 1.96 stderr; needs at least two samples."""
+        if self.count < 2:
+            raise McError("ci95 needs count >= 2, have %d" % self.count)
+        half = Z95 * self.stderr
+        return self.mean - half, self.mean + half
 
 
 def bit_generator() -> type:
@@ -169,14 +138,15 @@ def mc_run_vector(
     iid rows, shaped (size,) or (size, d); a scalar is the case d = 1.
 
     Chunk i draws from seed.child(i).  Each column of a chunk is reduced as
-    one contiguous run, so its moments carry the bits from_values gives
-    that column (a row-major (size, d > 1) array reduced along axis 0 does
-    not), and chunks merge in index order by Chan's update, vectorized over
-    the columns with the arithmetic of ``merge``; the result is therefore
-    independent of the worker count.  Each chunk is merged as it arrives,
-    so memory does not grow with the chunk count.  A non-finite sample, or
-    finite samples whose mean or m2 overflows, raise ``McError``; the
-    overflow itself raises no numpy warning.
+    one contiguous run, so its moments carry the bits of a one-dimensional
+    reduction of that column (a row-major (size, d > 1) array reduced
+    along axis 0 does not), and chunks merge in index order by Chan's
+    update, vectorized over the columns; the tests pin both against the
+    scalar ``from_values`` and ``merge`` in tests/oracles.py, bit for bit.
+    The result is therefore independent of the worker count.  Each chunk
+    is merged as it arrives, so memory does not grow with the chunk count.
+    A non-finite sample, or finite samples whose mean or m2 overflows,
+    raise ``McError``; the overflow itself raises no numpy warning.
     """
     if n_samples < 1:
         raise McError("n_samples must be positive")

@@ -5,6 +5,12 @@ Nothing in ``steinpaths`` calls these; the tests import them from here:
 * ``moments_tv_exact`` and ``DirectGaussianOracle`` for ``graph``: the
   exact means of T_n, V_n and a small-n pre-limit sampler built from the
   Gaussian family's covariance table;
+* ``d2d2_table`` and ``d2d2_gap`` for ``graph.row_cov``: that table's
+  D2D2 form and its analytic gap to the sampler's, in row_cov's
+  operation order, with the two-time views ``cov_d1d1``, ``cov_d1d2``,
+  ``cov_d2d2``, ``cov_d2d2_table`` and ``d2_block_discrepancy``;
+* ``from_values`` and ``merge`` for ``mc``: the scalar moments and Chan
+  merge whose bits the engine's vectorized columns carry;
 * ``zhat_cov`` and ``_five_index_sum_naive`` for ``combinatorial``: one
   closed-form Zhat covariance entry and the literal five-index loop;
 * ``validate_derivatives`` for ``functionals``: a functional's gradient
@@ -25,10 +31,10 @@ import numpy as np
 
 from steinpaths.combinatorial import ArrayModel, ModelError
 from steinpaths.functionals import CylinderFunctional, FunctionalError
-from steinpaths.graph import GraphModel, GraphModelError, _binom2, _binom3
-from steinpaths.mc import McEstimate, from_values
+from steinpaths.graph import GraphModel, GraphModelError, _binom2, _binom3, _pow, row_cov
+from steinpaths.mc import McError, McEstimate
 from steinpaths.ou_stein import _gauss_legendre_01, _generator_values
-from steinpaths.paths import as_time
+from steinpaths.paths import as_time, time_rows
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +133,68 @@ class DirectGaussianOracle:
         z = rng.standard_normal((size, self._sqrt.shape[1]))
         flat = z @ self._sqrt.T
         return flat.reshape(size, self.model.n + 1, 2)
+
+
+def d2d2_table(n, p, mt, mu) -> np.ndarray:
+    """The D2D2 entry of Cov(D_n(t), D_n(u)) at the rows mt, mu, assembled
+    from the Gaussian family's covariance table (DirectGaussianOracle's
+    law), for broadcastable arrays of n, p, mt and mu, in the operation
+    order of ``row_cov``."""
+    mt, mu = np.asarray(mt, dtype=float), np.asarray(mu, dtype=float)
+    n4, n5, p2, p3, q = _pow(n, 4), _pow(n, 5), _pow(p, 2), _pow(p, 3), 1 - p
+    m, mx = np.minimum(mt, mu), np.maximum(mt, mu)
+    ab, mm1 = (mt - 2) * (mu - 2), m * (m - 1)
+    abm = ab * mm1 + 0.0
+    mm2 = mm1 * np.maximum(m - 2, 0)
+    return (abm / n5 + abm * p3 * q / n4 + mm2 * p2 * (1 - p2) / (2.0 * n4)
+            + mm2 * (mx - 3) * p3 * q / n4)
+
+
+def d2d2_gap(n, p, mt, mu) -> np.ndarray:
+    """row_cov's D2D2 minus ``d2d2_table``, analytically:
+    (1+p) m(m-1) p^2 (1-p) / n^4 with m = min(mt, mu)."""
+    m = np.minimum(np.asarray(mt, dtype=float), np.asarray(mu, dtype=float))
+    return (1 + p) * m * (m - 1) * _pow(p, 2) * (1 - p) / _pow(n, 4)
+
+
+def _view(form, *index):
+    """form(n, p, mt, mu)[index] at the rows of two times t, u, as a float."""
+    def cov(n: int, p: float, t, u) -> float:
+        return float(form(n, p, *time_rows(n, [as_time(t), as_time(u)]))[index])
+    return cov
+
+
+# D1D1, D1D2 and the D2D2 forms at two times: the sampler's, the table's and their gap
+cov_d1d1, cov_d1d2, cov_d2d2 = _view(row_cov, 0, 0), _view(row_cov, 0, 1), _view(row_cov, 1, 1)
+cov_d2d2_table, d2_block_discrepancy = _view(d2d2_table), _view(d2d2_gap)
+
+
+# ---------------------------------------------------------------------------
+# mc: the scalar moments and merge that the engine's columns match bit for bit
+
+
+def merge(a: McEstimate, b: McEstimate) -> McEstimate:
+    """Combine two disjoint accumulations (Chan's parallel update)."""
+    if a.count == 0:
+        return McEstimate(b.count, b.mean, b.m2)
+    if b.count == 0:
+        return McEstimate(a.count, a.mean, a.m2)
+    n = a.count + b.count
+    delta = b.mean - a.mean
+    mean = a.mean + delta * (b.count / n)
+    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / n)
+    return McEstimate(n, mean, m2)
+
+
+def from_values(xs) -> McEstimate:
+    """Moments of the flattened values xs; no values give an empty estimate."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    if xs.size == 0:
+        return McEstimate()
+    if not np.all(np.isfinite(xs)):
+        raise McError("non-finite sample in batch")
+    mean = np.mean(xs)
+    return McEstimate(int(xs.size), float(mean), float(np.sum((xs - mean) ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,19 @@ from steinpaths.functionals import (
     sin_cylinder,
     tanh_product,
 )
-from steinpaths.mc import SeedSpec, from_values, mc_run
+from steinpaths.mc import SeedSpec, mc_run
 
-from oracles import DirectGaussianOracle, _five_index_sum_naive, stein_equation_residual, zhat_cov
+from oracles import (
+    DirectGaussianOracle,
+    _five_index_sum_naive,
+    cov_d1d1,
+    cov_d1d2,
+    cov_d2d2,
+    d2_block_discrepancy,
+    from_values,
+    stein_equation_residual,
+    zhat_cov,
+)
 
 F = Fraction
 
@@ -80,9 +90,9 @@ def test_criterion_2_covariance_identities():
         u = F(int(rng.integers(0, 101)), 100)
         b = gr.brownian_side_cov(n, p, int(n * t), int(n * u))  # at the rows of t, u
         for closed, brow in (
-            (gr.cov_d1d1(n, p, t, u), b[0, 0]),
-            (gr.cov_d1d2(n, p, t, u), b[0, 1]),
-            (gr.cov_d2d2(n, p, t, u), b[1, 1]),
+            (cov_d1d1(n, p, t, u), b[0, 0]),
+            (cov_d1d2(n, p, t, u), b[0, 1]),
+            (cov_d2d2(n, p, t, u), b[1, 1]),
         ):
             worst_rel = max(
                 worst_rel, abs(closed - brow) / max(abs(closed), abs(brow), 1e-30)
@@ -167,7 +177,7 @@ def test_criterion_3_sampler_fidelity():
                 (
                     a[:, k, 1] ** 2,
                     b[:, k, 1] ** 2,
-                    gr.d2_block_discrepancy(n, small.p, t, t),
+                    d2_block_discrepancy(n, small.p, t, t),
                 ),
             ]
             for va, vb, shift in moments:

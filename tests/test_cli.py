@@ -13,8 +13,9 @@ from steinpaths import graph as gr
 from steinpaths import ou_stein as ou
 from steinpaths.cli import main
 from steinpaths.functionals import certified_library
-from steinpaths.mc import from_values
 from steinpaths.reporting import RunReport, canonical_json
+
+from oracles import from_values
 
 
 def write_model(tmp_path, name, payload):
@@ -282,6 +283,32 @@ def test_verify_regression_nan_residual_fails(tmp_path, capsys, monkeypatch, kin
     assert check["name"] == "regression_identity" and not check["pass"]
     assert check["detail"] == "max residual nan"
     assert "values" not in report  # a canonical report holds no NaN value
+
+
+@pytest.mark.parametrize("kind", ["graph", "array"])
+def test_verify_regression_fails_on_a_finite_wrong_operator(tmp_path, capsys, monkeypatch, kind):
+    # the identity is exact, so a finite error of 10% in the graph's Lambda
+    # or in the array's pair moves fails it by orders of magnitude; the
+    # unpatched run passes at the same seed
+    model = graph_model(tmp_path, n=12, p=0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    code, out = run(capsys, ["verify-regression", "--model", model])
+    assert code == 0 and json.loads(out)["values"][0]["value"] < 1e-9
+    if kind == "graph":
+        lam = gr.lambda_matrix
+        monkeypatch.setattr(gr, "lambda_matrix", lambda model: 1.1 * lam(model))
+    else:
+        moves = comb.pair_moves
+
+        def inflated(real, rows, h):
+            out, prob = moves(real, rows, h)
+            return 1.1 * out, prob
+
+        monkeypatch.setattr(comb, "pair_moves", inflated)
+    code, out = run(capsys, ["verify-regression", "--model", model])
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "regression_identity" and not check["pass"]
+    assert float(check["detail"].split()[-1]) > 1e-3
 
 
 def test_verify_covariance_nan_relative_difference_fails(tmp_path, capsys, monkeypatch):
@@ -1245,6 +1272,27 @@ def test_overflowing_moments_fail_a_check(tmp_path, capsys, command):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert not checks["finite_samples"]["pass"]
     assert checks["finite_samples"]["detail"] == "non-finite moments over 100 finite samples"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, kind, weight, workers, check", [
+    ("verify-regression", "graph", "1e306", "1", "regression_identity"),
+    ("simulate", "array", "1.7e308", "1", "finite_samples"),
+    ("stein-identity", "array", "1.7e308", "1", "finite_samples"),
+    ("verify-regression", "array", "1.7e308", "1", "regression_identity"),
+    ("simulate", "array", "1e308", "2", "finite_samples"),
+])
+def test_overflowing_linear_forms_fail_a_check(tmp_path, capsys, command, kind, weight,
+                                               workers, check):
+    # the form's argument, its derivatives or the pair moves overflow, on a
+    # worker thread too; the check reports it, and numpy warns of nothing
+    model = graph_model(tmp_path, 12, 0.3) if kind == "graph" else iid_model(tmp_path, 12)
+    code = main([command, "--model", model, "--functional", "lin:coords=1,t=1,w=" + weight,
+                 "--workers", workers])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == [check]
 
 
 def test_report_parameters_are_the_options(tmp_path, capsys):

@@ -42,10 +42,10 @@ from steinpaths.combinatorial import (
 )
 from steinpaths import combinatorial as comb
 from steinpaths.functionals import certified_library, linear_cylinder, sin_cylinder
-from steinpaths.mc import SeedSpec, from_values, mc_run_vector
+from steinpaths.mc import SeedSpec, mc_run_vector
 from steinpaths.paths import grid_rows
 
-from oracles import _five_index_sum_naive, zhat_cov
+from oracles import _five_index_sum_naive, from_values, zhat_cov
 
 F = Fraction
 

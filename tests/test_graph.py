@@ -31,13 +31,8 @@ from steinpaths.graph import (
     brownian_side_cov,
     coupling_bounds,
     coupling_distance,
-    cov_d1d1,
-    cov_d1d2,
-    cov_d2d2,
-    cov_d2d2_table,
     cov_tv,
     cov_tv_exact,
-    d2_block_discrepancy,
     lambda_matrix,
     pair_moves,
     pair_norm_stats,
@@ -52,10 +47,22 @@ from steinpaths.graph import (
     z_coefficients,
 )
 from steinpaths.functionals import certified_library
-from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, from_values, mc_run_vector, merge
+from steinpaths.mc import MEMORY_BUDGET, SeedSpec, _chunk_sizes, mc_run_vector
 from steinpaths.paths import grid_rows
 
-from oracles import DirectGaussianOracle, moments_tv_exact
+from oracles import (
+    DirectGaussianOracle,
+    cov_d1d1,
+    cov_d1d2,
+    cov_d2d2,
+    cov_d2d2_table,
+    d2_block_discrepancy,
+    d2d2_gap,
+    d2d2_table,
+    from_values,
+    merge,
+    moments_tv_exact,
+)
 
 F = Fraction
 
@@ -798,11 +805,11 @@ def _int_forms(n, p, mt, mu):
 
 
 def _kernel_forms(n, p, mt, mu):
-    """row_cov's values in _int_forms' order, as (6, ...) stacked."""
+    """row_cov's values, then the oracle's table and gap forms, in
+    _int_forms' order, as (6, ...) stacked."""
     block = row_cov(n, p, mt, mu)
     return np.stack([block[..., 0, 0], block[..., 0, 1], block[..., 1, 0], block[..., 1, 1],
-                     row_cov(n, p, mt, mu, d2="table")[..., 1, 1],
-                     row_cov(n, p, mt, mu, d2="gap")[..., 1, 1]])
+                     d2d2_table(n, p, mt, mu), d2d2_gap(n, p, mt, mu)])
 
 
 @pytest.mark.parametrize("n", [3, 6, 64])

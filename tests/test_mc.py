@@ -10,12 +10,11 @@ from steinpaths.mc import (
     McEstimate,
     SeedSpec,
     bit_generator,
-    ci95,
-    from_values,
     mc_run,
     mc_run_vector,
-    merge,
 )
+
+from oracles import from_values, merge
 
 
 def test_accumulate_constant():
@@ -76,7 +75,7 @@ def test_merge_three_way_fixed_order():
 
 def test_ci95_degenerate():
     est = from_values([3.0, 3.0, 3.0])
-    assert ci95(est) == (3.0, 3.0)
+    assert est.ci95() == (3.0, 3.0)
 
 
 def test_ci95_width_quarter_sample():
@@ -92,7 +91,7 @@ def test_ci95_width_quarter_sample():
 
 def test_ci95_insufficient_data():
     with pytest.raises(McError):
-        ci95(from_values([1.0]))
+        from_values([1.0]).ci95()
 
 
 def test_ci95_coverage():

@@ -23,7 +23,7 @@ from steinpaths.functionals import (
     tanh_product,
 )
 from steinpaths.graph import GraphModel
-from steinpaths.mc import McEstimate, SeedSpec, from_values
+from steinpaths.mc import McEstimate, SeedSpec
 from steinpaths.ou_stein import (
     TargetLaw,
     epsilon1_combinatorial,
@@ -35,7 +35,7 @@ from steinpaths.ou_stein import (
 )
 from steinpaths.paths import time_rows
 
-from oracles import stein_equation_residual, stein_solution_mc, validate_derivatives
+from oracles import from_values, stein_equation_residual, stein_solution_mc, validate_derivatives
 
 F = Fraction
 

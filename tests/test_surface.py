@@ -19,16 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # on purpose
 UNREAD_EXPORTS = {
     "double_center": "README's helper for users who build array models",
-    "merge": "the scalar reference for the engine's vectorized merge",
-    "from_values": "the scalar moments that the engine's columns match bit for bit",
     "stein_solution": "reserved for item 2's stein-chain",
-    # row_cov's two-time views, which record the table-vs-Brownian D2 gap
-    # by design (graph module docstring)
-    "cov_d1d1": "row_cov's two-time D1D1 view",
-    "cov_d1d2": "row_cov's two-time D1D2 view",
-    "cov_d2d2": "row_cov's two-time D2D2 view, the sampler's law",
-    "cov_d2d2_table": "row_cov's two-time D2D2 view of the covariance table",
-    "d2_block_discrepancy": "row_cov's two-time view of the table-vs-Brownian gap",
 }
 
 
